@@ -228,8 +228,11 @@ func (d *Device) AddGroup(cfg GroupConfig) (*Group, error) {
 		ReadBufs:    cfg.ReadBufs,
 		ExpressBufs: cfg.ExpressBufs,
 	}
+	g.dispatchFn = g.dispatch
 	for i := 0; i < cfg.Engines; i++ {
-		g.Engines = append(g.Engines, &Engine{ID: usedEngines + i, group: g})
+		eng := &Engine{ID: usedEngines + i, group: g}
+		eng.releaseFn = eng.release
+		g.Engines = append(g.Engines, eng)
 	}
 	for _, wc := range cfg.WQs {
 		if wc.Size <= 0 {

@@ -644,3 +644,63 @@ func TestBatchFetchPricedAgainstSubmitterSocket(t *testing.T) {
 		t.Fatalf("remote fetch penalty %v below the 70ns UPI hop", diff)
 	}
 }
+
+// opAllocs runs d through a warmed Client.Submit → Wait(Poll) loop on r
+// and returns the host allocations per operation.
+func opAllocs(t *testing.T, r *rig, d Descriptor) float64 {
+	t.Helper()
+	cl := NewClient(r.dev.WQs()[0], nil)
+	var allocs float64
+	r.e.Go("allocs", func(p *sim.Proc) {
+		op := func() {
+			c, err := cl.Submit(p, d)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			cl.Wait(p, c, Poll)
+			if st := c.Record().Status; st != StatusSuccess {
+				t.Errorf("status %v", st)
+			}
+		}
+		for i := 0; i < 64; i++ {
+			op()
+		}
+		allocs = testing.AllocsPerRun(200, op)
+	})
+	r.e.Run()
+	return allocs
+}
+
+// The device hot path has a pinned per-descriptor allocation budget: the
+// work item, its Completion and its one completion event. A closure or
+// slice creeping back in trips here rather than only in the benchmark
+// harness.
+func TestMemmove4KAllocBudget(t *testing.T) {
+	const budget = 3
+	r := newRig(t)
+	src, dst := r.alloc(4<<10), r.alloc(4<<10)
+	sim.NewRand(3).Bytes(src.Bytes())
+	d := Descriptor{Op: OpMemmove, PASID: 1, Src: src.Addr(0), Dst: dst.Addr(0), Size: 4 << 10}
+	if allocs := opAllocs(t, r, d); allocs > budget {
+		t.Errorf("4 KB memmove allocated %.2f times per op, budget %d", allocs, budget)
+	}
+}
+
+// A 16 × 1 KB batch pays the budget above per child plus the batch's own
+// state (child records, fetch and completion events).
+func TestBatch16AllocBudget(t *testing.T) {
+	const children, size, budget = 16, 1 << 10, 54
+	r := newRig(t)
+	src, dst := r.alloc(children*size), r.alloc(children*size)
+	sim.NewRand(4).Bytes(src.Bytes())
+	subs := make([]Descriptor, children)
+	for i := range subs {
+		off := int64(i) * size
+		subs[i] = Descriptor{Op: OpMemmove, Src: src.Addr(off), Dst: dst.Addr(off), Size: size}
+	}
+	d := Descriptor{Op: OpBatch, PASID: 1, Descs: subs}
+	if allocs := opAllocs(t, r, d); allocs > budget {
+		t.Errorf("16 × 1 KB batch allocated %.2f times per op, budget %d", allocs, budget)
+	}
+}

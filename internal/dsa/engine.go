@@ -27,6 +27,10 @@ type Engine struct {
 
 	processed int64
 	busyTime  sim.Time
+
+	// releaseFn is eng.release captured once: every descriptor schedules
+	// one release, and a method value allocates a closure per use.
+	releaseFn func()
 }
 
 // Processed returns the number of descriptors this engine has issued.
@@ -35,13 +39,15 @@ func (eng *Engine) Processed() int64 { return eng.processed }
 // BusyTime returns the cumulative engine front-end occupancy.
 func (eng *Engine) BusyTime() sim.Time { return eng.busyTime }
 
-// free releases the engine and re-arms dispatch.
+// free schedules the engine's release at instant at.
 func (eng *Engine) free(at sim.Time) {
-	e := eng.group.Dev.E
-	e.At(at, func() {
-		eng.busy = false
-		eng.group.dispatch()
-	})
+	eng.group.Dev.E.At(at, eng.releaseFn)
+}
+
+// release marks the engine idle and re-arms dispatch.
+func (eng *Engine) release() {
+	eng.busy = false
+	eng.group.dispatch()
 }
 
 // execute runs one descriptor on the engine. Called from dispatch with the
@@ -80,7 +86,8 @@ func (eng *Engine) execute(wk *work) {
 		return
 	}
 
-	spans, err := spansOf(&wk.d)
+	var spanBuf [3]span
+	spans, err := spansOf(&wk.d, &spanBuf)
 	if err != nil {
 		eng.finish(wk, now+issue, CompletionRecord{Status: StatusError, Err: err})
 		eng.free(now + issue)
@@ -202,9 +209,8 @@ func (eng *Engine) execute(wk *work) {
 	} else {
 		// Defer functional execution to completion time so overlapping
 		// descriptors apply in completion order.
-		eng.finishFunc(wk, finishAt, func() CompletionRecord {
-			return execute(as, &wk.d, wk.d.Size)
-		})
+		wk.as, wk.apply = as, true
+		eng.finish(wk, finishAt, CompletionRecord{})
 	}
 	eng.busyTime += dataDone - now
 	eng.free(dataDone)
@@ -294,29 +300,32 @@ func (eng *Engine) reserveData(wk *work, spans []span, dataStart sim.Time) sim.T
 	return done
 }
 
-// finish schedules the completion record write at instant at.
+// finish schedules the completion record write at instant at: rec, or,
+// when wk.apply is set, the record of executing the operation then.
 func (eng *Engine) finish(wk *work, at sim.Time, rec CompletionRecord) {
-	eng.finishFunc(wk, at, func() CompletionRecord { return rec })
+	wk.g, wk.rec = eng.group, rec
+	eng.group.Dev.E.At(at, wk.fire)
 }
 
-// finishFunc schedules fn to produce the completion record at instant at and
-// delivers it.
-func (eng *Engine) finishFunc(wk *work, at sim.Time, fn func() CompletionRecord) {
-	g := eng.group
+// fire is a work's completion event: it writes the completion record and
+// delivers it to waiters, the WQ's statistics and the parent batch.
+func (wk *work) fire() {
+	g := wk.g
 	d := g.Dev
-	d.E.At(at, func() {
-		rec := fn()
-		d.stats.Completed++
-		g.inflight--
-		wk.comp.complete(rec)
-		if wk.wq != nil {
-			wk.wq.noteCompleted(wk.d.PASID, wk.comp.Latency())
-		}
-		if wk.parent != nil {
-			wk.parent.childDone(wk.childIdx, rec)
-		}
-		g.drainSig.Broadcast(d.E)
-	})
+	rec := wk.rec
+	if wk.apply {
+		rec = execute(wk.as, &wk.d, wk.d.Size)
+	}
+	d.stats.Completed++
+	g.inflight--
+	wk.comp.complete(rec)
+	if wk.wq != nil {
+		wk.wq.noteCompleted(wk.d.PASID, wk.comp.Latency())
+	}
+	if wk.parent != nil {
+		wk.parent.childDone(wk.childIdx, rec)
+	}
+	g.drainSig.Broadcast(d.E)
 }
 
 // executeDrain completes once every previously dispatched descriptor in the

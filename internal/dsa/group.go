@@ -36,6 +36,10 @@ type Group struct {
 	// inflight tracks dispatched-but-incomplete works for Drain ordering.
 	inflight int
 	drainSig sim.Signal
+
+	// dispatchFn is g.dispatch captured once: every submission schedules
+	// a dispatch, and a method value allocates a closure per use.
+	dispatchFn func()
 }
 
 // finalize computes derived state once the device is enabled.

@@ -18,54 +18,60 @@ type span struct {
 	write bool
 }
 
-// spansOf enumerates the ranges descriptor d touches. Destination sizes for
-// size-changing operations (DIF, delta) are derived from the transfer size.
-func spansOf(d *Descriptor) ([]span, error) {
+// spansOf enumerates the ranges descriptor d touches into the caller's buf
+// and returns the filled prefix. Destination sizes for size-changing
+// operations (DIF, delta) are derived from the transfer size.
+func spansOf(d *Descriptor, buf *[3]span) ([]span, error) {
 	s := d.Size
 	switch d.Op {
 	case OpNop, OpDrain, OpBatch:
 		return nil, nil
 	case OpMemmove, OpCopyCRC:
-		return []span{{d.Src, s, false}, {d.Dst, s, true}}, nil
+		return fillSpans(buf, span{d.Src, s, false}, span{d.Dst, s, true}), nil
 	case OpFill:
-		return []span{{d.Dst, s, true}}, nil
+		return fillSpans(buf, span{d.Dst, s, true}), nil
 	case OpCompare:
-		return []span{{d.Src, s, false}, {d.Src2, s, false}}, nil
+		return fillSpans(buf, span{d.Src, s, false}, span{d.Src2, s, false}), nil
 	case OpComparePattern, OpCRCGen, OpCacheFlush:
-		return []span{{d.Src, s, false}}, nil
+		return fillSpans(buf, span{d.Src, s, false}), nil
 	case OpCreateDelta:
-		return []span{{d.Src, s, false}, {d.Src2, s, false}, {d.Dst, d.MaxDst, true}}, nil
+		return fillSpans(buf, span{d.Src, s, false}, span{d.Src2, s, false}, span{d.Dst, d.MaxDst, true}), nil
 	case OpApplyDelta:
 		// Src is the delta record (Size bytes); Dst is the buffer being
 		// patched (MaxDst bytes).
-		return []span{{d.Src, s, false}, {d.Dst, d.MaxDst, true}}, nil
+		return fillSpans(buf, span{d.Src, s, false}, span{d.Dst, d.MaxDst, true}), nil
 	case OpDualcast:
-		return []span{{d.Src, s, false}, {d.Dst, s, true}, {d.Dst2, s, true}}, nil
+		return fillSpans(buf, span{d.Src, s, false}, span{d.Dst, s, true}, span{d.Dst2, s, true}), nil
 	case OpDIFInsert:
 		if !d.DIFBlock.Valid() {
 			return nil, fmt.Errorf("dsa: invalid DIF block size %d", d.DIFBlock)
 		}
 		out := s / int64(d.DIFBlock) * d.DIFBlock.Protected()
-		return []span{{d.Src, s, false}, {d.Dst, out, true}}, nil
+		return fillSpans(buf, span{d.Src, s, false}, span{d.Dst, out, true}), nil
 	case OpDIFCheck:
 		if !d.DIFBlock.Valid() {
 			return nil, fmt.Errorf("dsa: invalid DIF block size %d", d.DIFBlock)
 		}
-		return []span{{d.Src, s, false}}, nil
+		return fillSpans(buf, span{d.Src, s, false}), nil
 	case OpDIFStrip:
 		if !d.DIFBlock.Valid() {
 			return nil, fmt.Errorf("dsa: invalid DIF block size %d", d.DIFBlock)
 		}
 		out := s / d.DIFBlock.Protected() * int64(d.DIFBlock)
-		return []span{{d.Src, s, false}, {d.Dst, out, true}}, nil
+		return fillSpans(buf, span{d.Src, s, false}, span{d.Dst, out, true}), nil
 	case OpDIFUpdate:
 		if !d.DIFBlock.Valid() {
 			return nil, fmt.Errorf("dsa: invalid DIF block size %d", d.DIFBlock)
 		}
-		return []span{{d.Src, s, false}, {d.Dst, s, true}}, nil
+		return fillSpans(buf, span{d.Src, s, false}, span{d.Dst, s, true}), nil
 	default:
 		return nil, fmt.Errorf("dsa: unsupported opcode %v", d.Op)
 	}
+}
+
+// fillSpans copies spans into buf and returns the filled prefix.
+func fillSpans(buf *[3]span, spans ...span) []span {
+	return buf[:copy(buf[:], spans)]
 }
 
 // execute performs descriptor d's operation on address space as, moving real

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"dsasim/internal/mem"
 	"dsasim/internal/sim"
 )
 
@@ -42,6 +43,14 @@ type work struct {
 	childIdx  int         // position within the parent batch's children
 	fromBatch bool
 	enqueued  sim.Time
+
+	// Completion state, set by the engine when it schedules fire: the
+	// record to write, or, with apply, the address space the operation
+	// executes against when the record is written.
+	g     *Group
+	rec   CompletionRecord
+	as    *mem.AddressSpace
+	apply bool
 }
 
 // WQ is one configured work queue.
@@ -122,6 +131,6 @@ func (w *WQ) Submit(d Descriptor) (*Completion, error) {
 	w.q.Push(wk)
 	// The descriptor becomes visible to the group arbiter after the portal
 	// fabric hop.
-	w.Dev.E.After(w.Dev.Cfg.Timing.PortalHop/2, w.group.dispatch)
+	w.Dev.E.After(w.Dev.Cfg.Timing.PortalHop/2, w.group.dispatchFn)
 	return comp, nil
 }

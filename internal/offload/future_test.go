@@ -184,3 +184,39 @@ func TestResolvedWaitZeroAllocs(t *testing.T) {
 		}
 	})
 }
+
+// A warmed hardware Future round trip — Copy of 4 KB, then an interrupt
+// Wait — has a pinned host allocation budget, so a regression on the
+// submit→complete path trips here rather than only in the benchmark
+// harness.
+func TestFutureCopyAllocBudget(t *testing.T) {
+	const budget = 6
+	r := newRig(t, 1)
+	svc := r.service(t)
+	tn, err := svc.NewTenant()
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, dst := tn.Alloc(4<<10), tn.Alloc(4<<10)
+	sim.NewRand(5).Bytes(src.Bytes())
+	var allocs float64
+	r.run(func(p *sim.Proc) {
+		op := func() {
+			f, err := tn.Copy(p, dst.Addr(0), src.Addr(0), 4<<10, offload.On(offload.Hardware))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := f.Wait(p, offload.Interrupt); err != nil {
+				t.Error(err)
+			}
+		}
+		for i := 0; i < 64; i++ {
+			op()
+		}
+		allocs = testing.AllocsPerRun(200, op)
+	})
+	if allocs > budget {
+		t.Errorf("Copy+Wait allocated %.2f times per op, budget %d", allocs, budget)
+	}
+}

@@ -199,3 +199,32 @@ func TestSubmitZeroAllocsParallel(t *testing.T) {
 		t.Fatalf("Lane.TrySubmit allocates %d times per op under RunParallel, want 0", allocs)
 	}
 }
+
+// A warmed plane operation — one SubmitStamped on a one-lane plane,
+// drained with WaitInflight — has a pinned host allocation budget; the
+// per-burst drain process comes from the engine's pool.
+func TestPlaneSubmitAllocBudget(t *testing.T) {
+	const budget = 10
+	r, tn, pl := planeRig(t, 1, 1, offload.Bulk)
+	src, dst := tn.Alloc(32<<10), tn.Alloc(32<<10)
+	d := dsa.Descriptor{Op: dsa.OpMemmove, Src: src.Addr(0), Dst: dst.Addr(0), Size: 32 << 10}
+	var allocs float64
+	r.e.Go("plane", func(p *sim.Proc) {
+		lane := pl.Lane(0)
+		op := func() {
+			if err := lane.SubmitStamped(p, d, p.Now()); err != nil {
+				t.Error(err)
+				return
+			}
+			pl.WaitInflight(p, 0)
+		}
+		for i := 0; i < 64; i++ {
+			op()
+		}
+		allocs = testing.AllocsPerRun(200, op)
+	})
+	r.e.Run()
+	if allocs > budget {
+		t.Errorf("plane op allocated %.2f times per op, budget %d", allocs, budget)
+	}
+}

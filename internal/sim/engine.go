@@ -11,7 +11,12 @@
 //
 // Execution is fully deterministic: ties in timestamp are broken by a
 // monotonically increasing sequence number, and processes run one at a time
-// under the engine's control.
+// under the engine's control. Each process is a runtime coroutine that the
+// event loop switches into when the process's wake event fires; only one
+// coroutine runs at any moment, so no model state needs locking. A panic
+// inside a process is re-raised on the goroutine that called Run. Finished
+// processes are pooled on their engine and reused by later Go calls, and
+// Run stops the pooled coroutines once the event queue drains.
 package sim
 
 import (
@@ -101,7 +106,8 @@ type Engine struct {
 	now     Time
 	events  eventHeap
 	seq     uint64
-	procs   int // live processes, for leak detection
+	procs   int     // live processes, for leak detection
+	idle    []*Proc // finished processes whose coroutines Go reuses
 	stopped bool
 }
 
@@ -140,8 +146,9 @@ func (e *Engine) step() bool {
 	return true
 }
 
-// Run executes events until none remain. It panics if processes are still
-// parked when the event queue drains — that is a deadlocked model.
+// Run executes events until none remain, then stops the pooled idle
+// coroutines. It panics if processes are still parked when the event queue
+// drains — that is a deadlocked model.
 func (e *Engine) Run() {
 	for e.step() {
 		if e.stopped {
@@ -149,6 +156,7 @@ func (e *Engine) Run() {
 			return
 		}
 	}
+	e.stopIdle()
 	if e.procs > 0 {
 		panic(fmt.Sprintf("sim: deadlock: %d process(es) parked with no pending events", e.procs))
 	}

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -372,5 +374,113 @@ func TestProcSleepLoopZeroAllocs(t *testing.T) {
 	e.Run()
 	if allocs != 0 {
 		t.Errorf("Proc.Sleep allocated %.1f times per iteration, want 0", allocs)
+	}
+}
+
+// runPanic runs e and returns the value Run panicked with, or nil.
+func runPanic(e *Engine) (v any) {
+	defer func() { v = recover() }()
+	e.Run()
+	return nil
+}
+
+func explode(p *Proc) {
+	p.Sleep(time.Microsecond)
+	panic("boom")
+}
+
+// A panic inside a process unwinds the process's coroutine and is
+// re-raised from Run on the caller's goroutine, where recover catches it,
+// with the process's own stack at the panic.
+func TestProcPanicPropagatesToRun(t *testing.T) {
+	e := New()
+	e.Go("bomb", explode)
+	pp, ok := runPanic(e).(*ProcPanic)
+	if !ok || pp.Value != "boom" || pp.Proc != "bomb" {
+		t.Fatalf("Run panicked with %#v, want a ProcPanic of bomb carrying boom", pp)
+	}
+	if !strings.Contains(string(pp.Stack), "sim.explode") {
+		t.Errorf("panic stack does not reach the panicking function:\n%s", pp.Stack)
+	}
+	if e.Now() != time.Microsecond {
+		t.Fatalf("Now = %v, want 1µs", e.Now())
+	}
+}
+
+// Once Run drains, no process coroutine survives: finished processes sit
+// on the engine's free list until Run stops them.
+func TestRunStopsIdleCoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e := New()
+	for i := 0; i < 8; i++ {
+		e.Go("worker", func(p *Proc) {
+			p.Sleep(Time(i))
+			e.Go("child", func(c *Proc) { c.Yield() })
+		})
+	}
+	e.Run()
+	if after := runtime.NumGoroutine(); after != before {
+		t.Fatalf("%d goroutines after Run, %d before", after, before)
+	}
+}
+
+// A child spawned from a running process reuses the pooled Proc of one
+// that finished, and Go plus the child's run allocate at most the
+// caller's own closure.
+func TestChildProcReusesPooledCoroutine(t *testing.T) {
+	e := New()
+	ran := 0
+	var allocs float64
+	e.Go("parent", func(p *Proc) {
+		e.Go("child", func(*Proc) { ran++ })
+		p.Yield()
+		allocs = testing.AllocsPerRun(100, func() {
+			e.Go("child", func(*Proc) { ran++ })
+			p.Yield()
+		})
+	})
+	e.Run()
+	if ran != 102 {
+		t.Fatalf("children ran %d times, want 102", ran)
+	}
+	if allocs > 1 {
+		t.Errorf("Go + child run allocated %.1f times, want at most 1", allocs)
+	}
+}
+
+// Waking a finished process panics, also when its Proc was reused by a
+// later Go before finishing again.
+func TestWakingFinishedProcPanics(t *testing.T) {
+	e := New()
+	e.Go("parent", func(p *Proc) {
+		first := e.Go("first", func(*Proc) {})
+		p.Yield()
+		second := e.Go("second", func(*Proc) {})
+		p.Yield()
+		if second != first {
+			t.Error("Go did not reuse the finished Proc")
+		}
+		e.After(0, second.wake)
+	})
+	v := runPanic(e)
+	if msg, _ := v.(string); !strings.Contains(msg, `waking finished process "second"`) {
+		t.Fatalf("Run panicked with %v, want a finished-process wake panic", v)
+	}
+}
+
+// The deadlock check still counts a reused Proc parked forever.
+func TestDeadlockPanicsOnReusedProc(t *testing.T) {
+	e := New()
+	var s Signal
+	e.Go("parent", func(p *Proc) {
+		first := e.Go("first", func(*Proc) {})
+		p.Yield()
+		if stuck := e.Go("stuck", func(q *Proc) { q.Wait(&s) }); stuck != first {
+			t.Error("Go did not reuse the finished Proc")
+		}
+	})
+	v := runPanic(e)
+	if msg, _ := v.(string); !strings.Contains(msg, "deadlock: 1 process") {
+		t.Fatalf("Run panicked with %v, want a deadlock panic", v)
 	}
 }

@@ -1,22 +1,45 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+	"runtime/debug"
+)
 
-// Proc is a cooperative simulated process. A Proc runs on its own goroutine,
-// but exactly one goroutine (either the engine or a single process) executes
-// at any moment, so models using Procs remain deterministic and data-race
-// free without locking.
+// Proc is a cooperative simulated process: straight-line code that calls
+// Sleep, SleepUntil, Yield or Wait to give control back to the engine and
+// resumes when its wake condition fires.
 //
-// Inside the process function, call Sleep, Wait, or Yield to give control
-// back to the engine; the process resumes when its wake condition fires.
+// Each Proc runs on a runtime coroutine (iter.Pull). Waking a process is a
+// direct coroutine switch from the engine's event loop, and parking is the
+// switch back, so exactly one coroutine — the event loop or a single
+// process — runs at any moment. Models built from Procs are therefore
+// deterministic and data-race free without locking.
+//
+// A panic inside a process unwinds that process and is re-raised, as a
+// *ProcPanic, by the Run or RunUntil call that woke it, on the caller's
+// goroutine, where recover can catch it; runtime.Goexit (t.Fatal)
+// propagates the same way.
+//
+// Procs are pooled per engine. When a process function returns, its Proc
+// and coroutine go on the engine's free list and the next Go reuses them,
+// so a short-lived process costs no allocation beyond the caller's
+// closure. A *Proc is valid only until its function returns. Run stops the
+// idle coroutines once the event queue drains.
 type Proc struct {
-	e      *Engine
-	name   string
-	resume chan struct{}
-	parked chan struct{}
-	done   bool
+	e    *Engine
+	name string
+	fn   func(p *Proc)
+	done bool // fn has returned and the Proc is idle on the free list
 
-	// wake is p.transfer captured once at creation: scheduling a method
+	// next switches into the coroutine until it parks again; yield, called
+	// on the coroutine, switches back and reports false once stop has
+	// retired the coroutine.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+
+	// wake is p.resume captured once per pooled Proc: scheduling a method
 	// value allocates a fresh closure per call, and the wait loops (a
 	// polling client re-arms itself every PollGap) schedule one wake per
 	// iteration. With the closure cached, Sleep/Yield/Wait run without
@@ -24,42 +47,86 @@ type Proc struct {
 	wake func()
 }
 
-// Go starts fn as a simulated process at the current virtual time. The name
-// appears in deadlock panics only.
+// Go starts fn as a simulated process at the current virtual time, on an
+// idle pooled Proc when there is one. The name appears in panics only.
 func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{
-		e:      e,
-		name:   name,
-		resume: make(chan struct{}),
-		parked: make(chan struct{}),
+	var p *Proc
+	if n := len(e.idle); n > 0 {
+		p = e.idle[n-1]
+		e.idle[n-1] = nil
+		e.idle = e.idle[:n-1]
+	} else {
+		p = &Proc{e: e}
+		p.wake = p.resume
+		p.next, p.stop = iter.Pull(p.loop)
 	}
-	p.wake = p.transfer
+	p.name, p.fn, p.done = name, fn, false
 	e.procs++
-	go func() {
-		<-p.resume // first transfer from the engine
-		fn(p)
-		p.done = true
-		p.e.procs--
-		p.parked <- struct{}{}
-	}()
 	e.After(0, p.wake)
 	return p
 }
 
-// transfer hands control from the engine goroutine to the process and blocks
-// until the process parks again (or finishes).
-func (p *Proc) transfer() {
+// loop is the coroutine body. It runs one process function per Go, then
+// puts the Proc on the free list and parks until a later Go wakes it with a
+// new function or stopIdle retires it.
+func (p *Proc) loop(yield func(struct{}) bool) {
+	p.yield = yield
+	for {
+		p.run()
+		p.fn = nil
+		p.done = true
+		p.e.procs--
+		p.e.idle = append(p.e.idle, p)
+		if !yield(struct{}{}) {
+			return
+		}
+	}
+}
+
+// run calls the process function, wrapping a panic in a ProcPanic.
+func (p *Proc) run() {
+	defer func() {
+		if v := recover(); v != nil {
+			panic(&ProcPanic{Proc: p.name, Value: v, Stack: debug.Stack()})
+		}
+	}()
+	p.fn(p)
+}
+
+// ProcPanic is the value Run re-raises when a process panics. The
+// process's stack has unwound by the time Run re-raises, so the stack
+// captured at the panic is the one that locates the fault.
+type ProcPanic struct {
+	Proc  string // process name given to Go
+	Value any    // the value the process panicked with
+	Stack []byte // the process's stack at the panic
+}
+
+// Error reports the process, its panic value and the stack at the panic.
+func (pp *ProcPanic) Error() string {
+	return fmt.Sprintf("sim: process %q panicked: %v\n\n%s", pp.Proc, pp.Value, pp.Stack)
+}
+
+// resume switches from the engine to the process and returns when the
+// process parks again or finishes.
+func (p *Proc) resume() {
 	if p.done {
 		panic(fmt.Sprintf("sim: waking finished process %q", p.name))
 	}
-	p.resume <- struct{}{}
-	<-p.parked
+	p.next()
 }
 
-// park returns control to the engine and blocks until the next transfer.
-func (p *Proc) park() {
-	p.parked <- struct{}{}
-	<-p.resume
+// park switches from the process back to the engine and returns on the
+// next resume.
+func (p *Proc) park() { p.yield(struct{}{}) }
+
+// stopIdle retires the coroutines of every pooled Proc.
+func (e *Engine) stopIdle() {
+	for i, p := range e.idle {
+		p.stop()
+		e.idle[i] = nil
+	}
+	e.idle = e.idle[:0]
 }
 
 // Engine returns the engine this process runs on.
