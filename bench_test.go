@@ -13,7 +13,6 @@ import (
 	"sync"
 	"testing"
 
-	"dsasim/internal/dml"
 	"dsasim/internal/dsa"
 	"dsasim/internal/exp"
 	"dsasim/internal/idxd"
@@ -160,9 +159,9 @@ func benchSubmitContention(b *testing.B, submitters int) {
 
 func benchDeviceCopy(b *testing.B, size int64, qd int) {
 	pl := NewPlatform(SPR())
-	ws := pl.NewWorkspace()
-	src := ws.Alloc(size)
-	dst := ws.Alloc(size)
+	tn := pl.NewTenant()
+	src := tn.Alloc(size)
+	dst := tn.Alloc(size)
 	wq := pl.Devices[0].WQs()[0]
 	cl := dsa.NewClient(wq, nil)
 	b.SetBytes(size)
@@ -174,7 +173,7 @@ func benchDeviceCopy(b *testing.B, size int64, qd int) {
 		for i := 0; i < b.N; i++ {
 			cl.Prepare(p)
 			comp, err := cl.Submit(p, dsa.Descriptor{
-				Op: dsa.OpMemmove, PASID: ws.AS.PASID,
+				Op: dsa.OpMemmove, PASID: tn.AS.PASID,
 				Src: src.Addr(0), Dst: dst.Addr(0), Size: size,
 			})
 			if err != nil {
@@ -215,10 +214,10 @@ func BenchmarkAblationReadBufs(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			ws := pl.NewWorkspace()
+			tn := pl.NewTenant()
 			size := int64(64 << 10)
-			src := ws.Alloc(size)
-			dst := ws.Alloc(size)
+			src := tn.Alloc(size)
+			dst := tn.Alloc(size)
 			cl := dsa.NewClient(dev.WQs()[0], nil)
 			b.SetBytes(size)
 			b.ResetTimer()
@@ -229,7 +228,7 @@ func BenchmarkAblationReadBufs(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					cl.Prepare(p)
 					comp, err := cl.Submit(p, dsa.Descriptor{
-						Op: dsa.OpMemmove, PASID: ws.AS.PASID,
+						Op: dsa.OpMemmove, PASID: tn.AS.PASID,
 						Src: src.Addr(0), Dst: dst.Addr(0), Size: size,
 					})
 					if err != nil {
@@ -253,17 +252,21 @@ func BenchmarkAblationReadBufs(b *testing.B) {
 	}
 }
 
-// Ablation: DML auto-threshold routing cost at the boundary.
-func BenchmarkAblationDMLThreshold(b *testing.B) {
+// Ablation: Auto-path threshold routing cost at the boundary.
+func BenchmarkAblationAutoThreshold(b *testing.B) {
 	pl := NewPlatform(SPR())
-	ws := pl.NewWorkspace()
-	src := ws.Alloc(8 << 10)
-	dst := ws.Alloc(8 << 10)
+	tn := pl.NewTenant()
+	src := tn.Alloc(8 << 10)
+	dst := tn.Alloc(8 << 10)
 	b.SetBytes(8 << 10)
 	b.ResetTimer()
 	pl.E.Go("bench", func(p *sim.Proc) {
 		for i := 0; i < b.N; i++ {
-			if _, err := ws.DML.Copy(p, dst.Addr(0), src.Addr(0), 8<<10, dml.Auto); err != nil {
+			f, err := tn.Copy(p, dst.Addr(0), src.Addr(0), 8<<10)
+			if err == nil {
+				_, err = f.Wait(p, offload.Poll)
+			}
+			if err != nil {
 				b.Error(err)
 				return
 			}

@@ -87,63 +87,64 @@ func (b *Batch) Fence() *Batch {
 // returned alongside the error so the already-submitted slices can be
 // drained.
 func (b *Batch) Submit(p *sim.Proc) (*Future, error) {
-	switch len(b.descs) {
-	case 0:
+	if len(b.descs) == 0 {
 		return nil, fmt.Errorf("offload: empty batch")
-	case 1:
-		b.t.stats.batches.Add(1)
-		d := b.descs[0]
-		b.descs = nil
-		return b.t.submit(p, d, b.flags)
-	default:
-		descs := b.descs
-		b.descs = nil
-		// One logical flush costs one admission token, however many
-		// per-socket sub-batches placement shards it into: splitting is a
-		// placement decision, not extra work, so the same batch must not
-		// cost more under Placement than under NUMALocal (a shed flush
-		// counts once in Stats.Shed).
-		if err := b.t.admit(p); err != nil {
-			return nil, err
-		}
-		groups := b.t.splitByHome(descs, b.flags)
-		if groups == nil {
-			return b.t.submitSlice(p, descs, b.flags)
-		}
-		b.t.stats.splits.Add(int64(len(groups)))
-		parts := make([]*Future, 0, len(groups))
-		for _, idx := range groups {
-			sub := make([]dsa.Descriptor, len(idx))
-			for j, i := range idx {
-				sub[j] = descs[i]
-			}
-			f, err := b.t.submitSlice(p, sub, b.flags)
-			if err != nil {
-				parts = append(parts, completed(Result{}, err))
-				return joinFutures(parts), err
-			}
-			parts = append(parts, f)
-		}
-		return joinFutures(parts), nil
 	}
+	descs := b.descs
+	b.descs = nil
+	// One logical flush costs one admission token, however many per-socket
+	// sub-batches placement shards it into: splitting is a placement
+	// decision, not extra work, so the same batch must not cost more under
+	// Placement than under NUMALocal (a shed flush counts once in
+	// Stats.Shed).
+	if err := b.t.admit(p); err != nil {
+		return nil, err
+	}
+	var groups [][]int
+	if len(descs) > 1 {
+		groups = b.t.splitByHome(descs, b.flags)
+	}
+	if groups == nil {
+		return b.t.submitSlice(p, descs, b.flags)
+	}
+	b.t.stats.splits.Add(int64(len(groups)))
+	parts := make([]*Future, 0, len(groups))
+	for _, idx := range groups {
+		sub := make([]dsa.Descriptor, len(idx))
+		for j, i := range idx {
+			sub[j] = descs[i]
+		}
+		f, err := b.t.submitSlice(p, sub, b.flags)
+		if err != nil {
+			parts = append(parts, completed(Result{}, err))
+			return joinFutures(parts), err
+		}
+		parts = append(parts, f)
+	}
+	return joinFutures(parts), nil
 }
 
-// submitSlice submits one run of an already-admitted flush as a batch
-// parent (or, for a single descriptor, as a plain submission — the
-// device's ≥2 rule).
-func (t *Tenant) submitSlice(p *sim.Proc, descs []dsa.Descriptor, flags dsa.Flags) (*Future, error) {
-	if len(descs) == 1 {
-		// A lone descriptor goes plain and is not a batch descriptor —
-		// Stats.Batches counts real parents, matching flushSlice.
-		return t.submitAdmitted(p, descs[0], flags)
+// submitChain is the one chain submitter, shared by the batch paths and
+// the pipeline driver: it submits an already-admitted run of descriptors
+// as one batch parent, or a lone descriptor plain (the device's ≥2 rule)
+// with its fence dropped, since nothing precedes it in a batch. pin is
+// dispatch's. The device reads a batch's descriptor array asynchronously,
+// so callers must not reuse descs while the chain is in flight.
+func (t *Tenant) submitChain(p *sim.Proc, descs []dsa.Descriptor, flags dsa.Flags, pin int) (*Future, error) {
+	if len(descs) > 1 {
+		return t.dispatch(p, dsa.Descriptor{Op: dsa.OpBatch, Descs: descs}, flags, pin)
 	}
-	t.stats.batches.Add(1)
-	f, err := t.submitAdmitted(p, dsa.Descriptor{Op: dsa.OpBatch, Descs: descs}, flags)
-	if err == nil {
-		// The OpBatch parent carries Size 0; account the payload.
-		for _, d := range descs {
-			t.stats.hwBytes.Add(d.Size)
-		}
+	d := descs[0]
+	d.Flags &^= dsa.FlagFence
+	return t.dispatch(p, d, flags, pin)
+}
+
+// submitSlice submits one slice of an admitted batch or auto-batch flush;
+// a refused slice is a failed operation.
+func (t *Tenant) submitSlice(p *sim.Proc, descs []dsa.Descriptor, flags dsa.Flags) (*Future, error) {
+	f, err := t.submitChain(p, descs, flags, unpinned)
+	if err != nil {
+		t.stats.failures.Add(1)
 	}
 	return f, err
 }
@@ -295,11 +296,7 @@ func (ab *AutoBatcher) Flush(p *sim.Proc) error {
 	// As in Batch.Submit, the whole logical flush is admitted once; a
 	// shed flush resolves every coalesced future with the error.
 	if err := ab.t.admit(p); err != nil {
-		for _, f := range futs {
-			f.ab = nil
-			f.done = true
-			f.err = err
-		}
+		failAll(futs, err)
 		return err
 	}
 	groups := ab.t.splitByHome(descs, 0)
@@ -326,28 +323,10 @@ func (ab *AutoBatcher) Flush(p *sim.Proc) error {
 // completion through a shared batchWait. On submission failure the slice's
 // futures resolve with the error.
 func (ab *AutoBatcher) flushSlice(p *sim.Proc, descs []dsa.Descriptor, futs []*Future) error {
-	var parent *Future
-	var err error
-	if len(descs) == 1 {
-		parent, err = ab.t.submitAdmitted(p, descs[0], 0)
-	} else {
-		ab.t.stats.batches.Add(1)
-		parent, err = ab.t.submitAdmitted(p, dsa.Descriptor{Op: dsa.OpBatch, Descs: descs}, 0)
-	}
+	parent, err := ab.t.submitSlice(p, descs, 0)
 	if err != nil {
-		for _, f := range futs {
-			f.ab = nil
-			f.done = true
-			f.err = err
-		}
+		failAll(futs, err)
 		return err
-	}
-	if len(descs) > 1 {
-		// The OpBatch parent carries Size 0; account the coalesced
-		// payload (a single-descriptor flush was counted by submit).
-		for _, d := range descs {
-			ab.t.stats.hwBytes.Add(d.Size)
-		}
 	}
 	shared := &batchWait{}
 	for _, f := range futs {
@@ -357,4 +336,13 @@ func (ab *AutoBatcher) flushSlice(p *sim.Proc, descs []dsa.Descriptor, futs []*F
 		f.sharedWait = shared
 	}
 	return nil
+}
+
+// failAll resolves queued auto-batch futures with a submission error.
+func failAll(futs []*Future, err error) {
+	for _, f := range futs {
+		f.ab = nil
+		f.done = true
+		f.err = err
+	}
 }

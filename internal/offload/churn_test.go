@@ -169,7 +169,6 @@ func TestCloseRacesFaultingPipelineWithFailover(t *testing.T) {
 	svc := r.service(t)
 	pol := offload.DefaultPolicy()
 	pol.RetryMax = 3
-	pol.RetryBackoff = 3 * time.Microsecond
 	ptn, err := svc.NewTenant(offload.TenantPolicy(pol))
 	if err != nil {
 		t.Fatal(err)

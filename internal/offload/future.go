@@ -44,9 +44,9 @@ type Future struct {
 	ab    *AutoBatcher // non-nil while queued and unflushed
 
 	// d is the submitted descriptor (PASID and flags resolved), kept so
-	// fault recovery can re-submit the unfinished remainder. Only set on
-	// plain hardware futures built by Tenant.dispatch — the only futures
-	// recovery applies to.
+	// fault recovery can re-submit the unfinished remainder. Set only on
+	// futures built by Tenant.dispatch — the only futures recovery applies
+	// to.
 	d dsa.Descriptor
 
 	// sharedWait links futures that resolve from one completion record
@@ -139,12 +139,13 @@ func (f *Future) Wait(p *sim.Proc, mode WaitMode) (Result, error) {
 	}
 	// Fault recovery applies only to plain hardware futures: coalesced
 	// siblings resolve from a batch parent's record (their fault surfaces
-	// as BatchFail), and batch parents recover at the pipeline/batch
-	// layer. A fallback resolves the future directly; a successful retry
-	// swaps in the retried completion, which resolve() decodes below.
-	if f.t != nil && f.sharedWait == nil && f.op != dsa.OpBatch {
-		f.t.recover(p, f, mode)
+	// as BatchFail), and only the pipeline driver recovers batch parents.
+	// A fallback resolves the future directly; a successful retry swaps in
+	// the retried completion, which resolve() decodes below.
+	if f.sharedWait == nil && f.op != dsa.OpBatch {
+		f.t.recover(p, f, mode, unpinned)
 		if f.done {
+			f.t.recordSLO(f.res.Duration)
 			return f.res, f.err
 		}
 	}
@@ -231,49 +232,71 @@ func (r *pipeRun) finish(e *sim.Engine, res Result, err error) {
 func (f *Future) resolve(dur sim.Time) {
 	f.done = true
 	rec := f.comp.Record()
-	f.res = Result{Record: rec, Hardware: true, Duration: dur}
+	f.res = decode(f.op, rec)
+	f.res.Hardware, f.res.Duration = true, dur
 	f.t.recordSLO(dur)
-	countFailure := func() {
-		if f.sharedWait != nil {
-			if f.sharedWait.failCounted {
-				return
-			}
-			f.sharedWait.failCounted = true
-		}
-		f.t.stats.failures.Add(1)
+	if f.err = recordError(rec); f.err == nil {
+		return
 	}
+	if sw := f.sharedWait; sw != nil {
+		if sw.failCounted {
+			return
+		}
+		sw.failCounted = true
+	}
+	f.t.stats.failures.Add(1)
+}
+
+// decode reads an operation's result values out of a successful completion
+// record — the device's, or the one the software executor writes the same
+// way.
+func decode(op dsa.OpType, rec dsa.CompletionRecord) Result {
+	res := Result{Record: rec}
+	if rec.Status != dsa.StatusSuccess {
+		return res
+	}
+	switch op {
+	case dsa.OpCRCGen, dsa.OpCopyCRC:
+		res.CRC = uint32(rec.Result)
+	case dsa.OpCompare, dsa.OpComparePattern:
+		res.Mismatch = rec.Mismatch
+		res.Offset = int64(rec.Result)
+	case dsa.OpCreateDelta:
+		res.Size = int64(rec.Result)
+	}
+	return res
+}
+
+// recordError maps a completion record to the error its operation
+// returns: nil on success, and for a fault a sentinel-wrapped error, so
+// errors.Is(err, ErrFaulted/ErrDeviceFailed) holds wherever the fault
+// surfaces — a Future or a pipeline stage; the device-level cause
+// (dsa.ErrWQDisabled, dsa.ErrDeviceOffline, a mem page-fault error) stays
+// wrapped alongside.
+func recordError(rec dsa.CompletionRecord) error {
 	switch rec.Status {
 	case dsa.StatusSuccess:
+		return nil
 	case dsa.StatusRecordFull:
-		countFailure()
-		f.err = fmt.Errorf("offload: delta record overflow")
-		return
+		return fmt.Errorf("offload: delta record overflow")
 	case dsa.StatusDIFError:
-		countFailure()
-		f.err = fmt.Errorf("offload: DIF check failed at block %d: %w", rec.Result, rec.Err)
-		return
+		return fmt.Errorf("offload: DIF check failed at block %d: %w", rec.Result, rec.Err)
 	case dsa.StatusBatchFail:
-		countFailure()
-		f.err = fmt.Errorf("offload: batch completed %d descriptors before failing: %w", rec.Result, rec.Err)
-		return
-	case dsa.StatusPageFault, dsa.StatusWQError, dsa.StatusDeviceOffline:
-		countFailure()
-		f.err = faultError(rec)
-		return
-	default:
-		countFailure()
-		f.err = fmt.Errorf("offload: %v: %w", rec.Status, rec.Err)
-		return
+		return fmt.Errorf("offload: batch completed %d descriptors before failing: %w", rec.Result, rec.Err)
+	case dsa.StatusPageFault:
+		if rec.Err != nil {
+			return fmt.Errorf("offload: page fault at %#x after %d bytes (%w): %w",
+				uint64(rec.FaultAddr), rec.BytesCompleted, ErrFaulted, rec.Err)
+		}
+		return fmt.Errorf("offload: page fault at %#x after %d bytes: %w",
+			uint64(rec.FaultAddr), rec.BytesCompleted, ErrFaulted)
+	case dsa.StatusWQError, dsa.StatusDeviceOffline:
+		if rec.Err != nil {
+			return fmt.Errorf("offload: %v (%w): %w", rec.Status, ErrDeviceFailed, rec.Err)
+		}
+		return fmt.Errorf("offload: %v: %w", rec.Status, ErrDeviceFailed)
 	}
-	switch f.op {
-	case dsa.OpCRCGen, dsa.OpCopyCRC:
-		f.res.CRC = uint32(rec.Result)
-	case dsa.OpCompare, dsa.OpComparePattern:
-		f.res.Mismatch = rec.Mismatch
-		f.res.Offset = int64(rec.Result)
-	case dsa.OpCreateDelta:
-		f.res.Size = int64(rec.Result)
-	}
+	return fmt.Errorf("offload: %v: %w", rec.Status, rec.Err)
 }
 
 // completed builds an already-resolved Future (software path and submission

@@ -436,6 +436,8 @@ func (pl *Pipeline) drive(p *sim.Proc, run *pipeRun) {
 		res := Result{Hardware: hardware}
 		if err == nil {
 			res.Record = dsa.CompletionRecord{Status: dsa.StatusSuccess, Result: uint64(len(pl.stages))}
+		} else {
+			t.stats.failures.Add(1)
 		}
 		run.finish(e, res, err)
 	}
@@ -444,48 +446,44 @@ func (pl *Pipeline) drive(p *sim.Proc, run *pipeRun) {
 		if len(pl.chain) == 0 {
 			return nil
 		}
-		retries := 0
-		for {
-			f, err := t.submitChainPinned(p, pl.chain, pl.home)
-			if err != nil {
-				return err
-			}
-			hardware = true
-			res, err := f.Wait(p, t.policy.Wait)
-			if err != nil {
-				// A batch chain whose first failure is a recoverable fault
-				// is re-run whole within the retry budget: the chain's ops
-				// are idempotent by construction (they write scratch or
-				// their declared outputs), so re-running already-applied
-				// children is safe, and the fence barrier poisoned — never
-				// ran — everything past the fault. Lone-descriptor chains
-				// already recovered on the Future path; a surviving error
-				// there is terminal.
-				if k := firstFailedChild(&res.Record); k >= 0 &&
-					recoverableStatus(res.Record.Children[k].Status) && retries < t.policy.RetryMax {
-					retries++
-					t.stats.faults.Add(1)
-					t.S.met.fault()
-					t.stats.retries.Add(1)
-					t.S.met.retry()
-					if t.policy.RetryBackoff > 0 {
-						p.Sleep(sim.Time(t.policy.RetryBackoff))
-					}
-					continue
-				}
-				return pl.chainError(&res.Record, err)
-			}
-			if len(pl.chainIdx) == 1 {
-				pl.stages[pl.chainIdx[0]].result = res.Record.Result
-			} else {
-				for k, rec := range res.Record.Children {
-					pl.stages[pl.chainIdx[k]].result = rec.Result
-				}
-			}
-			pl.chain = pl.chain[:0]
-			pl.chainIdx = pl.chainIdx[:0]
-			return nil
+		chain := pl.chain
+		if len(chain) > 1 {
+			// The device holds a batch's descriptor array while the driver
+			// reuses its buffer.
+			chain = append([]dsa.Descriptor(nil), chain...)
 		}
+		f, err := t.submitChain(p, chain, 0, pl.home)
+		if err != nil {
+			return err
+		}
+		hardware = true
+		mode := t.policy.Wait
+		f.cl.Wait(p, f.comp, mode)
+		// A faulted chain recovers like a Future, on the pipeline's socket:
+		// a lone stage continues from its completed prefix, a batch re-runs
+		// whole. Its ops are idempotent by construction (they write scratch
+		// or their declared outputs), and the fence barrier poisoned —
+		// never ran — everything past the fault.
+		t.recover(p, f, mode, pl.home)
+		// Each chain is scored against the SLO budget, as the Future it is.
+		t.recordSLO(p.Now() - f.start)
+		rec := f.res.Record // the lone stage finished on the core
+		if !f.done {
+			rec = f.comp.Record()
+		}
+		if rec.Status != dsa.StatusSuccess {
+			return pl.chainError(&rec)
+		}
+		if len(pl.chainIdx) == 1 {
+			pl.stages[pl.chainIdx[0]].result = rec.Result
+		} else {
+			for k, c := range rec.Children {
+				pl.stages[pl.chainIdx[k]].result = c.Result
+			}
+		}
+		pl.chain = pl.chain[:0]
+		pl.chainIdx = pl.chainIdx[:0]
+		return nil
 	}
 
 	for i := 0; i < len(pl.order); {
@@ -562,66 +560,19 @@ func (pl *Pipeline) drive(p *sim.Proc, run *pipeRun) {
 	finish(nil)
 }
 
-// firstFailedChild returns the index of the first child record that
-// completed with a failure status, or -1 (success, a non-batch record,
-// or only poisoned StatusNone children — the latter cannot happen: a
-// poisoned batch has a failed child before the fence).
-func firstFailedChild(rec *dsa.CompletionRecord) int {
-	for k := range rec.Children {
-		if s := rec.Children[k].Status; s != dsa.StatusSuccess && s != dsa.StatusNone {
-			return k
-		}
-	}
-	return -1
-}
-
-// chainError maps a failed chain wait onto the pipeline stage that
-// caused it, recording it in pl.failed and wrapping the error with the
-// stage identity. For a batch chain the failing stage is the first
-// failed child (later same-chain stages were poisoned by the fence and
-// hold StatusNone "never attempted" records); a lone-descriptor chain is
-// its only stage. The fault sentinels (ErrFaulted, ErrDeviceFailed)
-// stay in the chain via faultError, so errors.Is holds through the
-// pipeline Future.
-func (pl *Pipeline) chainError(rec *dsa.CompletionRecord, err error) error {
-	stage, cause := -1, err
+// chainError maps a failed chain onto the pipeline stage that caused it,
+// recording it in pl.failed and wrapping the record's error with the stage
+// identity. For a batch chain the failing stage is the first failed child
+// (later same-chain stages were poisoned by the fence and hold StatusNone
+// "never attempted" records); otherwise — a lone-descriptor chain, or a
+// batch killed before any child ran — it is the chain's first stage. The
+// fault sentinels (ErrFaulted, ErrDeviceFailed) survive through
+// recordError, so errors.Is holds through the pipeline Future.
+func (pl *Pipeline) chainError(rec *dsa.CompletionRecord) error {
+	stage, failed := pl.chainIdx[0], *rec
 	if k := firstFailedChild(rec); k >= 0 && k < len(pl.chainIdx) {
-		stage = pl.chainIdx[k]
-		if ferr := faultError(rec.Children[k]); ferr != nil {
-			cause = ferr
-		}
-	} else if len(pl.chainIdx) == 1 {
-		stage = pl.chainIdx[0]
-	}
-	if stage < 0 {
-		return err
+		stage, failed = pl.chainIdx[k], rec.Children[k]
 	}
 	pl.failed = stage
-	return fmt.Errorf("offload: pipeline stage %d (%v): %w", stage, pl.stages[stage].d.Op, cause)
-}
-
-// submitChainPinned submits one compiled chain to the pipeline's socket:
-// one batch parent for a multi-descriptor chain, a plain submission for a
-// lone survivor (the device's ≥2 batch rule). The chain slice is copied —
-// the device holds it asynchronously while the driver reuses its buffer.
-func (t *Tenant) submitChainPinned(p *sim.Proc, chain []dsa.Descriptor, socket int) (*Future, error) {
-	if len(chain) == 1 {
-		d := chain[0]
-		d.Flags &^= dsa.FlagFence // nothing precedes it in its batch
-		f, err := t.submitPinned(p, d, 0, socket)
-		if err == nil {
-			t.stats.hwBytes.Add(d.Size)
-		}
-		return f, err
-	}
-	sub := make([]dsa.Descriptor, len(chain))
-	copy(sub, chain)
-	t.stats.batches.Add(1)
-	f, err := t.submitPinned(p, dsa.Descriptor{Op: dsa.OpBatch, Descs: sub}, 0, socket)
-	if err == nil {
-		for i := range sub {
-			t.stats.hwBytes.Add(sub[i].Size)
-		}
-	}
-	return f, err
+	return fmt.Errorf("offload: pipeline stage %d (%v): %w", stage, pl.stages[stage].d.Op, recordError(failed))
 }

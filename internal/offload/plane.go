@@ -18,10 +18,12 @@
 // are precomputed from the same Topology express/rest partition the
 // PriorityAware/Placement schedulers use (a latency-sensitive tenant's
 // lanes only ever target the reserved express WQs on its socket), the
-// per-lane admission buckets shard the same Policy.AdmitRate, and
-// completions flow through the unchanged device completion path —
-// including interrupt coalescing, whose resolved count also paces the
-// plane's wakeup moderation.
+// per-lane admission buckets shard the same Policy.AdmitRate through the
+// tenant's one admission loop, and completions flow through the unchanged
+// device completion path — including interrupt coalescing, whose resolved
+// count also paces the plane's wakeup moderation. A faulted completion
+// consults the tenant's one retry decision (recover.go) and re-queues its
+// remainder onto a live ring, the attempt count carried in the ring tag.
 package offload
 
 import (
@@ -58,11 +60,13 @@ type Plane struct {
 	// priced at nanoseconds instead of a lock's microseconds.
 	ringTok []*sim.Token
 
-	// lsCand/bulkCand are the ring indices each QoS class may target,
+	// cands are the ring indices the tenant's QoS class may target,
 	// precomputed from the Topology express/rest partition on the
-	// tenant's socket so the host fast path never walks WQ slices.
-	lsCand   []int
-	bulkCand []int
+	// tenant's socket (a tenant's class is fixed at creation) so the host
+	// fast path never walks WQ slices; all is every ring, the detour set
+	// when the class pool is down.
+	cands []int
+	all   []int
 
 	// pending counts entries pushed to rings but not yet accepted by a
 	// WQ; inflight counts WQ-accepted descriptors not yet completed.
@@ -146,12 +150,14 @@ func (t *Tenant) NewPlane(nlanes int) (*Plane, error) {
 		rings:   make([]*dsa.SubmitRing, len(wqs)),
 		ringTok: make([]*sim.Token, len(wqs)),
 		dead:    make([]atomic.Bool, len(wqs)),
+		all:     make([]int, len(wqs)),
 	}
 	for i, wq := range wqs {
 		pl.rings[i] = wq.AttachRing(wq.Size)
 		pl.ringTok[i] = sim.NewToken(1)
+		pl.all[i] = i
 	}
-	pl.lsCand, pl.bulkCand = pl.candidates()
+	pl.cands = pl.candidates()
 	count, _ := t.coalesceParams()
 	pl.wakeEvery = 1
 	if count > 1 {
@@ -169,12 +175,12 @@ func (t *Tenant) NewPlane(nlanes int) (*Plane, error) {
 	return pl, nil
 }
 
-// candidates precomputes the ring-index sets each QoS class may target,
-// mirroring pickExpress: the tenant-socket pool when the socket has a
-// local device (full set otherwise), partitioned into the express lane
-// for latency-sensitive tenants and the rest for bulk — collapsing to
+// candidates precomputes the ring indices the tenant's QoS class may
+// target, mirroring pickExpress: the tenant-socket pool when the socket
+// has a local device (full set otherwise), partitioned into the express
+// lane for latency-sensitive tenants and the rest for bulk — collapsing to
 // the shared pool when priorities are uniform.
-func (pl *Plane) candidates() (ls, bulk []int) {
+func (pl *Plane) candidates() []int {
 	topo := pl.t.S.topo
 	socket := pl.t.Core.Socket
 	pool := topo.Local(socket)
@@ -190,11 +196,13 @@ func (pl *Plane) candidates() (ls, bulk []int) {
 		}
 		return out
 	}
-	if len(rest) == 0 {
-		shared := toIdx(pool)
-		return shared, shared
+	switch {
+	case len(rest) == 0:
+		return toIdx(pool)
+	case pl.t.class == LatencySensitive:
+		return toIdx(express)
 	}
-	return toIdx(express), toIdx(rest)
+	return toIdx(rest)
 }
 
 // Plane returns the tenant's submission plane, or nil before NewPlane.
@@ -251,27 +259,22 @@ func (l *Lane) laneShare() (rate float64, burst int) {
 	return pol.AdmitRate / float64(n), burst
 }
 
-// pickRing routes one submission: among the lane's class candidates,
-// the ring whose published WQ occupancy plus live ring backlog is
-// smallest, scanned from a lane-local strided cursor so equally loaded
-// rings spread across lanes instead of herding. Allocation-free.
-func (l *Lane) pickRing() int {
-	cands := l.pl.bulkCand
-	if l.pl.t.class == LatencySensitive {
-		cands = l.pl.lsCand
-	}
-	snap := l.pl.snap.Load()
-	n := len(cands)
+// live reports whether ring i may take traffic: not detached by failover,
+// and its WQ healthy (a disable window or outage the drain has not yet
+// detached). Two flag loads, so picks stay allocation-free.
+func (pl *Plane) live(i int) bool { return !pl.dead[i].Load() && pl.wqs[i].Healthy() }
+
+// leastLoaded returns the live ring of idx whose published WQ occupancy
+// plus live ring backlog is smallest, scanning from start so equally
+// loaded rings spread across lanes; -1 when none is live.
+func (pl *Plane) leastLoaded(idx []int, start int, snap *Snapshot) int {
 	best, bestLoad := -1, int32(0)
-	for k := 0; k < n; k++ {
-		i := cands[(l.cursor+k)%n]
-		// Skip dead rings and unhealthy WQs (disable window, outage): the
-		// two flag loads keep the pick allocation-free while routing
-		// around failures the drain has or hasn't yet detached.
-		if l.pl.dead[i].Load() || !l.pl.wqs[i].Healthy() {
+	for k := range idx {
+		i := idx[(start+k)%len(idx)]
+		if !pl.live(i) {
 			continue
 		}
-		load := int32(l.pl.rings[i].Len())
+		load := int32(pl.rings[i].Len())
 		if snap != nil {
 			load += snap.Occ[i]
 		}
@@ -279,26 +282,42 @@ func (l *Lane) pickRing() int {
 			best, bestLoad = i, load
 		}
 	}
+	return best
+}
+
+// push places one entry on the first live ring of idx that takes it.
+func (pl *Plane) push(idx []int, d dsa.Descriptor, tag uint64) bool {
+	for _, i := range idx {
+		if pl.live(i) && pl.rings[i].TryPush(d, tag) {
+			return true
+		}
+	}
+	return false
+}
+
+// pushAny places one entry on a live candidate ring or, with the class
+// pool down or full, on any live service ring — a cross-socket detour
+// beats failing the op.
+func (pl *Plane) pushAny(d dsa.Descriptor, tag uint64) bool {
+	return pl.push(pl.cands, d, tag) || pl.push(pl.all, d, tag)
+}
+
+// pickRing routes one submission: the least-loaded live candidate ring,
+// scanned from a lane-local strided cursor so equally loaded rings spread
+// across lanes instead of herding. Allocation-free.
+func (l *Lane) pickRing() int {
+	pl := l.pl
+	snap := pl.snap.Load()
+	best := pl.leastLoaded(pl.cands, l.cursor, snap)
 	if best < 0 {
 		// Candidate pool down (disable window or outage): detour to any
 		// healthy service ring — cross-socket beats shedding.
-		for i := range l.pl.rings {
-			if l.pl.dead[i].Load() || !l.pl.wqs[i].Healthy() {
-				continue
-			}
-			load := int32(l.pl.rings[i].Len())
-			if snap != nil {
-				load += snap.Occ[i]
-			}
-			if best < 0 || load < bestLoad {
-				best, bestLoad = i, load
-			}
-		}
+		best = pl.leastLoaded(pl.all, 0, snap)
 	}
 	if best < 0 {
 		// Everything is down: fall back to the plain rotation so the
 		// entry lands somewhere; the drain redistributes or sheds it.
-		best = cands[l.cursor%n]
+		best = pl.cands[l.cursor%len(pl.cands)]
 	}
 	l.cursor++
 	return best
@@ -324,23 +343,10 @@ func (l *Lane) TrySubmit(now sim.Time, d dsa.Descriptor) error {
 	d.Flags |= l.pl.t.policy.Flags
 	idx := l.pickRing()
 	stamp := stampTag(now)
-	if !l.pl.rings[idx].TryPush(d, stamp) {
-		// Preferred ring full: sweep the remaining candidates once.
-		cands := l.pl.bulkCand
-		if l.pl.t.class == LatencySensitive {
-			cands = l.pl.lsCand
-		}
-		pushed := false
-		for _, i := range cands {
-			if i != idx && !l.pl.dead[i].Load() && l.pl.rings[i].TryPush(d, stamp) {
-				pushed = true
-				break
-			}
-		}
-		if !pushed {
-			l.pl.t.stats.failures.Add(1)
-			return dsa.ErrWQFull
-		}
+	// Preferred ring full: sweep the candidates once.
+	if !l.pl.rings[idx].TryPush(d, stamp) && !l.pl.push(l.pl.cands, d, stamp) {
+		l.pl.t.stats.failures.Add(1)
+		return dsa.ErrWQFull
 	}
 	l.pl.t.stats.hwOps.Add(1)
 	l.pl.t.stats.hwBytes.Add(d.Size)
@@ -375,18 +381,8 @@ func (l *Lane) SubmitStamped(p *sim.Proc, d dsa.Descriptor, stamp sim.Time) erro
 		return fmt.Errorf("offload: lane %d: %w", l.id, ErrTenantClosed)
 	}
 	rate, burst := l.laneShare()
-	ok, wait := l.bucket.take(p.Now(), rate, burst)
-	if !ok {
-		if !t.policy.AdmitWait {
-			t.stats.shed.Add(1)
-			return fmt.Errorf("offload: lane %d over admission share: %w", l.id, ErrAdmission)
-		}
-		t.stats.delayed.Add(1)
-		for !ok {
-			p.Sleep(wait)
-			t.stats.admitWakeups.Add(1)
-			ok, wait = l.bucket.take(p.Now(), rate, burst)
-		}
+	if !t.admitThrough(p, &l.bucket, rate, burst) {
+		return fmt.Errorf("offload: lane %d over admission share: %w", l.id, ErrAdmission)
 	}
 	d.PASID = t.AS.PASID
 	d.Flags |= t.policy.Flags
@@ -528,19 +524,8 @@ func (pl *Plane) sweepDead(i int) {
 // cross-socket detour) when the class pool is down — and sheds it when
 // every ring is down or full.
 func (pl *Plane) redistribute(e dsa.RingEntry) {
-	cands := pl.bulkCand
-	if pl.t.class == LatencySensitive {
-		cands = pl.lsCand
-	}
-	for _, j := range cands {
-		if !pl.dead[j].Load() && pl.wqs[j].Healthy() && pl.rings[j].TryPush(e.D, e.Tag) {
-			return
-		}
-	}
-	for j := range pl.rings {
-		if !pl.dead[j].Load() && pl.wqs[j].Healthy() && pl.rings[j].TryPush(e.D, e.Tag) {
-			return
-		}
+	if pl.pushAny(e.D, e.Tag) {
+		return
 	}
 	pl.pending.Add(-1)
 	pl.t.stats.failures.Add(1)
@@ -579,14 +564,10 @@ func tagRetry(tag uint64) uint64 {
 // zero, mirroring how interrupt coalescing amortizes delivery.
 func (pl *Plane) completed(c *dsa.Completion, tag uint64) {
 	rec := c.Record()
-	ok := rec.Status == dsa.StatusSuccess
-	if !ok && recoverableStatus(rec.Status) {
-		pl.t.stats.faults.Add(1)
-		pl.t.S.met.fault()
-		if pl.retryFault(c, rec, tag) {
-			return // remainder re-queued; the op is still in flight
-		}
+	if _, retry := pl.t.faulted(&rec, tagAttempt(tag)+1); retry && pl.retry(c, rec, tag) {
+		return // remainder re-queued; the op is still in flight
 	}
+	ok := rec.Status == dsa.StatusSuccess
 	if stamp := tagStamp(tag); stamp != 0 {
 		lat := pl.t.S.E.Now() - sim.Time(stamp-1)
 		if ok {
@@ -604,43 +585,15 @@ func (pl *Plane) completed(c *dsa.Completion, tag uint64) {
 	}
 }
 
-// retryFault re-queues the unfinished remainder of a faulted plane
-// submission onto a healthy ring, carrying the original latency stamp so
-// the recovered op's SLO span includes every retry round trip. Returns
-// false when the retry budget is exhausted or no ring can take it — the
-// completion then surfaces as a failure.
-func (pl *Plane) retryFault(c *dsa.Completion, rec dsa.CompletionRecord, tag uint64) bool {
-	if tagAttempt(tag) >= pl.t.policy.RetryMax {
+// retry re-queues the unfinished remainder of a faulted plane submission
+// onto a live ring, carrying the original latency stamp so the recovered
+// op's SLO span includes every retry round trip. Returns false when no
+// ring can take it — the completion then surfaces as a failure.
+func (pl *Plane) retry(c *dsa.Completion, rec dsa.CompletionRecord, tag uint64) bool {
+	if !pl.pushAny(remainderOf(*c.Desc(), rec), tagRetry(tag)) {
 		return false
 	}
-	d := remainderOf(*c.Desc(), rec)
-	ntag := tagRetry(tag)
-	cands := pl.bulkCand
-	if pl.t.class == LatencySensitive {
-		cands = pl.lsCand
-	}
-	pushed := false
-	for _, j := range cands {
-		if !pl.dead[j].Load() && pl.wqs[j].Healthy() && pl.rings[j].TryPush(d, ntag) {
-			pushed = true
-			break
-		}
-	}
-	if !pushed {
-		// Candidate pool down or full: any healthy service ring will do —
-		// a cross-socket detour beats failing the op.
-		for j := range pl.rings {
-			if !pl.dead[j].Load() && pl.wqs[j].Healthy() && pl.rings[j].TryPush(d, ntag) {
-				pushed = true
-				break
-			}
-		}
-	}
-	if !pushed {
-		return false
-	}
-	pl.t.stats.retries.Add(1)
-	pl.t.S.met.retry()
+	pl.t.retried()
 	pl.inflight.Add(-1)
 	pl.pending.Add(1)
 	pl.ensureDrain()

@@ -118,8 +118,9 @@ type Policy struct {
 	// see the coalesce experiment — not recommended as an operating mode.
 	CoalesceAll bool
 
-	// Wait is the default completion mode for synchronous helpers and the
-	// compatibility shim: Poll, UMWait, or Interrupt (§4.4, Fig 11).
+	// Wait is the completion mode the pipeline driver waits its chains
+	// with, and the default for callers that follow the policy: Poll,
+	// UMWait, or Interrupt (§4.4, Fig 11).
 	Wait WaitMode
 
 	// MaxRetries bounds full-WQ submission retries. Negative means retry
@@ -130,24 +131,22 @@ type Policy struct {
 
 	// RetryMax bounds fault recovery per operation: how many times a
 	// faulted completion (page-fault partial, WQ error, device offline)
-	// is re-submitted to hardware before the error surfaces through the
-	// Future (or the software fallback engages). Partial completions
-	// continue from CompletionRecord.BytesCompleted for byte-prefix ops
-	// (copy/fill/dualcast); result-producing ops re-run whole. Zero (the
-	// default) disables recovery: the first fault is terminal.
+	// is re-submitted to hardware before the error surfaces (or the
+	// software fallback engages). Every path — Future, pipeline chain,
+	// plane lane — re-submits immediately, with no backoff. Partial
+	// completions continue from CompletionRecord.BytesCompleted for
+	// byte-prefix ops (copy/fill/dualcast); result-producing ops and
+	// pipeline chains re-run whole. Zero (the default) disables recovery:
+	// the first fault is terminal.
 	RetryMax int
-
-	// RetryBackoff is the virtual-time pause between fault retries on the
-	// Future path (the sharded plane re-queues remainders immediately —
-	// the ring round trip is its backoff). Zero retries immediately.
-	RetryBackoff time.Duration
 
 	// FallbackAfter, when positive, runs the remainder of an operation on
 	// the submitting core after that many consecutive faulted hardware
 	// attempts, bounding worst-case latency under a fault storm the way
 	// production offload libraries degrade to memcpy. It engages within
-	// the RetryMax budget (a fallback is the terminal attempt) and only
-	// for ops with a software equivalent (see Tenant recovery).
+	// the RetryMax budget (a fallback is the terminal attempt), on the
+	// Future and pipeline paths (a lone-stage chain), for any op the
+	// software executor runs.
 	FallbackAfter int
 
 	// SLOBudget, when positive, is the tenant's per-operation completion
@@ -186,14 +185,20 @@ func DefaultPolicy() Policy {
 type Stats struct {
 	HWOps    int64 // descriptors submitted to hardware (incl. batch parents)
 	SWOps    int64 // operations executed on the core
-	HWBytes  int64
+	HWBytes  int64 // payload bytes submitted (a batch parent counts its children)
 	SWBytes  int64
-	Batches  int64 // batch descriptors submitted (explicit and auto)
+	Batches  int64 // batch descriptors submitted (explicit, auto, and pipeline chains)
 	Coalesce int64 // operations absorbed into auto-batches
 	Splits   int64 // per-socket sub-batches created from mixed-home flushes
-	Failures int64 // submissions or completions that returned errors
 	Shed     int64 // logical flushes rejected by admission control
 	Delayed  int64 // logical flushes delayed by admission control
+
+	// Failures counts operations that ended failed, on every path: a
+	// refused submission, an error result, or a fault recovery did not
+	// absorb. A recovered operation adds none; a pipeline counts once,
+	// whichever chain failed; coalesced siblings of one failed batch count
+	// once.
+	Failures int64
 
 	// Pipelines counts pipeline DAG submissions (pipeline.go) — each one
 	// cost a single admission token regardless of stage count.
@@ -217,11 +222,12 @@ type Stats struct {
 	SLOMiss int64
 
 	// Fault-recovery counters (see Policy.RetryMax/FallbackAfter and
-	// Plane failover). Faults counts faulted hardware completions
-	// observed; Retries the hardware re-submissions recovery issued;
-	// Fallbacks the operations finished on-core after consecutive
-	// faults; Failovers the WQ-death events where a plane drain detached
-	// a dead ring and redistributed its entries.
+	// Plane failover), counted by one decision shared by the Future,
+	// pipeline and plane paths. Faults counts faulted hardware completions
+	// observed, whatever the retry budget; Retries the hardware
+	// re-submissions recovery issued; Fallbacks the operations finished
+	// on-core after consecutive faults; Failovers the WQ-death events where
+	// a plane drain detached a dead ring and redistributed its entries.
 	Faults    int64
 	Retries   int64
 	Fallbacks int64

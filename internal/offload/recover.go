@@ -2,18 +2,20 @@
 // model reports faults through CompletionRecord.Status (page-fault
 // partials, WQ disable windows, whole-device outages — internal/dsa's
 // fault injector); this file decides what the service does about them.
-// The Future path re-submits the unfinished remainder under
-// Policy.RetryMax/RetryBackoff and degrades to the submitting core after
-// FallbackAfter consecutive faults; the sharded plane re-queues
-// remainders through its rings (plane.go) with the attempt count carried
-// in the ring tag. Both paths share remainderOf, which continues
-// byte-prefix operations from CompletionRecord.BytesCompleted instead of
-// re-running work the device already finished.
+//
+// One decision serves every submission path. After each hardware
+// completion, Tenant.faulted counts a recoverable fault and says whether
+// the operation may finish on the submitting core (Policy.FallbackAfter)
+// or be re-submitted (Policy.RetryMax). Every path re-submits
+// immediately. The Future path and the pipeline driver run the loop in
+// Tenant.recover: a lone descriptor continues from
+// CompletionRecord.BytesCompleted (remainderOf), a pipeline's fenced chain
+// re-runs whole. The sharded plane re-queues remainders through its rings
+// (plane.go), with the attempt count carried in the ring tag.
 package offload
 
 import (
 	"errors"
-	"fmt"
 
 	"dsasim/internal/dsa"
 	"dsasim/internal/mem"
@@ -30,10 +32,16 @@ var ErrFaulted = errors.New("offload: operation faulted")
 // StatusDeviceOffline) and recovery did not re-land the work in time.
 var ErrDeviceFailed = errors.New("offload: device failed")
 
-// recoverableStatus reports whether a completion status is a fault the
-// recovery plane may retry, as opposed to a semantic failure (DIF
-// mismatch, delta overflow) that would fail identically on any queue.
-func recoverableStatus(s dsa.Status) bool {
+// recoverable reports whether a completion record is a fault recovery may
+// retry — a page fault, WQ error or device outage, on the record itself or,
+// for a batch parent, on its first failed child (the fence poisoned the
+// rest) — as opposed to a semantic failure (DIF mismatch, delta overflow)
+// that would fail identically on any queue.
+func recoverable(rec *dsa.CompletionRecord) bool {
+	s := rec.Status
+	if k := firstFailedChild(rec); k >= 0 {
+		s = rec.Children[k].Status
+	}
 	switch s {
 	case dsa.StatusPageFault, dsa.StatusWQError, dsa.StatusDeviceOffline:
 		return true
@@ -41,14 +49,54 @@ func recoverableStatus(s dsa.Status) bool {
 	return false
 }
 
+// firstFailedChild returns the index of the first child record that
+// completed with a failure status, or -1 (success, a non-batch record,
+// or only poisoned StatusNone children — the latter cannot happen: a
+// poisoned batch has a failed child before the fence).
+func firstFailedChild(rec *dsa.CompletionRecord) int {
+	for k := range rec.Children {
+		if s := rec.Children[k].Status; s != dsa.StatusSuccess && s != dsa.StatusNone {
+			return k
+		}
+	}
+	return -1
+}
+
+// faulted is the one retry decision, consulted after a hardware
+// completion by the Future, pipeline and plane paths alike. For a
+// recoverable fault it counts Stats.Faults and reports whether the
+// operation, on its attempt-th faulted hardware attempt, may finish on the
+// core (fallback) and whether it may be re-submitted (retry). Both false
+// means no fault, or a terminal one. RetryMax 0 disables recovery — the
+// first fault is terminal — but the fault still counts.
+func (t *Tenant) faulted(rec *dsa.CompletionRecord, attempt int) (fallback, retry bool) {
+	if !recoverable(rec) {
+		return false, false
+	}
+	t.stats.faults.Add(1)
+	t.S.met.fault()
+	pol := &t.policy
+	if pol.RetryMax <= 0 {
+		return false, false
+	}
+	return pol.FallbackAfter > 0 && attempt >= pol.FallbackAfter, attempt <= pol.RetryMax
+}
+
+// retried counts one recovery re-submission.
+func (t *Tenant) retried() {
+	t.stats.retries.Add(1)
+	t.S.met.retry()
+}
+
 // remainderOf returns the descriptor to re-submit after a faulted
 // attempt. Byte-prefix operations (copy, fill, dualcast) continue from
 // CompletionRecord.BytesCompleted — the partially completed prefix is
 // already in place, so only the tail is re-run. Everything else re-runs
 // whole: result-producing ops (CRC, compare, delta) accumulate state the
-// record does not carry forward, and a queued-but-never-started fault
-// (WQ error, outage) completed nothing anyway. The injector faults on
-// page boundaries, so a continued fill never splits its 8-byte pattern.
+// record does not carry forward, a batch parent re-runs its chain, and a
+// queued-but-never-started fault (WQ error, outage) completed nothing
+// anyway. The injector faults on page boundaries, so a continued fill
+// never splits its 8-byte pattern.
 func remainderOf(d dsa.Descriptor, rec dsa.CompletionRecord) dsa.Descriptor {
 	done := rec.BytesCompleted
 	if done <= 0 || done >= d.Size {
@@ -71,124 +119,46 @@ func remainderOf(d dsa.Descriptor, rec dsa.CompletionRecord) dsa.Descriptor {
 	return d
 }
 
-// recover is the Future-path recovery loop, run by Future.Wait after the
-// completion record lands and before it is decoded: while the record
-// reports a recoverable fault and the retry budget lasts, re-submit the
-// remainder (through the scheduler, which routes around unhealthy WQs)
-// and wait again. After Policy.FallbackAfter consecutive faults the
-// remainder runs on the submitting core instead — bounded worst-case
-// latency under a fault storm — which resolves the future directly.
-func (t *Tenant) recover(p *sim.Proc, f *Future, mode WaitMode) {
-	pol := t.policy
-	if pol.RetryMax <= 0 {
-		return
-	}
-	for faults := 1; ; faults++ {
+// recover is the recovery loop for one hardware future whose completion
+// record has landed, run before the record is decoded — by Future.Wait
+// for plain futures and by the pipeline driver for its chains. While
+// faulted allows, it re-submits the remainder (through the scheduler,
+// which routes around unhealthy WQs, or on socket pin) and waits again; a
+// fallback resolves the future directly. It counts no failure: the caller
+// owns the operation and decides how it ended.
+func (t *Tenant) recover(p *sim.Proc, f *Future, mode WaitMode, pin int) {
+	for attempt := 1; ; attempt++ {
 		rec := f.comp.Record()
-		if !recoverableStatus(rec.Status) {
+		fallback, retry := t.faulted(&rec, attempt)
+		if fallback && t.fallback(p, f, remainderOf(f.d, rec)) {
 			return
 		}
-		t.stats.faults.Add(1)
-		t.S.met.fault()
-		rem := remainderOf(f.d, rec)
-		if pol.FallbackAfter > 0 && faults >= pol.FallbackAfter && t.fallback(p, f, rem) {
-			return
+		if !retry {
+			return // no fault, or the budget is spent: the record stands
 		}
-		if faults > pol.RetryMax {
-			return // budget spent: resolve() surfaces the sentinel
-		}
-		if pol.RetryBackoff > 0 {
-			p.Sleep(sim.Time(pol.RetryBackoff))
-		}
-		nf, err := t.dispatch(p, rem, t.request(&rem))
+		nf, err := t.dispatch(p, remainderOf(f.d, rec), 0, pin)
 		if err != nil {
 			return // resubmission refused: the faulted record stands
 		}
-		t.stats.retries.Add(1)
-		t.S.met.retry()
+		t.retried()
 		f.cl, f.comp, f.d = nf.cl, nf.comp, nf.d
 		f.cl.Wait(p, f.comp, mode)
 	}
 }
 
 // fallback finishes the remainder of a faulted operation on the
-// submitting core, resolving the future as a software completion whose
-// Duration spans the whole operation — faulted hardware attempts
-// included. Returns false for ops without a software equivalent (the
-// hardware retry loop keeps going for those).
+// submitting core through the software executor, resolving the future as
+// a successful software completion whose Duration spans the whole
+// operation — faulted hardware attempts included. Returns false when the
+// core refuses (no software equivalent, such as a batch parent, or an
+// operand it cannot reach); the hardware fault then stands.
 func (t *Tenant) fallback(p *sim.Proc, f *Future, rem dsa.Descriptor) bool {
-	var (
-		dur  sim.Time
-		err  error
-		fill func(*Result)
-	)
-	switch rem.Op {
-	case dsa.OpMemmove:
-		dur, err = t.Core.Memcpy(rem.Dst, rem.Src, rem.Size)
-	case dsa.OpFill:
-		dur, err = t.Core.Memset(rem.Dst, rem.Size, rem.Pattern)
-	case dsa.OpDualcast:
-		dur, err = t.Core.Dualcast(rem.Dst, rem.Dst2, rem.Src, rem.Size)
-	case dsa.OpCRCGen:
-		var crc uint32
-		crc, dur, err = t.Core.CRC32(rem.Src, rem.Size, rem.CRCSeed)
-		fill = func(r *Result) { r.CRC = crc }
-	case dsa.OpCopyCRC:
-		var crc uint32
-		crc, dur, err = t.Core.CopyCRC(rem.Dst, rem.Src, rem.Size, rem.CRCSeed)
-		fill = func(r *Result) { r.CRC = crc }
-	case dsa.OpCompare:
-		var off int64
-		var eq bool
-		off, eq, dur, err = t.Core.Memcmp(rem.Src, rem.Src2, rem.Size)
-		fill = func(r *Result) { r.Mismatch = !eq; r.Offset = off }
-	case dsa.OpComparePattern:
-		var off int64
-		var eq bool
-		off, eq, dur, err = t.Core.ComparePattern(rem.Src, rem.Size, rem.Pattern)
-		fill = func(r *Result) { r.Mismatch = !eq; r.Offset = off }
-	default:
+	res, err := t.execSW(p, &rem, f.start)
+	if err != nil {
 		return false
 	}
-	if err != nil {
-		return false // core path refused: let the hardware fault surface
-	}
-	p.Sleep(dur)
-	t.stats.swOps.Add(1)
-	t.stats.swBytes.Add(rem.Size)
 	t.stats.fallbacks.Add(1)
 	t.S.met.fallback()
-	res := Result{
-		Record:   dsa.CompletionRecord{Status: dsa.StatusSuccess},
-		Duration: p.Now() - f.start,
-	}
-	if fill != nil {
-		fill(&res)
-	}
 	f.done, f.res, f.err = true, res, nil
-	t.recordSLO(res.Duration)
 	return true
-}
-
-// faultError maps a faulted terminal record to its sentinel-wrapped
-// error. Shared by the Future resolve path and the pipeline driver so
-// errors.Is(err, ErrFaulted/ErrDeviceFailed) holds wherever the fault
-// surfaces; the device-level cause (dsa.ErrWQDisabled,
-// dsa.ErrDeviceOffline, a mem page-fault error) stays wrapped alongside.
-func faultError(rec dsa.CompletionRecord) error {
-	switch rec.Status {
-	case dsa.StatusPageFault:
-		if rec.Err != nil {
-			return fmt.Errorf("offload: page fault at %#x after %d bytes (%w): %w",
-				uint64(rec.FaultAddr), rec.BytesCompleted, ErrFaulted, rec.Err)
-		}
-		return fmt.Errorf("offload: page fault at %#x after %d bytes: %w",
-			uint64(rec.FaultAddr), rec.BytesCompleted, ErrFaulted)
-	case dsa.StatusWQError, dsa.StatusDeviceOffline:
-		if rec.Err != nil {
-			return fmt.Errorf("offload: %v (%w): %w", rec.Status, ErrDeviceFailed, rec.Err)
-		}
-		return fmt.Errorf("offload: %v: %w", rec.Status, ErrDeviceFailed)
-	}
-	return nil
 }

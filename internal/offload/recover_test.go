@@ -13,10 +13,9 @@ import (
 )
 
 // recoveryPolicy is the default policy with fault recovery armed.
-func recoveryPolicy(retries int, backoff time.Duration, fallbackAfter int) offload.Policy {
+func recoveryPolicy(retries, fallbackAfter int) offload.Policy {
 	pol := offload.DefaultPolicy()
 	pol.RetryMax = retries
-	pol.RetryBackoff = backoff
 	pol.FallbackAfter = fallbackAfter
 	return pol
 }
@@ -24,7 +23,7 @@ func recoveryPolicy(retries int, backoff time.Duration, fallbackAfter int) offlo
 // A partial completion is continued, not restarted: the retry resubmits
 // only the remainder past CompletionRecord.BytesCompleted, and the
 // reassembled buffer is byte-correct. The injected fault storm covers
-// the first attempt; the backoff carries the retry past it.
+// the first attempts; the retry budget outlasts it.
 func TestRecoveryContinuesPartialCompletion(t *testing.T) {
 	r := newRig(t, 1)
 	if _, err := r.devs[0].InjectFaults(dsa.FaultConfig{
@@ -34,7 +33,7 @@ func TestRecoveryContinuesPartialCompletion(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc := r.service(t)
-	tn, err := svc.NewTenant(offload.TenantPolicy(recoveryPolicy(3, 3*time.Microsecond, 0)))
+	tn, err := svc.NewTenant(offload.TenantPolicy(recoveryPolicy(3, 0)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +76,7 @@ func TestFallbackAfterConsecutiveFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc := r.service(t)
-	tn, err := svc.NewTenant(offload.TenantPolicy(recoveryPolicy(10, 0, 2)))
+	tn, err := svc.NewTenant(offload.TenantPolicy(recoveryPolicy(10, 2)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +117,7 @@ func TestPipelineChainRetriesFaultedBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc := r.service(t)
-	tn, err := svc.NewTenant(offload.TenantPolicy(recoveryPolicy(3, 3*time.Microsecond, 0)))
+	tn, err := svc.NewTenant(offload.TenantPolicy(recoveryPolicy(3, 0)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +168,7 @@ func TestPlaneFailoverOnDeviceOutage(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc := r.service(t)
-	pol := recoveryPolicy(2, 0, 0)
+	pol := recoveryPolicy(2, 0)
 	tn, err := svc.NewTenant(offload.WithClass(offload.Bulk), offload.TenantPolicy(pol))
 	if err != nil {
 		t.Fatal(err)
@@ -292,7 +291,7 @@ func TestSentinelErrorsSurviveWrapping(t *testing.T) {
 			t.Fatal(err)
 		}
 		svc := r.service(t)
-		tn, err := svc.NewTenant(offload.TenantPolicy(recoveryPolicy(1, 0, 0)))
+		tn, err := svc.NewTenant(offload.TenantPolicy(recoveryPolicy(1, 0)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -326,7 +325,7 @@ func TestSentinelErrorsSurviveWrapping(t *testing.T) {
 			t.Fatal(err)
 		}
 		svc := r.service(t)
-		tn, err := svc.NewTenant(offload.TenantPolicy(recoveryPolicy(0, 0, 0)))
+		tn, err := svc.NewTenant(offload.TenantPolicy(recoveryPolicy(0, 0)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -358,7 +357,7 @@ func TestSentinelErrorsSurviveWrapping(t *testing.T) {
 			t.Fatal(err)
 		}
 		svc := r.service(t)
-		tn, err := svc.NewTenant(offload.TenantPolicy(recoveryPolicy(0, 0, 0)))
+		tn, err := svc.NewTenant(offload.TenantPolicy(recoveryPolicy(0, 0)))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -237,46 +237,27 @@ func (t *Tenant) useHW(c submitCfg, n int64) bool {
 // autoBatchable reports whether an Auto-path sub-threshold operation
 // should coalesce instead of running on the core (G1 over G2: batching
 // amortizes the offload overhead that otherwise makes small transfers a
-// core job, Fig 3).
-func (t *Tenant) autoBatchable(c submitCfg, n int64) bool {
-	return c.path == Auto && !c.noBatch && t.policy.AutoBatch > 0 && n < t.EffectiveThreshold()
+// core job, Fig 3). Only copies and fills coalesce: result-producing
+// operations keep their own descriptors.
+func (t *Tenant) autoBatchable(c submitCfg, d *dsa.Descriptor) bool {
+	return (d.Op == dsa.OpMemmove || d.Op == dsa.OpFill) &&
+		c.path == Auto && !c.noBatch && t.policy.AutoBatch > 0 && d.Size < t.EffectiveThreshold()
 }
 
-// admit applies the tenant's token bucket to one hardware submission:
-// admitted immediately, delayed until a token accrues (Policy.AdmitWait),
-// or shed with ErrAdmission.
+// admit applies the tenant's token bucket to one logical hardware
+// submission: admitted immediately, delayed until a token accrues
+// (Policy.AdmitWait), or shed with ErrAdmission. A tenant closed while the
+// submission waited for its token refuses it.
 func (t *Tenant) admit(p *sim.Proc) error {
 	if t.closed.Load() {
 		return fmt.Errorf("offload: %w", ErrTenantClosed)
 	}
-	ok, wait := t.bucket.take(p.Now(), t.policy.AdmitRate, t.policy.AdmitBurst)
-	if ok {
-		return nil
-	}
-	if !t.policy.AdmitWait {
-		t.stats.shed.Add(1)
+	if !t.admitThrough(p, &t.bucket, t.policy.AdmitRate, t.policy.AdmitBurst) {
 		return fmt.Errorf("offload: tenant over %.0f ops/s (burst %d): %w",
 			t.policy.AdmitRate, t.policy.AdmitBurst, ErrAdmission)
 	}
-	t.stats.delayed.Add(1)
-	// Fold the retry cadence into the tenant's interrupt-moderation window:
-	// waking the moment one token accrues burns one wakeup per delayed
-	// sub-batch, and each such wakeup delivers into a window that was going
-	// to close later anyway. Sleeping at least one coalescing window per
-	// retry batches the wakeups the same way deliveries are batched; the
-	// bucket keeps accruing while we sleep, so admitted throughput is
-	// unchanged. Non-coalescing tenants (count ≤ 1) keep the exact wait.
-	var floor sim.Time
-	if count, window := t.coalesceParams(); count > 1 {
-		floor = window
-	}
-	for !ok {
-		if wait < floor {
-			wait = floor
-		}
-		p.Sleep(wait)
-		t.stats.admitWakeups.Add(1)
-		ok, wait = t.bucket.take(p.Now(), t.policy.AdmitRate, t.policy.AdmitBurst)
+	if t.closed.Load() {
+		return fmt.Errorf("offload: %w", ErrTenantClosed)
 	}
 	return nil
 }
@@ -328,51 +309,27 @@ func (t *Tenant) dataHome(d *dsa.Descriptor) int {
 	return t.Core.Socket
 }
 
-// submit schedules, prepares, and submits one hardware descriptor,
-// returning its Future. Admission control runs before WQ selection so a
-// shed or delayed submission never occupies a queue slot; bounded-retry
-// policies surface dsa.ErrWQFull through the error.
-func (t *Tenant) submit(p *sim.Proc, d dsa.Descriptor, flags dsa.Flags) (*Future, error) {
-	if err := t.admit(p); err != nil {
-		return nil, err
-	}
-	return t.submitAdmitted(p, d, flags)
-}
+// unpinned is dispatch's pin for descriptors routed by their data homes.
+const unpinned = -1
 
-// submitAdmitted is submit past the admission gate. The batch paths call
-// it directly for the sub-batches of one already-admitted logical flush:
-// a split flush is the same logical work as an unsplit one and must cost
-// the same single token (Policy.SplitBatches is a placement knob, not an
-// extra submission).
-func (t *Tenant) submitAdmitted(p *sim.Proc, d dsa.Descriptor, flags dsa.Flags) (*Future, error) {
-	if t.closed.Load() {
-		return nil, fmt.Errorf("offload: %w", ErrTenantClosed)
-	}
+// dispatch is the one hardware submission entry behind every path — a
+// Future op, a batch or auto-batch slice, a pipeline chain, and every
+// recovery re-submission. It stamps the tenant's PASID and flags, picks a
+// WQ — from the descriptor's data homes, or on socket pin (a pipeline
+// keeps its chains next to their scratch buffers) — then prepares,
+// submits and counts the descriptor, a batch parent with its children's
+// payload. Admission is the caller's job, and so is counting a refused
+// submission as a failure: only the caller knows whether it ended an
+// operation or one recovery attempt.
+func (t *Tenant) dispatch(p *sim.Proc, d dsa.Descriptor, flags dsa.Flags, pin int) (*Future, error) {
 	d.PASID = t.AS.PASID
 	d.Flags |= t.policy.Flags | flags
-	return t.dispatch(p, d, t.request(&d))
-}
-
-// submitPinned is submitAdmitted with placement already decided: the
-// descriptor goes to a WQ on the given socket regardless of where its data
-// lives. The pipeline driver uses it to keep every chain of one fused DAG on
-// the socket its intermediate scratch buffers were placed on — re-resolving
-// per-descriptor data homes would scatter a chain whose stages deliberately
-// share one device.
-func (t *Tenant) submitPinned(p *sim.Proc, d dsa.Descriptor, flags dsa.Flags, socket int) (*Future, error) {
-	d.PASID = t.AS.PASID
-	d.Flags |= t.policy.Flags | flags
-	return t.dispatch(p, d, Request{
-		Socket: socket,
-		Class:  t.class,
-		Size:   d.Size,
-		Topo:   t.S.topo,
-	})
-}
-
-// dispatch runs the shared submission tail: scheduler pick, client resolve,
-// prepare, portal submit, stats.
-func (t *Tenant) dispatch(p *sim.Proc, d dsa.Descriptor, req Request) (*Future, error) {
+	var req Request
+	if pin == unpinned {
+		req = t.request(&d)
+	} else {
+		req = Request{Socket: pin, Class: t.class, Size: d.Size, Topo: t.S.topo}
+	}
 	wq := t.S.sched.Pick(req, t.S.wqs)
 	if wq == nil {
 		return nil, fmt.Errorf("offload: scheduler %q returned no work queue", t.S.sched.Name())
@@ -385,199 +342,188 @@ func (t *Tenant) dispatch(p *sim.Proc, d dsa.Descriptor, req Request) (*Future, 
 	start := p.Now()
 	comp, err := cl.TrySubmit(p, d, t.policy.MaxRetries)
 	if err != nil {
-		t.stats.failures.Add(1)
 		return nil, err
 	}
 	t.stats.hwOps.Add(1)
 	t.stats.hwBytes.Add(d.Size)
+	if d.Op == dsa.OpBatch {
+		t.stats.batches.Add(1)
+		for i := range d.Descs {
+			t.stats.hwBytes.Add(d.Descs[i].Size)
+		}
+	}
 	return &Future{t: t, cl: cl, comp: comp, op: d.Op, start: start, d: d}, nil
 }
 
-// sw wraps a completed software-path result, charging the core time.
-func (t *Tenant) sw(p *sim.Proc, start sim.Time, bytes int64, dur sim.Time, err error, fill func(*Result)) (*Future, error) {
+// do runs one operation under the tenant's path decision: admitted
+// hardware submission at or above the (possibly adaptive) threshold,
+// auto-batch coalescing for sub-threshold copies and fills when enabled,
+// and the software executor otherwise. Every Tenant op is a descriptor
+// handed to it.
+func (t *Tenant) do(p *sim.Proc, d dsa.Descriptor, opts []OpOption) (*Future, error) {
+	c := opCfg(opts)
+	switch {
+	case t.useHW(c, d.Size):
+		if err := t.admit(p); err != nil {
+			return nil, err
+		}
+		f, err := t.dispatch(p, d, c.flags, unpinned)
+		if err != nil {
+			t.stats.failures.Add(1)
+		}
+		return f, err
+	case t.autoBatchable(c, &d):
+		d.Flags = t.policy.Flags | c.flags
+		return t.Batcher().add(p, d)
+	}
 	if t.closed.Load() {
 		return nil, fmt.Errorf("offload: %w", ErrTenantClosed)
 	}
+	res, err := t.execSW(p, &d, p.Now())
 	if err != nil {
 		t.stats.failures.Add(1)
 		return nil, err
-	}
-	p.Sleep(dur)
-	t.stats.swOps.Add(1)
-	t.stats.swBytes.Add(bytes)
-	res := Result{Duration: p.Now() - start}
-	if fill != nil {
-		fill(&res)
 	}
 	t.recordSLO(res.Duration)
 	return completed(res, nil), nil
 }
 
+// execSW is the one software executor: it runs d on the tenant's core —
+// the CPU branch of every op and the fault fallback alike — charges the
+// core time and counts the execution. It writes the completion record the
+// device would have and decodes it the way a hardware result is decoded;
+// Duration spans from start.
+func (t *Tenant) execSW(p *sim.Proc, d *dsa.Descriptor, start sim.Time) (Result, error) {
+	c := t.Core
+	rec := dsa.CompletionRecord{Status: dsa.StatusSuccess}
+	var (
+		dur sim.Time
+		err error
+		val int64 // mismatch offset or delta-record size
+		eq  bool
+		crc uint32
+	)
+	bytes := d.Size
+	switch d.Op {
+	case dsa.OpMemmove:
+		dur, err = c.Memcpy(d.Dst, d.Src, d.Size)
+	case dsa.OpFill:
+		dur, err = c.Memset(d.Dst, d.Size, d.Pattern)
+	case dsa.OpDualcast:
+		dur, err = c.Dualcast(d.Dst, d.Dst2, d.Src, d.Size)
+	case dsa.OpCompare:
+		val, eq, dur, err = c.Memcmp(d.Src, d.Src2, d.Size)
+		rec.Result, rec.Mismatch = uint64(val), !eq
+	case dsa.OpComparePattern:
+		val, eq, dur, err = c.ComparePattern(d.Src, d.Size, d.Pattern)
+		rec.Result, rec.Mismatch = uint64(val), !eq
+	case dsa.OpCRCGen:
+		crc, dur, err = c.CRC32(d.Src, d.Size, d.CRCSeed)
+		rec.Result = uint64(crc)
+	case dsa.OpCopyCRC:
+		crc, dur, err = c.CopyCRC(d.Dst, d.Src, d.Size, d.CRCSeed)
+		rec.Result = uint64(crc)
+	case dsa.OpCreateDelta:
+		val, dur, err = c.DeltaCreate(d.Dst, d.Src, d.Src2, d.Size, d.MaxDst)
+		rec.Result = uint64(val)
+		bytes = 2 * d.Size // the original and the modified image
+	case dsa.OpApplyDelta:
+		dur, err = c.DeltaApply(d.Dst, d.Src, d.Size, d.MaxDst)
+	case dsa.OpDIFInsert:
+		dur, err = c.DIFInsert(d.Dst, d.Src, d.Size, d.DIFBlock, d.DIFTags)
+	case dsa.OpDIFCheck:
+		dur, err = c.DIFCheck(d.Src, d.Size, d.DIFBlock, d.DIFTags)
+	case dsa.OpDIFStrip:
+		dur, err = c.DIFStrip(d.Dst, d.Src, d.Size, d.DIFBlock, d.DIFTags)
+	case dsa.OpDIFUpdate:
+		dur, err = c.DIFUpdate(d.Dst, d.Src, d.Size, d.DIFBlock, d.DIFTags, d.DIFTags2)
+	default:
+		err = fmt.Errorf("offload: %v has no software path", d.Op)
+	}
+	if err != nil {
+		return Result{}, err
+	}
+	p.Sleep(dur)
+	t.stats.swOps.Add(1)
+	t.stats.swBytes.Add(bytes)
+	res := decode(d.Op, rec)
+	res.Duration = p.Now() - start
+	return res, nil
+}
+
 // Copy moves n bytes from src to dst.
 func (t *Tenant) Copy(p *sim.Proc, dst, src mem.Addr, n int64, opts ...OpOption) (*Future, error) {
-	c := opCfg(opts)
-	if t.useHW(c, n) {
-		return t.submit(p, dsa.Descriptor{Op: dsa.OpMemmove, Src: src, Dst: dst, Size: n}, c.flags)
-	}
-	if t.autoBatchable(c, n) {
-		return t.Batcher().add(p, dsa.Descriptor{
-			Op: dsa.OpMemmove, Src: src, Dst: dst, Size: n, Flags: t.policy.Flags | c.flags,
-		})
-	}
-	start := p.Now()
-	dur, err := t.Core.Memcpy(dst, src, n)
-	return t.sw(p, start, n, dur, err, nil)
+	return t.do(p, dsa.Descriptor{Op: dsa.OpMemmove, Src: src, Dst: dst, Size: n}, opts)
 }
 
 // Fill writes the repeating 8-byte pattern over n bytes at dst.
 func (t *Tenant) Fill(p *sim.Proc, dst mem.Addr, n int64, pattern uint64, opts ...OpOption) (*Future, error) {
-	c := opCfg(opts)
-	if t.useHW(c, n) {
-		return t.submit(p, dsa.Descriptor{Op: dsa.OpFill, Dst: dst, Size: n, Pattern: pattern}, c.flags)
-	}
-	if t.autoBatchable(c, n) {
-		return t.Batcher().add(p, dsa.Descriptor{
-			Op: dsa.OpFill, Dst: dst, Size: n, Pattern: pattern, Flags: t.policy.Flags | c.flags,
-		})
-	}
-	start := p.Now()
-	dur, err := t.Core.Memset(dst, n, pattern)
-	return t.sw(p, start, n, dur, err, nil)
+	return t.do(p, dsa.Descriptor{Op: dsa.OpFill, Dst: dst, Size: n, Pattern: pattern}, opts)
 }
 
 // Compare checks n bytes at a and b for equality.
 func (t *Tenant) Compare(p *sim.Proc, a, b mem.Addr, n int64, opts ...OpOption) (*Future, error) {
-	c := opCfg(opts)
-	if t.useHW(c, n) {
-		return t.submit(p, dsa.Descriptor{Op: dsa.OpCompare, Src: a, Src2: b, Size: n}, c.flags)
-	}
-	start := p.Now()
-	off, eq, dur, err := t.Core.Memcmp(a, b, n)
-	return t.sw(p, start, n, dur, err, func(r *Result) { r.Mismatch = !eq; r.Offset = off })
+	return t.do(p, dsa.Descriptor{Op: dsa.OpCompare, Src: a, Src2: b, Size: n}, opts)
 }
 
 // ComparePattern checks n bytes at src against the repeating pattern.
 func (t *Tenant) ComparePattern(p *sim.Proc, src mem.Addr, n int64, pattern uint64, opts ...OpOption) (*Future, error) {
-	c := opCfg(opts)
-	if t.useHW(c, n) {
-		return t.submit(p, dsa.Descriptor{Op: dsa.OpComparePattern, Src: src, Size: n, Pattern: pattern}, c.flags)
-	}
-	start := p.Now()
-	off, eq, dur, err := t.Core.ComparePattern(src, n, pattern)
-	return t.sw(p, start, n, dur, err, func(r *Result) { r.Mismatch = !eq; r.Offset = off })
+	return t.do(p, dsa.Descriptor{Op: dsa.OpComparePattern, Src: src, Size: n, Pattern: pattern}, opts)
 }
 
 // CRC32 computes the seeded CRC-32 of n bytes at src.
 func (t *Tenant) CRC32(p *sim.Proc, src mem.Addr, n int64, seed uint32, opts ...OpOption) (*Future, error) {
-	c := opCfg(opts)
-	if t.useHW(c, n) {
-		return t.submit(p, dsa.Descriptor{Op: dsa.OpCRCGen, Src: src, Size: n, CRCSeed: seed}, c.flags)
-	}
-	start := p.Now()
-	crc, dur, err := t.Core.CRC32(src, n, seed)
-	return t.sw(p, start, n, dur, err, func(r *Result) { r.CRC = crc })
+	return t.do(p, dsa.Descriptor{Op: dsa.OpCRCGen, Src: src, Size: n, CRCSeed: seed}, opts)
 }
 
 // CopyCRC copies n bytes and returns the CRC-32 of the data.
 func (t *Tenant) CopyCRC(p *sim.Proc, dst, src mem.Addr, n int64, seed uint32, opts ...OpOption) (*Future, error) {
-	c := opCfg(opts)
-	if t.useHW(c, n) {
-		return t.submit(p, dsa.Descriptor{Op: dsa.OpCopyCRC, Src: src, Dst: dst, Size: n, CRCSeed: seed}, c.flags)
-	}
-	start := p.Now()
-	crc, dur, err := t.Core.CopyCRC(dst, src, n, seed)
-	return t.sw(p, start, n, dur, err, func(r *Result) { r.CRC = crc })
+	return t.do(p, dsa.Descriptor{Op: dsa.OpCopyCRC, Src: src, Dst: dst, Size: n, CRCSeed: seed}, opts)
 }
 
 // Dualcast copies n bytes from src to both destinations.
 func (t *Tenant) Dualcast(p *sim.Proc, dst1, dst2, src mem.Addr, n int64, opts ...OpOption) (*Future, error) {
-	c := opCfg(opts)
-	if t.useHW(c, n) {
-		return t.submit(p, dsa.Descriptor{Op: dsa.OpDualcast, Src: src, Dst: dst1, Dst2: dst2, Size: n}, c.flags)
-	}
-	start := p.Now()
-	dur, err := t.Core.Dualcast(dst1, dst2, src, n)
-	return t.sw(p, start, n, dur, err, nil)
+	return t.do(p, dsa.Descriptor{Op: dsa.OpDualcast, Src: src, Dst: dst1, Dst2: dst2, Size: n}, opts)
 }
 
 // CreateDelta writes a delta record of orig→mod differences into record.
 func (t *Tenant) CreateDelta(p *sim.Proc, record, orig, mod mem.Addr, n, maxRecord int64, opts ...OpOption) (*Future, error) {
-	c := opCfg(opts)
-	if t.useHW(c, n) {
-		return t.submit(p, dsa.Descriptor{
-			Op: dsa.OpCreateDelta, Src: orig, Src2: mod, Dst: record, Size: n, MaxDst: maxRecord,
-		}, c.flags)
-	}
-	start := p.Now()
-	used, dur, err := t.Core.DeltaCreate(record, orig, mod, n, maxRecord)
-	return t.sw(p, start, 2*n, dur, err, func(r *Result) { r.Size = used })
+	return t.do(p, dsa.Descriptor{
+		Op: dsa.OpCreateDelta, Src: orig, Src2: mod, Dst: record, Size: n, MaxDst: maxRecord,
+	}, opts)
 }
 
 // ApplyDelta replays a recordLen-byte delta record onto dst (dstLen bytes).
 func (t *Tenant) ApplyDelta(p *sim.Proc, dst, record mem.Addr, recordLen, dstLen int64, opts ...OpOption) (*Future, error) {
-	c := opCfg(opts)
-	if t.useHW(c, recordLen) {
-		return t.submit(p, dsa.Descriptor{
-			Op: dsa.OpApplyDelta, Src: record, Dst: dst, Size: recordLen, MaxDst: dstLen,
-		}, c.flags)
-	}
-	start := p.Now()
-	dur, err := t.Core.DeltaApply(dst, record, recordLen, dstLen)
-	return t.sw(p, start, recordLen, dur, err, nil)
+	return t.do(p, dsa.Descriptor{
+		Op: dsa.OpApplyDelta, Src: record, Dst: dst, Size: recordLen, MaxDst: dstLen,
+	}, opts)
 }
 
 // DIFInsert generates protected blocks from n raw bytes at src.
 func (t *Tenant) DIFInsert(p *sim.Proc, dst, src mem.Addr, n int64, bs dif.BlockSize, tags dif.Tags, opts ...OpOption) (*Future, error) {
-	c := opCfg(opts)
-	if t.useHW(c, n) {
-		return t.submit(p, dsa.Descriptor{
-			Op: dsa.OpDIFInsert, Src: src, Dst: dst, Size: n, DIFBlock: bs, DIFTags: tags,
-		}, c.flags)
-	}
-	start := p.Now()
-	dur, err := t.Core.DIFInsert(dst, src, n, bs, tags)
-	return t.sw(p, start, n, dur, err, nil)
+	return t.do(p, dsa.Descriptor{
+		Op: dsa.OpDIFInsert, Src: src, Dst: dst, Size: n, DIFBlock: bs, DIFTags: tags,
+	}, opts)
 }
 
 // DIFCheck verifies n protected bytes at src.
 func (t *Tenant) DIFCheck(p *sim.Proc, src mem.Addr, n int64, bs dif.BlockSize, tags dif.Tags, opts ...OpOption) (*Future, error) {
-	c := opCfg(opts)
-	if t.useHW(c, n) {
-		return t.submit(p, dsa.Descriptor{
-			Op: dsa.OpDIFCheck, Src: src, Size: n, DIFBlock: bs, DIFTags: tags,
-		}, c.flags)
-	}
-	start := p.Now()
-	dur, err := t.Core.DIFCheck(src, n, bs, tags)
-	if err != nil {
-		t.stats.failures.Add(1)
-		return completed(Result{Duration: dur}, err), err
-	}
-	return t.sw(p, start, n, dur, nil, nil)
+	return t.do(p, dsa.Descriptor{
+		Op: dsa.OpDIFCheck, Src: src, Size: n, DIFBlock: bs, DIFTags: tags,
+	}, opts)
 }
 
 // DIFStrip verifies and removes protection information.
 func (t *Tenant) DIFStrip(p *sim.Proc, dst, src mem.Addr, n int64, bs dif.BlockSize, tags dif.Tags, opts ...OpOption) (*Future, error) {
-	c := opCfg(opts)
-	if t.useHW(c, n) {
-		return t.submit(p, dsa.Descriptor{
-			Op: dsa.OpDIFStrip, Src: src, Dst: dst, Size: n, DIFBlock: bs, DIFTags: tags,
-		}, c.flags)
-	}
-	start := p.Now()
-	dur, err := t.Core.DIFStrip(dst, src, n, bs, tags)
-	return t.sw(p, start, n, dur, err, nil)
+	return t.do(p, dsa.Descriptor{
+		Op: dsa.OpDIFStrip, Src: src, Dst: dst, Size: n, DIFBlock: bs, DIFTags: tags,
+	}, opts)
 }
 
 // DIFUpdate rewrites protection information from old to new tags.
 func (t *Tenant) DIFUpdate(p *sim.Proc, dst, src mem.Addr, n int64, bs dif.BlockSize, old, new dif.Tags, opts ...OpOption) (*Future, error) {
-	c := opCfg(opts)
-	if t.useHW(c, n) {
-		return t.submit(p, dsa.Descriptor{
-			Op: dsa.OpDIFUpdate, Src: src, Dst: dst, Size: n, DIFBlock: bs, DIFTags: old, DIFTags2: new,
-		}, c.flags)
-	}
-	start := p.Now()
-	dur, err := t.Core.DIFUpdate(dst, src, n, bs, old, new)
-	return t.sw(p, start, n, dur, err, nil)
+	return t.do(p, dsa.Descriptor{
+		Op: dsa.OpDIFUpdate, Src: src, Dst: dst, Size: n, DIFBlock: bs, DIFTags: old, DIFTags2: new,
+	}, opts)
 }

@@ -35,9 +35,6 @@
 //	    res, _ := fut.Wait(p, offload.Poll)
 //	    fmt.Println("copied in", res.Duration)
 //	})
-//
-// The legacy Workspace/DML surface remains as a compatibility shim over the
-// same service (internal/dml).
 package dsasim
 
 import (
@@ -45,7 +42,6 @@ import (
 	"time"
 
 	"dsasim/internal/cpu"
-	"dsasim/internal/dml"
 	"dsasim/internal/dsa"
 	"dsasim/internal/idxd"
 	"dsasim/internal/mem"
@@ -148,47 +144,6 @@ func SPRPlacement() Profile {
 	return pr
 }
 
-// SPRSkew returns the placement profile hardened for skewed load: on top
-// of SPRPlacement's one-DSA-per-socket layout, the default policy turns
-// on load-aware placement (offload.Policy.LoadAware), so a tenant whose
-// data all lives next to a backlogged device detours across UPI to the
-// idle socket's DSA exactly when the modelled queueing delay (WQ latency
-// EWMA × occupancy, Service.SocketPressure's signals) exceeds the
-// transfer penalty. Use it when tenants' data placement is lopsided —
-// one hot socket, one cold — and raw service throughput matters more
-// than strict data locality.
-func SPRSkew() Profile {
-	pr := SPRPlacement()
-	pr.Name = "SPR-Skew"
-	pol := offload.DefaultPolicy()
-	pol.LoadAware = true
-	pr.Policy = &pol
-	return pr
-}
-
-// SPRCoalesce returns the QoS profile hardened for the completion path
-// (§4.4): on top of SPRQoS's express/bulk WQ split and PriorityAware
-// scheduler, the default policy waits in Interrupt mode with completion
-// coalescing on — up to 16 finished records per tenant are announced by
-// one interrupt, bounded by an 8µs moderation window — so bulk tenants
-// pay one delivery latency per window instead of one per descriptor,
-// while latency-sensitive tenants bypass moderation entirely (the QoS
-// class resolution in offload.Policy) and keep their per-descriptor
-// interrupts on the express lane. Use it when completions are drained by
-// interrupt (cores shared with other work) and small-op throughput
-// matters.
-func SPRCoalesce() Profile {
-	pr := SPRQoS()
-	pr.Name = "SPR-Coalesce"
-	pol := offload.DefaultPolicy()
-	pol.AdaptiveThreshold = true
-	pol.Wait = offload.Interrupt
-	pol.CoalesceCount = 16
-	pol.CoalesceWindow = 8 * time.Microsecond
-	pr.Policy = &pol
-	return pr
-}
-
 // SPRAdaptive returns the profile whose every knob closes the loop on the
 // telemetry plane instead of a hand-picked constant: one DSA per socket,
 // each exposing an express/bulk WQ pair with part of the group's read
@@ -251,9 +206,8 @@ type Platform struct {
 	Registry *idxd.Registry
 	Devices  []*dsa.Device
 
-	// Offload is the platform's submission service: every tenant and
-	// workspace submits through it, and its Scheduler owns device/WQ
-	// placement.
+	// Offload is the platform's submission service: every tenant submits
+	// through it, and its Scheduler owns device/WQ placement.
 	Offload *offload.Service
 }
 
@@ -310,8 +264,7 @@ func NewPlatform(pr Profile) *Platform {
 	}
 	// A device-less profile (CPU-only baseline) constructs fine; the
 	// service comes up with the first device (here or via AddDevice), and
-	// tenant creation fails until then — matching the legacy behavior of
-	// failing at workspace creation, not platform construction.
+	// tenant creation fails until then.
 	if len(wqs) > 0 {
 		pl.initService(wqs)
 	}
@@ -383,40 +336,6 @@ func (pl *Platform) NewTenant(opts ...offload.TenantOption) *offload.Tenant {
 func (pl *Platform) NewTenantOn(socket int, opts ...offload.TenantOption) *offload.Tenant {
 	opts = append([]offload.TenantOption{offload.OnSocket(socket)}, opts...)
 	return pl.NewTenant(opts...)
-}
-
-// Workspace is the legacy process context, kept as a compatibility shim:
-// the same tenant exposed through the dml.Executor API.
-type Workspace struct {
-	Platform *Platform
-	Tenant   *offload.Tenant
-	AS       *mem.AddressSpace
-	Core     *cpu.Core
-	DML      *dml.Executor
-}
-
-// NewWorkspace creates a process context on socket 0 bound to every device.
-func (pl *Platform) NewWorkspace(opts ...dml.Option) *Workspace {
-	return pl.NewWorkspaceOn(0, opts...)
-}
-
-// NewWorkspaceOn creates a process context on the given socket.
-func (pl *Platform) NewWorkspaceOn(socket int, opts ...dml.Option) *Workspace {
-	tn := pl.NewTenantOn(socket)
-	return &Workspace{
-		Platform: pl,
-		Tenant:   tn,
-		AS:       tn.AS,
-		Core:     tn.Core,
-		DML:      dml.FromTenant(tn, opts...),
-	}
-}
-
-// Alloc allocates a buffer on the workspace's local DRAM node (delegating
-// to the tenant allocator, which prefers the socket's DRAM node and honors
-// explicit placement options).
-func (w *Workspace) Alloc(size int64, opts ...mem.AllocOption) *mem.Buffer {
-	return w.Tenant.Alloc(size, opts...)
 }
 
 // Run starts fn as a simulated process and runs the engine to completion.

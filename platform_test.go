@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"dsasim/internal/dml"
 	"dsasim/internal/dsa"
 	"dsasim/internal/mem"
 	"dsasim/internal/offload"
@@ -23,12 +22,17 @@ func TestSPRPlatformBasics(t *testing.T) {
 	if pl.Node(2).Kind != mem.CXL {
 		t.Fatal("SPR profile missing CXL node")
 	}
-	ws := pl.NewWorkspace()
-	src := ws.Alloc(1 << 20)
-	dst := ws.Alloc(1 << 20)
+	tn := pl.NewTenant()
+	src := tn.Alloc(1 << 20)
+	dst := tn.Alloc(1 << 20)
 	sim.NewRand(1).Bytes(src.Bytes())
 	pl.Run(func(p *sim.Proc) {
-		res, err := ws.DML.Copy(p, dst.Addr(0), src.Addr(0), 1<<20, dml.Auto)
+		f, err := tn.Copy(p, dst.Addr(0), src.Addr(0), 1<<20)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		res, err := f.Wait(p, offload.Poll)
 		if err != nil {
 			t.Error(err)
 			return
@@ -50,11 +54,15 @@ func TestICXPlatformUsesCBDMA(t *testing.T) {
 	if got := pl.Devices[0].Cfg.Timing.FabricGBps; got >= dsa.DefaultTiming().FabricGBps {
 		t.Fatalf("CBDMA fabric %v should be below DSA's", got)
 	}
-	ws := pl.NewWorkspace()
-	src := ws.Alloc(64 << 10)
-	dst := ws.Alloc(64 << 10)
+	tn := pl.NewTenant()
+	src := tn.Alloc(64 << 10)
+	dst := tn.Alloc(64 << 10)
 	pl.Run(func(p *sim.Proc) {
-		if _, err := ws.DML.Copy(p, dst.Addr(0), src.Addr(0), 64<<10, dml.Hardware); err != nil {
+		f, err := tn.Copy(p, dst.Addr(0), src.Addr(0), 64<<10, offload.On(offload.Hardware))
+		if err == nil {
+			_, err = f.Wait(p, offload.Poll)
+		}
+		if err != nil {
 			t.Error(err)
 		}
 	})
@@ -77,26 +85,28 @@ func TestAddDeviceCustomGroups(t *testing.T) {
 	}
 }
 
+// Each tenant is its own process workspace: a private PASID-bound address
+// space.
 func TestWorkspacesAreIsolated(t *testing.T) {
 	pl := NewPlatform(SPR())
-	w1 := pl.NewWorkspace()
-	w2 := pl.NewWorkspace()
-	if w1.AS.PASID == w2.AS.PASID {
-		t.Fatal("workspaces share a PASID")
+	t1 := pl.NewTenant()
+	t2 := pl.NewTenant()
+	if t1.AS.PASID == t2.AS.PASID {
+		t.Fatal("tenants share a PASID")
 	}
-	b1 := w1.Alloc(4096)
-	// w2 must not resolve w1's addresses.
-	if _, _, err := w2.AS.Lookup(b1.Addr(0)); err == nil {
-		t.Fatal("cross-workspace address resolved")
+	b1 := t1.Alloc(4096)
+	// t2 must not resolve t1's addresses.
+	if _, _, err := t2.AS.Lookup(b1.Addr(0)); err == nil {
+		t.Fatal("cross-tenant address resolved")
 	}
 }
 
 func TestMultiSocketWorkspace(t *testing.T) {
 	pl := NewPlatform(SPR())
-	ws := pl.NewWorkspaceOn(1)
-	buf := ws.Alloc(4096)
+	tn := pl.NewTenantOn(1)
+	buf := tn.Alloc(4096)
 	if buf.Node.Socket != 1 {
-		t.Fatalf("socket-1 workspace allocated on socket %d", buf.Node.Socket)
+		t.Fatalf("socket-1 tenant allocated on socket %d", buf.Node.Socket)
 	}
 }
 
@@ -306,58 +316,6 @@ func TestSPRPlacementProfileWiring(t *testing.T) {
 	}
 }
 
-// TestSPRSkewProfileWiring checks the load-aware profile end to end: the
-// placement layout with LoadAware defaulted on, so a burst against one
-// backlogged socket spills onto the idle socket's device.
-func TestSPRSkewProfileWiring(t *testing.T) {
-	pl := NewPlatform(SPRSkew())
-	if len(pl.Devices) != 2 {
-		t.Fatalf("devices = %d, want 2", len(pl.Devices))
-	}
-	if got := pl.Offload.Scheduler().Name(); got != "placement" {
-		t.Fatalf("scheduler = %q, want placement", got)
-	}
-	if !pl.Offload.Policy().LoadAware {
-		t.Fatal("SPRSkew default policy must set LoadAware")
-	}
-	tn := pl.NewTenant()
-	n := int64(256 << 10)
-	src := tn.AllocOn(0, n) // all data on socket 0 — the skew
-	dst := tn.AllocOn(0, n)
-	pl.Run(func(p *sim.Proc) {
-		// Warmup builds the latency history the cost model prices with.
-		f, err := tn.Copy(p, dst.Addr(0), src.Addr(0), n)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if _, err := f.Wait(p, offload.Poll); err != nil {
-			t.Error(err)
-			return
-		}
-		var futs []*offload.Future
-		for i := 0; i < 24; i++ {
-			f, err := tn.Copy(p, dst.Addr(0), src.Addr(0), n)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			futs = append(futs, f)
-		}
-		for _, f := range futs {
-			if _, err := f.Wait(p, offload.Poll); err != nil {
-				t.Error(err)
-			}
-		}
-	})
-	if got := pl.Devices[1].Stats().Submitted; got == 0 {
-		t.Error("no submission detoured to the idle socket-1 device under backlog")
-	}
-	if got := pl.Devices[0].Stats().Submitted; got == 0 {
-		t.Error("home device saw no traffic")
-	}
-}
-
 // TestSPRAdaptiveProfileWiring checks the closed-loop profile end to end:
 // one device per socket with an express read-buffer partition, the
 // placement-qos scheduler, every adaptive policy knob on, and the
@@ -429,58 +387,5 @@ func TestSchedulerComparisonOnSPR(t *testing.T) {
 	local := sprSchedElapsed(t, func() offload.Scheduler { return offload.NewNUMALocal() }, count)
 	if local > rr {
 		t.Fatalf("NUMALocal (%v) slower than RoundRobin (%v) on the 2-device SPR platform", local, rr)
-	}
-}
-
-// TestSPRCoalesceProfileWiring checks the completion-path profile end to
-// end: the QoS WQ layout with Interrupt-mode coalescing defaulted on, a
-// bulk tenant's window costing one delivery, and the latency-sensitive
-// bypass.
-func TestSPRCoalesceProfileWiring(t *testing.T) {
-	pl := NewPlatform(SPRCoalesce())
-	pol := pl.Offload.Policy()
-	if pol.Wait != offload.Interrupt {
-		t.Fatalf("default wait mode = %v, want Interrupt", pol.Wait)
-	}
-	if pol.CoalesceCount != 16 || pol.CoalesceWindow <= 0 {
-		t.Fatalf("coalescing knobs = (%d, %v), want (16, >0)", pol.CoalesceCount, pol.CoalesceWindow)
-	}
-	bulk := pl.NewTenant()
-	ls := pl.NewTenant(offload.WithClass(offload.LatencySensitive))
-	if ls.Coalescer() != nil {
-		t.Error("latency-sensitive tenant should bypass moderation")
-	}
-	const ops = 16
-	n := int64(16 << 10)
-	src, dst := bulk.Alloc(n), bulk.Alloc(n)
-	sim.NewRand(31).Bytes(src.Bytes())
-	pl.Run(func(p *sim.Proc) {
-		futs := make([]*offload.Future, 0, ops)
-		for i := 0; i < ops; i++ {
-			f, err := bulk.Copy(p, dst.Addr(0), src.Addr(0), n, offload.On(offload.Hardware))
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			futs = append(futs, f)
-		}
-		for _, f := range futs {
-			if _, err := f.Wait(p, pol.Wait); err != nil {
-				t.Error(err)
-			}
-		}
-	})
-	if !bytes.Equal(dst.Bytes(), src.Bytes()) {
-		t.Fatal("coalesced copies incomplete")
-	}
-	k := bulk.Coalescer()
-	if k == nil {
-		t.Fatal("bulk tenant has no coalescer under SPRCoalesce")
-	}
-	if k.Deliveries() >= ops {
-		t.Errorf("Deliveries = %d for %d completions — nothing coalesced", k.Deliveries(), ops)
-	}
-	if k.Deliveries()+k.CoalescedRecords() != ops {
-		t.Errorf("deliveries %d + coalesced %d != %d completions", k.Deliveries(), k.CoalescedRecords(), ops)
 	}
 }
