@@ -3,65 +3,33 @@
 // against, §4.1). Kernels are pure functions over byte slices; both the
 // simulated CPU baseline and the DSA device model call them so that hardware
 // and software results are bit-identical and verifiable against each other.
+// Kernels compute functional results only: the virtual time an operation
+// takes comes from the cpu and dsa cost models, so a faster kernel here
+// speeds up the simulator without moving any simulated number. CRC-32 uses
+// the standard library's hardware-folded kernel.
 package isal
 
-// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) via slicing-by-8 —
-// the same algorithmic family ISA-L uses before vectorizing. The DSA CRC
-// Generation operation produces this CRC (with configurable seed).
+import "hash/crc32"
+
+// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320). The DSA CRC
+// Generation operation produces this CRC (with configurable seed). The kernel
+// is the standard library's: on amd64 it folds 64-byte blocks with
+// carry-less multiplication (PCLMULQDQ), the algorithm ISA-L's crc32_ieee
+// uses, and on CPUs without that instruction it falls back to slicing-by-8.
+// Only the functional result comes from here: the virtual time a CRC costs
+// is charged by the cpu and dsa cost models, not by how fast the host
+// running the simulation computes it.
 
 const crc32Poly = 0xEDB88320
-
-var crc32Tables = buildCRC32Tables()
-
-func buildCRC32Tables() *[8][256]uint32 {
-	var t [8][256]uint32
-	for i := 0; i < 256; i++ {
-		crc := uint32(i)
-		for j := 0; j < 8; j++ {
-			if crc&1 != 0 {
-				crc = (crc >> 1) ^ crc32Poly
-			} else {
-				crc >>= 1
-			}
-		}
-		t[0][i] = crc
-	}
-	for i := 0; i < 256; i++ {
-		crc := t[0][i]
-		for j := 1; j < 8; j++ {
-			crc = t[0][crc&0xFF] ^ (crc >> 8)
-			t[j][i] = crc
-		}
-	}
-	return &t
-}
 
 // CRC32 computes the CRC-32 of p seeded with seed. A seed of 0 computes the
 // standard checksum; passing a previous return value continues it.
 func CRC32(seed uint32, p []byte) uint32 {
-	crc := ^seed
-	t := crc32Tables
-	for len(p) >= 8 {
-		crc ^= uint32(p[0]) | uint32(p[1])<<8 | uint32(p[2])<<16 | uint32(p[3])<<24
-		hi := uint32(p[4]) | uint32(p[5])<<8 | uint32(p[6])<<16 | uint32(p[7])<<24
-		crc = t[7][crc&0xFF] ^
-			t[6][(crc>>8)&0xFF] ^
-			t[5][(crc>>16)&0xFF] ^
-			t[4][crc>>24] ^
-			t[3][hi&0xFF] ^
-			t[2][(hi>>8)&0xFF] ^
-			t[1][(hi>>16)&0xFF] ^
-			t[0][hi>>24]
-		p = p[8:]
-	}
-	for _, b := range p {
-		crc = t[0][(crc^uint32(b))&0xFF] ^ (crc >> 8)
-	}
-	return ^crc
+	return crc32.Update(seed, crc32.IEEETable, p)
 }
 
-// CRC32Bitwise is the unoptimized reference implementation, kept for
-// cross-checking the sliced version in tests.
+// CRC32Bitwise is the unoptimized bit-at-a-time reference, independent of
+// the hash/crc32 kernel behind CRC32; tests cross-check the two.
 func CRC32Bitwise(seed uint32, p []byte) uint32 {
 	crc := ^seed
 	for _, b := range p {
