@@ -78,6 +78,10 @@ type Device struct {
 	faults  *FaultInjector
 	offline atomic.Bool
 
+	// free pools completed works for reuse (see newWork). It never holds
+	// more items than the peak number of works in flight at once.
+	free []*work
+
 	stats DeviceStats
 }
 
@@ -123,6 +127,27 @@ func New(e *sim.Engine, sys *mem.System, cfg Config) *Device {
 		atcEntries: cfg.ATCEntries,
 		ddio:       make(map[mem.Addr]int64),
 	}
+}
+
+// newWork returns a zeroed work from the free list, or a fresh one with
+// its completion event bound.
+func (d *Device) newWork() *work {
+	if n := len(d.free); n > 0 {
+		wk := d.free[n-1]
+		d.free[n-1] = nil
+		d.free = d.free[:n-1]
+		return wk
+	}
+	wk := &work{}
+	wk.fireFn = wk.fire
+	return wk
+}
+
+// freeWork returns a work whose completion record has been written to the
+// free list. The caller must hold no reference to it afterwards.
+func (d *Device) freeWork(wk *work) {
+	*wk = work{fireFn: wk.fireFn}
+	d.free = append(d.free, wk)
 }
 
 // ddioWrite models a cache-control destination write of n bytes into buf:

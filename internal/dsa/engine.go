@@ -304,11 +304,12 @@ func (eng *Engine) reserveData(wk *work, spans []span, dataStart sim.Time) sim.T
 // when wk.apply is set, the record of executing the operation then.
 func (eng *Engine) finish(wk *work, at sim.Time, rec CompletionRecord) {
 	wk.g, wk.rec = eng.group, rec
-	eng.group.Dev.E.At(at, wk.fire)
+	eng.group.Dev.E.At(at, wk.fireFn)
 }
 
 // fire is a work's completion event: it writes the completion record and
-// delivers it to waiters, the WQ's statistics and the parent batch.
+// delivers it to waiters, the WQ's statistics and the parent batch, then
+// returns the work to the device's free list.
 func (wk *work) fire() {
 	g := wk.g
 	d := g.Dev
@@ -326,6 +327,7 @@ func (wk *work) fire() {
 		wk.parent.childDone(wk.childIdx, rec)
 	}
 	g.drainSig.Broadcast(d.E)
+	d.freeWork(wk)
 }
 
 // executeDrain completes once every previously dispatched descriptor in the
@@ -424,15 +426,12 @@ func (bs *batchState) issueReady() {
 			}
 		}
 		child.PASID = bs.wk.d.PASID
-		cw := &work{
-			d:         child,
-			comp:      newCompletion(g.Dev.E),
-			parent:    bs,
-			childIdx:  bs.nextIssue,
-			fromBatch: true,
-			enqueued:  g.Dev.E.Now(),
-		}
-		cw.comp.SubmitTime = bs.wk.comp.SubmitTime
+		cw := g.Dev.newWork()
+		cw.d, cw.parent, cw.childIdx, cw.fromBatch = child, bs, bs.nextIssue, true
+		cw.enqueued = g.Dev.E.Now()
+		cw.comp = &cw.own
+		cw.own.e = g.Dev.E
+		cw.own.SubmitTime = bs.wk.comp.SubmitTime
 		bs.nextIssue++
 		g.batchQ.Push(cw)
 	}
@@ -480,6 +479,7 @@ func (bs *batchState) childDone(idx int, rec CompletionRecord) {
 				bs.wk.wq.noteCompleted(bs.wk.d.PASID, bs.wk.comp.Latency())
 			}
 			g.drainSig.Broadcast(d.E)
+			d.freeWork(bs.wk)
 		})
 	}
 }

@@ -167,8 +167,10 @@ func (w *WQ) Healthy() bool {
 func (d *Device) Offline() bool { return d.offline.Load() }
 
 // failQueued completes every queued-but-undispatched descriptor with the
-// given terminal status. Dispatched work (on engines, or fetched into a
-// batch) is unaffected and drains normally.
+// given terminal status and returns its work to the free list. Dispatched
+// work (on engines, or fetched into a batch) is unaffected and drains
+// normally; batch children never sit in a WQ, only in the group's batch
+// queue.
 func (w *WQ) failQueued(status Status, err error) {
 	for {
 		wk, ok := w.q.Pop()
@@ -177,11 +179,8 @@ func (w *WQ) failQueued(status Status, err error) {
 		}
 		w.occupied--
 		w.noteOcc()
-		rec := CompletionRecord{Status: status, Err: err}
-		wk.comp.complete(rec)
+		wk.comp.complete(CompletionRecord{Status: status, Err: err})
 		w.noteCompleted(wk.d.PASID, wk.comp.Latency())
-		if wk.parent != nil {
-			wk.parent.childDone(wk.childIdx, rec)
-		}
+		w.Dev.freeWork(wk)
 	}
 }

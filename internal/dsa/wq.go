@@ -34,10 +34,14 @@ func (m WQMode) String() string {
 // occupancy it is responsible for tracking.
 var ErrWQFull = fmt.Errorf("dsa: work queue full")
 
-// work is one queued descriptor with its completion handle.
+// work is one queued descriptor with its completion handle. Works are
+// pooled per device (Device.newWork / freeWork): nothing outside the
+// device holds one, so each returns to the free list once its completion
+// record is written.
 type work struct {
 	d         Descriptor
 	comp      *Completion
+	own       Completion  // a batch child's completion (comp = &own): children never reach a caller
 	wq        *WQ         // accepting WQ (nil for batch sub-descriptors)
 	parent    *batchState // non-nil for batch sub-descriptors
 	childIdx  int         // position within the parent batch's children
@@ -51,6 +55,11 @@ type work struct {
 	rec   CompletionRecord
 	as    *mem.AddressSpace
 	apply bool
+
+	// fireFn is wk.fire bound once when the work is first allocated, so
+	// scheduling a completion event allocates no closure; it survives
+	// recycling.
+	fireFn func()
 }
 
 // WQ is one configured work queue.
@@ -120,7 +129,8 @@ func (w *WQ) Submit(d Descriptor) (*Completion, error) {
 	comp := newCompletion(w.Dev.E)
 	comp.SubmitTime = w.Dev.E.Now()
 	comp.desc = d
-	wk := &work{d: d, comp: comp, wq: w, enqueued: w.Dev.E.Now()}
+	wk := w.Dev.newWork()
+	wk.d, wk.comp, wk.wq, wk.enqueued = d, comp, w, w.Dev.E.Now()
 	w.occupied++
 	if w.occupied > w.maxOcc {
 		w.maxOcc = w.occupied

@@ -25,10 +25,12 @@ const (
 
 // reapItem is one outstanding submission a shard's reaper must resolve:
 // the future, the scheduled arrival instant of every operation it
-// carries (one for a foreground op, Burst for a broker pipeline), and
-// the class the latencies score against.
+// carries, and the class the latencies score against. A foreground op
+// carries its one arrival inline in arr; a broker pipeline carries its
+// Burst arrivals in arrs.
 type reapItem struct {
 	fut  *offload.Future
+	arr  sim.Time
 	arrs []sim.Time
 	cls  Class
 }
@@ -66,7 +68,7 @@ type driver struct {
 	bounds []sim.Time // cumulative phase end instants
 	acc    [][nClasses]classAcc
 
-	reapQ   [][]reapItem
+	reapQ   []sim.FIFO[reapItem]
 	reapSig []sim.Signal
 	subDone []bool
 
@@ -145,7 +147,7 @@ func newDriver(sc Scenario) *driver {
 		d.bounds[i] = at
 	}
 	d.acc = make([][nClasses]classAcc, len(sc.Phases))
-	d.reapQ = make([][]reapItem, sc.Shards)
+	d.reapQ = make([]sim.FIFO[reapItem], sc.Shards)
 	d.reapSig = make([]sim.Signal, sc.Shards)
 	d.subDone = make([]bool, sc.Shards)
 	return d
@@ -242,7 +244,7 @@ func (d *driver) fgOp(p *sim.Proc, s, pi int, at sim.Time, ci int) {
 		a.shed++
 		return
 	}
-	d.enqueue(s, reapItem{fut: f, arrs: []sim.Time{at}, cls: FG})
+	d.enqueue(s, reapItem{fut: f, arr: at, cls: FG})
 }
 
 // route maps a connection to its source socket, destination socket, and
@@ -332,7 +334,7 @@ func (d *driver) churnTenant(p *sim.Proc, rng *sim.Rand) {
 
 // enqueue hands a submission to the shard's reaper.
 func (d *driver) enqueue(s int, it reapItem) {
-	d.reapQ[s] = append(d.reapQ[s], it)
+	d.reapQ[s].Push(it)
 	d.reapSig[s].Broadcast(d.e)
 }
 
@@ -342,20 +344,22 @@ func (d *driver) enqueue(s int, it reapItem) {
 func (d *driver) reaper(s int) func(p *sim.Proc) {
 	return func(p *sim.Proc) {
 		for {
-			if len(d.reapQ[s]) == 0 {
+			it, ok := d.reapQ[s].Pop()
+			if !ok {
 				if d.subDone[s] {
 					return
 				}
 				p.Wait(&d.reapSig[s])
 				continue
 			}
-			it := d.reapQ[s][0]
-			d.reapQ[s] = d.reapQ[s][1:]
 			_, err := it.fut.Wait(p, offload.Interrupt)
 			end := p.Now()
 			budget := d.sc.FgSLO
 			if it.cls == BG {
 				budget = d.sc.BgSLO
+			}
+			if it.arrs == nil {
+				d.record(it.arr, it.cls, end-it.arr, budget, err != nil)
 			}
 			for _, arr := range it.arrs {
 				d.record(arr, it.cls, end-arr, budget, err != nil)

@@ -1,7 +1,9 @@
 package fleet
 
 import (
+	"math"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -107,6 +109,44 @@ func TestChaosScenarioFaultRecovery(t *testing.T) {
 	d := Run(df)
 	if af, dfN := failed(a), failed(d); dfN <= af {
 		t.Errorf("defused run failed %d ops vs armed %d: recovery is not what absorbs the plan", dfN, af)
+	}
+}
+
+// TestFleetArrivalAllocBudget pins the packetswitch host allocation
+// budget per arrival: the heap allocations of a run beyond those of a
+// set-up-only run (the same rig, tenants and buffers over a zero-length
+// schedule), divided by the arrivals. Device work items, waiter lists,
+// drain scratch and reap entries are all reused; what remains per arrival
+// is what a caller or a concurrent reader holds — a foreground op's
+// Future and Completion, a plane op's Completion, and the routing
+// Snapshot the plane drain republishes.
+func TestFleetArrivalAllocBudget(t *testing.T) {
+	const budget = 3.2
+	sc := Packetswitch().Scaled(testScale)
+	setup := sc
+	setup.Phases = []Phase{{Name: "setup", Kind: Steady, Mult: 1}}
+	mallocs := func(sc Scenario) (uint64, Result) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res := Run(sc)
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs, res
+	}
+	base, _ := mallocs(setup)
+	total, res := mallocs(sc)
+	var arrivals float64
+	for pi, ph := range res.Phases {
+		for _, kops := range ph.Offered {
+			arrivals += math.Round(kops * sc.Phases[pi].Dur.Seconds() * 1e3)
+		}
+	}
+	if arrivals == 0 {
+		t.Fatal("the run generated no arrivals")
+	}
+	if perOp := float64(total-base) / arrivals; perOp > budget {
+		t.Errorf("packetswitch allocated %.2f times per arrival over set-up, budget %.1f", perOp, budget)
+	} else {
+		t.Logf("%.3f allocations per arrival over %.0f arrivals", perOp, arrivals)
 	}
 }
 

@@ -33,7 +33,7 @@ func TestCRC32KnownVector(t *testing.T) {
 	}
 }
 
-func TestCRC32SlicedMatchesBitwiseQuick(t *testing.T) {
+func TestCRC32MatchesBitwiseQuick(t *testing.T) {
 	f := func(p []byte, seed uint32) bool {
 		return CRC32(seed, p) == CRC32Bitwise(seed, p)
 	}
@@ -49,6 +49,28 @@ func TestCRC32SeedContinuation(t *testing.T) {
 	if whole != part {
 		t.Fatalf("continued CRC %#x != whole %#x", part, whole)
 	}
+}
+
+// FuzzCRC32 checks the kernel against the bitwise reference for any
+// input and seed, and that splitting the input anywhere and continuing
+// from the first part's CRC gives the whole input's CRC.
+func FuzzCRC32(f *testing.F) {
+	f.Add([]byte("123456789"), uint32(0), uint16(4))
+	f.Add(make([]byte, 4096), uint32(0xFFFFFFFF), uint16(1000))
+	f.Add([]byte{}, uint32(7), uint16(0))
+	f.Fuzz(func(t *testing.T, p []byte, seed uint32, split uint16) {
+		want := CRC32Bitwise(seed, p)
+		if got := CRC32(seed, p); got != want {
+			t.Fatalf("CRC32(%#x, %d bytes) = %#x, bitwise %#x", seed, len(p), got, want)
+		}
+		k := int(split)
+		if k > len(p) {
+			k = len(p)
+		}
+		if got := CRC32(CRC32(seed, p[:k]), p[k:]); got != want {
+			t.Fatalf("CRC32 continued at %d of %d bytes = %#x, whole %#x", k, len(p), got, want)
+		}
+	})
 }
 
 func TestCRC16T10DIFKnownVector(t *testing.T) {
@@ -115,7 +137,7 @@ func TestCompare(t *testing.T) {
 	}
 }
 
-func BenchmarkCRC32Sliced4K(b *testing.B) {
+func BenchmarkCRC32_4K(b *testing.B) {
 	buf := make([]byte, 4096)
 	b.SetBytes(4096)
 	for i := 0; i < b.N; i++ {

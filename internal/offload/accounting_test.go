@@ -95,9 +95,10 @@ func accountingPaths() []accountingPath {
 // TestRecoveryAccountingAcrossPaths holds the Future, pipeline and plane
 // paths to one meaning of the recovery counters: Faults counts faulted
 // hardware completions (the device's own InjectedFaults tally), Retries
-// the re-submissions, and Failures the operations that ended failed — a
-// recovered operation adds none. "recovered" faults only the first
-// attempt; "terminal" faults every attempt.
+// the re-submissions, Failures the operations that ended failed — a
+// recovered operation adds none — and HWOps every hardware submission,
+// the one first submission plus each retry. "recovered" faults only the
+// first attempt; "terminal" faults every attempt.
 func TestRecoveryAccountingAcrossPaths(t *testing.T) {
 	storms := []struct {
 		name string
@@ -141,6 +142,9 @@ func TestRecoveryAccountingAcrossPaths(t *testing.T) {
 					if st.Faults != faulted || st.Retries != faulted-failures || st.Failures != failures {
 						t.Errorf("Faults/Retries/Failures = %d/%d/%d, want %d/%d/%d",
 							st.Faults, st.Retries, st.Failures, faulted, faulted-failures, failures)
+					}
+					if st.HWOps != 1+st.Retries {
+						t.Errorf("HWOps = %d, want 1 first submission + %d retries", st.HWOps, st.Retries)
 					}
 				})
 			}

@@ -188,9 +188,10 @@ func TestResolvedWaitZeroAllocs(t *testing.T) {
 // A warmed hardware Future round trip — Copy of 4 KB, then an interrupt
 // Wait — has a pinned host allocation budget, so a regression on the
 // submit→complete path trips here rather than only in the benchmark
-// harness.
+// harness: the Future and the Completion the caller holds, and the
+// Completion's first waiter list.
 func TestFutureCopyAllocBudget(t *testing.T) {
-	const budget = 6
+	const budget = 3
 	r := newRig(t, 1)
 	svc := r.service(t)
 	tn, err := svc.NewTenant()

@@ -100,9 +100,21 @@ type Plane struct {
 	// goroutines while the drain flips them engine-side.
 	dead []atomic.Bool
 
+	// drainOn marks the one running drain process; held/holding are its
+	// per-ring scratch (an entry popped but not yet WQ-accepted), owned by
+	// the plane so a drain burst allocates nothing. The drain exits only
+	// with pending at zero, so it leaves holding all false.
 	drainOn bool
+	held    []dsa.RingEntry
+	holding []bool
 	lastPub sim.Time
 	pubbed  bool
+
+	// drainFn and completedFn are pl.drain and pl.completed bound once:
+	// a method value allocates a closure per use, and every drain burst
+	// and every WQ acceptance passes one.
+	drainFn     func(p *sim.Proc)
+	completedFn func(c *dsa.Completion, tag uint64)
 }
 
 // Snapshot is the plane's published routing signal: the occupancy of
@@ -151,7 +163,10 @@ func (t *Tenant) NewPlane(nlanes int) (*Plane, error) {
 		ringTok: make([]*sim.Token, len(wqs)),
 		dead:    make([]atomic.Bool, len(wqs)),
 		all:     make([]int, len(wqs)),
+		held:    make([]dsa.RingEntry, len(wqs)),
+		holding: make([]bool, len(wqs)),
 	}
+	pl.drainFn, pl.completedFn = pl.drain, pl.completed
 	for i, wq := range wqs {
 		pl.rings[i] = wq.AttachRing(wq.Size)
 		pl.ringTok[i] = sim.NewToken(1)
@@ -414,7 +429,7 @@ func (pl *Plane) ensureDrain() {
 		return
 	}
 	pl.drainOn = true
-	pl.t.S.E.Go("plane-drain", pl.drain)
+	pl.t.S.E.Go("plane-drain", pl.drainFn)
 }
 
 // drain moves ring entries into the device WQs: pop, WQ.Submit (zero
@@ -428,8 +443,7 @@ func (pl *Plane) ensureDrain() {
 // republishes at the aggregation cadence; the process exits when the
 // rings run dry.
 func (pl *Plane) drain(p *sim.Proc) {
-	held := make([]dsa.RingEntry, len(pl.rings))
-	holding := make([]bool, len(pl.rings))
+	held, holding := pl.held, pl.holding
 	for {
 		progressed := false
 		blocked := false
@@ -464,7 +478,7 @@ func (pl *Plane) drain(p *sim.Proc) {
 					}
 					break
 				}
-				comp.SetOnDone(pl.completed, held[i].Tag)
+				comp.SetOnDone(pl.completedFn, held[i].Tag)
 				holding[i] = false
 				pl.inflight.Add(1)
 				pl.pending.Add(-1)
@@ -587,12 +601,17 @@ func (pl *Plane) completed(c *dsa.Completion, tag uint64) {
 
 // retry re-queues the unfinished remainder of a faulted plane submission
 // onto a live ring, carrying the original latency stamp so the recovered
-// op's SLO span includes every retry round trip. Returns false when no
-// ring can take it — the completion then surfaces as a failure.
+// op's SLO span includes every retry round trip. The remainder counts in
+// Stats.HWOps/HWBytes, as a Future or pipeline re-submission does through
+// Tenant.dispatch. Returns false when no ring can take it — the completion
+// then surfaces as a failure.
 func (pl *Plane) retry(c *dsa.Completion, rec dsa.CompletionRecord, tag uint64) bool {
-	if !pl.pushAny(remainderOf(*c.Desc(), rec), tagRetry(tag)) {
+	rem := remainderOf(*c.Desc(), rec)
+	if !pl.pushAny(rem, tagRetry(tag)) {
 		return false
 	}
+	pl.t.stats.hwOps.Add(1)
+	pl.t.stats.hwBytes.Add(rem.Size)
 	pl.t.retried()
 	pl.inflight.Add(-1)
 	pl.pending.Add(1)

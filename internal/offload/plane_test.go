@@ -201,10 +201,12 @@ func TestSubmitZeroAllocsParallel(t *testing.T) {
 }
 
 // A warmed plane operation — one SubmitStamped on a one-lane plane,
-// drained with WaitInflight — has a pinned host allocation budget; the
-// per-burst drain process comes from the engine's pool.
+// drained with WaitInflight — has a pinned host allocation budget: the
+// device Completion and the routing Snapshot (struct and occupancy slice)
+// the drain republishes. The drain process comes from the engine's pool
+// and its scratch and callbacks from the plane.
 func TestPlaneSubmitAllocBudget(t *testing.T) {
-	const budget = 10
+	const budget = 3
 	r, tn, pl := planeRig(t, 1, 1, offload.Bulk)
 	src, dst := tn.Alloc(32<<10), tn.Alloc(32<<10)
 	d := dsa.Descriptor{Op: dsa.OpMemmove, Src: src.Addr(0), Dst: dst.Addr(0), Size: 32 << 10}

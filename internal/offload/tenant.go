@@ -201,22 +201,29 @@ type submitCfg struct {
 	flags   dsa.Flags
 }
 
-// OpOption customizes one operation.
-type OpOption func(*submitCfg)
+// OpOption customizes one operation. Options take and return the config
+// by value, so resolving them leaks nothing to the heap.
+type OpOption func(submitCfg) submitCfg
 
 // On forces the execution path (overriding the Auto policy).
-func On(path Path) OpOption { return func(c *submitCfg) { c.path = path } }
+func On(path Path) OpOption {
+	return func(c submitCfg) submitCfg { c.path = path; return c }
+}
 
 // NoBatch bypasses the AutoBatcher for this operation.
-func NoBatch() OpOption { return func(c *submitCfg) { c.noBatch = true } }
+func NoBatch() OpOption {
+	return func(c submitCfg) submitCfg { c.noBatch = true; return c }
+}
 
 // OpFlags ORs extra descriptor flags into this operation.
-func OpFlags(f dsa.Flags) OpOption { return func(c *submitCfg) { c.flags = f } }
+func OpFlags(f dsa.Flags) OpOption {
+	return func(c submitCfg) submitCfg { c.flags = f; return c }
+}
 
 func opCfg(opts []OpOption) submitCfg {
 	var c submitCfg
 	for _, o := range opts {
-		o(&c)
+		c = o(c)
 	}
 	return c
 }

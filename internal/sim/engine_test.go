@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"testing/quick"
 	"time"
 )
 
@@ -271,6 +272,52 @@ func TestFIFO(t *testing.T) {
 		if !ok || v != i {
 			t.Fatalf("Pop #%d = %d,%v", i, v, ok)
 		}
+	}
+}
+
+// Property: over any interleaving of pushes and pops, the head-indexed
+// FIFO behaves exactly like a plain slice queue — same pops, same Len and
+// Peek — and a popped slot never pins its item.
+func TestFIFOMatchesSliceQuick(t *testing.T) {
+	f := func(ops []byte) bool {
+		var q FIFO[*int]
+		var ref []*int
+		next := 0
+		for _, op := range ops {
+			if op%3 != 0 { // push twice as often as pop, so queues grow
+				v := next
+				next++
+				q.Push(&v)
+				ref = append(ref, &v)
+			} else {
+				got, ok := q.Pop()
+				if ok != (len(ref) > 0) {
+					return false
+				}
+				if ok {
+					if got != ref[0] {
+						return false
+					}
+					ref = ref[1:]
+				}
+			}
+			if q.Len() != len(ref) {
+				return false
+			}
+			head, ok := q.Peek()
+			if ok != (len(ref) > 0) || (ok && head != ref[0]) {
+				return false
+			}
+			for i := 0; i < q.head; i++ {
+				if q.items[i] != nil {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -174,13 +174,15 @@ type Signal struct {
 }
 
 // Broadcast wakes every process currently waiting on s. Wake-ups are
-// scheduled at the current instant in wait order.
+// scheduled at the current instant in wait order. A woken process runs
+// only when its wake event fires, so nothing joins s during the loop and
+// the waiter slice is cleared and reused by the next round of waits.
 func (s *Signal) Broadcast(e *Engine) {
-	ws := s.waiters
-	s.waiters = nil
-	for _, p := range ws {
+	for i, p := range s.waiters {
 		e.After(0, p.wake)
+		s.waiters[i] = nil
 	}
+	s.waiters = s.waiters[:0]
 }
 
 // Waiters reports how many processes are parked on s.

@@ -95,33 +95,49 @@ func (tk *Token) Acquire(t Time, hold Time) Time {
 func (tk *Token) Size() int { return len(tk.free) }
 
 // FIFO is an unbounded deterministic queue of arbitrary items, used as the
-// backing store for work queues and ring buffers in the model.
+// backing store for work queues and ring buffers in the model. Pop is O(1):
+// it advances a head index over the backing array instead of shifting it,
+// and Push compacts the live items to the front once the array is full and
+// at least half of it is popped slots, so every operation is amortized O(1)
+// and a steady push/pop stream reuses one backing array.
 type FIFO[T any] struct {
 	items []T
+	head  int // index of the queue head within items
 }
 
 // Push appends v to the tail of the queue.
-func (q *FIFO[T]) Push(v T) { q.items = append(q.items, v) }
+func (q *FIFO[T]) Push(v T) {
+	if q.head > 0 && len(q.items) == cap(q.items) && 2*q.head >= len(q.items) {
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[n:]) // drop stale references for the GC
+		q.items = q.items[:n]
+		q.head = 0
+	}
+	q.items = append(q.items, v)
+}
 
 // Pop removes and returns the head of the queue; ok is false when empty.
 func (q *FIFO[T]) Pop() (v T, ok bool) {
-	if len(q.items) == 0 {
+	if q.head == len(q.items) {
 		return v, false
 	}
-	v = q.items[0]
-	// Shift rather than reslice forever; queues in this model stay small.
-	copy(q.items, q.items[1:])
-	q.items = q.items[:len(q.items)-1]
+	v = q.items[q.head]
+	var zero T
+	q.items[q.head] = zero // the popped slot must not pin its item
+	q.head++
+	if q.head == len(q.items) {
+		q.items, q.head = q.items[:0], 0
+	}
 	return v, true
 }
 
 // Peek returns the head without removing it.
 func (q *FIFO[T]) Peek() (v T, ok bool) {
-	if len(q.items) == 0 {
+	if q.head == len(q.items) {
 		return v, false
 	}
-	return q.items[0], true
+	return q.items[q.head], true
 }
 
 // Len returns the number of queued items.
-func (q *FIFO[T]) Len() int { return len(q.items) }
+func (q *FIFO[T]) Len() int { return len(q.items) - q.head }

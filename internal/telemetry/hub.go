@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"fmt"
+	"math"
 
 	"dsasim/internal/sim"
 )
@@ -35,6 +36,19 @@ type Hub struct {
 	names   []string
 	digests []*Digest
 	shards  []*Shard
+
+	// dirty lists the shards that recorded since the last merge, so the
+	// merge costs in proportion to the buffered samples rather than to
+	// every shard ever registered (churned recorders keep theirs).
+	dirty []*Shard
+
+	// nextRoll is a lower bound on every opened digest's next window
+	// boundary: before it, Sync's rotation pass would only make no-op
+	// advance2 calls, so it is skipped. A digest's boundary never moves
+	// earlier, so the bound is lowered only where a merged sample opens a
+	// digest (Hub.noteOpen) and recomputed after each rotation pass. Hub
+	// digests must therefore be recorded into through shards only.
+	nextRoll sim.Time
 
 	// cadence, when positive, rate-limits the shard→digest merge: a Sync
 	// within cadence of the last merge returns without draining, so hot
@@ -86,7 +100,7 @@ func (h *Hub) Digest(id ID) *Digest {
 // recording context (one per device plane, one per tenant) gets its own
 // shard so the hot path is a couple of array writes with no sharing.
 func (h *Hub) NewShard() *Shard {
-	s := &Shard{h: h}
+	s := &Shard{h: h, idx: len(h.shards)}
 	h.shards = append(h.shards, s)
 	return s
 }
@@ -108,56 +122,98 @@ func (h *Hub) Sync(now sim.Time) {
 	}
 	h.lastSync, h.synced = now, true
 	h.merge()
+	if now < h.nextRoll {
+		return
+	}
+	next := sim.Time(math.MaxInt64)
 	for _, d := range h.digests {
 		d.advance2(now)
+		if d.opened && d.start+d.window < next {
+			next = d.start + d.window
+		}
 	}
+	h.nextRoll = next
 }
 
 // merge is the k-way shard drain: repeatedly take the buffered sample with
-// the smallest timestamp across all shards (earliest-registered shard wins
-// ties) and record it into its digest. With strictly increasing recording
-// timestamps the merged order equals the global recording order whatever
-// shard each sample landed on, which is what makes the order-sensitive
-// EWMA view shard-count-invariant. Linear scan per pop: shard counts are
-// small (one per device plane plus one per tenant) and buffers are 64
-// deep, and it keeps the merge allocation-free.
+// the smallest timestamp across the dirty shards (earliest-registered
+// shard wins ties) and record it into its digest. With strictly increasing
+// recording timestamps the merged order equals the global recording order
+// whatever shard each sample landed on, which is what makes the
+// order-sensitive EWMA view shard-count-invariant. Each scan over the
+// shards holding samples finds the earliest head and the earliest head
+// among the rest; the first shard then drains until its head no longer
+// precedes that one, so a scan is paid per switch between shards rather
+// than per sample. Allocation-free.
 func (h *Hub) merge() {
 	for {
-		var best *Shard
-		for _, s := range h.shards {
-			if s.pos < s.n && (best == nil || s.buf[s.pos].at < best.buf[best.pos].at) {
-				best = s
+		var best, next *Shard
+		var bestAt, nextAt sim.Time
+		for _, s := range h.dirty {
+			if s.pos == s.n {
+				continue
+			}
+			switch at := s.buf[s.pos].at; {
+			case best == nil || at < bestAt || at == bestAt && s.idx < best.idx:
+				next, nextAt = best, bestAt
+				best, bestAt = s, at
+			case next == nil || at < nextAt || at == nextAt && s.idx < next.idx:
+				next, nextAt = s, at
 			}
 		}
 		if best == nil {
 			break
 		}
-		b := &best.buf[best.pos]
-		best.pos++
-		h.digests[b.id].Record(b.at, b.v)
+		for best.pos < best.n {
+			b := &best.buf[best.pos]
+			if next != nil && (b.at > nextAt || b.at == nextAt && best.idx > next.idx) {
+				break
+			}
+			best.pos++
+			d := h.digests[b.id]
+			h.noteOpen(d, b.at)
+			d.Record(b.at, b.v)
+		}
 	}
-	for _, s := range h.shards {
-		s.n, s.pos = 0, 0
+	for _, s := range h.dirty {
+		s.n, s.pos, s.dirty = 0, 0, false
+	}
+	h.dirty = h.dirty[:0]
+}
+
+// noteOpen lowers the rotation bound when a sample at instant at is about
+// to open digest d, whose first window then ends at at+window.
+func (h *Hub) noteOpen(d *Digest, at sim.Time) {
+	if !d.opened && at+d.window < h.nextRoll {
+		h.nextRoll = at + d.window
 	}
 }
 
 // Shard is a shard-local recording buffer: Record appends into a fixed
 // array, and the buffer merges into the hub's digests when it fills or at
-// the next Sync. No locks, no allocations, no cross-shard sharing on the
-// recording path.
+// the next Sync. No locks and no allocations on the recording path; the
+// only hub state it touches is the dirty list, once per merge interval.
 type Shard struct {
-	h   *Hub
-	n   int
-	pos int // merge cursor into buf, owned by Hub.merge
-	buf [shardBuf]sample
+	h     *Hub
+	idx   int  // registration index, the merge's tie-break
+	dirty bool // listed on h.dirty since the last merge
+	n     int
+	pos   int // merge cursor into buf, owned by Hub.merge
+	buf   [shardBuf]sample
 }
 
-// Record buffers one sample for the stream. Flushes inline when the
-// buffer fills — the overflow fallback merges this shard's samples in
+// Record buffers one sample for the stream. The first Record after a
+// merge lists the shard on the hub's dirty list, an append that allocates
+// only while the list grows to its high-water mark. Flushes inline when
+// the buffer fills — the overflow fallback merges this shard's samples in
 // recording order ahead of the next Sync (still allocation-free, since
 // digests record in place); size the sync cadence so the common case
 // stays under one buffer per merge.
 func (s *Shard) Record(id ID, at sim.Time, v int64) {
+	if !s.dirty {
+		s.dirty = true
+		s.h.dirty = append(s.h.dirty, s)
+	}
 	s.buf[s.n] = sample{id: id, at: at, v: v}
 	s.n++
 	if s.n == shardBuf {
@@ -170,7 +226,9 @@ func (s *Shard) Record(id ID, at sim.Time, v int64) {
 func (s *Shard) flush() {
 	for i := 0; i < s.n; i++ {
 		b := &s.buf[i]
-		s.h.digests[b.id].Record(b.at, b.v)
+		d := s.h.digests[b.id]
+		s.h.noteOpen(d, b.at)
+		d.Record(b.at, b.v)
 	}
 	s.n, s.pos = 0, 0
 }

@@ -247,6 +247,154 @@ func TestHubSyncCadence(t *testing.T) {
 	}
 }
 
+// TestHubMergeMatchesFullScan checks the dirty-shard merge and the skipped
+// rotation pass against a reference that scans every registered shard on
+// each merge and rotates every digest on each Sync. 96 shards are
+// registered and a handful record, several at equal timestamps (the
+// registration-order tie-break), one overflows its buffer mid-interval,
+// one stream opens late, and idle gaps span single windows and the whole
+// ring. After every Sync each digest's full state must equal the
+// reference's.
+func TestHubMergeMatchesFullScan(t *testing.T) {
+	const nShards, nStreams = 96, 5
+	cadence := 2 * time.Microsecond
+	h := NewHub(0)
+	h.SetSyncCadence(cadence)
+	ref := make([]*Digest, nStreams)
+	for i := range ref {
+		h.Stream("s")
+		ref[i] = NewDigest(h.Window())
+	}
+	shards := make([]*Shard, nShards)
+	for i := range shards {
+		shards[i] = h.NewShard()
+	}
+	refBuf := make([][]sample, nShards)
+	var refLast sim.Time
+	refSynced := false
+
+	record := func(si int, id ID, at sim.Time, v int64) {
+		shards[si].Record(id, at, v)
+		refBuf[si] = append(refBuf[si], sample{id: id, at: at, v: v})
+		if len(refBuf[si]) == shardBuf { // the overflow flush, in recording order
+			for _, b := range refBuf[si] {
+				ref[b.id].Record(b.at, b.v)
+			}
+			refBuf[si] = refBuf[si][:0]
+		}
+	}
+	refSync := func(now sim.Time) {
+		if refSynced && now < refLast+cadence {
+			return
+		}
+		refLast, refSynced = now, true
+		for {
+			best := -1
+			for i := range refBuf {
+				if len(refBuf[i]) > 0 && (best < 0 || refBuf[i][0].at < refBuf[best][0].at) {
+					best = i
+				}
+			}
+			if best < 0 {
+				break
+			}
+			b := refBuf[best][0]
+			refBuf[best] = refBuf[best][1:]
+			ref[b.id].Record(b.at, b.v)
+		}
+		for i := range refBuf {
+			refBuf[i] = refBuf[i][:0]
+		}
+		for _, d := range ref {
+			d.advance2(now)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(15))
+	active := []int{3, 17, 40, 41, 95}
+	at := sim.Time(0)
+	samples := 0
+	for step := 0; step < 4000; step++ {
+		switch {
+		case step == 1500:
+			at += 120 * time.Microsecond // idle across a few windows
+		case step == 2500:
+			at += 900 * time.Microsecond // idle past the whole ring
+		default:
+			at += sim.Time(1+rng.Intn(300)) * time.Nanosecond
+		}
+		streams := nStreams - 1
+		if step > 3000 {
+			streams = nStreams // the last stream opens late
+		}
+		// One to three active shards record at the same instant.
+		for k := 1 + rng.Intn(3); k > 0; k-- {
+			si := active[rng.Intn(len(active))]
+			record(si, ID(rng.Intn(streams)), at, int64(rng.ExpFloat64()*3000))
+			samples++
+		}
+		if step == 2000 {
+			// A burst that overflows one shard's buffer between merges.
+			for k := 0; k < shardBuf+6; k++ {
+				record(40, ID(k%streams), at, int64(k))
+				samples++
+			}
+		}
+		if step%7 == 0 {
+			h.Sync(at)
+			refSync(at)
+			for i, d := range ref {
+				if got := h.Digest(ID(i)); *got != *d {
+					t.Fatalf("step %d: stream %d diverges from the full-scan merge", step, i)
+				}
+			}
+		}
+	}
+	end := at + time.Millisecond
+	h.Sync(end)
+	refSync(end)
+	total := int64(0)
+	for i, d := range ref {
+		got := h.Digest(ID(i))
+		if *got != *d {
+			t.Fatalf("final: stream %d diverges from the full-scan merge", i)
+		}
+		total += got.Count()
+	}
+	if total != int64(samples) {
+		t.Fatalf("merged %d samples, recorded %d", total, samples)
+	}
+}
+
+// BenchmarkHubSyncIdleShards times one Sync merging 16 samples from each
+// of 4 recording shards while 92 more registered shards sit idle, the
+// shape of a churned fleet run whose retired tenants keep their shards.
+func BenchmarkHubSyncIdleShards(b *testing.B) {
+	const nShards, nDirty, perShard = 96, 4, 16
+	h := NewHub(0)
+	ids := make([]ID, nDirty)
+	for i := range ids {
+		ids[i] = h.Stream("s")
+	}
+	shards := make([]*Shard, nShards)
+	for i := range shards {
+		shards[i] = h.NewShard()
+	}
+	var at sim.Time
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k := 0; k < nDirty; k++ {
+			sh := shards[k*nShards/nDirty]
+			for j := 0; j < perShard; j++ {
+				at += 100
+				sh.Record(ids[k], at, int64(j))
+			}
+		}
+		h.Sync(at)
+	}
+}
+
 // TestDigestWindowRotationAndRate checks that quantile views age out old
 // windows and that Rate reflects the live ring, not all-time history.
 func TestDigestWindowRotationAndRate(t *testing.T) {
