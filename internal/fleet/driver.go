@@ -26,13 +26,22 @@ const (
 // reapItem is one outstanding submission a shard's reaper must resolve:
 // the future, the scheduled arrival instant of every operation it
 // carries, and the class the latencies score against. A foreground op
-// carries its one arrival inline in arr; a broker pipeline carries its
-// Burst arrivals in arrs.
+// carries its one arrival inline in arr; a broker burst carries its
+// arrivals in burst.arrs.
 type reapItem struct {
-	fut  *offload.Future
-	arr  sim.Time
-	arrs []sim.Time
-	cls  Class
+	fut   *offload.Future
+	arr   sim.Time
+	burst *brokerBurst
+	cls   Class
+}
+
+// brokerBurst is one compiled broker pipeline — per message a CopyCRC from
+// the bound producer slot into scratch, then a fenced copy to the bound
+// consumer slot — with the arrival instants of the burst it carries.
+type brokerBurst struct {
+	pl       *offload.Pipeline
+	src, dst []offload.Ref
+	arrs     []sim.Time
 }
 
 // pendingMsg is a broker message waiting for its burst to fill.
@@ -71,6 +80,10 @@ type driver struct {
 	reapQ   []sim.FIFO[reapItem]
 	reapSig []sim.Signal
 	subDone []bool
+
+	// bursts is each shard's free list of idle full-Burst broker
+	// pipelines, compiled once and rebound per burst.
+	bursts [][]*brokerBurst
 
 	// retired holds churned-out tenants so their SLO counters are
 	// harvested at the end, after late futures resolve.
@@ -150,6 +163,7 @@ func newDriver(sc Scenario) *driver {
 	d.reapQ = make([]sim.FIFO[reapItem], sc.Shards)
 	d.reapSig = make([]sim.Signal, sc.Shards)
 	d.subDone = make([]bool, sc.Shards)
+	d.bursts = make([][]*brokerBurst, sc.Shards)
 	return d
 }
 
@@ -285,34 +299,60 @@ func (d *driver) bgOp(p *sim.Proc, s, pi int, at sim.Time, ci int, pending *[]pe
 }
 
 // flushBurst fuses the shard's pending broker messages into one
-// CRC→copy pipeline DAG (per message: CopyCRC into scratch, fenced copy
-// to the consumer slab) and submits it for one admission token. A shed
-// DAG sheds every message it carried, each against its own arrival's
-// phase.
+// CRC→copy pipeline DAG and submits it for one admission token. A full
+// burst rebinds an idle compiled pipeline from the shard's free list; only
+// the end-of-schedule short burst builds a one-off. A shed DAG sheds every
+// message it carried, each against its own arrival's phase.
 func (d *driver) flushBurst(p *sim.Proc, s int, pending *[]pendingMsg) {
 	msgs := *pending
 	if len(msgs) == 0 {
 		return
 	}
-	pl := d.front.NewPipeline()
-	arrs := make([]sim.Time, len(msgs))
+	var bb *brokerBurst
+	if free := d.bursts[s]; len(msgs) == d.sc.Burst && len(free) > 0 {
+		bb, d.bursts[s] = free[len(free)-1], free[:len(free)-1]
+	} else {
+		bb = d.newBurst(len(msgs))
+	}
 	b := &d.bufs[s]
+	bb.arrs = bb.arrs[:0]
 	for i, m := range msgs {
-		arrs[i] = m.arr
+		bb.arrs = append(bb.arrs, m.arr)
 		srcSock, dstSock, off := d.route(m.conn)
-		staged := pl.Scratch(d.sc.BgSize)
-		crc := pl.CopyCRC(staged, offload.At(b.src[srcSock].Addr(off)), d.sc.BgSize, 0)
-		pl.Copy(offload.At(b.dst[dstSock].Addr(off)), staged, d.sc.BgSize, offload.After(crc))
+		bb.pl.Bind(bb.src[i], b.src[srcSock].Addr(off))
+		bb.pl.Bind(bb.dst[i], b.dst[dstSock].Addr(off))
 	}
 	*pending = msgs[:0]
-	fut, err := pl.Submit(p)
+	fut, err := bb.pl.Submit(p)
 	if err != nil {
-		for _, arr := range arrs {
+		for _, arr := range bb.arrs {
 			d.acc[d.phaseAt(arr)][BG].shed++
 		}
+		d.release(s, bb)
 		return
 	}
-	d.enqueue(s, reapItem{fut: fut, arrs: arrs, cls: BG})
+	d.enqueue(s, reapItem{fut: fut, burst: bb, cls: BG})
+}
+
+// newBurst declares an n-message broker pipeline.
+func (d *driver) newBurst(n int) *brokerBurst {
+	pl := d.front.NewPipeline()
+	bb := &brokerBurst{pl: pl, src: make([]offload.Ref, n), dst: make([]offload.Ref, n), arrs: make([]sim.Time, 0, n)}
+	for i := range bb.src {
+		staged := pl.Scratch(d.sc.BgSize)
+		bb.src[i], bb.dst[i] = pl.Arg(), pl.Arg()
+		crc := pl.CopyCRC(staged, bb.src[i], d.sc.BgSize, 0)
+		pl.Copy(bb.dst[i], staged, d.sc.BgSize, offload.After(crc))
+	}
+	return bb
+}
+
+// release returns an idle full-Burst pipeline to the shard's free list;
+// the short end-of-schedule burst is dropped.
+func (d *driver) release(s int, bb *brokerBurst) {
+	if len(bb.src) == d.sc.Burst {
+		d.bursts[s] = append(d.bursts[s], bb)
+	}
 }
 
 // churnTenant retires one random foreground tenant and binds a
@@ -358,12 +398,14 @@ func (d *driver) reaper(s int) func(p *sim.Proc) {
 			if it.cls == BG {
 				budget = d.sc.BgSLO
 			}
-			if it.arrs == nil {
+			if it.burst == nil {
 				d.record(it.arr, it.cls, end-it.arr, budget, err != nil)
+				continue
 			}
-			for _, arr := range it.arrs {
+			for _, arr := range it.burst.arrs {
 				d.record(arr, it.cls, end-arr, budget, err != nil)
 			}
+			d.release(s, it.burst)
 		}
 	}
 }

@@ -112,17 +112,12 @@ func TestChaosScenarioFaultRecovery(t *testing.T) {
 	}
 }
 
-// TestFleetArrivalAllocBudget pins the packetswitch host allocation
-// budget per arrival: the heap allocations of a run beyond those of a
-// set-up-only run (the same rig, tenants and buffers over a zero-length
-// schedule), divided by the arrivals. Device work items, waiter lists,
-// drain scratch and reap entries are all reused; what remains per arrival
-// is what a caller or a concurrent reader holds — a foreground op's
-// Future and Completion, a plane op's Completion, and the routing
-// Snapshot the plane drain republishes.
-func TestFleetArrivalAllocBudget(t *testing.T) {
-	const budget = 3.2
-	sc := Packetswitch().Scaled(testScale)
+// allocsPerArrival is a scenario's host allocation cost per arrival: the
+// heap allocations of a run beyond those of a set-up-only run (the same
+// rig, tenants and buffers over a zero-length schedule), divided by the
+// arrivals.
+func allocsPerArrival(t *testing.T, sc Scenario) float64 {
+	t.Helper()
 	setup := sc
 	setup.Phases = []Phase{{Name: "setup", Kind: Steady, Mult: 1}}
 	mallocs := func(sc Scenario) (uint64, Result) {
@@ -143,10 +138,32 @@ func TestFleetArrivalAllocBudget(t *testing.T) {
 	if arrivals == 0 {
 		t.Fatal("the run generated no arrivals")
 	}
-	if perOp := float64(total-base) / arrivals; perOp > budget {
+	perOp := float64(total-base) / arrivals
+	t.Logf("%.3f allocations per arrival over %.0f arrivals", perOp, arrivals)
+	return perOp
+}
+
+// TestFleetArrivalAllocBudget pins the packetswitch host allocation
+// budget per arrival. Device work items, waiter lists, drain scratch and
+// reap entries are all reused; what remains per arrival is what a caller
+// or a concurrent reader holds — a foreground op's Future and Completion,
+// a plane op's Completion, and the routing Snapshot the plane drain
+// republishes.
+func TestFleetArrivalAllocBudget(t *testing.T) {
+	const budget = 2.5
+	if perOp := allocsPerArrival(t, Packetswitch().Scaled(testScale)); perOp > budget {
 		t.Errorf("packetswitch allocated %.2f times per arrival over set-up, budget %.1f", perOp, budget)
-	} else {
-		t.Logf("%.3f allocations per arrival over %.0f arrivals", perOp, arrivals)
+	}
+}
+
+// TestFleetBrokerAllocBudget pins the msgbroker host allocation budget
+// per arrival. Each shard rebinds idle compiled broker pipelines instead
+// of building one per burst, so what remains per burst is the pipeline's
+// Future plus the chain's submission and the device's batch state.
+func TestFleetBrokerAllocBudget(t *testing.T) {
+	const budget = 3.0
+	if perOp := allocsPerArrival(t, Msgbroker().Scaled(testScale)); perOp > budget {
+		t.Errorf("msgbroker allocated %.2f times per arrival over set-up, budget %.1f", perOp, budget)
 	}
 }
 

@@ -60,11 +60,13 @@ type Future struct {
 	// record each one resolves from.
 	sharedWait *batchWait
 
-	// run, when non-nil, marks a pipeline future: the result is produced by
-	// the pipeline driver process (pipeline.go), which walks the DAG's
-	// chains on the sim timeline and broadcasts run.sig when the final
-	// chain completes. Done and Wait read the run instead of a completion.
-	run *pipeRun
+	// pipe marks a pipeline future, whose run state lives here so it
+	// outlives the pipeline's reuse: the pipeline driver process
+	// (pipeline.go) walks the DAG's chains on the sim timeline, writes res
+	// and err, sets ran and broadcasts sig when the final chain completes.
+	// Done and Wait read ran instead of a completion.
+	pipe, ran bool
+	sig       sim.Signal
 
 	// parts joins the per-socket sub-batches of one split batch
 	// submission (batch.go): the Future is done when every part is, and
@@ -85,8 +87,8 @@ func (f *Future) Done() bool {
 	if f.done {
 		return true
 	}
-	if f.run != nil {
-		return f.run.done
+	if f.pipe {
+		return f.ran
 	}
 	if f.parts != nil {
 		for _, part := range f.parts {
@@ -107,13 +109,13 @@ func (f *Future) Wait(p *sim.Proc, mode WaitMode) (Result, error) {
 	if f.done {
 		return f.res, f.err
 	}
-	if f.run != nil {
+	if f.pipe {
 		// The driver process pays the per-chain wait costs; the caller just
 		// parks until the run resolves (event-driven, allocation-free).
-		for !f.run.done {
-			p.Wait(&f.run.sig)
+		for !f.ran {
+			p.Wait(&f.sig)
 		}
-		f.done, f.res, f.err = true, f.run.res, f.run.err
+		f.done = true
 		f.res.Duration = p.Now() - f.start
 		f.t.recordSLO(f.res.Duration)
 		return f.res, f.err
@@ -208,21 +210,6 @@ func joinFutures(parts []*Future) *Future {
 type batchWait struct {
 	paid        bool // wait cost charged by the first waiter
 	failCounted bool // batch failure counted once toward Stats.Failures
-}
-
-// pipeRun is the driver-side state of one in-flight pipeline submission.
-type pipeRun struct {
-	done bool
-	res  Result
-	err  error
-	sig  sim.Signal
-}
-
-// finish resolves the run and wakes every waiter.
-func (r *pipeRun) finish(e *sim.Engine, res Result, err error) {
-	r.res, r.err = res, err
-	r.done = true
-	r.sig.Broadcast(e)
 }
 
 // resolve decodes the completion record into the memoized result. Every

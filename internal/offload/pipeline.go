@@ -30,13 +30,15 @@ import (
 	"dsasim/internal/sim"
 )
 
-// Ref names one stage operand: either a fixed address that exists before
-// the pipeline runs (At), or a scratch intermediate the pipeline allocates
-// on the placement-chosen socket at Submit (Pipeline.Scratch). The zero Ref
-// means "operand unused".
+// Ref names one stage operand: a fixed address that exists before the
+// pipeline runs (At), a scratch intermediate the pipeline allocates on the
+// placement-chosen socket at Submit (Pipeline.Scratch), or an argument whose
+// address is bound before each Submit (Pipeline.Arg). The zero Ref means
+// "operand unused".
 type Ref struct {
 	addr mem.Addr
-	sc   int // 1+index into the pipeline's scratch declarations; 0 = fixed
+	sc   int // 1+index into the pipeline's scratch declarations; 0 = not scratch
+	arg  int // 1+index into the pipeline's Arg declarations; 0 = not an Arg
 	off  int64
 }
 
@@ -157,11 +159,12 @@ type pstage struct {
 	result uint64
 }
 
-// Pipeline is one declared DAG. Declare stages once, then Submit per
-// iteration: a pipeline is reusable after its Future resolves (scratch
-// buffers recycle through the tenant pool and stage state is reset), which
-// keeps steady-state submission allocation-light. A Pipeline must not be
-// re-submitted while a previous submission is still in flight.
+// Pipeline is one declared DAG. Declare it once, then Bind and Submit per
+// iteration. The first Submit compiles the shape (level order and driver);
+// declaring a stage after it is an error. A pipeline is reusable once its
+// Future resolves: scratch buffers recycle through the tenant pool and
+// stage state is reset, so resubmission allocates only the Future the
+// caller holds. Submitting while a run is still in flight is an error.
 type Pipeline struct {
 	t      *Tenant
 	stages []pstage
@@ -169,6 +172,12 @@ type Pipeline struct {
 
 	scratchSizes []int64
 	scratchBufs  []*mem.Buffer
+	args         []mem.Addr // bound Arg addresses; 0 = unbound
+
+	// driver is pl.drive, bound by the first Submit; non-nil marks the
+	// shape compiled. cur is the in-flight run's Future, nil when idle.
+	driver func(*sim.Proc)
+	cur    *Future
 
 	// Reused driver buffers.
 	order    []int
@@ -201,6 +210,24 @@ func (pl *Pipeline) FailedStage() int { return pl.failed }
 func (pl *Pipeline) Scratch(size int64) Ref {
 	pl.scratchSizes = append(pl.scratchSizes, size)
 	return Ref{sc: len(pl.scratchSizes)}
+}
+
+// Arg declares an operand whose address is supplied by Bind before Submit.
+// A bound Arg is a fixed leg for placement, so one compiled pipeline serves
+// every burst of a recurring shape, each with its own buffers.
+func (pl *Pipeline) Arg() Ref {
+	pl.args = append(pl.args, 0)
+	return Ref{arg: len(pl.args)}
+}
+
+// Bind sets the address of an Arg operand for the following submissions.
+// It must not be called while a submission is in flight.
+func (pl *Pipeline) Bind(r Ref, a mem.Addr) {
+	if r.arg == 0 || r.arg > len(pl.args) {
+		pl.err = fmt.Errorf("offload: Bind of an operand that is not a pipeline Arg")
+		return
+	}
+	pl.args[r.arg-1] = a
 }
 
 // add appends one stage, computing its DAG level from its dependencies.
@@ -316,10 +343,13 @@ func (pl *Pipeline) Home() int { return pl.home }
 
 // resolve maps a Ref to its concrete address for the current submission.
 func (pl *Pipeline) resolve(r Ref) mem.Addr {
-	if r.sc == 0 {
-		return r.addr + mem.Addr(r.off)
+	switch {
+	case r.sc != 0:
+		return pl.scratchBufs[r.sc-1].Addr(r.off)
+	case r.arg != 0:
+		return pl.args[r.arg-1] + mem.Addr(r.off)
 	}
-	return pl.scratchBufs[r.sc-1].Addr(r.off)
+	return r.addr + mem.Addr(r.off)
 }
 
 // homeSocket scores candidate sockets for this submission by the fixed data
@@ -341,13 +371,14 @@ func (pl *Pipeline) homeSocket() int {
 	return PipelineSocket(t.S.topo, pl.legs, fallback)
 }
 
-// addLeg records one fixed operand as a placement leg; scratch operands are
-// skipped — they live wherever the pipeline lands, by construction.
+// addLeg records one fixed or bound operand as a placement leg; scratch
+// operands are skipped — they live wherever the pipeline lands, by
+// construction.
 func (pl *Pipeline) addLeg(r Ref, size int64, write bool) {
 	if !r.set() || r.sc != 0 {
 		return
 	}
-	n := pl.t.AS.NodeAt(r.addr + mem.Addr(r.off))
+	n := pl.t.AS.NodeAt(pl.resolve(r))
 	if n == nil {
 		return
 	}
@@ -373,20 +404,33 @@ func (pl *Pipeline) buildOrder() {
 	}
 }
 
-// Submit places, compiles, and launches the pipeline, returning a Future
-// that resolves when the final stage completes. The whole DAG costs one
-// admission token. The driver runs as its own sim process: consecutive
-// device levels are fused into fenced batch chains — one portal write and
-// one completion wait per chain — with software stages executed between
-// chains. Submit returns as soon as the driver is launched, so callers can
-// keep several pipelines in flight.
+// Submit places and launches the pipeline, compiling it first if this is
+// its first submission, and returns a Future that resolves when the final
+// stage completes. The whole DAG costs one admission token. The driver runs
+// as its own sim process: consecutive device levels are fused into fenced
+// batch chains — one portal write and one completion wait per chain — with
+// software stages executed between chains. Submit returns as soon as the
+// driver is launched, so callers can keep several pipelines in flight.
 func (pl *Pipeline) Submit(p *sim.Proc) (*Future, error) {
 	t := pl.t
-	if pl.err != nil {
+	switch {
+	case pl.err != nil:
 		return nil, pl.err
-	}
-	if len(pl.stages) == 0 {
+	case len(pl.stages) == 0:
 		return nil, fmt.Errorf("offload: empty pipeline")
+	case pl.driver != nil && len(pl.order) != len(pl.stages):
+		return nil, fmt.Errorf("offload: pipeline stage declared after its first Submit")
+	case pl.cur != nil && !t.closed.Load(): // admit refuses a closed tenant
+		return nil, fmt.Errorf("offload: pipeline submitted while its previous run is in flight")
+	}
+	for i, a := range pl.args {
+		if a == 0 {
+			return nil, fmt.Errorf("offload: pipeline Arg %d is unbound", i)
+		}
+	}
+	if pl.driver == nil {
+		pl.buildOrder()
+		pl.driver = pl.drive
 	}
 	if err := t.admit(p); err != nil {
 		return nil, err
@@ -401,13 +445,9 @@ func (pl *Pipeline) Submit(p *sim.Proc) (*Future, error) {
 		pl.stages[i].result = 0
 	}
 	pl.failed = -1
-	pl.buildOrder()
-	run := &pipeRun{}
-	f := &Future{t: t, run: run, op: dsa.OpBatch, start: p.Now()}
-	t.S.E.Go("pipeline", func(dp *sim.Proc) {
-		pl.drive(dp, run)
-	})
-	return f, nil
+	pl.cur = &Future{t: t, pipe: true, op: dsa.OpBatch, start: p.Now()}
+	t.S.E.Go("pipeline", pl.driver)
+	return pl.cur, nil
 }
 
 // drive walks the DAG level by level: device stages accumulate into the
@@ -418,74 +458,13 @@ func (pl *Pipeline) Submit(p *sim.Proc) (*Future, error) {
 // batch limit; a chain cut mid-level flushes and the remainder continues
 // unfenced (the flush wait is a stronger barrier than the fence it
 // replaces).
-func (pl *Pipeline) drive(p *sim.Proc, run *pipeRun) {
-	t := pl.t
-	e := t.S.E
-	maxChain := t.S.maxBatch
+func (pl *Pipeline) drive(p *sim.Proc) {
+	maxChain := pl.t.S.maxBatch
 	if maxChain < 2 {
 		maxChain = 2
 	}
 	pl.chain = pl.chain[:0]
 	pl.chainIdx = pl.chainIdx[:0]
-	hardware := false
-
-	finish := func(err error) {
-		for _, b := range pl.scratchBufs {
-			t.FreeScratch(b)
-		}
-		res := Result{Hardware: hardware}
-		if err == nil {
-			res.Record = dsa.CompletionRecord{Status: dsa.StatusSuccess, Result: uint64(len(pl.stages))}
-		} else {
-			t.stats.failures.Add(1)
-		}
-		run.finish(e, res, err)
-	}
-
-	flush := func() error {
-		if len(pl.chain) == 0 {
-			return nil
-		}
-		chain := pl.chain
-		if len(chain) > 1 {
-			// The device holds a batch's descriptor array while the driver
-			// reuses its buffer.
-			chain = append([]dsa.Descriptor(nil), chain...)
-		}
-		f, err := t.submitChain(p, chain, 0, pl.home)
-		if err != nil {
-			return err
-		}
-		hardware = true
-		mode := t.policy.Wait
-		f.cl.Wait(p, f.comp, mode)
-		// A faulted chain recovers like a Future, on the pipeline's socket:
-		// a lone stage continues from its completed prefix, a batch re-runs
-		// whole. Its ops are idempotent by construction (they write scratch
-		// or their declared outputs), and the fence barrier poisoned —
-		// never ran — everything past the fault.
-		t.recover(p, f, mode, pl.home)
-		// Each chain is scored against the SLO budget, as the Future it is.
-		t.recordSLO(p.Now() - f.start)
-		rec := f.res.Record // the lone stage finished on the core
-		if !f.done {
-			rec = f.comp.Record()
-		}
-		if rec.Status != dsa.StatusSuccess {
-			return pl.chainError(&rec)
-		}
-		if len(pl.chainIdx) == 1 {
-			pl.stages[pl.chainIdx[0]].result = rec.Result
-		} else {
-			for k, c := range rec.Children {
-				pl.stages[pl.chainIdx[k]].result = c.Result
-			}
-		}
-		pl.chain = pl.chain[:0]
-		pl.chainIdx = pl.chainIdx[:0]
-		return nil
-	}
-
 	for i := 0; i < len(pl.order); {
 		level := pl.stages[pl.order[i]].level
 		j := i
@@ -498,8 +477,8 @@ func (pl *Pipeline) drive(p *sim.Proc, run *pipeRun) {
 		if hasExec {
 			// Software stages read the previous levels' outputs: the chain
 			// must land before they run.
-			if err := flush(); err != nil {
-				finish(err)
+			if err := pl.flush(p); err != nil {
+				pl.finish(err)
 				return
 			}
 			for _, si := range pl.order[i:j] {
@@ -516,9 +495,9 @@ func (pl *Pipeline) drive(p *sim.Proc, run *pipeRun) {
 				if io.MaxDst == 0 {
 					io.MaxDst = io.Size
 				}
-				res, err := st.exec.Run(p, t, io)
+				res, err := st.exec.Run(p, pl.t, io)
 				if err != nil {
-					finish(err)
+					pl.finish(err)
 					return
 				}
 				st.result = res
@@ -531,8 +510,8 @@ func (pl *Pipeline) drive(p *sim.Proc, run *pipeRun) {
 				continue
 			}
 			if len(pl.chain) >= maxChain {
-				if err := flush(); err != nil {
-					finish(err)
+				if err := pl.flush(p); err != nil {
+					pl.finish(err)
 					return
 				}
 			}
@@ -553,11 +532,68 @@ func (pl *Pipeline) drive(p *sim.Proc, run *pipeRun) {
 		}
 		i = j
 	}
-	if err := flush(); err != nil {
-		finish(err)
-		return
+	pl.finish(pl.flush(p))
+}
+
+// flush submits the pending chain on the pipeline's socket, waits for it
+// and recovers it, then records its stages' results. The device reads a
+// batch's descriptor array only until the batch completes, so the chain
+// buffer is handed over as is and reused once the wait returns.
+func (pl *Pipeline) flush(p *sim.Proc) error {
+	if len(pl.chain) == 0 {
+		return nil
 	}
-	finish(nil)
+	t := pl.t
+	f, err := t.submitChain(p, pl.chain, 0, pl.home)
+	if err != nil {
+		return err
+	}
+	pl.cur.res.Hardware = true
+	mode := t.policy.Wait
+	f.cl.Wait(p, f.comp, mode)
+	// A faulted chain recovers like a Future, on the pipeline's socket: a
+	// lone stage continues from its completed prefix, a batch re-runs
+	// whole. Its ops are idempotent by construction (they write scratch or
+	// their declared outputs), and the fence barrier poisoned — never ran —
+	// everything past the fault.
+	t.recover(p, f, mode, pl.home)
+	// Each chain is scored against the SLO budget, as the Future it is.
+	t.recordSLO(p.Now() - f.start)
+	rec := f.res.Record // the lone stage finished on the core
+	if !f.done {
+		rec = f.comp.Record()
+	}
+	if rec.Status != dsa.StatusSuccess {
+		return pl.chainError(&rec)
+	}
+	if len(pl.chainIdx) == 1 {
+		pl.stages[pl.chainIdx[0]].result = rec.Result
+	} else {
+		for k, c := range rec.Children {
+			pl.stages[pl.chainIdx[k]].result = c.Result
+		}
+	}
+	pl.chain = pl.chain[:0]
+	pl.chainIdx = pl.chainIdx[:0]
+	return nil
+}
+
+// finish releases the run's scratch buffers and resolves its Future. The
+// pipeline is idle — submittable again — before the waiters wake.
+func (pl *Pipeline) finish(err error) {
+	t := pl.t
+	for _, b := range pl.scratchBufs {
+		t.FreeScratch(b)
+	}
+	f := pl.cur
+	pl.cur = nil
+	if err == nil {
+		f.res.Record = dsa.CompletionRecord{Status: dsa.StatusSuccess, Result: uint64(len(pl.stages))}
+	} else {
+		t.stats.failures.Add(1)
+	}
+	f.err, f.ran = err, true
+	f.sig.Broadcast(t.S.E)
 }
 
 // chainError maps a failed chain onto the pipeline stage that caused it,

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -179,6 +180,51 @@ func TestSignalBroadcastWakesAll(t *testing.T) {
 	e.Run()
 	if woke != 4 {
 		t.Fatalf("woke = %d, want 4", woke)
+	}
+}
+
+// A signal waited on by one process at a time — a fresh completion, a
+// pipeline run — holds that waiter inline and allocates nothing, and
+// later waiters still wake in wait order.
+func TestSignalSingleWaiterZeroAlloc(t *testing.T) {
+	e := New()
+	var s Signal
+	bcast := func() { s.Broadcast(e) }
+	var allocs float64
+	e.Go("waiter", func(p *Proc) {
+		e.After(0, bcast)
+		p.Wait(&s) // warm the event heap and the pooled wake path
+		allocs = testing.AllocsPerRun(100, func() {
+			s = Signal{} // a fresh signal, as each new completion has
+			e.After(0, bcast)
+			p.Wait(&s)
+		})
+	})
+	e.Run()
+	if allocs != 0 {
+		t.Errorf("a fresh single-waiter Signal allocated %.1f times per wait, want 0", allocs)
+	}
+
+	var order []int
+	for i := 0; i < 3; i++ {
+		e.Go("waiter", func(p *Proc) {
+			p.Wait(&s)
+			order = append(order, i)
+		})
+	}
+	e.Go("signaller", func(p *Proc) {
+		p.Yield()
+		if s.Waiters() != 3 {
+			t.Errorf("Waiters = %d, want 3", s.Waiters())
+		}
+		s.Broadcast(e)
+	})
+	e.Run()
+	if fmt.Sprint(order) != "[0 1 2]" {
+		t.Fatalf("wake order = %v, want [0 1 2]", order)
+	}
+	if s.Waiters() != 0 {
+		t.Fatalf("Waiters = %d after Broadcast, want 0", s.Waiters())
 	}
 }
 

@@ -163,14 +163,21 @@ func (p *Proc) Yield() {
 
 // Wait parks the process until s is signalled.
 func (p *Proc) Wait(s *Signal) {
-	s.waiters = append(s.waiters, p)
+	if s.first == nil {
+		s.first = p
+	} else {
+		s.more = append(s.more, p)
+	}
 	p.park()
 }
 
 // Signal is a broadcast wake-up point for processes, akin to a condition
-// variable. The zero value is ready to use.
+// variable. The zero value is ready to use. The first waiter is held
+// inline, so a signal that is only ever waited on by one process at a time
+// (a completion, a pipeline run) never allocates a waiter list.
 type Signal struct {
-	waiters []*Proc
+	first *Proc
+	more  []*Proc // waiters after the first, in wait order
 }
 
 // Broadcast wakes every process currently waiting on s. Wake-ups are
@@ -178,12 +185,22 @@ type Signal struct {
 // only when its wake event fires, so nothing joins s during the loop and
 // the waiter slice is cleared and reused by the next round of waits.
 func (s *Signal) Broadcast(e *Engine) {
-	for i, p := range s.waiters {
-		e.After(0, p.wake)
-		s.waiters[i] = nil
+	if s.first == nil {
+		return
 	}
-	s.waiters = s.waiters[:0]
+	e.After(0, s.first.wake)
+	s.first = nil
+	for i, p := range s.more {
+		e.After(0, p.wake)
+		s.more[i] = nil
+	}
+	s.more = s.more[:0]
 }
 
 // Waiters reports how many processes are parked on s.
-func (s *Signal) Waiters() int { return len(s.waiters) }
+func (s *Signal) Waiters() int {
+	if s.first == nil {
+		return 0
+	}
+	return 1 + len(s.more)
+}
