@@ -151,3 +151,42 @@ func TestRecoveryAccountingAcrossPaths(t *testing.T) {
 		}
 	}
 }
+
+// A pipeline is one operation against the SLO budget, however many
+// chains it runs as: a device chain, a software stage and a second device
+// chain score once, when the pipeline Future resolves.
+func TestPipelineScoredOnceAgainstSLO(t *testing.T) {
+	r := newRig(t, 1)
+	pol := offload.DefaultPolicy()
+	pol.SLOBudget = time.Second
+	tn, err := r.service(t).NewTenant(offload.TenantPolicy(pol))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := int64(4096)
+	src, dst := tn.Alloc(n), tn.Alloc(n)
+	pl := tn.NewPipeline()
+	tmp := pl.Scratch(n)
+	s1 := pl.Copy(tmp, offload.At(src.Addr(0)), n)
+	s2 := pl.Exec(offload.SoftCRC32{}, offload.Ref{}, tmp, n, 0, offload.After(s1))
+	pl.Copy(offload.At(dst.Addr(0)), tmp, n, offload.After(s2))
+	r.run(func(p *sim.Proc) {
+		f, err := pl.Submit(p)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		for i := 0; i < 2; i++ {
+			if _, err := f.Wait(p, offload.Poll); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	st := tn.Stats()
+	if st.Batches != 0 || st.HWOps != 2 {
+		t.Fatalf("pipeline ran as %d hw ops (%d batches), want two lone-descriptor chains", st.HWOps, st.Batches)
+	}
+	if st.SLOOk != 1 || st.SLOMiss != 0 {
+		t.Fatalf("SLO ok=%d miss=%d, want the pipeline scored once: ok=1 miss=0", st.SLOOk, st.SLOMiss)
+	}
+}

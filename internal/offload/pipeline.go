@@ -557,8 +557,8 @@ func (pl *Pipeline) flush(p *sim.Proc) error {
 	// their declared outputs), and the fence barrier poisoned — never ran —
 	// everything past the fault.
 	t.recover(p, f, mode, pl.home)
-	// Each chain is scored against the SLO budget, as the Future it is.
-	t.recordSLO(p.Now() - f.start)
+	// The chain is not scored against the SLO budget on its own: the
+	// pipeline Future scores the whole DAG once, when it resolves.
 	rec := f.res.Record // the lone stage finished on the core
 	if !f.done {
 		rec = f.comp.Record()

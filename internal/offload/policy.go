@@ -214,8 +214,9 @@ type Stats struct {
 	// window-over-window p99/rate deltas).
 	Drifts int64
 
-	// SLOOk/SLOMiss score every resolved operation against the tenant's
-	// Policy.SLOBudget (both zero when the policy sets no budget). The
+	// SLOOk/SLOMiss score every resolved operation — a pipeline once, as
+	// a whole — against the tenant's Policy.SLOBudget (both zero when the
+	// policy sets no budget). The
 	// fleet driver reads them as a cross-check of its own per-class
 	// latency sketches.
 	SLOOk   int64
