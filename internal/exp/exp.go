@@ -1,8 +1,8 @@
 // Package exp regenerates every table and figure of the paper's evaluation
 // (§4, §6, appendices) on the simulated platform. Each experiment is a
 // self-contained function returning report tables with the same axes and
-// series as the paper's artifact; cmd/dsa-bench renders them and
-// EXPERIMENTS.md records paper-vs-measured shapes.
+// series as the paper's artifact; cmd/dsa-bench renders them, and each
+// table's notes state where the model's shape departs from the paper's.
 package exp
 
 import (

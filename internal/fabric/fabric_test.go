@@ -147,7 +147,8 @@ func TestAllReduceCorrectness(t *testing.T) {
 func TestAllReduceDSASpeedup(t *testing.T) {
 	// Fig 17b shape: DSA accelerates large-message AllReduce
 	// substantially (the paper reports up to ~5×; the model reproduces
-	// ~2×, see EXPERIMENTS.md on the CPU-overlap assumption).
+	// ~2×, because its CPU baseline lets the idle peer core overlap the
+	// receive-side copy with the send-side one — see Endpoint.Send).
 	m := int64(16 << 20)
 	cpuRes, err := AllReduce(newDomain(t, CPUCopy), 4, m, 1)
 	if err != nil {
@@ -194,7 +195,7 @@ func TestBERTPhases(t *testing.T) {
 	// 8 ranks: communication is a larger share of the iteration, so the
 	// end-to-end benefit remains material. (The paper's speedup *grows*
 	// with ranks; the model's shrinks because its DSA aggregate is capped
-	// at the socket's four instances — recorded in EXPERIMENTS.md.)
+	// at the socket's four instances, a modelling limit stated here.)
 	cpu8 := run(CPUCopy, 8)
 	dsa8 := run(DSACopy, 8)
 	ar8 := float64(cpu8.AllReduce) / float64(dsa8.AllReduce)
