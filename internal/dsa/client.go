@@ -193,8 +193,8 @@ func (c *Client) Wait(p *sim.Proc, comp *Completion, mode WaitMode) sim.Time {
 		}
 		return waited
 	default: // Poll
-		for !comp.Done() {
-			p.Sleep(t.PollGap)
+		if !comp.done {
+			p.SleepPoll(t.PollGap, completionDone, comp)
 		}
 		waited := p.Now() - start
 		c.WaitTime += waited
@@ -202,6 +202,9 @@ func (c *Client) Wait(p *sim.Proc, comp *Completion, mode WaitMode) sim.Time {
 		return waited
 	}
 }
+
+// completionDone is a polling wait's check of the completion record.
+func completionDone(comp any) bool { return comp.(*Completion).done }
 
 // RunSync performs one synchronous offload: prepare, submit, wait. It
 // returns the completion handle after it finished.

@@ -96,7 +96,11 @@ type driver struct {
 
 // Run executes one scenario and returns its measurement. A fixed
 // Scenario (seed included) reproduces the Result bit-for-bit.
-func Run(sc Scenario) Result {
+func Run(sc Scenario) Result { return run(sc).result() }
+
+// run executes one scenario until its engine drains and returns the
+// driver, whose accumulators and engine tests read directly.
+func run(sc Scenario) *driver {
 	d := newDriver(sc)
 	for s := 0; s < sc.Shards; s++ {
 		s := s
@@ -104,7 +108,7 @@ func Run(sc Scenario) Result {
 		d.e.Go(fmt.Sprintf("fleet-reap-%d", s), d.reaper(s))
 	}
 	d.e.Run()
-	return d.result()
+	return d
 }
 
 func newDriver(sc Scenario) *driver {

@@ -167,6 +167,61 @@ func TestFleetBrokerAllocBudget(t *testing.T) {
 	}
 }
 
+// arrivals totals a drained run's arrivals over every phase and class.
+func (d *driver) arrivals() int64 {
+	var n int64
+	for pi := range d.acc {
+		for c := range d.acc[pi] {
+			n += d.acc[pi][c].arrivals
+		}
+	}
+	return n
+}
+
+// TestFleetResumeBudget pins the coroutine switches per arrival. A failed
+// poll — a ring-full lane retry or a polling completion wait — runs as an
+// engine callback and the plane drain is no process, so what remains per
+// arrival is the submitter's own sleeps and the reaper's waits. msgbroker
+// uses neither the plane nor polls and is the control.
+func TestFleetResumeBudget(t *testing.T) {
+	for _, c := range []struct {
+		sc     Scenario
+		budget float64
+	}{
+		{Packetswitch(), 4.5},
+		{Chaos(), 5.0},
+		{Msgbroker(), 4.6},
+	} {
+		d := run(c.sc.Scaled(testScale))
+		perOp := float64(d.e.Resumes()) / float64(d.arrivals())
+		t.Logf("%s: %.2f resumes per arrival over %d arrivals", c.sc.Name, perOp, d.arrivals())
+		if perOp > c.budget {
+			t.Errorf("%s resumed %.2f times per arrival, budget %.1f", c.sc.Name, perOp, c.budget)
+		}
+	}
+}
+
+// TestFleetConservesArrivals checks the driver's own books once the engine
+// drains: every arrival of every phase and class ended exactly once, as a
+// completion (within budget, late, or failed) or as a shed.
+func TestFleetConservesArrivals(t *testing.T) {
+	for _, sc := range []Scenario{Packetswitch(), Msgbroker(), Chaos()} {
+		d := run(sc.Scaled(testScale))
+		if d.arrivals() == 0 {
+			t.Fatalf("%s: no arrivals", sc.Name)
+		}
+		for pi, ph := range sc.Phases {
+			for c := Class(0); c < nClasses; c++ {
+				a := &d.acc[pi][c]
+				if a.arrivals != a.done+a.shed {
+					t.Errorf("%s %s class %d: %d arrivals, %d done + %d shed",
+						sc.Name, ph.Name, c, a.arrivals, a.done, a.shed)
+				}
+			}
+		}
+	}
+}
+
 func TestCalibrationProbe(t *testing.T) {
 	if testing.Short() {
 		t.Skip("calibration probe")

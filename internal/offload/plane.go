@@ -100,10 +100,10 @@ type Plane struct {
 	// goroutines while the drain flips them engine-side.
 	dead []atomic.Bool
 
-	// drainOn marks the one running drain process; held/holding are its
-	// per-ring scratch (an entry popped but not yet WQ-accepted), owned by
-	// the plane so a drain burst allocates nothing. The drain exits only
-	// with pending at zero, so it leaves holding all false.
+	// drainOn marks the drain as scheduled; held/holding are its per-ring
+	// scratch (an entry popped but not yet WQ-accepted), owned by the
+	// plane so a drain burst allocates nothing. The drain stops only with
+	// pending at zero, so it leaves holding all false.
 	drainOn bool
 	held    []dsa.RingEntry
 	holding []bool
@@ -111,9 +111,9 @@ type Plane struct {
 	pubbed  bool
 
 	// drainFn and completedFn are pl.drain and pl.completed bound once:
-	// a method value allocates a closure per use, and every drain burst
+	// a method value allocates a closure per use, and every drain pass
 	// and every WQ acceptance passes one.
-	drainFn     func(p *sim.Proc)
+	drainFn     func()
 	completedFn func(c *dsa.Completion, tag uint64)
 }
 
@@ -136,6 +136,9 @@ type Lane struct {
 	id     int
 	bucket tokenBucket
 	cursor int
+	// retry is the entry a ring-full SubmitStamped re-pushes to retryRing.
+	retry     dsa.RingEntry
+	retryRing int
 }
 
 // NewPlane attaches a sharded submission plane with nlanes lanes to the
@@ -410,8 +413,9 @@ func (l *Lane) SubmitStamped(p *sim.Proc, d dsa.Descriptor, stamp sim.Time) erro
 	// The portal write itself is per-submitter work: each lane's proc
 	// pays it in its own virtual timeline.
 	p.Sleep(tm.SubmitENQCMD)
-	for !pl.rings[idx].TryPush(d, stampTag(stamp)) {
-		p.Sleep(tm.PollGap)
+	if !pl.rings[idx].TryPush(d, stampTag(stamp)) {
+		l.retry, l.retryRing = dsa.RingEntry{D: d, Tag: stampTag(stamp)}, idx
+		p.SleepPoll(tm.PollGap, lanePush, l)
 	}
 	t.stats.hwOps.Add(1)
 	t.stats.hwBytes.Add(d.Size)
@@ -420,16 +424,22 @@ func (l *Lane) SubmitStamped(p *sim.Proc, d dsa.Descriptor, stamp sim.Time) erro
 	return nil
 }
 
-// ensureDrain spawns the drain process if it is not already running.
+// lanePush is SubmitStamped's ring-full poll check.
+func lanePush(arg any) bool {
+	l := arg.(*Lane)
+	return l.pl.rings[l.retryRing].TryPush(l.retry.D, l.retry.Tag)
+}
+
+// ensureDrain schedules the drain if it is not already running.
 // Engine-domain only (the simulation is single-threaded, so the check
-// cannot race); the drain exits when the rings empty, keeping the event
+// cannot race); the drain stops when the rings empty, keeping the event
 // loop free of perpetual timers.
 func (pl *Plane) ensureDrain() {
 	if pl.drainOn {
 		return
 	}
 	pl.drainOn = true
-	pl.t.S.E.Go("plane-drain", pl.drainFn)
+	pl.t.S.E.After(0, pl.drainFn)
 }
 
 // drain moves ring entries into the device WQs: pop, WQ.Submit (zero
@@ -440,66 +450,64 @@ func (pl *Plane) ensureDrain() {
 // dsa.ErrDeviceOffline, not ErrWQFull) triggers failover: the drain
 // detaches the dead ring and redistributes its entries to healthy rings,
 // then reattaches once the WQ reports healthy again. The Snapshot
-// republishes at the aggregation cadence; the process exits when the
-// rings run dry.
-func (pl *Plane) drain(p *sim.Proc) {
+// republishes at the aggregation cadence. Each pass is one engine
+// callback that re-schedules itself until the rings run dry.
+func (pl *Plane) drain() {
 	held, holding := pl.held, pl.holding
-	for {
-		progressed := false
-		blocked := false
-		for i := range pl.rings {
-			if pl.dead[i].Load() {
-				if pl.wqs[i].Healthy() {
-					// The WQ healed: reattach its ring and resume.
-					pl.wqs[i].ReattachRing(pl.rings[i])
-					pl.dead[i].Store(false)
-				} else {
-					// Sweep entries lanes raced into the dead ring while
-					// every candidate was down.
-					pl.sweepDead(i)
-					continue
-				}
+	progressed := false
+	blocked := false
+	for i := range pl.rings {
+		if pl.dead[i].Load() {
+			if pl.wqs[i].Healthy() {
+				// The WQ healed: reattach its ring and resume.
+				pl.wqs[i].ReattachRing(pl.rings[i])
+				pl.dead[i].Store(false)
+			} else {
+				// Sweep entries lanes raced into the dead ring while
+				// every candidate was down.
+				pl.sweepDead(i)
+				continue
 			}
-			for {
-				if !holding[i] {
-					e, ok := pl.rings[i].Pop()
-					if !ok {
-						break
-					}
-					held[i], holding[i] = e, true
-				}
-				comp, err := pl.wqs[i].Submit(held[i].D)
-				if err != nil {
-					if errors.Is(err, dsa.ErrWQDisabled) || errors.Is(err, dsa.ErrDeviceOffline) {
-						pl.failover(i, held, holding)
-						progressed = true
-					} else {
-						blocked = true
-					}
+		}
+		for {
+			if !holding[i] {
+				e, ok := pl.rings[i].Pop()
+				if !ok {
 					break
 				}
-				comp.SetOnDone(pl.completedFn, held[i].Tag)
-				holding[i] = false
-				pl.inflight.Add(1)
-				pl.pending.Add(-1)
-				progressed = true
+				held[i], holding[i] = e, true
 			}
+			comp, err := pl.wqs[i].Submit(held[i].D)
+			if err != nil {
+				if errors.Is(err, dsa.ErrWQDisabled) || errors.Is(err, dsa.ErrDeviceOffline) {
+					pl.failover(i, held, holding)
+					progressed = true
+				} else {
+					blocked = true
+				}
+				break
+			}
+			comp.SetOnDone(pl.completedFn, held[i].Tag)
+			holding[i] = false
+			pl.inflight.Add(1)
+			pl.pending.Add(-1)
+			progressed = true
 		}
-		if now := p.Now(); progressed || now >= pl.lastPub+planeAggCadence {
-			pl.Publish(now)
-		}
-		if pl.pending.Load() == 0 {
-			pl.drainOn = false
-			return
-		}
-		if blocked {
-			// Waiting on WQ slots: completions free them, paced by the
-			// device; poll at the gap the submission retry loop uses.
-			p.Sleep(pl.wqs[0].Dev.Cfg.Timing.PollGap)
-		} else {
-			// New pushes landed behind our scan at this instant.
-			p.Yield()
-		}
+	}
+	if now := pl.t.S.E.Now(); progressed || now >= pl.lastPub+planeAggCadence {
+		pl.Publish(now)
+	}
+	if pl.pending.Load() == 0 {
+		pl.drainOn = false
+		return
+	}
+	if blocked {
+		// Waiting on WQ slots: completions free them, paced by the
+		// device; poll at the gap the submission retry loop uses.
+		pl.t.S.E.After(pl.wqs[0].Dev.Cfg.Timing.PollGap, pl.drainFn)
+	} else {
+		// New pushes landed behind our scan at this instant.
+		pl.t.S.E.After(0, pl.drainFn)
 	}
 }
 

@@ -203,8 +203,8 @@ func TestSubmitZeroAllocsParallel(t *testing.T) {
 // A warmed plane operation — one SubmitStamped on a one-lane plane,
 // drained with WaitInflight — has a pinned host allocation budget: the
 // device Completion and the routing Snapshot (struct and occupancy slice)
-// the drain republishes. The drain process comes from the engine's pool
-// and its scratch and callbacks from the plane.
+// the drain republishes. The drain is an engine callback, and its
+// scratch and callbacks come from the plane.
 func TestPlaneSubmitAllocBudget(t *testing.T) {
 	const budget = 3
 	r, tn, pl := planeRig(t, 1, 1, offload.Bulk)

@@ -108,6 +108,7 @@ type Engine struct {
 	seq     uint64
 	procs   int     // live processes, for leak detection
 	idle    []*Proc // finished processes whose coroutines Go reuses
+	resumes int64   // coroutine switches into a process
 	stopped bool
 }
 
@@ -131,6 +132,9 @@ func (e *Engine) At(t Time, fn func()) {
 
 // After schedules fn to run d from now. Negative d panics.
 func (e *Engine) After(d Time, fn func()) { e.At(e.now+d, fn) }
+
+// Resumes counts the engine's coroutine switches into processes.
+func (e *Engine) Resumes() int64 { return e.resumes }
 
 // Pending reports the number of scheduled events.
 func (e *Engine) Pending() int { return len(e.events) }

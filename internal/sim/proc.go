@@ -7,8 +7,8 @@ import (
 )
 
 // Proc is a cooperative simulated process: straight-line code that calls
-// Sleep, SleepUntil, Yield or Wait to give control back to the engine and
-// resumes when its wake condition fires.
+// Sleep, SleepUntil, SleepPoll, Yield or Wait to give control back to the
+// engine and resumes when its wake condition fires.
 //
 // Each Proc runs on a runtime coroutine (iter.Pull). Waking a process is a
 // direct coroutine switch from the engine's event loop, and parking is the
@@ -39,12 +39,15 @@ type Proc struct {
 	stop  func()
 	yield func(struct{}) bool
 
-	// wake is p.resume captured once per pooled Proc: scheduling a method
-	// value allocates a fresh closure per call, and the wait loops (a
-	// polling client re-arms itself every PollGap) schedule one wake per
-	// iteration. With the closure cached, Sleep/Yield/Wait run without
-	// allocating in steady state.
-	wake func()
+	// wake and step are p.resume and p.pollStep bound once per pooled
+	// Proc: a method value allocates a closure per use, and every wake-up
+	// and poll check schedules one.
+	wake, step func()
+
+	// The parked SleepPoll call's gap, condition and argument.
+	pollGap  Time
+	pollCond func(arg any) bool
+	pollArg  any
 }
 
 // Go starts fn as a simulated process at the current virtual time, on an
@@ -57,7 +60,7 @@ func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 		e.idle = e.idle[:n-1]
 	} else {
 		p = &Proc{e: e}
-		p.wake = p.resume
+		p.wake, p.step = p.resume, p.pollStep
 		p.next, p.stop = iter.Pull(p.loop)
 	}
 	p.name, p.fn, p.done = name, fn, false
@@ -113,6 +116,7 @@ func (p *Proc) resume() {
 	if p.done {
 		panic(fmt.Sprintf("sim: waking finished process %q", p.name))
 	}
+	p.e.resumes++
 	p.next()
 }
 
@@ -159,6 +163,27 @@ func (p *Proc) SleepUntil(t Time) {
 func (p *Proc) Yield() {
 	p.e.After(0, p.wake)
 	p.park()
+}
+
+// SleepPoll suspends the process until cond(arg) holds, checking it after
+// every gap of virtual time. It schedules the same events as the loop
+// `for { p.Sleep(gap); if cond(arg) { break } }`, but each check runs as a
+// callback in its wake event, so only the check that holds switches into
+// the process. cond runs on the engine: a panic in it is no ProcPanic.
+func (p *Proc) SleepPoll(gap Time, cond func(arg any) bool, arg any) {
+	p.pollGap, p.pollCond, p.pollArg = gap, cond, arg
+	p.e.After(gap, p.step)
+	p.park()
+}
+
+// pollStep is one SleepPoll check: resume once cond holds, else re-arm.
+func (p *Proc) pollStep() {
+	if !p.pollCond(p.pollArg) {
+		p.e.After(p.pollGap, p.step)
+		return
+	}
+	p.pollCond, p.pollArg = nil, nil
+	p.resume()
 }
 
 // Wait parks the process until s is signalled.
