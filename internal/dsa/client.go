@@ -88,103 +88,208 @@ func (c *Client) Submit(p *sim.Proc, d Descriptor) (*Completion, error) {
 	return c.TrySubmit(p, d, -1)
 }
 
-// TrySubmit submits like Submit but gives up after maxRetries full-WQ
-// rejections, returning an error wrapping ErrWQFull so callers can
-// re-schedule onto another queue or shed load. maxRetries < 0 retries
-// until the descriptor is accepted.
+// TrySubmit submits like Submit but gives up on the maxRetries+1-th
+// full-WQ rejection, after maxRetries re-issues, returning an error
+// wrapping ErrWQFull so callers can re-schedule onto another queue or shed
+// load. maxRetries < 0 retries until the descriptor is accepted.
 func (c *Client) TrySubmit(p *sim.Proc, d Descriptor, maxRetries int) (*Completion, error) {
-	t := c.WQ.Dev.Cfg.Timing
+	return c.submit(p, d, maxRetries, false)
+}
+
+// PrepareSubmit is Prepare followed by TrySubmit, with the descriptor
+// preparation and the first portal write run as one chain: the process
+// is switched into once, for the portal write, not once per step.
+func (c *Client) PrepareSubmit(p *sim.Proc, d Descriptor, maxRetries int) (*Completion, error) {
+	return c.submit(p, d, maxRetries, true)
+}
+
+// submit is TrySubmit, preceded by the descriptor preparation when
+// prepare is set. The first portal attempt runs on the process; only a
+// rejected one pays for the re-issue chain.
+func (c *Client) submit(p *sim.Proc, d Descriptor, maxRetries int, prepare bool) (*Completion, error) {
 	if c.Core != nil {
 		// Stamp the submitter's socket so the device prices batch
 		// descriptor-array fetches against the right memory.
 		d.SubmitterSocket = c.Core.Socket
 	}
-	rejected := 0
-	for {
-		instr := t.SubmitMOVDIR64B
-		if c.WQ.Mode == Shared {
-			instr = t.SubmitENQCMD
-		}
+	instr := c.portalWrite()
+	if prepare {
+		p.Chain(prepareStep, c)
+	} else {
 		p.Sleep(instr)
-		c.SubmitTime += instr
-		c.chargeBusy(instr)
-		comp, err := c.WQ.Submit(d)
-		if err == ErrWQFull {
-			c.Retries++
-			rejected++
-			if maxRetries >= 0 && rejected > maxRetries {
-				return nil, fmt.Errorf("dsa: %s WQ %d rejected descriptor %d times: %w",
-					c.WQ.Dev.Cfg.Name, c.WQ.ID, rejected, ErrWQFull)
-			}
-			if c.WQ.Mode == Dedicated {
-				// Software waits for an entry to free before rewriting
-				// the portal.
-				p.Sleep(t.PollGap)
-				c.WaitTime += t.PollGap
-				c.chargeBusy(t.PollGap)
-			}
-			continue
-		}
-		if err != nil {
-			return nil, err
-		}
-		if c.Coal != nil {
-			// Steer the interrupt through the moderation vector while the
-			// descriptor is still in flight (same event as the portal
-			// write, so the record cannot have been written yet).
-			c.Coal.Track(comp)
-		}
-		return comp, nil
+	}
+	c.SubmitTime += instr
+	c.chargeBusy(instr)
+	comp, err := c.WQ.Submit(d)
+	if err == ErrWQFull {
+		comp, err = c.reissue(p, &d, maxRetries)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if c.Coal != nil {
+		// Steer the interrupt through the moderation vector while the
+		// descriptor is still in flight (same event as the portal
+		// write, so the record cannot have been written yet).
+		c.Coal.Track(comp)
+	}
+	return comp, nil
+}
+
+// portalWrite is the cost of one portal write: MOVDIR64B to a dedicated
+// WQ, ENQCMD to a shared one.
+func (c *Client) portalWrite() sim.Time {
+	if c.WQ.Mode == Shared {
+		return c.WQ.Dev.Cfg.Timing.SubmitENQCMD
+	}
+	return c.WQ.Dev.Cfg.Timing.SubmitMOVDIR64B
+}
+
+// prepareStep and preparedStep are PrepareSubmit's chain: the descriptor
+// preparation, then the first portal write.
+func prepareStep(p *sim.Proc, arg any) {
+	p.Then(arg.(*Client).WQ.Dev.Cfg.Timing.DescPrepare, preparedStep)
+}
+
+func preparedStep(p *sim.Proc, arg any) {
+	c := arg.(*Client)
+	prep := c.WQ.Dev.Cfg.Timing.DescPrepare
+	c.PrepareTime += prep
+	c.chargeBusy(prep)
+	p.Then(c.portalWrite(), nil)
+}
+
+// call is the state of one Client call that runs as a chain of engine
+// steps while its process is parked (sim.Proc.Chain). Several processes
+// may be inside one Client at once, so the state is per call, pooled on
+// the device.
+type call struct {
+	c    *Client
+	comp *Completion
+	// after is the time a completion wait spends once the record is
+	// written: the interrupt delivery and handler, or the UMWAIT wake.
+	after sim.Time
+	// A re-issue's descriptor, its re-issue budget (< 0: unbounded), the
+	// rejections so far and the last portal write's error.
+	d        Descriptor
+	max      int
+	rejected int
+	err      error
+}
+
+func (c *Client) getCall() *call {
+	dev := c.WQ.Dev
+	var r *call
+	if n := len(dev.calls); n > 0 {
+		r = dev.calls[n-1]
+		dev.calls = dev.calls[:n-1]
+	} else {
+		r = new(call)
+	}
+	r.c = c
+	return r
+}
+
+func (c *Client) putCall(r *call) {
+	*r = call{}
+	c.WQ.Dev.calls = append(c.WQ.Dev.calls, r)
+}
+
+// reissue handles the first full-WQ rejection of *d: it re-issues the
+// portal write, after a dedicated WQ's occupancy poll, until the WQ
+// accepts or the re-issue budget runs out, all in one chain.
+func (c *Client) reissue(p *sim.Proc, d *Descriptor, maxRetries int) (*Completion, error) {
+	r := c.getCall()
+	r.d, r.max = *d, maxRetries
+	p.Chain(rejectedStep, r)
+	comp, err, rejected := r.comp, r.err, r.rejected
+	c.putCall(r)
+	if err == ErrWQFull {
+		return nil, fmt.Errorf("dsa: %s WQ %d rejected descriptor %d times: %w",
+			c.WQ.Dev.Cfg.Name, c.WQ.ID, rejected, ErrWQFull)
+	}
+	return comp, err
+}
+
+// rejectedStep counts a full-WQ rejection and, unless the budget is
+// spent, arms the re-issue. Software on a dedicated WQ waits for an entry
+// to free before rewriting the portal.
+func rejectedStep(p *sim.Proc, arg any) {
+	r := arg.(*call)
+	c := r.c
+	c.Retries++
+	r.rejected++
+	if r.max >= 0 && r.rejected > r.max {
+		r.err = ErrWQFull
+		return
+	}
+	if c.WQ.Mode == Dedicated {
+		p.Then(c.WQ.Dev.Cfg.Timing.PollGap, polledStep)
+		return
+	}
+	p.Then(c.portalWrite(), portalStep)
+}
+
+// polledStep ends a dedicated WQ's occupancy poll and re-issues the
+// portal write.
+func polledStep(p *sim.Proc, arg any) {
+	c := arg.(*call).c
+	gap := c.WQ.Dev.Cfg.Timing.PollGap
+	c.WaitTime += gap
+	c.chargeBusy(gap)
+	p.Then(c.portalWrite(), portalStep)
+}
+
+// portalStep is a re-issued portal write.
+func portalStep(p *sim.Proc, arg any) {
+	r := arg.(*call)
+	c := r.c
+	instr := c.portalWrite()
+	c.SubmitTime += instr
+	c.chargeBusy(instr)
+	r.comp, r.err = c.WQ.Submit(r.d)
+	if r.err == ErrWQFull {
+		rejectedStep(p, arg)
 	}
 }
 
 // Wait blocks the calling process until comp finishes, accounting the wait
-// according to mode. It returns the wait duration.
+// according to mode. It returns the wait duration. Every mode is one
+// coroutine switch: the steps after the completion record run as a chain.
 func (c *Client) Wait(p *sim.Proc, comp *Completion, mode WaitMode) sim.Time {
 	t := c.WQ.Dev.Cfg.Timing
 	start := p.Now()
 	switch mode {
 	case Interrupt:
+		r := c.getCall()
+		r.comp = comp
 		// Follow the completion's own moderation vector, not the client's
 		// current one: a policy swap may have re-pointed c.Coal while this
 		// descriptor was in flight, and its delivery still belongs to the
 		// vector that tracked it — the old coalescer's timer/threshold will
 		// announce it, and falling back to the per-descriptor path here
 		// would bill a second, phantom delivery.
-		if k := comp.coal; k != nil {
-			// Coalesced delivery: block until the record is written, then
-			// until its (shared) interrupt fires. The first waiter of each
-			// interrupt pays the delivery latency and handler cost; every
-			// sibling record announced by the same interrupt was harvested
-			// in that handler pass and resolves for free.
-			comp.Wait(p)
-			d := k.waitDelivered(p, comp)
-			if !d.paid {
-				d.paid = true
-				p.SleepUntil(d.at + t.IntrDeliver)
-				p.Sleep(t.IntrHandler)
-				c.chargeBusy(t.IntrHandler)
-			} else {
-				// A sibling's record is harvested by the payer's handler
-				// pass: it cannot be observed before that pass completes,
-				// only read for free afterwards.
-				p.SleepUntil(d.at + t.IntrDeliver + t.IntrHandler)
-			}
-			waited := p.Now() - start
-			c.WaitTime += waited
-			return waited
+		coalesced := comp.coal != nil
+		if coalesced {
+			p.Chain(coalescedStep, r)
+		} else {
+			r.after = t.IntrDeliver + t.IntrHandler
+			p.Chain(awaitStep, r)
 		}
-		comp.Wait(p)
-		p.Sleep(t.IntrDeliver + t.IntrHandler)
+		c.putCall(r)
 		waited := p.Now() - start
 		c.WaitTime += waited
-		// Only the handler burns core cycles; the wait itself is free
-		// (the core ran other work or slept).
-		c.chargeBusy(t.IntrHandler)
+		if !coalesced {
+			// Only the handler burns core cycles; the wait itself is free
+			// (the core ran other work or slept).
+			c.chargeBusy(t.IntrHandler)
+		}
 		return waited
 	case UMWait:
-		comp.Wait(p)
-		p.Sleep(cpu.UMWaitWake)
+		r := c.getCall()
+		r.comp, r.after = comp, cpu.UMWaitWake
+		p.Chain(awaitStep, r)
+		c.putCall(r)
 		waited := p.Now() - start
 		c.WaitTime += waited
 		if c.Core != nil {
@@ -203,14 +308,65 @@ func (c *Client) Wait(p *sim.Proc, comp *Completion, mode WaitMode) sim.Time {
 	}
 }
 
+// awaitStep blocks until the completion record is written, then spends
+// r.after.
+func awaitStep(p *sim.Proc, arg any) {
+	r := arg.(*call)
+	if !r.comp.done {
+		p.ThenWait(&r.comp.sig, awaitStep)
+		return
+	}
+	p.Then(r.after, nil)
+}
+
+// coalescedStep is a coalesced Interrupt wait: block until the record is
+// written, then until its (shared) interrupt fires. The first waiter of
+// each interrupt pays the delivery latency and handler cost; every
+// sibling record announced by the same interrupt was harvested in that
+// handler pass and resolves for free.
+func coalescedStep(p *sim.Proc, arg any) {
+	r := arg.(*call)
+	comp := r.comp
+	if !comp.done {
+		p.ThenWait(&comp.sig, coalescedStep)
+		return
+	}
+	if comp.intr == nil {
+		// The record is in the current window: the next delivery
+		// announces it.
+		p.ThenWait(&comp.coal.sig, coalescedStep)
+		return
+	}
+	t := r.c.WQ.Dev.Cfg.Timing
+	d := comp.intr
+	if d.paid {
+		// A sibling's record is harvested by the payer's handler pass:
+		// it cannot be observed before that pass completes, only read
+		// for free afterwards.
+		p.ThenAt(d.at+t.IntrDeliver+t.IntrHandler, nil)
+		return
+	}
+	d.paid = true
+	p.ThenAt(d.at+t.IntrDeliver, handlerStep)
+}
+
+// handlerStep and handledStep run the paying waiter's interrupt handler.
+func handlerStep(p *sim.Proc, arg any) {
+	p.Then(arg.(*call).c.WQ.Dev.Cfg.Timing.IntrHandler, handledStep)
+}
+
+func handledStep(_ *sim.Proc, arg any) {
+	c := arg.(*call).c
+	c.chargeBusy(c.WQ.Dev.Cfg.Timing.IntrHandler)
+}
+
 // completionDone is a polling wait's check of the completion record.
 func completionDone(comp any) bool { return comp.(*Completion).done }
 
 // RunSync performs one synchronous offload: prepare, submit, wait. It
 // returns the completion handle after it finished.
 func (c *Client) RunSync(p *sim.Proc, d Descriptor, mode WaitMode) (*Completion, error) {
-	c.Prepare(p)
-	comp, err := c.Submit(p, d)
+	comp, err := c.PrepareSubmit(p, d, -1)
 	if err != nil {
 		return nil, err
 	}

@@ -131,13 +131,3 @@ func (k *Coalescer) deliver() {
 	k.ready = k.ready[:0]
 	k.sig.Broadcast(k.e)
 }
-
-// waitDelivered parks p until comp's interrupt has fired. The record is
-// already written (comp.done); it is either in the current window — the
-// next deliver assigns it — or already announced.
-func (k *Coalescer) waitDelivered(p *sim.Proc, comp *Completion) *intrDelivery {
-	for comp.intr == nil {
-		p.Wait(&k.sig)
-	}
-	return comp.intr
-}

@@ -82,6 +82,11 @@ type Device struct {
 	// more items than the peak number of works in flight at once.
 	free []*work
 
+	// calls pools the chain state of Client calls parked on this device's
+	// WQs (see call). The device, not the Client, owns the pool: clients
+	// come and go with their tenants, the device stays.
+	calls []*call
+
 	stats DeviceStats
 }
 

@@ -1,6 +1,7 @@
 package dsa
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -475,4 +476,75 @@ func TestUMWaitAccountsWaitCycles(t *testing.T) {
 	if frac < 0.6 {
 		t.Fatalf("UMWAIT fraction = %.2f, want > 0.6 for 64KB offloads", frac)
 	}
+}
+
+// Every fixed-latency step of a Client call after the first switch into
+// the process runs as an engine callback: a prepare and portal write
+// resume the caller once, a whole ENQCMD re-issue loop once more, and an
+// Interrupt or UMWAIT wait once, coalesced or not. A bounded TrySubmit
+// gives up on rejection maxRetries+1.
+func TestClientCallsResumeOncePerBlockingCall(t *testing.T) {
+	r := newRig(t, GroupConfig{Engines: 1, WQs: []WQConfig{{Mode: Shared, Size: 2}}})
+	size := int64(1 << 20) // long transfers keep the queue full
+	src, dst := r.alloc(size), r.alloc(size)
+	wq := r.dev.WQs()[0]
+	cl := NewClient(wq, nil)
+	d := Descriptor{Op: OpMemmove, PASID: 1, Src: src.Addr(0), Dst: dst.Addr(0), Size: size}
+	r.e.Go("client", func(p *sim.Proc) {
+		resumes := func(what string, want int64, call func()) {
+			t.Helper()
+			before := r.e.Resumes()
+			call()
+			if got := r.e.Resumes() - before; got != want {
+				t.Errorf("%s: %d resumes, want %d", what, got, want)
+			}
+		}
+		var comps []*Completion
+		resumes("PrepareSubmit on a free WQ", 1, func() {
+			comp, err := cl.PrepareSubmit(p, d, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			comps = append(comps, comp)
+		})
+		for {
+			comp, err := cl.TrySubmit(p, d, 0)
+			if err != nil {
+				break // the queue is full
+			}
+			comps = append(comps, comp)
+		}
+		retries := cl.Retries
+		resumes("TrySubmit with 3 re-issues on a full WQ", 2, func() {
+			if _, err := cl.TrySubmit(p, d, 3); !errors.Is(err, ErrWQFull) {
+				t.Errorf("bounded TrySubmit on a full WQ returned %v, want ErrWQFull", err)
+			}
+		})
+		if got := cl.Retries - retries; got != 4 {
+			t.Errorf("TrySubmit(maxRetries=3) counted %d rejections, want 4", got)
+		}
+		retries = cl.Retries
+		resumes("Submit re-issuing until accepted", 2, func() {
+			comp, err := cl.Submit(p, d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			comps = append(comps, comp)
+		})
+		if cl.Retries-retries < 2 {
+			t.Errorf("Submit was accepted after %d rejections; the loop was never chained", cl.Retries-retries)
+		}
+		resumes("Interrupt wait", 1, func() { cl.Wait(p, comps[0], Interrupt) })
+		resumes("UMWAIT wait", 1, func() { cl.Wait(p, comps[1], UMWait) })
+		cl.Coal = NewCoalescer(r.e, 4, 20*time.Microsecond, wq.Dev.Cfg.Timing.IntrCoalesceTick)
+		comp, err := cl.Submit(p, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resumes("coalesced Interrupt wait", 1, func() { cl.Wait(p, comp, Interrupt) })
+		for _, c := range comps {
+			c.Wait(p)
+		}
+	})
+	r.e.Run()
 }

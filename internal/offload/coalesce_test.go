@@ -398,3 +398,41 @@ func TestSplitBatchSubBatchesShareOneDelivery(t *testing.T) {
 		t.Errorf("CoalescedRecords = %d, want 1 (second sub-batch rode the first's interrupt)", k.CoalescedRecords())
 	}
 }
+
+// One hardware Future costs two switches into its process on the
+// dispatch path: one for the prepare and portal write, one for the
+// Interrupt wait, whether the interrupt is per descriptor (delivery +
+// handler) or coalesced (record, window delivery, then the handler).
+func TestFutureInterruptPathResumes(t *testing.T) {
+	for _, count := range []int{1, 4} {
+		r := newRig(t, 1)
+		svc := r.service(t, offload.WithPolicy(coalescePolicy(count)))
+		tn, err := svc.NewTenant()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if coalesced := tn.Coalescer() != nil; coalesced != (count > 1) {
+			t.Fatalf("count %d: coalescer present = %v", count, coalesced)
+		}
+		n := int64(16 << 10)
+		src, dst := tn.Alloc(n), tn.Alloc(n)
+		r.run(func(p *sim.Proc) {
+			before := r.e.Resumes()
+			f, err := tn.Copy(p, dst.Addr(0), src.Addr(0), n, offload.On(offload.Hardware))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if got := r.e.Resumes() - before; got != 1 {
+				t.Errorf("count %d: dispatch resumed %d times, want 1", count, got)
+			}
+			before = r.e.Resumes()
+			if _, err := f.Wait(p, offload.Interrupt); err != nil {
+				t.Error(err)
+			}
+			if got := r.e.Resumes() - before; got != 1 {
+				t.Errorf("count %d: Interrupt wait resumed %d times, want 1", count, got)
+			}
+		})
+	}
+}

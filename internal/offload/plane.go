@@ -136,7 +136,9 @@ type Lane struct {
 	id     int
 	bucket tokenBucket
 	cursor int
-	// retry is the entry a ring-full SubmitStamped re-pushes to retryRing.
+	// published is the instant SubmitStamped's slot publish ends; retry
+	// is the entry a ring-full SubmitStamped re-pushes to retryRing.
+	published sim.Time
 	retry     dsa.RingEntry
 	retryRing int
 }
@@ -407,12 +409,11 @@ func (l *Lane) SubmitStamped(p *sim.Proc, d dsa.Descriptor, stamp sim.Time) erro
 	tm := pl.wqs[0].Dev.Cfg.Timing
 	idx := l.pickRing()
 	// The slot-publish CAS: submitters racing into one ring serialize
-	// for RingPush nanoseconds each, in arrival order.
-	at := pl.ringTok[idx].Acquire(p.Now(), tm.RingPush)
-	p.SleepUntil(at + tm.RingPush)
-	// The portal write itself is per-submitter work: each lane's proc
-	// pays it in its own virtual timeline.
-	p.Sleep(tm.SubmitENQCMD)
+	// for RingPush nanoseconds each, in arrival order. The portal write
+	// after it is per-submitter work: each lane's proc pays it in its own
+	// virtual timeline. The two run as one chain.
+	l.published = pl.ringTok[idx].Acquire(p.Now(), tm.RingPush) + tm.RingPush
+	p.Chain(publishStep, l)
 	if !pl.rings[idx].TryPush(d, stampTag(stamp)) {
 		l.retry, l.retryRing = dsa.RingEntry{D: d, Tag: stampTag(stamp)}, idx
 		p.SleepPoll(tm.PollGap, lanePush, l)
@@ -422,6 +423,16 @@ func (l *Lane) SubmitStamped(p *sim.Proc, d dsa.Descriptor, stamp sim.Time) erro
 	pl.pending.Add(1)
 	pl.ensureDrain()
 	return nil
+}
+
+// publishStep and enqcmdStep are SubmitStamped's chain: the ring's
+// slot publish, then the ENQCMD portal write.
+func publishStep(p *sim.Proc, arg any) {
+	p.ThenAt(arg.(*Lane).published, enqcmdStep)
+}
+
+func enqcmdStep(p *sim.Proc, arg any) {
+	p.Then(arg.(*Lane).pl.wqs[0].Dev.Cfg.Timing.SubmitENQCMD, nil)
 }
 
 // lanePush is SubmitStamped's ring-full poll check.

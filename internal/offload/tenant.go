@@ -345,9 +345,8 @@ func (t *Tenant) dispatch(p *sim.Proc, d dsa.Descriptor, flags dsa.Flags, pin in
 	// Re-resolve the moderation vector per submission so SetPolicy takes
 	// effect on the next operation, as its contract promises.
 	cl.Coal = t.Coalescer()
-	cl.Prepare(p)
-	start := p.Now()
-	comp, err := cl.TrySubmit(p, d, t.policy.MaxRetries)
+	start := p.Now() + wq.Dev.Cfg.Timing.DescPrepare
+	comp, err := cl.PrepareSubmit(p, d, t.policy.MaxRetries)
 	if err != nil {
 		return nil, err
 	}

@@ -6,17 +6,32 @@ import (
 	"testing"
 )
 
-// pollWorld is one run of the SleepPoll equivalence model: procs that
-// wait on per-proc flags, either with SleepPoll or with the Sleep loop it
-// replaces, while engine callbacks set and clear the flags on the same
-// instants the polls land on.
+// pollWorld is one run of the chain equivalence model. Procs run plans of
+// links — a sleep, a sleep until an instant, a signal wait and a
+// re-arming poll — either as the straight-line Sleep, SleepUntil, Wait and
+// Sleep-loop code a chain replaces, or as chains: SleepPoll for a plan
+// that is one poll, Chain otherwise. Engine callbacks set and clear the
+// poll flags and signal conditions, and broadcast the signals, on the
+// same instants the links land on.
 type pollWorld struct {
-	e      *Engine
-	poll   bool // wait with SleepPoll; otherwise with the Sleep loop
-	flags  []bool
-	live   int // procs still running
-	trace  []pollEvent
-	waiter []pollWaiter
+	e     *Engine
+	chain bool // run plans as chains; otherwise as straight-line code
+	flags []bool
+	ready []bool // signal conditions, one per signal
+	sigs  []Signal
+	live  int // procs still running
+	trace []pollEvent
+	procs []pollWaiter
+	stats pollStats
+}
+
+// pollStats counts the corner cases a straight-line run went through, so
+// a test can check the model reaches them.
+type pollStats struct {
+	failedPolls int // poll checks that re-armed
+	readyWaits  int // signal waits that found the condition already true
+	rewaits     int // signal wake-ups that found it false and waited again
+	pastUntils  int // SleepUntil calls for an instant already passed
 }
 
 // pollEvent is one traced step: the instant and what ran.
@@ -25,10 +40,30 @@ type pollEvent struct {
 	label string
 }
 
-// pollWaiter is the SleepPoll argument of one proc's wait.
+// linkKind is what one plan link waits for.
+type linkKind int
+
+const (
+	linkSleep linkKind = iota // Sleep(d)
+	linkUntil                 // SleepUntil(d)
+	linkWait                  // wait on signal k until its condition holds
+	linkPoll                  // poll the proc's flag every d
+)
+
+// link is one step of a proc's plan.
+type link struct {
+	kind linkKind
+	d    Time
+	k    int
+}
+
+// pollWaiter is one proc's chain argument: its plan for the current round
+// and the link it is on.
 type pollWaiter struct {
-	w  *pollWorld
-	id int
+	w    *pollWorld
+	id   int
+	plan []link
+	i    int
 }
 
 // log traces one step at the current instant.
@@ -36,49 +71,164 @@ func (w *pollWorld) log(format string, args ...any) {
 	w.trace = append(w.trace, pollEvent{w.e.Now(), fmt.Sprintf(format, args...)})
 }
 
-// pollCheck is the condition both wait styles test: it traces every check,
-// so the two runs must interleave checks and callbacks identically.
+// pollCheck is the condition every poll tests: it traces every check, so
+// the two runs must interleave checks and callbacks identically.
 func pollCheck(arg any) bool {
 	pw := arg.(*pollWaiter)
 	pw.w.log("check %d", pw.id)
 	return pw.w.flags[pw.id]
 }
 
-// wait blocks proc id until its flag is set, in the world's wait style.
-func (w *pollWorld) wait(p *Proc, id int, gap Time) {
-	pw := &w.waiter[id]
-	if w.poll {
-		p.SleepPoll(gap, pollCheck, pw)
-		return
-	}
-	for {
-		p.Sleep(gap)
-		if pollCheck(pw) {
-			break
+// sigReady is the condition every signal wait tests, traced like
+// pollCheck.
+func (w *pollWorld) sigReady(k int) bool {
+	w.log("sigcheck %d=%v", k, w.ready[k])
+	return w.ready[k]
+}
+
+// straight runs pw's plan as straight-line process code.
+func (w *pollWorld) straight(p *Proc, pw *pollWaiter) {
+	for i, l := range pw.plan {
+		switch l.kind {
+		case linkSleep:
+			p.Sleep(l.d)
+		case linkUntil:
+			if l.d <= p.Now() {
+				w.stats.pastUntils++
+			}
+			p.SleepUntil(l.d)
+		case linkWait:
+			if w.sigReady(l.k) {
+				w.stats.readyWaits++
+				break
+			}
+			for {
+				p.Wait(&w.sigs[l.k])
+				if w.sigReady(l.k) {
+					break
+				}
+				w.stats.rewaits++
+			}
+		case linkPoll:
+			for {
+				p.Sleep(l.d)
+				if pollCheck(pw) {
+					break
+				}
+				w.stats.failedPolls++
+			}
 		}
+		w.log("link %d.%d", pw.id, i)
 	}
 }
 
-// runPollWorld builds and runs one world from seed. Procs, gaps, rounds
-// and the competing set/clear callbacks all come from the seed; a rescue
-// callback past the random horizon sets every flag each few gaps until
-// the procs finish, so every run terminates.
-func runPollWorld(seed uint64, poll bool, nprocs, ncallbacks int) *pollWorld {
+// chained runs pw's plan as one chain, or a lone poll as SleepPoll.
+func (w *pollWorld) chained(p *Proc, pw *pollWaiter) {
+	if len(pw.plan) == 1 && pw.plan[0].kind == linkPoll {
+		p.SleepPoll(pw.plan[0].d, pollCheck, pw)
+		w.log("link %d.0", pw.id)
+		return
+	}
+	pw.i = 0
+	p.Chain(linkStart, pw)
+}
+
+// linkStart arms the current link, or ends the chain after the last.
+func linkStart(p *Proc, arg any) {
+	pw := arg.(*pollWaiter)
+	if pw.i == len(pw.plan) {
+		return
+	}
+	l := pw.plan[pw.i]
+	switch l.kind {
+	case linkSleep:
+		p.Then(l.d, linkEnd)
+	case linkUntil:
+		p.ThenAt(l.d, linkEnd)
+	case linkWait:
+		linkSignal(p, arg)
+	case linkPoll:
+		p.Then(l.d, linkPolled)
+	}
+}
+
+// linkEnd traces the end of the current link and starts the next.
+func linkEnd(p *Proc, arg any) {
+	pw := arg.(*pollWaiter)
+	pw.w.log("link %d.%d", pw.id, pw.i)
+	pw.i++
+	linkStart(p, arg)
+}
+
+// linkSignal checks a signal wait's condition and re-arms on the signal
+// while it does not hold.
+func linkSignal(p *Proc, arg any) {
+	pw := arg.(*pollWaiter)
+	k := pw.plan[pw.i].k
+	if !pw.w.sigReady(k) {
+		p.ThenWait(&pw.w.sigs[k], linkSignal)
+		return
+	}
+	linkEnd(p, arg)
+}
+
+// linkPolled is one poll check inside a chain.
+func linkPolled(p *Proc, arg any) {
+	pw := arg.(*pollWaiter)
+	if !pollCheck(pw) {
+		p.Then(pw.plan[pw.i].d, linkPolled)
+		return
+	}
+	linkEnd(p, arg)
+}
+
+// runPollWorld builds and runs one world from seed. Procs, plans, rounds
+// and the competing callbacks all come from the seed. With plans unset
+// every plan is a lone poll, the SleepPoll model; otherwise plans mix all
+// four links and every third proc stays straight-line even in a chained
+// run, so chain steps and plain waiters share signals. A rescue callback
+// past the random horizon sets every flag and condition each few ticks
+// until the procs finish, so every run terminates.
+func runPollWorld(seed uint64, chain, plans bool, nprocs, ncallbacks int) *pollWorld {
 	rng := NewRand(seed)
-	w := &pollWorld{e: New(), poll: poll, flags: make([]bool, nprocs), live: nprocs}
-	w.waiter = make([]pollWaiter, nprocs)
+	nsigs := 1 + nprocs/2
+	w := &pollWorld{
+		e: New(), chain: chain, live: nprocs,
+		flags: make([]bool, nprocs), ready: make([]bool, nsigs), sigs: make([]Signal, nsigs),
+		procs: make([]pollWaiter, nprocs),
+	}
 	const horizon = 400
 	for id := 0; id < nprocs; id++ {
-		w.waiter[id] = pollWaiter{w: w, id: id}
+		w.procs[id] = pollWaiter{w: w, id: id}
 		gap := Time(1 + rng.Intn(7))
 		rounds := 1 + rng.Intn(4)
 		start := Time(rng.Intn(20))
 		pre := make([]Time, rounds)
+		roundPlans := make([][]link, rounds)
 		for r := range pre {
 			pre[r] = Time(rng.Intn(3)) * gap
+			if !plans {
+				roundPlans[r] = []link{{kind: linkPoll, d: gap}}
+				continue
+			}
+			roundPlans[r] = make([]link, 1+rng.Intn(4))
+			for i := range roundPlans[r] {
+				l := link{kind: linkKind(rng.Intn(4)), d: Time(rng.Intn(8))}
+				switch l.kind {
+				case linkUntil:
+					l.d = Time(rng.Intn(horizon / 2))
+				case linkWait:
+					l.k = rng.Intn(nsigs)
+				case linkPoll:
+					l.d = gap
+				}
+				roundPlans[r][i] = l
+			}
 		}
+		chained := chain && id%3 != 2
 		w.e.At(start, func() {
 			w.e.Go(fmt.Sprintf("waiter-%d", id), func(p *Proc) {
+				pw := &w.procs[id]
 				for r := 0; r < rounds; r++ {
 					if pre[r] == 0 {
 						p.Yield()
@@ -86,13 +236,21 @@ func runPollWorld(seed uint64, poll bool, nprocs, ncallbacks int) *pollWorld {
 						p.Sleep(pre[r])
 					}
 					w.log("wait %d", id)
-					w.wait(p, id, gap)
+					pw.plan = roundPlans[r]
+					if chained {
+						w.chained(p, pw)
+					} else {
+						w.straight(p, pw)
+					}
 					w.flags[id] = false
 					w.log("woke %d round %d", id, r)
-					// Set a neighbour's flag on a later poll instant.
+					// Set a neighbour's flag and condition on a later
+					// instant the links can land on.
 					next := (id + 1) % nprocs
 					w.e.After(gap*Time(1+r), func() {
 						w.flags[next] = true
+						w.ready[next%nsigs] = true
+						w.sigs[next%nsigs].Broadcast(w.e)
 						w.log("chain set %d", next)
 					})
 				}
@@ -108,6 +266,26 @@ func runPollWorld(seed uint64, poll bool, nprocs, ncallbacks int) *pollWorld {
 			w.flags[id] = set
 			w.log("cb set %d=%v", id, set)
 		})
+		if !plans {
+			continue
+		}
+		// A signal callback sets, clears or only broadcasts a condition:
+		// the last wakes waiters that must re-arm.
+		k := rng.Intn(nsigs)
+		at = Time(rng.Intn(horizon))
+		act := rng.Intn(3)
+		w.e.At(at, func() {
+			switch act {
+			case 0:
+				w.ready[k] = true
+			case 1:
+				w.ready[k] = false
+			}
+			if act != 1 {
+				w.sigs[k].Broadcast(w.e)
+			}
+			w.log("cb sig %d act %d", k, act)
+		})
 	}
 	var rescue func()
 	rescue = func() {
@@ -117,6 +295,10 @@ func runPollWorld(seed uint64, poll bool, nprocs, ncallbacks int) *pollWorld {
 		for id := range w.flags {
 			w.flags[id] = true
 		}
+		for k := range w.ready {
+			w.ready[k] = true
+			w.sigs[k].Broadcast(w.e)
+		}
 		w.log("rescue")
 		w.e.After(5, rescue)
 	}
@@ -125,29 +307,31 @@ func runPollWorld(seed uint64, poll bool, nprocs, ncallbacks int) *pollWorld {
 	return w
 }
 
-// checkSleepPollEquivalence runs one seed in both wait styles and fails
-// unless the traces, final clocks and scheduled-event counts match.
-func checkSleepPollEquivalence(t *testing.T, seed uint64, nprocs, ncallbacks int) {
+// checkChainEquivalence runs one seed straight-line and chained, and
+// fails unless the traces, final clocks and scheduled-event counts match.
+// It returns the straight-line run.
+func checkChainEquivalence(t *testing.T, seed uint64, plans bool, nprocs, ncallbacks int) *pollWorld {
 	t.Helper()
-	loop := runPollWorld(seed, false, nprocs, ncallbacks)
-	poll := runPollWorld(seed, true, nprocs, ncallbacks)
-	if loop.e.Now() != poll.e.Now() {
-		t.Fatalf("seed %d: final clock %v with SleepPoll, %v with the Sleep loop", seed, poll.e.Now(), loop.e.Now())
+	loop := runPollWorld(seed, false, plans, nprocs, ncallbacks)
+	chain := runPollWorld(seed, true, plans, nprocs, ncallbacks)
+	if loop.e.Now() != chain.e.Now() {
+		t.Fatalf("seed %d: final clock %v chained, %v straight-line", seed, chain.e.Now(), loop.e.Now())
 	}
-	if loop.e.seq != poll.e.seq {
-		t.Fatalf("seed %d: %d events scheduled with SleepPoll, %d with the Sleep loop", seed, poll.e.seq, loop.e.seq)
+	if loop.e.seq != chain.e.seq {
+		t.Fatalf("seed %d: %d events scheduled chained, %d straight-line", seed, chain.e.seq, loop.e.seq)
 	}
-	if poll.e.Resumes() > loop.e.Resumes() {
-		t.Fatalf("seed %d: SleepPoll resumed %d times, the Sleep loop %d", seed, poll.e.Resumes(), loop.e.Resumes())
+	if chain.e.Resumes() > loop.e.Resumes() {
+		t.Fatalf("seed %d: chained run resumed %d times, straight-line %d", seed, chain.e.Resumes(), loop.e.Resumes())
 	}
-	if len(loop.trace) != len(poll.trace) {
-		t.Fatalf("seed %d: trace has %d steps with SleepPoll, %d with the Sleep loop", seed, len(poll.trace), len(loop.trace))
+	if len(loop.trace) != len(chain.trace) {
+		t.Fatalf("seed %d: trace has %d steps chained, %d straight-line", seed, len(chain.trace), len(loop.trace))
 	}
 	for i := range loop.trace {
-		if loop.trace[i] != poll.trace[i] {
-			t.Fatalf("seed %d: step %d is %v with SleepPoll, %v with the Sleep loop", seed, i, poll.trace[i], loop.trace[i])
+		if loop.trace[i] != chain.trace[i] {
+			t.Fatalf("seed %d: step %d is %v chained, %v straight-line", seed, i, chain.trace[i], loop.trace[i])
 		}
 	}
+	return loop
 }
 
 // TestSleepPollMatchesSleepLoop checks that SleepPoll is the Sleep loop it
@@ -156,12 +340,35 @@ func checkSleepPollEquivalence(t *testing.T, seed uint64, nprocs, ncallbacks int
 // of scheduled events.
 func TestSleepPollMatchesSleepLoop(t *testing.T) {
 	for seed := uint64(1); seed <= 200; seed++ {
-		checkSleepPollEquivalence(t, seed, 1+int(seed%5), int(seed%40))
+		checkChainEquivalence(t, seed, false, 1+int(seed%5), int(seed%40))
 	}
 	// The model must exercise failed checks, or it proves nothing.
-	w := runPollWorld(7, true, 3, 30)
+	w := runPollWorld(7, true, false, 3, 30)
 	if checks, woke := w.count("check"), w.count("woke"); checks <= woke {
 		t.Fatalf("%d checks for %d wake-ups: no check ever failed", checks, woke)
+	}
+}
+
+// TestChainMatchesStraightLine checks that a chain is the straight-line
+// Sleep, SleepUntil and Wait code it replaces, event for event, with ties
+// at one instant, signal waits that find their condition already true or
+// wake to find it false, passed SleepUntil instants and re-arming polls
+// all reached, and with chain steps and plain waiters on one signal.
+func TestChainMatchesStraightLine(t *testing.T) {
+	var seen pollStats
+	for seed := uint64(1); seed <= 200; seed++ {
+		st := checkChainEquivalence(t, seed, true, 1+int(seed%6), int(seed%48)).stats
+		seen.failedPolls += st.failedPolls
+		seen.readyWaits += st.readyWaits
+		seen.rewaits += st.rewaits
+		seen.pastUntils += st.pastUntils
+	}
+	if seen.failedPolls == 0 || seen.readyWaits == 0 || seen.rewaits == 0 || seen.pastUntils == 0 {
+		t.Fatalf("the model missed a corner case: %+v", seen)
+	}
+	// A chained run must save switches, or the chains never ran.
+	if loop, chain := runPollWorld(7, false, true, 4, 30), runPollWorld(7, true, true, 4, 30); chain.e.Resumes() >= loop.e.Resumes() {
+		t.Fatalf("chained run resumed %d times, straight-line %d", chain.e.Resumes(), loop.e.Resumes())
 	}
 }
 
@@ -176,14 +383,15 @@ func (w *pollWorld) count(prefix string) int {
 	return n
 }
 
-// FuzzSleepPoll is TestSleepPollMatchesSleepLoop over fuzzed seeds, proc
-// counts and competing callback counts.
+// FuzzSleepPoll is TestChainMatchesStraightLine over fuzzed seeds, proc
+// counts and competing callback counts: chains of every link kind, and
+// SleepPoll as the chain of a lone poll.
 func FuzzSleepPoll(f *testing.F) {
 	f.Add(uint64(1), uint8(1), uint8(0))
 	f.Add(uint64(42), uint8(3), uint8(20))
 	f.Add(uint64(0xDEADBEEF), uint8(6), uint8(60))
 	f.Fuzz(func(t *testing.T, seed uint64, procs, callbacks uint8) {
-		checkSleepPollEquivalence(t, seed, 1+int(procs%8), int(callbacks%64))
+		checkChainEquivalence(t, seed, true, 1+int(procs%8), int(callbacks%64))
 	})
 }
 
@@ -219,6 +427,56 @@ func TestSleepPollZeroAlloc(t *testing.T) {
 		t.Errorf("clock %v after the polls, want %v", got, Time(64*3+101*4))
 	}
 	// One resume starts the proc; each wait adds one, for its last check.
+	if got := e.Resumes(); got != 1+64+101 {
+		t.Errorf("%d resumes, want %d", got, 1+64+101)
+	}
+}
+
+// zeroChain is the argument of the chain TestChainZeroAlloc runs: a
+// signal, and its broadcast bound once.
+type zeroChain struct {
+	e    *Engine
+	sig  Signal
+	bcst func()
+}
+
+// The chain: sleep 1, wait for a broadcast 2 later, wait until an instant
+// already passed, then sleep until 3 ahead and 1 more.
+func zeroSleep(p *Proc, arg any) { p.Then(1, zeroWait) }
+
+func zeroWait(p *Proc, arg any) {
+	z := arg.(*zeroChain)
+	z.e.After(2, z.bcst)
+	p.ThenWait(&z.sig, zeroPast)
+}
+
+func zeroPast(p *Proc, arg any) { p.ThenAt(p.Now()-1, zeroUntil) }
+
+func zeroUntil(p *Proc, arg any) { p.ThenAt(p.Now()+3, zeroLast) }
+
+func zeroLast(p *Proc, arg any) { p.Then(1, nil) }
+
+// A chain of every link kind must not allocate per chain (the step
+// callback is bound once per Proc, steps are plain functions and the
+// argument is a pointer), and it switches into the process once.
+func TestChainZeroAlloc(t *testing.T) {
+	e := New()
+	z := &zeroChain{e: e}
+	z.bcst = func() { z.sig.Broadcast(e) }
+	var allocs float64
+	e.Go("chainer", func(p *Proc) {
+		for i := 0; i < 64; i++ {
+			p.Chain(zeroSleep, z)
+		}
+		allocs = testing.AllocsPerRun(100, func() { p.Chain(zeroSleep, z) })
+	})
+	e.Run()
+	if allocs != 0 {
+		t.Errorf("Chain allocated %.1f times per chain, want 0", allocs)
+	}
+	if got, want := e.Now(), Time((64+101)*7); got != want {
+		t.Errorf("clock %v after the chains, want %v", got, want)
+	}
 	if got := e.Resumes(); got != 1+64+101 {
 		t.Errorf("%d resumes, want %d", got, 1+64+101)
 	}

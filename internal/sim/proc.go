@@ -7,8 +7,8 @@ import (
 )
 
 // Proc is a cooperative simulated process: straight-line code that calls
-// Sleep, SleepUntil, SleepPoll, Yield or Wait to give control back to the
-// engine and resumes when its wake condition fires.
+// Sleep, SleepUntil, SleepPoll, Chain, Yield or Wait to give control back
+// to the engine and resumes when its wake condition fires.
 //
 // Each Proc runs on a runtime coroutine (iter.Pull). Waking a process is a
 // direct coroutine switch from the engine's event loop, and parking is the
@@ -39,15 +39,20 @@ type Proc struct {
 	stop  func()
 	yield func(struct{}) bool
 
-	// wake and step are p.resume and p.pollStep bound once per pooled
+	// wake and step are p.resume and p.runStep bound once per pooled
 	// Proc: a method value allocates a closure per use, and every wake-up
-	// and poll check schedules one.
+	// and chain step schedules one.
 	wake, step func()
 
-	// The parked SleepPoll call's gap, condition and argument.
+	// The parked chain's armed step (nil when the armed link resumes the
+	// process) and argument, and whether the running step armed a link.
+	stepFn  Step
+	stepArg any
+	armed   bool
+
+	// The parked SleepPoll call's gap and condition.
 	pollGap  Time
 	pollCond func(arg any) bool
-	pollArg  any
 }
 
 // Go starts fn as a simulated process at the current virtual time, on an
@@ -60,7 +65,7 @@ func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 		e.idle = e.idle[:n-1]
 	} else {
 		p = &Proc{e: e}
-		p.wake, p.step = p.resume, p.pollStep
+		p.wake, p.step = p.resume, p.runStep
 		p.next, p.stop = iter.Pull(p.loop)
 	}
 	p.name, p.fn, p.done = name, fn, false
@@ -165,34 +170,112 @@ func (p *Proc) Yield() {
 	p.park()
 }
 
-// SleepPoll suspends the process until cond(arg) holds, checking it after
-// every gap of virtual time. It schedules the same events as the loop
-// `for { p.Sleep(gap); if cond(arg) { break } }`, but each check runs as a
-// callback in its wake event, so only the check that holds switches into
-// the process. cond runs on the engine: a panic in it is no ProcPanic.
-func (p *Proc) SleepPoll(gap Time, cond func(arg any) bool, arg any) {
-	p.pollGap, p.pollCond, p.pollArg = gap, cond, arg
-	p.e.After(gap, p.step)
-	p.park()
+// Step is one link of a chain (see Chain). It runs while its process is
+// parked and ends the chain unless it arms the next link with Then,
+// ThenAt or ThenWait.
+type Step func(p *Proc, arg any)
+
+// Chain runs a chain of steps for the process, which stays parked until
+// the chain ends: first(p, arg) runs at once, on the process, and each
+// later step runs as an engine callback in the wake event of the link
+// that armed it. The process is resumed once, in the event whose step
+// arms nothing; when first arms nothing, Chain returns without parking.
+//
+// Then, ThenAt and ThenWait schedule the same event, from the same point,
+// as the Sleep, SleepUntil and Wait they stand for, so a chain replays the
+// straight-line code it replaces event for event, with one coroutine
+// switch instead of one per link. Every step gets arg: chain state lives
+// there or on the caller, never in a per-call closure. Steps after the
+// first run on the engine, so a panic in one is no ProcPanic.
+func (p *Proc) Chain(first Step, arg any) {
+	p.stepArg = arg
+	first(p, arg)
+	if p.armed {
+		p.park()
+		p.armed = false
+	}
+	p.stepArg = nil
 }
 
-// pollStep is one SleepPoll check: resume once cond holds, else re-arm.
-func (p *Proc) pollStep() {
-	if !p.pollCond(p.pollArg) {
-		p.e.After(p.pollGap, p.step)
+// Then arms the chain's next link: next runs after virtual duration d, as
+// Sleep(d) would wake. A nil next resumes the process instead.
+func (p *Proc) Then(d Time, next Step) {
+	p.armed = true
+	p.stepFn = next
+	if next == nil {
+		p.e.After(d, p.wake)
 		return
 	}
-	p.pollCond, p.pollArg = nil, nil
-	p.resume()
+	p.e.After(d, p.step)
+}
+
+// ThenAt is Then at virtual instant t. Like SleepUntil it does not wait
+// for an instant that has passed: next runs at once, and a nil next ends
+// the chain in the current event.
+func (p *Proc) ThenAt(t Time, next Step) {
+	if t > p.e.now {
+		p.Then(t-p.e.now, next)
+		return
+	}
+	if next != nil {
+		next(p, p.stepArg)
+	}
+}
+
+// ThenWait arms the chain's next link on a signal: next runs in the wake
+// event of s's next Broadcast, as Wait(s) would wake. A nil next resumes
+// the process instead.
+func (p *Proc) ThenWait(s *Signal, next Step) {
+	p.armed = true
+	p.stepFn = next
+	s.add(p)
+}
+
+// runStep runs the armed step in its wake event, and resumes the process
+// when the step arms no further link.
+func (p *Proc) runStep() {
+	fn := p.stepFn
+	p.stepFn, p.armed = nil, false
+	fn(p, p.stepArg)
+	if !p.armed {
+		p.resume()
+	}
+}
+
+// onSignal is the callback a Broadcast schedules for waiter p: its
+// chain's armed step, or its wake-up.
+func (p *Proc) onSignal() func() {
+	if p.stepFn != nil {
+		return p.step
+	}
+	return p.wake
+}
+
+// SleepPoll suspends the process until cond(arg) holds, checking it after
+// every gap of virtual time. It is the chain of the loop
+// `for { p.Sleep(gap); if cond(arg) { break } }`: each check runs in its
+// wake event, so only the check that holds switches into the process.
+// cond runs on the engine: a panic in it is no ProcPanic.
+func (p *Proc) SleepPoll(gap Time, cond func(arg any) bool, arg any) {
+	p.pollGap, p.pollCond = gap, cond
+	p.Chain(pollArm, arg)
+	p.pollCond = nil
+}
+
+// pollArm is SleepPoll's first step: the first gap.
+func pollArm(p *Proc, _ any) { p.Then(p.pollGap, pollStep) }
+
+// pollStep is one SleepPoll check: end the chain once cond holds, else
+// wait another gap.
+func pollStep(p *Proc, arg any) {
+	if !p.pollCond(arg) {
+		p.Then(p.pollGap, pollStep)
+	}
 }
 
 // Wait parks the process until s is signalled.
 func (p *Proc) Wait(s *Signal) {
-	if s.first == nil {
-		s.first = p
-	} else {
-		s.more = append(s.more, p)
-	}
+	s.add(p)
 	p.park()
 }
 
@@ -205,18 +288,28 @@ type Signal struct {
 	more  []*Proc // waiters after the first, in wait order
 }
 
-// Broadcast wakes every process currently waiting on s. Wake-ups are
-// scheduled at the current instant in wait order. A woken process runs
-// only when its wake event fires, so nothing joins s during the loop and
-// the waiter slice is cleared and reused by the next round of waits.
+// add queues p as a waiter.
+func (s *Signal) add(p *Proc) {
+	if s.first == nil {
+		s.first = p
+	} else {
+		s.more = append(s.more, p)
+	}
+}
+
+// Broadcast wakes every process currently waiting on s. Wake-ups — or,
+// for a parked chain, its armed steps — are scheduled at the current
+// instant in wait order. A woken process runs only when its wake event
+// fires, so nothing joins s during the loop and the waiter slice is
+// cleared and reused by the next round of waits.
 func (s *Signal) Broadcast(e *Engine) {
 	if s.first == nil {
 		return
 	}
-	e.After(0, s.first.wake)
+	e.After(0, s.first.onSignal())
 	s.first = nil
 	for i, p := range s.more {
-		e.After(0, p.wake)
+		e.After(0, p.onSignal())
 		s.more[i] = nil
 	}
 	s.more = s.more[:0]
