@@ -1,9 +1,6 @@
 package mem
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Addr is a virtual address in a shared-virtual-memory address space.
 type Addr uint64
@@ -95,8 +92,8 @@ func (as *AddressSpace) Alloc(size int64, opts ...AllocOption) *Buffer {
 		}
 	}
 	as.next = base + Addr(npages*cfg.pageSize)
+	// Bases only grow, so appending keeps regions sorted.
 	as.regions = append(as.regions, b)
-	sort.Slice(as.regions, func(i, j int) bool { return as.regions[i].Base < as.regions[j].Base })
 	return b
 }
 
@@ -107,17 +104,15 @@ func align(a, to Addr) Addr {
 	return (a + to - 1) / to * to
 }
 
-// NodeAt returns the home NUMA node of the buffer containing addr, or nil
-// when addr is unmapped or the buffer was allocated without placement. It
-// is the submission hot path's data-home lookup — called once or twice per
-// descriptor — so it is allocation-free: a manual binary search instead of
-// Lookup's error-wrapping path.
-func (as *AddressSpace) NodeAt(addr Addr) *Node {
+// find returns the buffer containing addr, or nil when addr is unmapped.
+// It is the one binary search behind NodeAt and Lookup, both on the
+// per-descriptor hot path, so it is written out by hand: sort.Search
+// would call a closure per probe.
+func (as *AddressSpace) find(addr Addr) *Buffer {
 	lo, hi := 0, len(as.regions)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		r := as.regions[mid]
-		if addr >= r.Base+Addr(r.Size) {
+		if r := as.regions[mid]; addr >= r.Base+Addr(r.Size) {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -126,19 +121,27 @@ func (as *AddressSpace) NodeAt(addr Addr) *Node {
 	if lo == len(as.regions) || addr < as.regions[lo].Base {
 		return nil
 	}
-	return as.regions[lo].Node
+	return as.regions[lo]
+}
+
+// NodeAt returns the home NUMA node of the buffer containing addr, or nil
+// when addr is unmapped or the buffer was allocated without placement. It
+// is the submission hot path's data-home lookup — called once or twice per
+// descriptor — so it skips Lookup's error path.
+func (as *AddressSpace) NodeAt(addr Addr) *Node {
+	if b := as.find(addr); b != nil {
+		return b.Node
+	}
+	return nil
 }
 
 // Lookup resolves addr to its containing buffer and the offset within it.
 func (as *AddressSpace) Lookup(addr Addr) (*Buffer, int64, error) {
-	i := sort.Search(len(as.regions), func(i int) bool {
-		r := as.regions[i]
-		return addr < r.Base+Addr(r.Size)
-	})
-	if i == len(as.regions) || addr < as.regions[i].Base {
+	b := as.find(addr)
+	if b == nil {
 		return nil, 0, fmt.Errorf("mem: address %#x not mapped in PASID %d", addr, as.PASID)
 	}
-	return as.regions[i], int64(addr - as.regions[i].Base), nil
+	return b, int64(addr - b.Base), nil
 }
 
 // Bytes exposes the buffer's backing storage. Mutating it mutates simulated
