@@ -254,8 +254,9 @@ func portalStep(p *sim.Proc, arg any) {
 }
 
 // Wait blocks the calling process until comp finishes, accounting the wait
-// according to mode. It returns the wait duration. Every mode is one
-// coroutine switch: the steps after the completion record run as a chain.
+// according to mode. It returns the wait duration. Every mode switches
+// into the process at most once: the steps after the completion record
+// run as a chain.
 func (c *Client) Wait(p *sim.Proc, comp *Completion, mode WaitMode) sim.Time {
 	t := c.WQ.Dev.Cfg.Timing
 	start := p.Now()

@@ -492,55 +492,53 @@ func TestClientCallsResumeOncePerBlockingCall(t *testing.T) {
 	d := Descriptor{Op: OpMemmove, PASID: 1, Src: src.Addr(0), Dst: dst.Addr(0), Size: size}
 	r.e.Go("client", func(p *sim.Proc) {
 		resumes := func(what string, want int64, call func()) {
-			t.Helper()
 			before := r.e.Resumes()
 			call()
 			if got := r.e.Resumes() - before; got != want {
 				t.Errorf("%s: %d resumes, want %d", what, got, want)
 			}
 		}
-		var comps []*Completion
-		resumes("PrepareSubmit on a free WQ", 1, func() {
-			comp, err := cl.PrepareSubmit(p, d, 0)
+		var comp *Completion
+		var err error
+		resumes("PrepareSubmit on a free WQ", 1, func() { comp, err = cl.PrepareSubmit(p, d, 0) })
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		comps := []*Completion{comp}
+		for { // fill the queue
+			c, err := cl.TrySubmit(p, d, 0)
 			if err != nil {
-				t.Fatal(err)
+				break
 			}
-			comps = append(comps, comp)
-		})
-		for {
-			comp, err := cl.TrySubmit(p, d, 0)
-			if err != nil {
-				break // the queue is full
-			}
-			comps = append(comps, comp)
+			comps = append(comps, c)
 		}
 		retries := cl.Retries
-		resumes("TrySubmit with 3 re-issues on a full WQ", 2, func() {
-			if _, err := cl.TrySubmit(p, d, 3); !errors.Is(err, ErrWQFull) {
-				t.Errorf("bounded TrySubmit on a full WQ returned %v, want ErrWQFull", err)
-			}
-		})
+		resumes("TrySubmit with 3 re-issues on a full WQ", 2, func() { _, err = cl.TrySubmit(p, d, 3) })
+		if !errors.Is(err, ErrWQFull) {
+			t.Errorf("bounded TrySubmit on a full WQ returned %v, want ErrWQFull", err)
+		}
 		if got := cl.Retries - retries; got != 4 {
 			t.Errorf("TrySubmit(maxRetries=3) counted %d rejections, want 4", got)
 		}
 		retries = cl.Retries
-		resumes("Submit re-issuing until accepted", 2, func() {
-			comp, err := cl.Submit(p, d)
-			if err != nil {
-				t.Fatal(err)
-			}
-			comps = append(comps, comp)
-		})
+		resumes("Submit re-issuing until accepted", 2, func() { comp, err = cl.Submit(p, d) })
+		if err != nil {
+			t.Error(err)
+			return
+		}
 		if cl.Retries-retries < 2 {
 			t.Errorf("Submit was accepted after %d rejections; the loop was never chained", cl.Retries-retries)
 		}
+		comps = append(comps, comp)
 		resumes("Interrupt wait", 1, func() { cl.Wait(p, comps[0], Interrupt) })
 		resumes("UMWAIT wait", 1, func() { cl.Wait(p, comps[1], UMWait) })
 		cl.Coal = NewCoalescer(r.e, 4, 20*time.Microsecond, wq.Dev.Cfg.Timing.IntrCoalesceTick)
-		comp, err := cl.Submit(p, d)
-		if err != nil {
-			t.Fatal(err)
+		if comp, err = cl.Submit(p, d); err != nil {
+			t.Error(err)
+			return
 		}
+		comps = append(comps, comp)
 		resumes("coalesced Interrupt wait", 1, func() { cl.Wait(p, comp, Interrupt) })
 		for _, c := range comps {
 			c.Wait(p)
