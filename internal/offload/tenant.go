@@ -345,6 +345,7 @@ func (t *Tenant) dispatch(p *sim.Proc, d dsa.Descriptor, flags dsa.Flags, pin in
 	// Re-resolve the moderation vector per submission so SetPolicy takes
 	// effect on the next operation, as its contract promises.
 	cl.Coal = t.Coalescer()
+	// The operation's clock starts once its descriptor is prepared.
 	start := p.Now() + wq.Dev.Cfg.Timing.DescPrepare
 	comp, err := cl.PrepareSubmit(p, d, t.policy.MaxRetries)
 	if err != nil {
