@@ -35,10 +35,17 @@ type Coalescer struct {
 	// allocate.
 	ready []*Completion
 
-	// seq numbers the current accumulation window; a pending timer event
-	// captures the seq it was armed for and fires only if the window was
-	// not already delivered by the count trigger.
-	seq uint64
+	// seq numbers the current accumulation window. armed queues the seq
+	// of every window whose timer is pending: timers all run Window after
+	// their window opened, so they fire in the order they were armed, and
+	// each delivers only if its window was not already delivered by the
+	// count trigger. timerFn is k.timer bound once.
+	seq     uint64
+	armed   sim.FIFO[uint64]
+	timerFn func()
+
+	// free pools interrupt records no live completion refers to.
+	free []*intrDelivery
 
 	// sig wakes Interrupt-mode waiters parked for the next delivery.
 	sig sim.Signal
@@ -51,9 +58,12 @@ type Coalescer struct {
 // whether a waiter has already paid the delivery + handler cost. Every
 // completion announced by the same interrupt shares one intrDelivery, so
 // the cost is charged exactly once however many futures drain from it.
+// refs counts the completions it announced that are not yet recycled; the
+// last one returns it to the coalescer's pool.
 type intrDelivery struct {
 	at   sim.Time
 	paid bool
+	refs int
 }
 
 // NewCoalescer builds an interrupt coalescer delivering one interrupt per
@@ -74,7 +84,9 @@ func NewCoalescer(e *sim.Engine, count int, window, tick sim.Time) *Coalescer {
 			window += tick - rem
 		}
 	}
-	return &Coalescer{e: e, count: count, window: window}
+	k := &Coalescer{e: e, count: count, window: window}
+	k.timerFn = k.timer
+	return k
 }
 
 // Count returns the delivery batch size.
@@ -104,30 +116,64 @@ func (k *Coalescer) Track(c *Completion) {
 // written: the record joins the current window, which is delivered when
 // it reaches count records, or by the timer armed when it opened.
 func (k *Coalescer) observe(c *Completion) {
+	c.windowed = true
 	k.ready = append(k.ready, c)
 	if len(k.ready) >= k.count {
 		k.deliver()
 		return
 	}
 	if len(k.ready) == 1 {
-		seq := k.seq
-		k.e.After(k.window, func() {
-			if k.seq == seq {
-				k.deliver()
-			}
-		})
+		k.armed.Push(k.seq)
+		k.e.After(k.window, k.timerFn)
+	}
+}
+
+// timer is a window's time bound: it delivers the window it was armed
+// for unless the count trigger already did.
+func (k *Coalescer) timer() {
+	if seq, _ := k.armed.Pop(); seq == k.seq {
+		k.deliver()
 	}
 }
 
 // deliver fires one interrupt for every ready record and wakes waiters.
+// A record whose owner already released it leaves the window here, so it
+// is recycled now.
 func (k *Coalescer) deliver() {
 	k.seq++
-	d := &intrDelivery{at: k.e.Now()}
 	k.deliveries++
 	k.coalesced += int64(len(k.ready) - 1)
-	for _, c := range k.ready {
+	d := k.newDelivery(len(k.ready))
+	for i, c := range k.ready {
+		k.ready[i] = nil
+		c.windowed = false
 		c.intr = d
+		if c.released {
+			c.dev.freeCompletion(c)
+		}
 	}
 	k.ready = k.ready[:0]
 	k.sig.Broadcast(k.e)
+}
+
+// newDelivery returns an interrupt record raised now that announces refs
+// completions.
+func (k *Coalescer) newDelivery(refs int) *intrDelivery {
+	var d *intrDelivery
+	if n := len(k.free); n > 0 {
+		d = k.free[n-1]
+		k.free[n-1] = nil
+		k.free = k.free[:n-1]
+	} else {
+		d = new(intrDelivery)
+	}
+	*d = intrDelivery{at: k.e.Now(), refs: refs}
+	return d
+}
+
+// dropDelivery releases one recycled completion's hold on d.
+func (k *Coalescer) dropDelivery(d *intrDelivery) {
+	if d.refs--; d.refs == 0 {
+		k.free = append(k.free, d)
+	}
 }

@@ -8,8 +8,13 @@ import (
 // the model's stand-in for polling a completion record in memory. It records
 // the submit → dispatch → finish timeline used by the latency-breakdown
 // experiments (Fig 5).
+//
+// Like the record it models, a Completion is memory the submitter owns and
+// reuses: WQ.Submit takes one from its device's free list, and Release
+// hands a done one back. A submitter that never calls Release simply leaves
+// its completions to the garbage collector.
 type Completion struct {
-	e    *sim.Engine
+	dev  *Device
 	rec  CompletionRecord
 	done bool
 	sig  sim.Signal
@@ -34,22 +39,30 @@ type Completion struct {
 	// rebuild a remainder submission after a partial completion.
 	desc Descriptor
 
+	// batch is a batch parent's aggregation state. The record's Children
+	// alias its child-record slice, so it returns to the device's pool
+	// only together with this completion.
+	batch *batchState
+
+	// released marks a completion its owner has handed back; windowed
+	// marks one an undelivered coalescing window still holds. A
+	// completion is recycled once it is released and out of any window.
+	released bool
+	windowed bool
+
 	// Timeline instants (virtual time).
 	SubmitTime   sim.Time
 	DispatchTime sim.Time
 	FinishTime   sim.Time
 }
 
-func newCompletion(e *sim.Engine) *Completion {
-	return &Completion{e: e}
-}
-
 // complete records the result and wakes waiters.
 func (c *Completion) complete(rec CompletionRecord) {
+	e := c.dev.E
 	c.rec = rec
 	c.done = true
-	c.FinishTime = c.e.Now()
-	c.sig.Broadcast(c.e)
+	c.FinishTime = e.Now()
+	c.sig.Broadcast(e)
 	if c.coal != nil {
 		c.coal.observe(c)
 	}
@@ -60,9 +73,29 @@ func (c *Completion) complete(rec CompletionRecord) {
 
 // SetOnDone arms the completion hook: fn(c, tag) runs when the record is
 // written, after waiters are woken and the interrupt moderation window has
-// observed the record.
+// observed the record. Arming the hook hands the completion to the device:
+// the caller must not keep it, nor wait on it, and the device recycles it
+// once the hook has run — so fn must not keep c either.
 func (c *Completion) SetOnDone(fn func(c *Completion, tag uint64), tag uint64) {
 	c.onDone, c.onDoneTag = fn, tag
+}
+
+// Release hands a done completion back to its device for reuse by a later
+// submission. The caller must hold no reference to it, or to its record's
+// Children, afterwards. A completion an undelivered coalescing window still
+// holds is recycled when the window delivers. Release panics on a
+// completion still in flight and on a second release.
+func (c *Completion) Release() {
+	if c.released {
+		panic("dsa: Completion released twice")
+	}
+	if !c.done {
+		panic("dsa: Release of a Completion still in flight")
+	}
+	c.released = true
+	if !c.windowed {
+		c.dev.freeCompletion(c)
+	}
 }
 
 // Desc returns the descriptor this completion was created for.

@@ -2,6 +2,7 @@ package dsa
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"dsasim/internal/mem"
@@ -82,6 +83,12 @@ type Device struct {
 	// more items than the peak number of works in flight at once.
 	free []*work
 
+	// comps and batches pool released completions and the batch state of
+	// released batch parents (see newCompletion). Both start empty and
+	// grow only when every pooled item is still held.
+	comps   []*Completion
+	batches []*batchState
+
 	// calls pools the chain state of Client calls parked on this device's
 	// WQs (see call). The device, not the Client, owns the pool: clients
 	// come and go with their tenants, the device stays.
@@ -153,6 +160,59 @@ func (d *Device) newWork() *work {
 func (d *Device) freeWork(wk *work) {
 	*wk = work{fireFn: wk.fireFn}
 	d.free = append(d.free, wk)
+}
+
+// newCompletion returns a completion from the free list, or a fresh one.
+func (d *Device) newCompletion() *Completion {
+	if n := len(d.comps); n > 0 {
+		c := d.comps[n-1]
+		d.comps[n-1] = nil
+		d.comps = d.comps[:n-1]
+		c.released = false
+		return c
+	}
+	return &Completion{dev: d}
+}
+
+// freeCompletion recycles a released completion out of every coalescing
+// window, with its share of the interrupt that announced it and its batch
+// state. It stays marked released while pooled, so a second Release of
+// the same handle panics.
+func (d *Device) freeCompletion(c *Completion) {
+	if c.intr != nil {
+		c.coal.dropDelivery(c.intr)
+	}
+	if c.batch != nil {
+		d.freeBatch(c.batch)
+	}
+	*c = Completion{dev: d, sig: c.sig, released: true}
+	d.comps = append(d.comps, c)
+}
+
+// newBatch returns batch state for a batch parent's work wk executing on
+// eng, its child records zeroed (StatusNone: not attempted).
+func (d *Device) newBatch(eng *Engine, wk *work) *batchState {
+	var bs *batchState
+	if n := len(d.batches); n > 0 {
+		bs = d.batches[n-1]
+		d.batches[n-1] = nil
+		d.batches = d.batches[:n-1]
+	} else {
+		bs = &batchState{}
+		bs.fetchedFn, bs.doneFn = bs.fetched, bs.done
+	}
+	n := len(wk.d.Descs)
+	bs.eng, bs.wk, bs.children = eng, wk, wk.d.Descs
+	bs.childRecs = slices.Grow(bs.childRecs[:0], n)[:n]
+	return bs
+}
+
+// freeBatch returns a batch parent's state to the pool, keeping its
+// child-record array and bound callbacks.
+func (d *Device) freeBatch(bs *batchState) {
+	clear(bs.childRecs)
+	*bs = batchState{childRecs: bs.childRecs[:0], fetchedFn: bs.fetchedFn, doneFn: bs.doneFn}
+	d.batches = append(d.batches, bs)
 }
 
 // ddioWrite models a cache-control destination write of n bytes into buf:

@@ -645,9 +645,10 @@ func TestBatchFetchPricedAgainstSubmitterSocket(t *testing.T) {
 	}
 }
 
-// opAllocs runs d through a warmed Client.Submit → Wait(Poll) loop on r
-// and returns the host allocations per operation.
-func opAllocs(t *testing.T, r *rig, d Descriptor) float64 {
+// opAllocs runs d through a warmed Client.Submit → Wait(Poll) loop on r,
+// handing each completion back with Release when release is set, and
+// returns the host allocations per operation.
+func opAllocs(t *testing.T, r *rig, d Descriptor, release bool) float64 {
 	t.Helper()
 	cl := NewClient(r.dev.WQs()[0], nil)
 	var allocs float64
@@ -662,6 +663,9 @@ func opAllocs(t *testing.T, r *rig, d Descriptor) float64 {
 			if st := c.Record().Status; st != StatusSuccess {
 				t.Errorf("status %v", st)
 			}
+			if release {
+				c.Release()
+			}
 		}
 		for i := 0; i < 64; i++ {
 			op()
@@ -672,27 +676,33 @@ func opAllocs(t *testing.T, r *rig, d Descriptor) float64 {
 	return allocs
 }
 
-// The device hot path has a pinned per-descriptor allocation budget: only
-// the Completion handed to the caller. Work items are pooled and their
-// completion event is bound once, so a closure or slice creeping back in
-// trips here rather than only in the benchmark harness.
+// The device hot path has a pinned per-descriptor allocation budget.
+// Work items are pooled and their completion event is bound once, so a
+// submitter that releases each completion allocates nothing; one that
+// keeps them pays exactly the Completion it holds. A closure or slice
+// creeping back in trips here rather than only in the benchmark harness.
 func TestMemmove4KAllocBudget(t *testing.T) {
-	const budget = 1
 	r := newRig(t)
 	src, dst := r.alloc(4<<10), r.alloc(4<<10)
 	sim.NewRand(3).Bytes(src.Bytes())
 	d := Descriptor{Op: OpMemmove, PASID: 1, Src: src.Addr(0), Dst: dst.Addr(0), Size: 4 << 10}
-	if allocs := opAllocs(t, r, d); allocs > budget {
-		t.Errorf("4 KB memmove allocated %.2f times per op, budget %d", allocs, budget)
+	for _, tc := range []struct {
+		release bool
+		budget  float64
+	}{{false, 1}, {true, 0}} {
+		if allocs := opAllocs(t, r, d, tc.release); allocs > tc.budget {
+			t.Errorf("4 KB memmove (release %v) allocated %.2f times per op, budget %.0f", tc.release, allocs, tc.budget)
+		}
 	}
 }
 
-// A 16 × 1 KB batch pays the parent's Completion plus the batch's own
-// state: its aggregation state, the child-record slice the caller reads,
-// and its fetch and completion events. Children are pooled works whose
-// completions live inside them, so they add nothing.
+// A released 16 × 1 KB batch allocates nothing: the parent's Completion
+// and its batch state — aggregation counters, the child-record slice the
+// caller reads and the bound fetch and completion events — are pooled per
+// device and return together. Children are pooled works whose completions
+// live inside them.
 func TestBatch16AllocBudget(t *testing.T) {
-	const children, size, budget = 16, 1 << 10, 5
+	const children, size, budget = 16, 1 << 10, 0
 	r := newRig(t)
 	src, dst := r.alloc(children*size), r.alloc(children*size)
 	sim.NewRand(4).Bytes(src.Bytes())
@@ -702,7 +712,7 @@ func TestBatch16AllocBudget(t *testing.T) {
 		subs[i] = Descriptor{Op: OpMemmove, Src: src.Addr(off), Dst: dst.Addr(off), Size: size}
 	}
 	d := Descriptor{Op: OpBatch, PASID: 1, Descs: subs}
-	if allocs := opAllocs(t, r, d); allocs > budget {
+	if allocs := opAllocs(t, r, d, true); allocs > budget {
 		t.Errorf("16 × 1 KB batch allocated %.2f times per op, budget %d", allocs, budget)
 	}
 }

@@ -319,15 +319,25 @@ func (wk *work) fire() {
 	}
 	d.stats.Completed++
 	g.inflight--
-	wk.comp.complete(rec)
+	comp := wk.comp
+	comp.complete(rec)
 	if wk.wq != nil {
-		wk.wq.noteCompleted(wk.d.PASID, wk.comp.Latency())
+		wk.wq.noteCompleted(wk.d.PASID, comp.Latency())
 	}
 	if wk.parent != nil {
 		wk.parent.childDone(wk.childIdx, rec)
 	}
 	g.drainSig.Broadcast(d.E)
+	releaseHooked(comp)
 	d.freeWork(wk)
+}
+
+// releaseHooked recycles a completion whose submitter armed a hook and
+// handed it over (SetOnDone), once the device has made its last read.
+func releaseHooked(c *Completion) {
+	if c.onDone != nil {
+		c.Release()
+	}
 }
 
 // executeDrain completes once every previously dispatched descriptor in the
@@ -354,7 +364,9 @@ func (eng *Engine) executeDrain(wk *work) {
 	})
 }
 
-// batchState aggregates a batch descriptor's children (§3.4 F2).
+// batchState aggregates a batch descriptor's children (§3.4 F2). It is
+// pooled per device (Device.newBatch) and travels with the parent's
+// completion once written, because the record's Children alias childRecs.
 type batchState struct {
 	eng       *Engine
 	wk        *work
@@ -370,6 +382,14 @@ type batchState struct {
 	// drain. This is how a fused pipeline chain stops feeding garbage to
 	// downstream stages.
 	poisoned bool
+	// status is the parent record's status, fixed when its write is
+	// scheduled.
+	status Status
+
+	// fetchedFn and doneFn are bs.fetched and bs.done bound once, when the
+	// state is first allocated: the descriptor-array fetch and the parent
+	// record write schedule them without a per-batch closure.
+	fetchedFn, doneFn func()
 }
 
 // executeBatch models the batch processing unit: fetch the descriptor array
@@ -394,19 +414,15 @@ func (eng *Engine) executeBatch(wk *work) {
 	}
 	fetchDone := d.fabric.ReserveAt(now+t.EngineSetup+fetchLat, n)
 
-	bs := &batchState{
-		eng:       eng,
-		wk:        wk,
-		children:  wk.d.Descs,
-		childRecs: make([]CompletionRecord, len(wk.d.Descs)),
-	}
-	d.E.At(fetchDone, func() {
-		bs.issueReady()
-		// The fetching engine frees once the children are queued; it can
-		// then pick children itself.
-		eng.busy = false
-		g.dispatch()
-	})
+	d.E.At(fetchDone, d.newBatch(eng, wk).fetchedFn)
+}
+
+// fetched ends the descriptor-array fetch: the children are queued, and
+// the fetching engine frees to pick children itself.
+func (bs *batchState) fetched() {
+	bs.issueReady()
+	bs.eng.busy = false
+	bs.eng.group.dispatch()
 }
 
 // issueReady queues children up to (and including) the next fence barrier.
@@ -430,7 +446,7 @@ func (bs *batchState) issueReady() {
 		cw.d, cw.parent, cw.childIdx, cw.fromBatch = child, bs, bs.nextIssue, true
 		cw.enqueued = g.Dev.E.Now()
 		cw.comp = &cw.own
-		cw.own.e = g.Dev.E
+		cw.own.dev = g.Dev
 		cw.own.SubmitTime = bs.wk.comp.SubmitTime
 		bs.nextIssue++
 		g.batchQ.Push(cw)
@@ -462,24 +478,33 @@ func (bs *batchState) childDone(idx int, rec CompletionRecord) {
 	}
 	if bs.poisoned || bs.completed == len(bs.children) {
 		d := g.Dev
-		status := StatusSuccess
+		bs.status = StatusSuccess
 		if bs.failed {
-			status = StatusBatchFail
+			bs.status = StatusBatchFail
 		}
-		at := d.E.Now() + d.Cfg.Timing.CRWrite
-		d.E.At(at, func() {
-			d.stats.Completed++
-			g.inflight-- // the batch parent's own inflight slot
-			bs.wk.comp.complete(CompletionRecord{
-				Status:   status,
-				Result:   uint64(bs.succeeded),
-				Children: bs.childRecs,
-			})
-			if bs.wk.wq != nil {
-				bs.wk.wq.noteCompleted(bs.wk.d.PASID, bs.wk.comp.Latency())
-			}
-			g.drainSig.Broadcast(d.E)
-			d.freeWork(bs.wk)
-		})
+		d.E.At(d.E.Now()+d.Cfg.Timing.CRWrite, bs.doneFn)
 	}
+}
+
+// done writes the batch parent's completion record, handing the batch
+// state to the parent's completion.
+func (bs *batchState) done() {
+	g := bs.eng.group
+	d := g.Dev
+	wk := bs.wk
+	comp := wk.comp
+	d.stats.Completed++
+	g.inflight-- // the batch parent's own inflight slot
+	comp.batch = bs
+	comp.complete(CompletionRecord{
+		Status:   bs.status,
+		Result:   uint64(bs.succeeded),
+		Children: bs.childRecs,
+	})
+	if wk.wq != nil {
+		wk.wq.noteCompleted(wk.d.PASID, comp.Latency())
+	}
+	g.drainSig.Broadcast(d.E)
+	d.freeWork(wk)
+	releaseHooked(comp)
 }

@@ -179,8 +179,10 @@ func (w *WQ) failQueued(status Status, err error) {
 		}
 		w.occupied--
 		w.noteOcc()
-		wk.comp.complete(CompletionRecord{Status: status, Err: err})
-		w.noteCompleted(wk.d.PASID, wk.comp.Latency())
+		comp := wk.comp
+		comp.complete(CompletionRecord{Status: status, Err: err})
+		w.noteCompleted(wk.d.PASID, comp.Latency())
+		releaseHooked(comp)
 		w.Dev.freeWork(wk)
 	}
 }

@@ -2,6 +2,8 @@ package dsa
 
 import (
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -25,10 +27,20 @@ type poolOp struct {
 }
 
 // poolRig is a device, its buffers and a shared WQ small enough to back
-// up, with a WQ disable window 3µs into each pass.
+// up, with a WQ disable window 3µs into each pass. handles counts the
+// distinct completions its passes were handed.
 type poolRig struct {
 	*rig
 	src, dst, lazy *mem.Buffer
+	handles        map[*Completion]bool
+}
+
+// poolReap is how a pass's submitters reap their completions: release
+// hands each back once read; coal steers every submitter's interrupts
+// through one coalescer and reaps by Poll and Interrupt waits in turn, so
+// some records are released before their window delivers.
+type poolReap struct {
+	release, coal bool
 }
 
 func newPoolRig(t *testing.T, passes []sim.Time) *poolRig {
@@ -41,7 +53,8 @@ func newPoolRig(t *testing.T, passes []sim.Time) *poolRig {
 	if _, err := r.dev.InjectFaults(FaultConfig{Seed: 1, WQDisables: disables}); err != nil {
 		t.Fatal(err)
 	}
-	pr := &poolRig{rig: r, src: r.alloc(64 << 10), dst: r.alloc(64 << 10), lazy: r.alloc(4*mem.Page4K, mem.Lazy())}
+	pr := &poolRig{rig: r, src: r.alloc(64 << 10), dst: r.alloc(64 << 10), lazy: r.alloc(4*mem.Page4K, mem.Lazy()),
+		handles: map[*Completion]bool{}}
 	sim.NewRand(21).Bytes(pr.src.Bytes())
 	// Map the first lazy page, so a fault there completes a prefix.
 	if err := r.as.ResolveFault(pr.lazy.Addr(0)); err != nil {
@@ -84,17 +97,23 @@ func (pr *poolRig) desc(rng *sim.Rand) Descriptor {
 }
 
 // pass runs the seeded workload from instant at: four submitters each
-// issue twelve descriptors without waiting, then reap them all.
-func (pr *poolRig) pass(t *testing.T, at sim.Time) []poolOp {
+// issue twelve descriptors without waiting, then reap them all as reap
+// says.
+func (pr *poolRig) pass(t *testing.T, at sim.Time, reap poolReap) []poolOp {
 	t.Helper()
 	const submitters, perSubmitter = 4, 12
 	out := make([]poolOp, submitters*perSubmitter)
 	pr.e.At(at, func() {
+		var coal *Coalescer
+		if reap.coal {
+			coal = NewCoalescer(pr.e, 4, 2*time.Microsecond, 0)
+		}
 		for s := 0; s < submitters; s++ {
 			s := s
 			pr.e.Go("pool-submitter", func(p *sim.Proc) {
 				rng := sim.NewRand(uint64(100 + s))
 				cl := NewClient(pr.dev.WQs()[0], nil)
+				cl.Coal = coal
 				comps := make([]*Completion, perSubmitter)
 				for i := range comps {
 					p.Sleep(sim.Time(rng.Intn(400)) * time.Nanosecond)
@@ -103,14 +122,28 @@ func (pr *poolRig) pass(t *testing.T, at sim.Time) []poolOp {
 						out[s*perSubmitter+i].Err = err.Error()
 						continue
 					}
+					pr.handles[c] = true
 					comps[i] = c
 				}
 				for i, c := range comps {
 					if c == nil {
 						continue
 					}
-					c.Wait(p)
-					out[s*perSubmitter+i] = poolOp{Rec: c.Record(), Submit: c.SubmitTime, Dispatch: c.DispatchTime, Finish: c.FinishTime}
+					switch {
+					case !reap.coal:
+						c.Wait(p)
+					case i%2 == 0:
+						cl.Wait(p, c, Poll)
+					default:
+						cl.Wait(p, c, Interrupt)
+					}
+					rec := c.Record()
+					// The child records return with the completion.
+					rec.Children = slices.Clone(rec.Children)
+					out[s*perSubmitter+i] = poolOp{Rec: rec, Submit: c.SubmitTime, Dispatch: c.DispatchTime, Finish: c.FinishTime}
+					if reap.release {
+						c.Release()
+					}
 				}
 			})
 		}
@@ -147,20 +180,20 @@ func freeSet(t *testing.T, d *Device) map[*work]bool {
 // exactly those works and allocate no others.
 func TestWorkPoolReuseIsInvisible(t *testing.T) {
 	reused := newPoolRig(t, poolPassAt[:])
-	reused.pass(t, poolPassAt[0])
+	reused.pass(t, poolPassAt[0], poolReap{})
 	peak := freeSet(t, reused.dev)
 	if len(peak) == 0 {
 		t.Fatal("first pass returned no works to the pool")
 	}
 	reused.dev.FlushATC() // the fresh device starts with a cold ATC
-	got := reused.pass(t, poolPassAt[1])
+	got := reused.pass(t, poolPassAt[1], poolReap{})
 	after := freeSet(t, reused.dev)
 	if !reflect.DeepEqual(after, peak) {
 		t.Fatalf("pool after the second pass holds %d works, want the first pass's %d", len(after), len(peak))
 	}
 
 	fresh := newPoolRig(t, poolPassAt[1:])
-	want := fresh.pass(t, poolPassAt[1])
+	want := fresh.pass(t, poolPassAt[1], poolReap{})
 
 	seen := map[Status]int{}
 	for i := range want {
@@ -177,4 +210,77 @@ func TestWorkPoolReuseIsInvisible(t *testing.T) {
 	if !reflect.DeepEqual(reused.dst.Bytes(), fresh.dst.Bytes()) {
 		t.Error("destination bytes differ between the recycled and the fresh device")
 	}
+}
+
+// TestCompletionPoolReuseIsInvisible runs the seeded mix for two passes on
+// a device whose submitters release every completion once read, and on
+// one whose submitters never do, with plain waits and then with coalesced
+// Poll and Interrupt waits: every record (batch children included),
+// timeline stamp and destination byte must match, while the releasing
+// device serves later submissions from recycled completions, batch state
+// and interrupt records.
+func TestCompletionPoolReuseIsInvisible(t *testing.T) {
+	for _, coal := range []bool{false, true} {
+		released := newPoolRig(t, poolPassAt[:])
+		kept := newPoolRig(t, poolPassAt[:])
+		submitted := 0
+		for pass, at := range poolPassAt {
+			got := released.pass(t, at, poolReap{release: true, coal: coal})
+			want := kept.pass(t, at, poolReap{coal: coal})
+			for i := range want {
+				if !reflect.DeepEqual(got[i], want[i]) {
+					t.Errorf("coal %v pass %d op %d with Release = %+v, without = %+v", coal, pass, i, got[i], want[i])
+				}
+				if want[i].Err == "" {
+					submitted++
+				}
+			}
+		}
+		if !reflect.DeepEqual(released.dst.Bytes(), kept.dst.Bytes()) {
+			t.Errorf("coal %v: destination bytes differ with and without Release", coal)
+		}
+		if n := len(kept.handles); n != submitted {
+			t.Fatalf("coal %v: %d submissions without Release got %d distinct completions", coal, submitted, n)
+		}
+		if n := len(released.handles); n >= submitted/2 {
+			t.Errorf("coal %v: %d submissions with Release got %d distinct completions: the pool was not reused", coal, submitted, n)
+		}
+	}
+}
+
+// TestCompletionReleaseMisusePanics pins the loud failures of a misused
+// completion: releasing one still in flight, and releasing one twice.
+func TestCompletionReleaseMisusePanics(t *testing.T) {
+	r := newRig(t)
+	src, dst := r.alloc(4<<10), r.alloc(4<<10)
+	d := Descriptor{Op: OpMemmove, PASID: 1, Src: src.Addr(0), Dst: dst.Addr(0), Size: 4 << 10}
+	cl := NewClient(r.dev.WQs()[0], nil)
+	r.e.Go("misuse", func(p *sim.Proc) {
+		c, err := cl.Submit(p, d)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		wantPanic(t, "Release in flight", "in flight", c.Release)
+		cl.Wait(p, c, Poll)
+		c.Release()
+		wantPanic(t, "second Release", "twice", c.Release)
+	})
+	r.e.Run()
+}
+
+// wantPanic calls fn and fails unless it panics with a message containing
+// want.
+func wantPanic(t *testing.T, what, want string, fn func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		v := recover()
+		if v == nil {
+			t.Errorf("%s did not panic", what)
+		} else if msg, _ := v.(string); !strings.Contains(msg, want) {
+			t.Errorf("%s panicked with %v, want a message containing %q", what, v, want)
+		}
+	}()
+	fn()
 }

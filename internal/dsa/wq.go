@@ -100,9 +100,11 @@ func (w *WQ) MaxOccupancy() int { return w.maxOcc }
 func (w *WQ) Submitted() int64 { return w.submitted }
 
 // Submit places a descriptor in the WQ at the current virtual instant,
-// returning a completion handle, or ErrWQFull when no entry is free. Submit
-// models only the device side: the core-side instruction cost (MOVDIR64B /
-// ENQCMD / retry loops) lives in Client.
+// returning a completion handle, or ErrWQFull when no entry is free. The
+// handle comes from the device's free list; the caller may hand it back
+// with Completion.Release once done with it. Submit models only the device
+// side: the core-side instruction cost (MOVDIR64B / ENQCMD / retry loops)
+// lives in Client.
 func (w *WQ) Submit(d Descriptor) (*Completion, error) {
 	if !w.Dev.enabled {
 		return nil, fmt.Errorf("dsa: device %s not enabled", w.Dev.Cfg.Name)
@@ -126,7 +128,7 @@ func (w *WQ) Submit(d Descriptor) (*Completion, error) {
 	if d.Op == OpBatch && len(d.Descs) < 2 {
 		return nil, fmt.Errorf("dsa: batch requires at least 2 descriptors")
 	}
-	comp := newCompletion(w.Dev.E)
+	comp := w.Dev.newCompletion()
 	comp.SubmitTime = w.Dev.E.Now()
 	comp.desc = d
 	wk := w.Dev.newWork()

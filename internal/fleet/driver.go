@@ -384,7 +384,10 @@ func (d *driver) enqueue(s int, it reapItem) {
 
 // reaper resolves one shard's outstanding futures in FIFO order,
 // recording each carried operation's open-loop latency (completion −
-// scheduled arrival) against its arrival's phase and class budget.
+// scheduled arrival) against its arrival's phase and class budget. Each
+// Future is released once waited, with its completion, so the next
+// arrival reuses both; a broker burst's Future is released before its
+// pipeline returns to the free list, whose next run may then reuse it.
 func (d *driver) reaper(s int) func(p *sim.Proc) {
 	return func(p *sim.Proc) {
 		for {
@@ -402,6 +405,7 @@ func (d *driver) reaper(s int) func(p *sim.Proc) {
 			if it.cls == BG {
 				budget = d.sc.BgSLO
 			}
+			it.fut.Release()
 			if it.burst == nil {
 				d.record(it.arr, it.cls, end-it.arr, budget, err != nil)
 				continue

@@ -116,12 +116,12 @@ func (b *Batch) Submit(p *sim.Proc) (*Future, error) {
 		}
 		f, err := b.t.submitSlice(p, sub, b.flags)
 		if err != nil {
-			parts = append(parts, completed(Result{}, err))
-			return joinFutures(parts), err
+			parts = append(parts, b.t.completed(Result{}, err))
+			return b.t.joinFutures(parts), err
 		}
 		parts = append(parts, f)
 	}
-	return joinFutures(parts), nil
+	return b.t.joinFutures(parts), nil
 }
 
 // submitChain is the one chain submitter, shared by the batch paths and
@@ -261,7 +261,8 @@ func (ab *AutoBatcher) Pending() int { return len(ab.pending) }
 // the policy's batch size is reached.
 func (ab *AutoBatcher) add(p *sim.Proc, d dsa.Descriptor) (*Future, error) {
 	ab.pending = append(ab.pending, d)
-	f := &Future{t: ab.t, op: d.Op, ab: ab, start: p.Now()}
+	f := ab.t.newFuture()
+	f.op, f.ab, f.start = d.Op, ab, p.Now()
 	ab.futs = append(ab.futs, f)
 	ab.t.stats.coalesce.Add(1)
 	limit := ab.t.policy.AutoBatch
@@ -328,13 +329,16 @@ func (ab *AutoBatcher) flushSlice(p *sim.Proc, descs []dsa.Descriptor, futs []*F
 		failAll(futs, err)
 		return err
 	}
-	shared := &batchWait{}
+	shared := &batchWait{live: len(futs)}
 	for _, f := range futs {
 		f.ab = nil
 		f.cl = parent.cl
 		f.comp = parent.comp
 		f.sharedWait = shared
 	}
+	// The siblings own the completion now; the parent handle is spent.
+	parent.comp = nil
+	ab.t.freeFuture(parent)
 	return nil
 }
 

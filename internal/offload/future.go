@@ -35,6 +35,10 @@ type Result struct {
 // device writes the completion record; auto-batched ones complete when
 // their batch flushes and finishes. Wait is idempotent: the first call
 // resolves the result, later calls return it without re-accounting.
+//
+// Futures come from a per-tenant free list. Release hands a resolved one
+// back, together with the completion it resolved from; a caller that
+// never releases leaves both to the garbage collector.
 type Future struct {
 	t     *Tenant
 	cl    *dsa.Client
@@ -79,11 +83,39 @@ type Future struct {
 	done bool
 	res  Result
 	err  error
+
+	// released marks a Future handed back with Release, so any later use
+	// of the handle panics instead of reading another operation's state.
+	released bool
+}
+
+// live panics on a released Future: its memory may already carry a
+// later operation.
+func (f *Future) live() {
+	if f.released {
+		panic("offload: use of a released Future")
+	}
+}
+
+// Release hands a resolved Future back to its tenant for reuse by a later
+// operation, together with the completion record it resolved from (a
+// record shared by auto-batched siblings returns with the last of them).
+// Resolved means Wait has returned, or the Future was returned already
+// resolved. The caller must hold no reference to the Future afterwards:
+// every method of a released Future panics, and so does Release of an
+// unresolved one.
+func (f *Future) Release() {
+	f.live()
+	if !f.done {
+		panic("offload: Release of an unresolved Future")
+	}
+	f.t.freeFuture(f)
 }
 
 // Done reports whether the result is available without waiting. A queued
 // auto-batched operation is not done until its batch flushes and finishes.
 func (f *Future) Done() bool {
+	f.live()
 	if f.done {
 		return true
 	}
@@ -106,6 +138,7 @@ func (f *Future) Done() bool {
 // on an operation still queued in the AutoBatcher flushes the batch first,
 // so a dependent caller can never deadlock on an unflushed batch.
 func (f *Future) Wait(p *sim.Proc, mode WaitMode) (Result, error) {
+	f.live()
 	if f.done {
 		return f.res, f.err
 	}
@@ -195,21 +228,55 @@ func (f *Future) waitParts(p *sim.Proc, mode WaitMode) (Result, error) {
 // joinFutures links the sub-batch futures of one split submission into a
 // single Future whose start is the first part's submission instant. A
 // single part is returned as-is.
-func joinFutures(parts []*Future) *Future {
+func (t *Tenant) joinFutures(parts []*Future) *Future {
 	if len(parts) == 1 {
 		return parts[0]
 	}
-	f := &Future{parts: parts}
+	f := t.newFuture()
+	f.parts = parts
 	if len(parts) > 0 {
 		f.start = parts[0].start
 	}
 	return f
 }
 
+// newFuture takes a Future from the tenant's free list, or a fresh one.
+func (t *Tenant) newFuture() *Future {
+	if n := len(t.futs); n > 0 {
+		f := t.futs[n-1]
+		t.futs[n-1] = nil
+		t.futs = t.futs[:n-1]
+		f.released = false
+		return f
+	}
+	return &Future{t: t}
+}
+
+// freeFuture returns f to the free list with its parts and the completion
+// it owns. It is Release without the checks, for the Futures the service
+// drives itself (a pipeline chain, a recovery attempt, a flushed batch
+// parent).
+func (t *Tenant) freeFuture(f *Future) {
+	for _, part := range f.parts {
+		t.freeFuture(part)
+	}
+	switch sw := f.sharedWait; {
+	case sw != nil:
+		if sw.live--; sw.live == 0 {
+			f.comp.Release()
+		}
+	case f.comp != nil:
+		f.comp.Release()
+	}
+	*f = Future{t: t, sig: f.sig, released: true}
+	t.futs = append(t.futs, f)
+}
+
 // batchWait is the shared wait/accounting state of coalesced siblings.
 type batchWait struct {
 	paid        bool // wait cost charged by the first waiter
 	failCounted bool // batch failure counted once toward Stats.Failures
+	live        int  // siblings not yet released; the last releases the record
 }
 
 // resolve decodes the completion record into the memoized result. Every
@@ -288,6 +355,8 @@ func recordError(rec dsa.CompletionRecord) error {
 
 // completed builds an already-resolved Future (software path and submission
 // errors).
-func completed(res Result, err error) *Future {
-	return &Future{done: true, res: res, err: err}
+func (t *Tenant) completed(res Result, err error) *Future {
+	f := t.newFuture()
+	f.done, f.res, f.err = true, res, err
+	return f
 }

@@ -163,8 +163,10 @@ type pstage struct {
 // iteration. The first Submit compiles the shape (level order and driver);
 // declaring a stage after it is an error. A pipeline is reusable once its
 // Future resolves: scratch buffers recycle through the tenant pool and
-// stage state is reset, so resubmission allocates only the Future the
-// caller holds. Submitting while a run is still in flight is an error.
+// stage state is reset. Each run's Future comes from the tenant's free
+// list, so a run reuses an earlier run's Future only once the caller has
+// released it, and a handle still held never observes a later run.
+// Submitting while a run is still in flight is an error.
 type Pipeline struct {
 	t      *Tenant
 	stages []pstage
@@ -445,9 +447,11 @@ func (pl *Pipeline) Submit(p *sim.Proc) (*Future, error) {
 		pl.stages[i].result = 0
 	}
 	pl.failed = -1
-	pl.cur = &Future{t: t, pipe: true, op: dsa.OpBatch, start: p.Now()}
+	f := t.newFuture()
+	f.pipe, f.op, f.start = true, dsa.OpBatch, p.Now()
+	pl.cur = f
 	t.S.E.Go("pipeline", pl.driver)
-	return pl.cur, nil
+	return f, nil
 }
 
 // drive walks the DAG level by level: device stages accumulate into the
@@ -563,15 +567,21 @@ func (pl *Pipeline) flush(p *sim.Proc) error {
 	if !f.done {
 		rec = f.comp.Record()
 	}
-	if rec.Status != dsa.StatusSuccess {
-		return pl.chainError(&rec)
-	}
-	if len(pl.chainIdx) == 1 {
+	switch {
+	case rec.Status != dsa.StatusSuccess:
+		err = pl.chainError(&rec)
+	case len(pl.chainIdx) == 1:
 		pl.stages[pl.chainIdx[0]].result = rec.Result
-	} else {
+	default:
 		for k, c := range rec.Children {
 			pl.stages[pl.chainIdx[k]].result = c.Result
 		}
+	}
+	// rec.Children alias the batch state that returns with the chain's
+	// completion, so the chain's Future is released only after this read.
+	t.freeFuture(f)
+	if err != nil {
+		return err
 	}
 	pl.chain = pl.chain[:0]
 	pl.chainIdx = pl.chainIdx[:0]

@@ -11,8 +11,9 @@
 // descriptors into each WQ's ENQCMD path through a bounded lock-free
 // MPSC ring (dsa.SubmitRing), whose push is a couple of atomics. The
 // global signals the classic path read synchronously (WQ occupancy,
-// queueing delay) become a periodically published Snapshot: lanes load
-// one pointer instead of syncing the telemetry hub per Pick.
+// queueing delay) become a periodically published per-ring occupancy:
+// lanes load one atomic per ring instead of syncing the telemetry hub per
+// Pick.
 //
 // Scheduling semantics are preserved, not replaced: lane candidate sets
 // are precomputed from the same Topology express/rest partition the
@@ -37,7 +38,7 @@ import (
 )
 
 // planeAggCadence is the shard→global aggregation period: how often the
-// drain republishes the Snapshot lanes route on, and the sync cadence
+// drain republishes the occupancy lanes route on, and the sync cadence
 // installed on the telemetry hub so policy reads between publishes share
 // one merge. A couple of microseconds keeps routing within one device
 // service quantum of the truth without per-submission synchronization.
@@ -46,7 +47,7 @@ const planeAggCadence = 2 * time.Microsecond
 // Plane is a tenant's sharded submission front end: N Lanes (one per
 // submitting context) over one lock-free SubmitRing per service WQ, a
 // drain that moves ring entries into the device WQs and publishes the
-// routing Snapshot, and completion-side wakeup moderation. Build one
+// routing occupancy, and completion-side wakeup moderation. Build one
 // with Tenant.NewPlane; hand each submitter its own Lane.
 type Plane struct {
 	t     *Tenant
@@ -75,10 +76,14 @@ type Plane struct {
 	pending  atomic.Int64
 	inflight atomic.Int64
 
-	// snap is the periodically published routing signal (per-ring WQ
-	// occupancy). Lanes Load it — one atomic pointer read replaces the
-	// synchronous telemetry sync the classic Pick path pays.
-	snap atomic.Pointer[Snapshot]
+	// occ is the periodically published routing signal: each ring's WQ
+	// occupancy at the last publish, written in place. Lanes add each
+	// ring's live length on top, so routing reacts to their own bursts
+	// immediately and to device drain at the aggregation cadence. One
+	// atomic load per ring replaces the synchronous telemetry sync the
+	// classic Pick path pays; a host-domain reader sees each ring's last
+	// published value.
+	occ []atomic.Int32
 
 	// Completion-side wakeup moderation: completed() broadcasts doneSig
 	// every wakeEvery-th completion (resolved from the tenant's
@@ -108,22 +113,12 @@ type Plane struct {
 	held    []dsa.RingEntry
 	holding []bool
 	lastPub sim.Time
-	pubbed  bool
 
 	// drainFn and completedFn are pl.drain and pl.completed bound once:
 	// a method value allocates a closure per use, and every drain pass
 	// and every WQ acceptance passes one.
 	drainFn     func()
 	completedFn func(c *dsa.Completion, tag uint64)
-}
-
-// Snapshot is the plane's published routing signal: the occupancy of
-// each ring's WQ at publish time. Lanes add each ring's live length on
-// top, so routing reacts to their own bursts immediately and to device
-// drain at the aggregation cadence.
-type Snapshot struct {
-	At  sim.Time
-	Occ []int32 // indexed like Plane.rings
 }
 
 // Lane is one submission shard: lane-local admission bucket and routing
@@ -141,6 +136,9 @@ type Lane struct {
 	published sim.Time
 	retry     dsa.RingEntry
 	retryRing int
+	// overShare is SubmitStamped's shed error, built on the lane's first
+	// shed, so shedding allocates nothing per operation.
+	overShare error
 }
 
 // NewPlane attaches a sharded submission plane with nlanes lanes to the
@@ -167,6 +165,7 @@ func (t *Tenant) NewPlane(nlanes int) (*Plane, error) {
 		rings:   make([]*dsa.SubmitRing, len(wqs)),
 		ringTok: make([]*sim.Token, len(wqs)),
 		dead:    make([]atomic.Bool, len(wqs)),
+		occ:     make([]atomic.Int32, len(wqs)),
 		all:     make([]int, len(wqs)),
 		held:    make([]dsa.RingEntry, len(wqs)),
 		holding: make([]bool, len(wqs)),
@@ -186,11 +185,11 @@ func (t *Tenant) NewPlane(nlanes int) (*Plane, error) {
 	pl.lanes = make([]*Lane, nlanes)
 	for i := range pl.lanes {
 		// Cursors start strided so lanes spread across the candidate
-		// set instead of all hammering ring 0 before the first Snapshot.
+		// set instead of all hammering ring 0 before the first publish.
 		pl.lanes[i] = &Lane{pl: pl, id: i, cursor: i}
 	}
 	t.S.met.hub.SetSyncCadence(planeAggCadence)
-	pl.Publish(t.S.E.Now())
+	pl.publish(t.S.E.Now())
 	t.plane = pl
 	return pl, nil
 }
@@ -254,16 +253,14 @@ func (pl *Plane) Pending() int64 { return pl.pending.Load() }
 // Inflight returns WQ-accepted descriptors not yet completed.
 func (pl *Plane) Inflight() int64 { return pl.inflight.Load() }
 
-// Publish rebuilds and publishes the routing Snapshot from live WQ
-// occupancy. The drain calls it at the aggregation cadence; host-side
-// tests and benchmarks call it directly (there is no drain off-engine).
-func (pl *Plane) Publish(now sim.Time) {
-	s := &Snapshot{At: now, Occ: make([]int32, len(pl.wqs))}
+// publish stores each ring's live WQ occupancy as the routing signal.
+// NewPlane publishes once; the drain republishes at the aggregation
+// cadence.
+func (pl *Plane) publish(now sim.Time) {
 	for i, wq := range pl.wqs {
-		s.Occ[i] = int32(wq.Occupancy())
+		pl.occ[i].Store(int32(wq.Occupancy()))
 	}
-	pl.snap.Store(s)
-	pl.lastPub, pl.pubbed = now, true
+	pl.lastPub = now
 }
 
 // laneShare returns this lane's shard of the tenant's admission policy:
@@ -287,17 +284,14 @@ func (pl *Plane) live(i int) bool { return !pl.dead[i].Load() && pl.wqs[i].Healt
 // leastLoaded returns the live ring of idx whose published WQ occupancy
 // plus live ring backlog is smallest, scanning from start so equally
 // loaded rings spread across lanes; -1 when none is live.
-func (pl *Plane) leastLoaded(idx []int, start int, snap *Snapshot) int {
+func (pl *Plane) leastLoaded(idx []int, start int) int {
 	best, bestLoad := -1, int32(0)
 	for k := range idx {
 		i := idx[(start+k)%len(idx)]
 		if !pl.live(i) {
 			continue
 		}
-		load := int32(pl.rings[i].Len())
-		if snap != nil {
-			load += snap.Occ[i]
-		}
+		load := int32(pl.rings[i].Len()) + pl.occ[i].Load()
 		if best < 0 || load < bestLoad {
 			best, bestLoad = i, load
 		}
@@ -327,12 +321,11 @@ func (pl *Plane) pushAny(d dsa.Descriptor, tag uint64) bool {
 // across lanes instead of herding. Allocation-free.
 func (l *Lane) pickRing() int {
 	pl := l.pl
-	snap := pl.snap.Load()
-	best := pl.leastLoaded(pl.cands, l.cursor, snap)
+	best := pl.leastLoaded(pl.cands, l.cursor)
 	if best < 0 {
 		// Candidate pool down (disable window or outage): detour to any
 		// healthy service ring — cross-socket beats shedding.
-		best = pl.leastLoaded(pl.all, 0, snap)
+		best = pl.leastLoaded(pl.all, 0)
 	}
 	if best < 0 {
 		// Everything is down: fall back to the plain rotation so the
@@ -343,8 +336,8 @@ func (l *Lane) pickRing() int {
 	return best
 }
 
-// TrySubmit is the host-domain fast path: lane-local admission, a
-// Snapshot-routed ring pick, and one lock-free push — no engine, no
+// TrySubmit is the host-domain fast path: lane-local admission, an
+// occupancy-routed ring pick, and one lock-free push — no engine, no
 // locks, no allocation. It returns ErrAdmission when the lane's bucket
 // sheds the submission and dsa.ErrWQFull when every candidate ring is
 // full (the caller retries or sheds, as with bounded-retry submission).
@@ -402,7 +395,10 @@ func (l *Lane) SubmitStamped(p *sim.Proc, d dsa.Descriptor, stamp sim.Time) erro
 	}
 	rate, burst := l.laneShare()
 	if !t.admitThrough(p, &l.bucket, rate, burst) {
-		return fmt.Errorf("offload: lane %d over admission share: %w", l.id, ErrAdmission)
+		if l.overShare == nil {
+			l.overShare = fmt.Errorf("offload: lane %d over admission share: %w", l.id, ErrAdmission)
+		}
+		return l.overShare
 	}
 	d.PASID = t.AS.PASID
 	d.Flags |= t.policy.Flags
@@ -460,9 +456,9 @@ func (pl *Plane) ensureDrain() {
 // window or device outage — Submit returns dsa.ErrWQDisabled or
 // dsa.ErrDeviceOffline, not ErrWQFull) triggers failover: the drain
 // detaches the dead ring and redistributes its entries to healthy rings,
-// then reattaches once the WQ reports healthy again. The Snapshot
-// republishes at the aggregation cadence. Each pass is one engine
-// callback that re-schedules itself until the rings run dry.
+// then reattaches once the WQ reports healthy again. The routing
+// occupancy republishes at the aggregation cadence. Each pass is one
+// engine callback that re-schedules itself until the rings run dry.
 func (pl *Plane) drain() {
 	held, holding := pl.held, pl.holding
 	progressed := false
@@ -506,7 +502,7 @@ func (pl *Plane) drain() {
 		}
 	}
 	if now := pl.t.S.E.Now(); progressed || now >= pl.lastPub+planeAggCadence {
-		pl.Publish(now)
+		pl.publish(now)
 	}
 	if pl.pending.Load() == 0 {
 		pl.drainOn = false

@@ -384,12 +384,11 @@ func TestPipelineResubmitInFlightRejected(t *testing.T) {
 
 // TestPipelineResubmitAllocBudget pins the host allocations of one warmed
 // rebind+Submit+Wait of an 8-stage pipeline (four CopyCRC→Copy messages,
-// one fenced batch chain). Everything the pipeline owns is reused; what
-// remains is what a caller or the device holds: the pipeline's Future, the
-// chain's submission Future and Completion, and the device's batch state,
-// child records and its two scheduled completion closures.
+// one fenced batch chain). Everything the pipeline and the device own is
+// reused — the chain's submission Future and Completion, the batch state,
+// child records and bound completion events — so what remains is the
+// run's Future when the caller keeps it, and nothing when it releases it.
 func TestPipelineResubmitAllocBudget(t *testing.T) {
-	const want = 7
 	r := newRig(t, 2)
 	svc := r.service(t, offload.WithScheduler(offload.NewPlacement()))
 	tn, err := svc.NewTenant()
@@ -407,8 +406,9 @@ func TestPipelineResubmitAllocBudget(t *testing.T) {
 		crc := pl.CopyCRC(staged, ins[m], n, 0)
 		pl.Copy(outs[m], staged, n, offload.After(crc))
 	}
-	var allocs float64
+	var kept, released float64
 	r.run(func(p *sim.Proc) {
+		release := false
 		round := func() {
 			for m := range ins {
 				pl.Bind(ins[m], src.Addr(int64(m)*n))
@@ -421,14 +421,20 @@ func TestPipelineResubmitAllocBudget(t *testing.T) {
 			if _, err := f.Wait(p, offload.Interrupt); err != nil {
 				t.Fatal(err)
 			}
+			if release {
+				f.Release()
+			}
 		}
 		for i := 0; i < 16; i++ {
 			round()
 		}
-		allocs = testing.AllocsPerRun(100, round)
+		kept = testing.AllocsPerRun(100, round)
+		release = true
+		round()
+		released = testing.AllocsPerRun(100, round)
 	})
-	if allocs != want {
-		t.Errorf("warmed 8-stage rebind+Submit+Wait allocated %.2f times, want %d", allocs, want)
+	if kept != 1 || released != 0 {
+		t.Errorf("warmed 8-stage rebind+Submit+Wait allocated %.2f times keeping its Future and %.2f releasing it, want 1 and 0", kept, released)
 	}
 	for m := int64(0); m < msgs; m++ {
 		if !bytes.Equal(dst.Slice((msgs-1-m)*n, n), src.Slice(m*n, n)) {

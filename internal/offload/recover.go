@@ -141,7 +141,12 @@ func (t *Tenant) recover(p *sim.Proc, f *Future, mode WaitMode, pin int) {
 			return // resubmission refused: the faulted record stands
 		}
 		t.retried()
+		// The faulted attempt's record is spent; the Future takes over the
+		// re-submission's completion, and its own handle is returned.
+		f.comp.Release()
 		f.cl, f.comp, f.d = nf.cl, nf.comp, nf.d
+		nf.comp = nil
+		t.freeFuture(nf)
 		f.cl.Wait(p, f.comp, mode)
 	}
 }

@@ -62,6 +62,13 @@ type Tenant struct {
 	// host-domain TrySubmit path reads it from concurrent goroutines
 	// while Close runs engine-side.
 	closed atomic.Bool
+
+	// futs is the free list of released Futures (see Future.Release).
+	futs []*Future
+
+	// overRate is admit's shed error, built on the first shed under the
+	// current policy, so shedding allocates nothing per operation.
+	overRate error
 }
 
 // Close retires the tenant: its queued auto-batch is flushed so no future
@@ -110,7 +117,7 @@ func (t *Tenant) Policy() Policy { return t.policy }
 // SetPolicy replaces the tenant's policy (taking effect on the next
 // operation; a pending auto-batch keeps its queued descriptors, and the
 // admission bucket keeps its accrued tokens).
-func (t *Tenant) SetPolicy(p Policy) { t.policy = p }
+func (t *Tenant) SetPolicy(p Policy) { t.policy, t.overRate = p, nil }
 
 // Class returns the tenant's QoS class.
 func (t *Tenant) Class() QoSClass { return t.class }
@@ -260,8 +267,11 @@ func (t *Tenant) admit(p *sim.Proc) error {
 		return fmt.Errorf("offload: %w", ErrTenantClosed)
 	}
 	if !t.admitThrough(p, &t.bucket, t.policy.AdmitRate, t.policy.AdmitBurst) {
-		return fmt.Errorf("offload: tenant over %.0f ops/s (burst %d): %w",
-			t.policy.AdmitRate, t.policy.AdmitBurst, ErrAdmission)
+		if t.overRate == nil {
+			t.overRate = fmt.Errorf("offload: tenant over %.0f ops/s (burst %d): %w",
+				t.policy.AdmitRate, t.policy.AdmitBurst, ErrAdmission)
+		}
+		return t.overRate
 	}
 	if t.closed.Load() {
 		return fmt.Errorf("offload: %w", ErrTenantClosed)
@@ -359,7 +369,9 @@ func (t *Tenant) dispatch(p *sim.Proc, d dsa.Descriptor, flags dsa.Flags, pin in
 			t.stats.hwBytes.Add(d.Descs[i].Size)
 		}
 	}
-	return &Future{t: t, cl: cl, comp: comp, op: d.Op, start: start, d: d}, nil
+	f := t.newFuture()
+	f.cl, f.comp, f.op, f.start, f.d = cl, comp, d.Op, start, d
+	return f, nil
 }
 
 // do runs one operation under the tenant's path decision: admitted
@@ -392,7 +404,7 @@ func (t *Tenant) do(p *sim.Proc, d dsa.Descriptor, opts []OpOption) (*Future, er
 		return nil, err
 	}
 	t.recordSLO(res.Duration)
-	return completed(res, nil), nil
+	return t.completed(res, nil), nil
 }
 
 // execSW is the one software executor: it runs d on the tenant's core —
