@@ -216,16 +216,17 @@ func drainedTestRuns() []*driver {
 	return testRuns.runs
 }
 
-// TestFleetResumeBudget pins the coroutine switches per arrival. Failed
-// polls, the plane drain and every fixed-latency step of a dispatch
-// (descriptor prepare, portal write and its re-issues) or of a completion
-// wait (interrupt delivery and handler, coalesced or not, and the UMWAIT
-// wake) run as engine callbacks, so what still switches per arrival is
+// TestFleetResumeBudget pins the coroutine switches per arrival. A
+// lane's wait for ring space, the plane drain and every fixed-latency
+// step of a dispatch (descriptor prepare, portal write and its re-issues)
+// or of a completion wait (interrupt delivery and handler, coalesced or
+// not, and the UMWAIT wake) run as engine callbacks, so what still
+// switches per arrival is
 // the submitter's SleepUntil to the arrival instant, the reaper's signal
 // wait, and one resume per dispatch or wait.
 func TestFleetResumeBudget(t *testing.T) {
 	budget := map[string]float64{
-		"packetswitch-fleet": 2.95, // measured 2.90
+		"packetswitch-fleet": 2.95, // measured 2.89
 		"msgbroker-fleet":    2.8,  // measured 2.74
 		"chaos-fleet":        2.95, // measured 2.91
 	}
@@ -238,15 +239,33 @@ func TestFleetResumeBudget(t *testing.T) {
 	}
 }
 
+// TestFleetEventBudget pins the events scheduled per arrival. A lane
+// whose ring is full waits for the drain's next pop instead of re-trying
+// on a timer, so it schedules events per pop, not per poll gap.
+func TestFleetEventBudget(t *testing.T) {
+	budget := map[string]float64{
+		"packetswitch-fleet": 9.1,  // measured 9.06
+		"msgbroker-fleet":    8.45, // measured 8.42
+		"chaos-fleet":        9.65, // measured 9.60
+	}
+	for _, d := range drainedTestRuns() {
+		perOp := float64(d.e.Scheduled()) / float64(d.arrivals())
+		t.Logf("%s: %.3f events per arrival over %d arrivals", d.sc.Name, perOp, d.arrivals())
+		if b := budget[d.sc.Name]; perOp > b {
+			t.Errorf("%s scheduled %.3f events per arrival, budget %.2f", d.sc.Name, perOp, b)
+		}
+	}
+}
+
 // TestFleetResultGolden pins every virtual-time result of the three
 // scenarios at testScale, seed 0, as a digest of the printed Result. A
 // change that only cuts host cost must leave it alone; a change that
 // moves virtual time updates it and says why.
 func TestFleetResultGolden(t *testing.T) {
 	golden := map[string]string{
-		"packetswitch-fleet": "9d60c762594f62e7",
+		"packetswitch-fleet": "30861f00c2953268",
 		"msgbroker-fleet":    "ee16ef2525afd64f",
-		"chaos-fleet":        "8266739aaa3e196d",
+		"chaos-fleet":        "5cfa8d0702ef2acd",
 	}
 	for _, d := range drainedTestRuns() {
 		sum := sha256.Sum256(fmt.Appendf(nil, "%+v", d.result()))

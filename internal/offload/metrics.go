@@ -20,13 +20,16 @@ import (
 // tenant's completion/inter-arrival streams write through the tenant's
 // own shard. Views call sync() first, which drains every shard and
 // rotates windows up to the current virtual instant — the pull half of
-// the record-locally/merge-periodically design.
+// the record-locally/merge-periodically design. The one exception is the
+// placement load view: Completed also folds each WQ's latency EWMA in
+// place as the completion happens (latLive), so a placement pick reads
+// the current value without a sync — the push half.
 type metrics struct {
 	e   *sim.Engine
 	hub *telemetry.Hub
 	dev *telemetry.Shard
 
-	wq   map[*dsa.WQ]wqStreams
+	wq   map[*dsa.WQ]*wqStreams
 	sock []telemetry.ID // per-socket completion-latency streams
 	ten  map[int]*tenantStreams
 
@@ -39,10 +42,16 @@ type metrics struct {
 	failoverID telemetry.ID
 }
 
-// wqStreams are one work queue's device-plane streams.
+// wqStreams are one work queue's device-plane streams, plus the live
+// latency EWMA the placement load view reads.
 type wqStreams struct {
 	occ telemetry.ID // occupancy, in per-mille of the WQ size
 	lat telemetry.ID // submit→finish completion latency, ns
+
+	// latNow folds every lat sample as Completed records it, in the dev
+	// shard's recording order, so it equals the lat digest's EWMA once
+	// the shard merges.
+	latNow telemetry.EWMA
 }
 
 // tenantStreams are one tenant's completion streams, recorded through the
@@ -61,7 +70,7 @@ func newMetrics(e *sim.Engine) *metrics {
 		e:          e,
 		hub:        h,
 		dev:        h.NewShard(),
-		wq:         make(map[*dsa.WQ]wqStreams),
+		wq:         make(map[*dsa.WQ]*wqStreams),
 		ten:        make(map[int]*tenantStreams),
 		faultID:    h.Stream("service.faults"),
 		retryID:    h.Stream("service.retries"),
@@ -91,7 +100,7 @@ func (m *metrics) observe(wqs []*dsa.WQ) {
 			m.sock = append(m.sock, m.hub.Stream(fmt.Sprintf("socket%d.lat", len(m.sock))))
 		}
 		name := fmt.Sprintf("%s.wq%d", wq.Dev.Cfg.Name, wq.ID)
-		m.wq[wq] = wqStreams{
+		m.wq[wq] = &wqStreams{
 			occ: m.hub.Stream(name + ".occ"),
 			lat: m.hub.Stream(name + ".lat"),
 		}
@@ -132,6 +141,7 @@ func (m *metrics) Completed(wq *dsa.WQ, at sim.Time, pasid int, lat sim.Time) {
 	}
 	if lat > 0 {
 		m.dev.Record(s.lat, at, int64(lat))
+		s.latNow.Add(int64(lat))
 		m.dev.Record(m.sock[wq.Dev.Cfg.Socket], at, int64(lat))
 	}
 	if ts := m.ten[pasid]; ts != nil {
@@ -160,14 +170,24 @@ func (m *metrics) occEWMA(wq *dsa.WQ) float64 {
 	return m.hub.Digest(s.occ).EWMA() / 1000
 }
 
-// latEWMA returns the WQ's smoothed completion latency (0 until the first
-// completion).
+// latEWMA returns the WQ's smoothed completion latency as of the last
+// merge (0 until the first completion).
 func (m *metrics) latEWMA(wq *dsa.WQ) sim.Time {
 	s, ok := m.wq[wq]
 	if !ok {
 		return 0
 	}
 	return sim.Time(m.hub.Digest(s.lat).EWMA())
+}
+
+// latLive returns the WQ's smoothed completion latency as of its last
+// completion, with no sync: what latEWMA returns once the shards merge.
+func (m *metrics) latLive(wq *dsa.WQ) sim.Time {
+	s, ok := m.wq[wq]
+	if !ok {
+		return 0
+	}
+	return sim.Time(s.latNow.Value())
 }
 
 // tenantGap returns the tenant's recent completion inter-arrival gap (the

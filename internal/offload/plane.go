@@ -61,6 +61,10 @@ type Plane struct {
 	// priced at nanoseconds instead of a lock's microseconds.
 	ringTok []*sim.Token
 
+	// space is broadcast on every pop of the matching ring: lanes that
+	// found the ring full wait on it instead of re-trying on a timer.
+	space []sim.Signal
+
 	// cands are the ring indices the tenant's QoS class may target,
 	// precomputed from the Topology express/rest partition on the
 	// tenant's socket (a tenant's class is fixed at creation) so the host
@@ -132,10 +136,12 @@ type Lane struct {
 	bucket tokenBucket
 	cursor int
 	// published is the instant SubmitStamped's slot publish ends; retry
-	// is the entry a ring-full SubmitStamped re-pushes to retryRing.
+	// is the entry a ring-full SubmitStamped re-pushes to retryRing, and
+	// retryAt the instant of its last push attempt.
 	published sim.Time
 	retry     dsa.RingEntry
 	retryRing int
+	retryAt   sim.Time
 	// overShare is SubmitStamped's shed error, built on the lane's first
 	// shed, so shedding allocates nothing per operation.
 	overShare error
@@ -164,6 +170,7 @@ func (t *Tenant) NewPlane(nlanes int) (*Plane, error) {
 		wqs:     wqs,
 		rings:   make([]*dsa.SubmitRing, len(wqs)),
 		ringTok: make([]*sim.Token, len(wqs)),
+		space:   make([]sim.Signal, len(wqs)),
 		dead:    make([]atomic.Bool, len(wqs)),
 		occ:     make([]atomic.Int32, len(wqs)),
 		all:     make([]int, len(wqs)),
@@ -411,8 +418,8 @@ func (l *Lane) SubmitStamped(p *sim.Proc, d dsa.Descriptor, stamp sim.Time) erro
 	l.published = pl.ringTok[idx].Acquire(p.Now(), tm.RingPush) + tm.RingPush
 	p.Chain(publishStep, l)
 	if !pl.rings[idx].TryPush(d, stampTag(stamp)) {
-		l.retry, l.retryRing = dsa.RingEntry{D: d, Tag: stampTag(stamp)}, idx
-		p.SleepPoll(tm.PollGap, lanePush, l)
+		l.retry, l.retryRing, l.retryAt = dsa.RingEntry{D: d, Tag: stampTag(stamp)}, idx, p.Now()
+		p.Chain(ringWait, l)
 	}
 	t.stats.hwOps.Add(1)
 	t.stats.hwBytes.Add(d.Size)
@@ -431,10 +438,35 @@ func enqcmdStep(p *sim.Proc, arg any) {
 	p.Then(arg.(*Lane).pl.wqs[0].Dev.Cfg.Timing.SubmitENQCMD, nil)
 }
 
-// lanePush is SubmitStamped's ring-full poll check.
-func lanePush(arg any) bool {
+// ringWait, ringSpace and ringRetry are SubmitStamped's ring-full chain.
+// The lane re-tries its push on the grid of a poll every Timing.PollGap
+// from its first attempt, but only at grid points after a pop: a full
+// ring stays full until the drain pops it, so the other grid points
+// could only fail. ringWait parks the lane until the ring's next pop.
+func ringWait(p *sim.Proc, arg any) {
 	l := arg.(*Lane)
-	return l.pl.rings[l.retryRing].TryPush(l.retry.D, l.retry.Tag)
+	p.ThenWait(&l.pl.space[l.retryRing], ringSpace)
+}
+
+// ringSpace runs in the wake event of a pop: retry at the first grid
+// point at or after it that the lane has not tried yet.
+func ringSpace(p *sim.Proc, arg any) {
+	l := arg.(*Lane)
+	gap := l.pl.wqs[0].Dev.Cfg.Timing.PollGap
+	l.retryAt += gap
+	if late := p.Now() - l.retryAt; late > 0 {
+		l.retryAt += (late + gap - 1) / gap * gap
+	}
+	p.ThenAt(l.retryAt, ringRetry)
+}
+
+// ringRetry re-tries the push, and waits for the next pop when another
+// lane took the freed slot first.
+func ringRetry(p *sim.Proc, arg any) {
+	l := arg.(*Lane)
+	if !l.pl.rings[l.retryRing].TryPush(l.retry.D, l.retry.Tag) {
+		ringWait(p, arg)
+	}
 }
 
 // ensureDrain schedules the drain if it is not already running.
@@ -478,7 +510,7 @@ func (pl *Plane) drain() {
 		}
 		for {
 			if !holding[i] {
-				e, ok := pl.rings[i].Pop()
+				e, ok := pl.pop(i)
 				if !ok {
 					break
 				}
@@ -540,12 +572,22 @@ func (pl *Plane) failover(i int, held []dsa.RingEntry, holding []bool) {
 // sweepDead drains a dead ring's entries onto healthy rings.
 func (pl *Plane) sweepDead(i int) {
 	for {
-		e, ok := pl.rings[i].Pop()
+		e, ok := pl.pop(i)
 		if !ok {
 			return
 		}
 		pl.redistribute(e)
 	}
+}
+
+// pop takes ring i's oldest entry and wakes the lanes waiting for space
+// in it.
+func (pl *Plane) pop(i int) (dsa.RingEntry, bool) {
+	e, ok := pl.rings[i].Pop()
+	if ok {
+		pl.space[i].Broadcast(pl.t.S.E)
+	}
+	return e, ok
 }
 
 // redistribute re-queues one failed-over entry onto the first healthy

@@ -136,6 +136,9 @@ func (e *Engine) After(d Time, fn func()) { e.At(e.now+d, fn) }
 // Resumes counts the engine's coroutine switches into processes.
 func (e *Engine) Resumes() int64 { return e.resumes }
 
+// Scheduled counts the events scheduled so far, run or not.
+func (e *Engine) Scheduled() int64 { return int64(e.seq) }
+
 // Pending reports the number of scheduled events.
 func (e *Engine) Pending() int { return len(e.events) }
 

@@ -69,8 +69,7 @@ type Digest struct {
 
 	count   int64
 	sum     int64
-	ewma    float64
-	ewmaSet bool
+	ewma    EWMA
 	firstAt sim.Time
 
 	// Drift state (see closeWindow).
@@ -113,12 +112,30 @@ func (d *Digest) Record(at sim.Time, v int64) {
 	w.sk.Add(v)
 	d.count++
 	d.sum += v
-	if !d.ewmaSet {
-		d.ewma, d.ewmaSet = float64(v), true
-	} else {
-		d.ewma += ewmaAlpha * (float64(v) - d.ewma)
-	}
+	d.ewma.Add(v)
 }
+
+// EWMA is the exponentially weighted moving average a Digest keeps,
+// seeded by the first sample and smoothed by ewmaAlpha after it. The zero
+// value is empty. A recorder that folds a stream's samples into its own
+// EWMA in recording order holds the value the stream's digest reaches once
+// those samples merge, without waiting for the merge.
+type EWMA struct {
+	v   float64
+	set bool
+}
+
+// Add folds one sample into the average.
+func (a *EWMA) Add(v int64) {
+	if !a.set {
+		a.v, a.set = float64(v), true
+		return
+	}
+	a.v += ewmaAlpha * (float64(v) - a.v)
+}
+
+// Value returns the average, 0 before the first sample.
+func (a *EWMA) Value() float64 { return a.v }
 
 // advance rotates the ring until at falls inside the current window. A gap
 // longer than the whole ring fast-forwards: the intervening windows were
@@ -219,7 +236,7 @@ func (d *Digest) Mean() float64 {
 
 // EWMA returns the exponentially weighted moving average of the sample
 // values (0 until the first sample, which seeds it).
-func (d *Digest) EWMA() float64 { return d.ewma }
+func (d *Digest) EWMA() float64 { return d.ewma.Value() }
 
 // span returns the virtual time the live ring covers as of now.
 func (d *Digest) span(now sim.Time) sim.Time {

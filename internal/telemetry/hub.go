@@ -51,11 +51,14 @@ type Hub struct {
 	nextRoll sim.Time
 
 	// cadence, when positive, rate-limits the shard→digest merge: a Sync
-	// within cadence of the last merge returns without draining, so hot
-	// policy paths that sync before every read share one periodic
-	// aggregation instead of merging per call (the BriskStream
-	// periodic-aggregation point). Zero (the default) merges on every
-	// Sync, the exact pre-cadence behavior.
+	// within cadence of the last merge returns without draining, so
+	// policy reads that sync first (QoS pressure, the adaptive coalescing
+	// gap, drift counts) share one periodic aggregation instead of
+	// merging per call (the BriskStream periodic-aggregation point). The
+	// merge instants follow whichever of those reads comes first after
+	// each cadence expires; placement picks are not among them, since
+	// they read a latency EWMA their recorder keeps current. Zero (the
+	// default) merges on every Sync, the exact pre-cadence behavior.
 	cadence  sim.Time
 	lastSync sim.Time
 	synced   bool
