@@ -105,8 +105,12 @@ type atcKey struct {
 // DeviceStats aggregates the device's hardware counters (read by the
 // internal/pcm telemetry package).
 type DeviceStats struct {
-	Submitted      int64 // descriptors accepted into WQs (incl. batch parents)
-	Retries        int64 // ENQCMD rejections due to full shared WQs
+	Submitted int64 // descriptors accepted into WQs (incl. batch parents)
+	// Retries counts ENQCMD rejections due to full shared WQs. A plane
+	// drain that finds a WQ full parks until it frees a slot instead of
+	// probing it every PollGap, so it adds one rejection per block, not
+	// one per skipped probe.
+	Retries        int64
 	Completed      int64 // work descriptors completed (incl. batch children)
 	BatchesFetched int64
 	ATCHits        int64

@@ -98,7 +98,10 @@ func (d *Device) InjectFaults(cfg FaultConfig) (*FaultInjector, error) {
 			d.stats.WQDisables++
 			wq.failQueued(StatusWQError, ErrWQDisabled)
 		})
-		d.E.At(w.At+dur, func() { wq.disabled.Store(false) })
+		d.E.At(w.At+dur, func() {
+			wq.disabled.Store(false)
+			wq.ready()
+		})
 	}
 	for _, o := range cfg.Outages {
 		dur := o.Dur
@@ -109,7 +112,12 @@ func (d *Device) InjectFaults(cfg FaultConfig) (*FaultInjector, error) {
 				wq.failQueued(StatusDeviceOffline, ErrDeviceOffline)
 			}
 		})
-		d.E.At(o.At+dur, func() { d.offline.Store(false) })
+		d.E.At(o.At+dur, func() {
+			d.offline.Store(false)
+			for _, wq := range d.wqs {
+				wq.ready()
+			}
+		})
 	}
 	return inj, nil
 }
@@ -170,14 +178,16 @@ func (d *Device) Offline() bool { return d.offline.Load() }
 // given terminal status and returns its work to the free list. Dispatched
 // work (on engines, or fetched into a batch) is unaffected and drains
 // normally; batch children never sit in a WQ, only in the group's batch
-// queue.
+// queue. It runs where the queue fails, so its one call of the ready
+// hook also reports that flip.
 func (w *WQ) failQueued(status Status, err error) {
 	for {
 		wk, ok := w.q.Pop()
 		if !ok {
+			w.ready()
 			return
 		}
-		w.occupied--
+		w.occupied.Add(-1)
 		w.noteOcc()
 		comp := wk.comp
 		comp.complete(CompletionRecord{Status: status, Err: err})

@@ -317,3 +317,45 @@ func TestBatchChildFaultPoisonsFence(t *testing.T) {
 		t.Errorf("child 2 = %+v, want the fence-poisoned zero record", rec.Children[2])
 	}
 }
+
+// A WQ's ready hook fires when an entry leaves the queue and when the
+// queue's health flips either way, and sees the occupancy and health the
+// event left behind.
+func TestWQReadyHook(t *testing.T) {
+	r := newRig(t)
+	wq := r.dev.WQs()[0]
+	us := sim.Time(time.Microsecond)
+	if _, err := r.dev.InjectFaults(FaultConfig{
+		WQDisables: []WQDisable{{WQ: 0, At: 10 * us, Dur: 5 * us}},
+		Outages:    []Outage{{At: 30 * us, Dur: 5 * us}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	type call struct {
+		at      sim.Time
+		occ     int
+		healthy bool
+	}
+	var got []call
+	wq.SetOnReady(func() { got = append(got, call{r.e.Now(), wq.Occupancy(), wq.Healthy()}) })
+	src, dst := r.alloc(4096), r.alloc(4096)
+	if _, err := wq.Submit(Descriptor{Op: OpMemmove, PASID: 1, Src: src.Addr(0), Dst: dst.Addr(0), Size: 4096}); err != nil {
+		t.Fatal(err)
+	}
+	r.e.Run()
+	want := []call{
+		{r.dev.Cfg.Timing.PortalHop / 2, 0, true}, // dispatched to an engine
+		{10 * us, 0, false},                       // disable window opens
+		{15 * us, 0, true},                        // and closes
+		{30 * us, 0, false},                       // outage begins
+		{35 * us, 0, true},                        // and ends
+	}
+	if len(got) != len(want) {
+		t.Fatalf("ready hook calls %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("ready hook calls %v, want %v", got, want)
+		}
+	}
+}

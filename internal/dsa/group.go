@@ -129,8 +129,9 @@ func (g *Group) nextWork() (*work, bool) {
 				continue
 			}
 			wk, _ := wq.q.Pop()
-			wq.occupied--
+			wq.occupied.Add(-1)
 			wq.noteOcc()
+			wq.ready()
 			g.credits[idx]--
 			g.rr = (idx + 1) % n
 			if g.allCreditsSpent() {

@@ -28,7 +28,7 @@ func (d *Device) SetProbe(p Probe) { d.probe = p }
 // noteOcc reports an occupancy transition to the probe, if any.
 func (w *WQ) noteOcc() {
 	if p := w.Dev.probe; p != nil {
-		p.WQOccupancy(w, w.Dev.E.Now(), w.occupied, w.Size)
+		p.WQOccupancy(w, w.Dev.E.Now(), w.Occupancy(), w.Size)
 	}
 }
 

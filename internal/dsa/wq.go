@@ -70,9 +70,14 @@ type WQ struct {
 	Size     int
 	Priority int
 
-	group    *Group
-	q        sim.FIFO[*work]
-	occupied int // entries consumed (freed on dispatch to an engine)
+	group *Group
+	q     sim.FIFO[*work]
+	// occupied counts entries consumed (freed on dispatch to an engine).
+	// The engine alone writes it; it is atomic because host-domain plane
+	// lanes read it to route.
+	occupied atomic.Int32
+
+	onReady func() // the ready hook (SetOnReady), or nil
 
 	// ring, when attached, is the lock-free software submission ring
 	// feeding this WQ's ENQCMD path (see SubmitRing / AttachRing).
@@ -90,8 +95,23 @@ type WQ struct {
 // Group returns the group this WQ belongs to.
 func (w *WQ) Group() *Group { return w.group }
 
-// Occupancy returns the entries currently held.
-func (w *WQ) Occupancy() int { return w.occupied }
+// Occupancy returns the entries currently held. Safe to read from host
+// goroutines.
+func (w *WQ) Occupancy() int { return int(w.occupied.Load()) }
+
+// SetOnReady installs fn (nil to remove) as the queue's ready hook: the
+// engine calls it when an entry leaves the queue, by dispatch or by a
+// fault failing the queue, and when the queue's health flips either way.
+// A submitter that found the queue full or failed waits on it instead of
+// polling. fn runs inside engine events and must not block.
+func (w *WQ) SetOnReady(fn func()) { w.onReady = fn }
+
+// ready calls the ready hook, if any.
+func (w *WQ) ready() {
+	if w.onReady != nil {
+		w.onReady()
+	}
+}
 
 // MaxOccupancy returns the high-water mark of entries held.
 func (w *WQ) MaxOccupancy() int { return w.maxOcc }
@@ -115,7 +135,7 @@ func (w *WQ) Submit(d Descriptor) (*Completion, error) {
 	if w.disabled.Load() {
 		return nil, fmt.Errorf("dsa: wq %d of %s: %w", w.ID, w.Dev.Cfg.Name, ErrWQDisabled)
 	}
-	if w.occupied >= w.Size {
+	if w.Occupancy() >= w.Size {
 		w.Dev.stats.Retries++
 		return nil, ErrWQFull
 	}
@@ -133,9 +153,8 @@ func (w *WQ) Submit(d Descriptor) (*Completion, error) {
 	comp.desc = d
 	wk := w.Dev.newWork()
 	wk.d, wk.comp, wk.wq, wk.enqueued = d, comp, w, w.Dev.E.Now()
-	w.occupied++
-	if w.occupied > w.maxOcc {
-		w.maxOcc = w.occupied
+	if occ := int(w.occupied.Add(1)); occ > w.maxOcc {
+		w.maxOcc = occ
 	}
 	w.noteOcc()
 	w.submitted++

@@ -1,6 +1,6 @@
 // The sharded submission plane: per-shard lanes feeding lock-free
-// per-WQ rings, with pressure/placement signals aggregated periodically
-// instead of read synchronously on every submission.
+// per-WQ rings, routed on live occupancy and drained by an event-driven
+// consumer instead of timers.
 //
 // The classic Tenant path serializes every submitter through shared
 // state: one admission bucket, one AutoBatcher, one coalescer rebuild
@@ -9,11 +9,17 @@
 // tenant-side state per submission lane — each submitting context owns a
 // lane and touches nothing shared on the fast path — and funnels
 // descriptors into each WQ's ENQCMD path through a bounded lock-free
-// MPSC ring (dsa.SubmitRing), whose push is a couple of atomics. The
-// global signals the classic path read synchronously (WQ occupancy,
-// queueing delay) become a periodically published per-ring occupancy:
-// lanes load one atomic per ring instead of syncing the telemetry hub per
-// Pick.
+// MPSC ring (dsa.SubmitRing), whose push is a couple of atomics. Lanes
+// route on each WQ's live occupancy plus its ring's backlog, two atomic
+// loads per ring, instead of syncing the telemetry hub per Pick.
+//
+// Neither side of a ring polls. A lane that finds its ring full waits
+// until a pop picks it; the drain that finds a WQ full parks until the
+// WQ's ready hook (an entry left, or its health flipped) or a push shows
+// a pass could move something. Each retry still lands on the instant a
+// poll every Timing.PollGap would have used (gridNext), so the waits
+// replace the shared-WQ ENQCMD retry loop of §3.2 on the same retry
+// instants; only the order of events that share an instant can differ.
 //
 // Scheduling semantics are preserved, not replaced: lane candidate sets
 // are precomputed from the same Topology express/rest partition the
@@ -37,18 +43,17 @@ import (
 	"dsasim/internal/sim"
 )
 
-// planeAggCadence is the shard→global aggregation period: how often the
-// drain republishes the occupancy lanes route on, and the sync cadence
-// installed on the telemetry hub so policy reads between publishes share
-// one merge. A couple of microseconds keeps routing within one device
-// service quantum of the truth without per-submission synchronization.
-const planeAggCadence = 2 * time.Microsecond
+// planeSyncCadence is the sync cadence a plane installs on the telemetry
+// hub, so policy reads within a couple of microseconds share one
+// shard→global merge. A couple of microseconds is about one device
+// service quantum.
+const planeSyncCadence = 2 * time.Microsecond
 
 // Plane is a tenant's sharded submission front end: N Lanes (one per
 // submitting context) over one lock-free SubmitRing per service WQ, a
-// drain that moves ring entries into the device WQs and publishes the
-// routing occupancy, and completion-side wakeup moderation. Build one
-// with Tenant.NewPlane; hand each submitter its own Lane.
+// drain that moves ring entries into the device WQs, and completion-side
+// wakeup moderation. Build one with Tenant.NewPlane; hand each submitter
+// its own Lane.
 type Plane struct {
 	t     *Tenant
 	lanes []*Lane
@@ -61,9 +66,9 @@ type Plane struct {
 	// priced at nanoseconds instead of a lock's microseconds.
 	ringTok []*sim.Token
 
-	// space is broadcast on every pop of the matching ring: lanes that
-	// found the ring full wait on it instead of re-trying on a timer.
-	space []sim.Signal
+	// waiting lists, per ring, the lanes that found it full, in wait
+	// order. Each pop wakes one of them (wakeLane); the rest stay parked.
+	waiting [][]*Lane
 
 	// cands are the ring indices the tenant's QoS class may target,
 	// precomputed from the Topology express/rest partition on the
@@ -79,15 +84,6 @@ type Plane struct {
 	// goroutines while the drain and completion hooks run engine-side.
 	pending  atomic.Int64
 	inflight atomic.Int64
-
-	// occ is the periodically published routing signal: each ring's WQ
-	// occupancy at the last publish, written in place. Lanes add each
-	// ring's live length on top, so routing reacts to their own bursts
-	// immediately and to device drain at the aggregation cadence. One
-	// atomic load per ring replaces the synchronous telemetry sync the
-	// classic Pick path pays; a host-domain reader sees each ring's last
-	// published value.
-	occ []atomic.Int32
 
 	// Completion-side wakeup moderation: completed() broadcasts doneSig
 	// every wakeEvery-th completion (resolved from the tenant's
@@ -109,14 +105,21 @@ type Plane struct {
 	// goroutines while the drain flips them engine-side.
 	dead []atomic.Bool
 
-	// drainOn marks the drain as scheduled; held/holding are its per-ring
-	// scratch (an entry popped but not yet WQ-accepted), owned by the
-	// plane so a drain burst allocates nothing. The drain stops only with
-	// pending at zero, so it leaves holding all false.
+	// drainOn marks the drain as running: a pass is scheduled, or it is
+	// parked, blocked on a full WQ with no pass scheduled. drainAt is the
+	// instant of the pass that parked it, which anchors its retry grid.
+	// held/holding are its per-ring scratch (an entry popped but not yet
+	// WQ-accepted), owned by the plane so a drain burst allocates nothing.
+	// The drain stops only with pending at zero, so it leaves holding all
+	// false.
 	drainOn bool
+	parked  bool
+	drainAt sim.Time
 	held    []dsa.RingEntry
 	holding []bool
-	lastPub sim.Time
+
+	// gap is Timing.PollGap, the retry grid's spacing for lanes and drain.
+	gap sim.Time
 
 	// drainFn and completedFn are pl.drain and pl.completed bound once:
 	// a method value allocates a closure per use, and every drain pass
@@ -137,11 +140,13 @@ type Lane struct {
 	cursor int
 	// published is the instant SubmitStamped's slot publish ends; retry
 	// is the entry a ring-full SubmitStamped re-pushes to retryRing, and
-	// retryAt the instant of its last push attempt.
+	// retryAt the instant of its last push attempt, or of the one a pop
+	// has scheduled. space wakes the lane when a pop picks it.
 	published sim.Time
 	retry     dsa.RingEntry
 	retryRing int
 	retryAt   sim.Time
+	space     sim.Signal
 	// overShare is SubmitStamped's shed error, built on the lane's first
 	// shed, so shedding allocates nothing per operation.
 	overShare error
@@ -149,7 +154,7 @@ type Lane struct {
 
 // NewPlane attaches a sharded submission plane with nlanes lanes to the
 // tenant. One plane per tenant, one ring per service WQ; the telemetry
-// hub switches to periodic aggregation at the plane's cadence. Returns
+// hub switches to merging at most once per planeSyncCadence. Returns
 // an error if the tenant already has a plane or any service WQ already
 // carries a submission ring (one plane per WQ set).
 func (t *Tenant) NewPlane(nlanes int) (*Plane, error) {
@@ -170,18 +175,19 @@ func (t *Tenant) NewPlane(nlanes int) (*Plane, error) {
 		wqs:     wqs,
 		rings:   make([]*dsa.SubmitRing, len(wqs)),
 		ringTok: make([]*sim.Token, len(wqs)),
-		space:   make([]sim.Signal, len(wqs)),
+		waiting: make([][]*Lane, len(wqs)),
 		dead:    make([]atomic.Bool, len(wqs)),
-		occ:     make([]atomic.Int32, len(wqs)),
 		all:     make([]int, len(wqs)),
 		held:    make([]dsa.RingEntry, len(wqs)),
 		holding: make([]bool, len(wqs)),
+		gap:     wqs[0].Dev.Cfg.Timing.PollGap,
 	}
 	pl.drainFn, pl.completedFn = pl.drain, pl.completed
 	for i, wq := range wqs {
 		pl.rings[i] = wq.AttachRing(wq.Size)
 		pl.ringTok[i] = sim.NewToken(1)
 		pl.all[i] = i
+		wq.SetOnReady(func() { pl.wake(i) })
 	}
 	pl.cands = pl.candidates()
 	count, _ := t.coalesceParams()
@@ -191,12 +197,11 @@ func (t *Tenant) NewPlane(nlanes int) (*Plane, error) {
 	}
 	pl.lanes = make([]*Lane, nlanes)
 	for i := range pl.lanes {
-		// Cursors start strided so lanes spread across the candidate
-		// set instead of all hammering ring 0 before the first publish.
+		// Cursors start strided so lanes spread across equally loaded
+		// candidates instead of all hammering ring 0.
 		pl.lanes[i] = &Lane{pl: pl, id: i, cursor: i}
 	}
-	t.S.met.hub.SetSyncCadence(planeAggCadence)
-	pl.publish(t.S.E.Now())
+	t.S.met.hub.SetSyncCadence(planeSyncCadence)
 	t.plane = pl
 	return pl, nil
 }
@@ -260,16 +265,6 @@ func (pl *Plane) Pending() int64 { return pl.pending.Load() }
 // Inflight returns WQ-accepted descriptors not yet completed.
 func (pl *Plane) Inflight() int64 { return pl.inflight.Load() }
 
-// publish stores each ring's live WQ occupancy as the routing signal.
-// NewPlane publishes once; the drain republishes at the aggregation
-// cadence.
-func (pl *Plane) publish(now sim.Time) {
-	for i, wq := range pl.wqs {
-		pl.occ[i].Store(int32(wq.Occupancy()))
-	}
-	pl.lastPub = now
-}
-
 // laneShare returns this lane's shard of the tenant's admission policy:
 // the rate divides evenly across lanes, the burst divides with a floor
 // of one so every lane can issue at least one back-to-back submission.
@@ -288,17 +283,17 @@ func (l *Lane) laneShare() (rate float64, burst int) {
 // detached). Two flag loads, so picks stay allocation-free.
 func (pl *Plane) live(i int) bool { return !pl.dead[i].Load() && pl.wqs[i].Healthy() }
 
-// leastLoaded returns the live ring of idx whose published WQ occupancy
-// plus live ring backlog is smallest, scanning from start so equally
-// loaded rings spread across lanes; -1 when none is live.
+// leastLoaded returns the live ring of idx whose WQ occupancy plus ring
+// backlog is smallest, scanning from start so equally loaded rings
+// spread across lanes; -1 when none is live.
 func (pl *Plane) leastLoaded(idx []int, start int) int {
-	best, bestLoad := -1, int32(0)
+	best, bestLoad := -1, 0
 	for k := range idx {
 		i := idx[(start+k)%len(idx)]
 		if !pl.live(i) {
 			continue
 		}
-		load := int32(pl.rings[i].Len()) + pl.occ[i].Load()
+		load := pl.rings[i].Len() + pl.wqs[i].Occupancy()
 		if best < 0 || load < bestLoad {
 			best, bestLoad = i, load
 		}
@@ -438,30 +433,38 @@ func enqcmdStep(p *sim.Proc, arg any) {
 	p.Then(arg.(*Lane).pl.wqs[0].Dev.Cfg.Timing.SubmitENQCMD, nil)
 }
 
+// gridNext returns the first instant of the poll grid anchored at last
+// (last + k·gap, k ≥ 1) at or after now: where a loop that polls every
+// gap from last makes its first attempt that could see an event at now.
+// Lanes re-try their ring pushes, and the drain its passes, on it.
+func gridNext(last, gap, now sim.Time) sim.Time {
+	next := last + gap
+	if late := now - next; late > 0 {
+		next += (late + gap - 1) / gap * gap
+	}
+	return next
+}
+
 // ringWait, ringSpace and ringRetry are SubmitStamped's ring-full chain.
 // The lane re-tries its push on the grid of a poll every Timing.PollGap
-// from its first attempt, but only at grid points after a pop: a full
-// ring stays full until the drain pops it, so the other grid points
-// could only fail. ringWait parks the lane until the ring's next pop.
+// from its first attempt, but only at the grid point a pop picked it
+// for: a full ring stays full until the drain pops it, and a pop frees
+// one slot, which the waiting lane whose grid reaches it first would
+// take. ringWait parks the lane until a pop picks it.
 func ringWait(p *sim.Proc, arg any) {
 	l := arg.(*Lane)
-	p.ThenWait(&l.pl.space[l.retryRing], ringSpace)
+	l.pl.waiting[l.retryRing] = append(l.pl.waiting[l.retryRing], l)
+	p.ThenWait(&l.space, ringSpace)
 }
 
-// ringSpace runs in the wake event of a pop: retry at the first grid
-// point at or after it that the lane has not tried yet.
+// ringSpace runs in the wake event of the pop that picked the lane:
+// retry at the grid point the pop chose.
 func ringSpace(p *sim.Proc, arg any) {
-	l := arg.(*Lane)
-	gap := l.pl.wqs[0].Dev.Cfg.Timing.PollGap
-	l.retryAt += gap
-	if late := p.Now() - l.retryAt; late > 0 {
-		l.retryAt += (late + gap - 1) / gap * gap
-	}
-	p.ThenAt(l.retryAt, ringRetry)
+	p.ThenAt(arg.(*Lane).retryAt, ringRetry)
 }
 
-// ringRetry re-tries the push, and waits for the next pop when another
-// lane took the freed slot first.
+// ringRetry re-tries the push, and waits for another pop when a
+// submitter that never waited took the freed slot first.
 func ringRetry(p *sim.Proc, arg any) {
 	l := arg.(*Lane)
 	if !l.pl.rings[l.retryRing].TryPush(l.retry.D, l.retry.Tag) {
@@ -469,31 +472,60 @@ func ringRetry(p *sim.Proc, arg any) {
 	}
 }
 
-// ensureDrain schedules the drain if it is not already running.
-// Engine-domain only (the simulation is single-threaded, so the check
-// cannot race); the drain stops when the rings empty, keeping the event
-// loop free of perpetual timers.
+// ensureDrain starts the drain if it is idle, and resumes it if it is
+// parked and a pass could now move a ring. Engine-domain only (the
+// simulation is single-threaded, so the checks cannot race); the drain
+// stops when the rings empty, keeping the event loop free of perpetual
+// timers.
 func (pl *Plane) ensureDrain() {
-	if pl.drainOn {
+	if !pl.drainOn {
+		pl.drainOn = true
+		pl.t.S.E.After(0, pl.drainFn)
 		return
 	}
-	pl.drainOn = true
-	pl.t.S.E.After(0, pl.drainFn)
+	for i := 0; pl.parked && i < len(pl.rings); i++ {
+		pl.wake(i)
+	}
+}
+
+// wake is WQ i's ready hook: it resumes a parked drain when a pass could
+// move ring i. The pass runs on the drain's grid, at the instant its
+// every-PollGap poll would first have seen the change.
+func (pl *Plane) wake(i int) {
+	if !pl.parked || !pl.ready(i) {
+		return
+	}
+	pl.parked = false
+	e := pl.t.S.E
+	e.At(gridNext(pl.drainAt, pl.gap, e.Now()), pl.drainFn)
+}
+
+// ready reports whether a drain pass would change ring i: reattach or
+// sweep it when dead, pop into its empty hold slot, or hand the held
+// entry to a WQ that has room or has failed.
+func (pl *Plane) ready(i int) bool {
+	wq := pl.wqs[i]
+	switch {
+	case pl.dead[i].Load():
+		return wq.Healthy() || pl.rings[i].Len() > 0
+	case !pl.holding[i]:
+		return pl.rings[i].Len() > 0
+	}
+	return wq.Occupancy() < wq.Size || !wq.Healthy()
 }
 
 // drain moves ring entries into the device WQs: pop, WQ.Submit (zero
 // virtual cost — the submitter already paid the portal write in its own
 // timeline), hook the completion for wakeup moderation. A full WQ holds
-// the popped entry and retries after a poll gap; a *dead* WQ (disable
-// window or device outage — Submit returns dsa.ErrWQDisabled or
-// dsa.ErrDeviceOffline, not ErrWQFull) triggers failover: the drain
-// detaches the dead ring and redistributes its entries to healthy rings,
-// then reattaches once the WQ reports healthy again. The routing
-// occupancy republishes at the aggregation cadence. Each pass is one
-// engine callback that re-schedules itself until the rings run dry.
+// the popped entry, and the drain parks until a WQ's ready hook or a
+// push wakes it (see wake); a *dead* WQ (disable window or device outage
+// — Submit returns dsa.ErrWQDisabled or dsa.ErrDeviceOffline, not
+// ErrWQFull) triggers failover: the drain detaches the dead ring and
+// redistributes its entries to healthy rings, then reattaches once the
+// WQ reports healthy again. Each pass is one engine callback that runs
+// until the rings run dry.
 func (pl *Plane) drain() {
 	held, holding := pl.held, pl.holding
-	progressed := false
 	blocked := false
 	for i := range pl.rings {
 		if pl.dead[i].Load() {
@@ -520,7 +552,6 @@ func (pl *Plane) drain() {
 			if err != nil {
 				if errors.Is(err, dsa.ErrWQDisabled) || errors.Is(err, dsa.ErrDeviceOffline) {
 					pl.failover(i, held, holding)
-					progressed = true
 				} else {
 					blocked = true
 				}
@@ -530,24 +561,21 @@ func (pl *Plane) drain() {
 			holding[i] = false
 			pl.inflight.Add(1)
 			pl.pending.Add(-1)
-			progressed = true
 		}
-	}
-	if now := pl.t.S.E.Now(); progressed || now >= pl.lastPub+planeAggCadence {
-		pl.publish(now)
 	}
 	if pl.pending.Load() == 0 {
 		pl.drainOn = false
 		return
 	}
-	if blocked {
-		// Waiting on WQ slots: completions free them, paced by the
-		// device; poll at the gap the submission retry loop uses.
-		pl.t.S.E.After(pl.wqs[0].Dev.Cfg.Timing.PollGap, pl.drainFn)
-	} else {
+	if !blocked {
 		// New pushes landed behind our scan at this instant.
 		pl.t.S.E.After(0, pl.drainFn)
+		return
 	}
+	// Waiting on WQ slots: park until a pass could move a ring. A push
+	// that landed behind the scan resumes it one grid step on at once.
+	pl.parked, pl.drainAt = true, pl.t.S.E.Now()
+	pl.ensureDrain()
 }
 
 // failover handles a dead WQ discovered by the drain: detach its ring so
@@ -580,14 +608,39 @@ func (pl *Plane) sweepDead(i int) {
 	}
 }
 
-// pop takes ring i's oldest entry and wakes the lanes waiting for space
-// in it.
+// pop takes ring i's oldest entry and wakes a lane waiting for the freed
+// slot.
 func (pl *Plane) pop(i int) (dsa.RingEntry, bool) {
 	e, ok := pl.rings[i].Pop()
 	if ok {
-		pl.space[i].Broadcast(pl.t.S.E)
+		pl.wakeLane(i)
 	}
 	return e, ok
+}
+
+// wakeLane wakes the lane waiting on ring i whose next untried grid point
+// comes first, the longest waiter on a tie: under a poll every PollGap
+// that lane would take the slot a pop frees, and every other waiter
+// would find the ring full again. The others stay parked, so a pop costs
+// two events however many lanes wait.
+func (pl *Plane) wakeLane(i int) {
+	w := pl.waiting[i]
+	if len(w) == 0 {
+		return
+	}
+	now := pl.t.S.E.Now()
+	k, at := 0, gridNext(w[0].retryAt, pl.gap, now)
+	for j := 1; j < len(w); j++ {
+		if g := gridNext(w[j].retryAt, pl.gap, now); g < at {
+			k, at = j, g
+		}
+	}
+	l := w[k]
+	copy(w[k:], w[k+1:])
+	w[len(w)-1] = nil
+	pl.waiting[i] = w[:len(w)-1]
+	l.retryAt = at
+	l.space.Broadcast(pl.t.S.E)
 }
 
 // redistribute re-queues one failed-over entry onto the first healthy
@@ -698,6 +751,7 @@ func (pl *Plane) Close() error {
 	}
 	for _, wq := range pl.wqs {
 		wq.DetachRing()
+		wq.SetOnReady(nil)
 	}
 	pl.t.plane = nil
 	return nil

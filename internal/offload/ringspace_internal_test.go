@@ -131,8 +131,9 @@ func TestRingSpaceStalledDrainSchedulesNoPolls(t *testing.T) {
 }
 
 // Two lanes wait on one full ring and one slot frees: the lane whose
-// poll grid reaches the pop first takes it, the other re-tries on its own
-// grid, finds the ring full again and waits for the next pop.
+// poll grid reaches the pop first takes it; the other, which a poll
+// would only have shown the ring full again, is never woken and waits
+// for the next pop.
 func TestRingSpaceEarlierGridPointWins(t *testing.T) {
 	r := newRingRig(t, 1, 8, 2)
 	r.fill(t)
@@ -181,10 +182,10 @@ func TestRingSpaceEarlierGridPointWins(t *testing.T) {
 			if pushedAt[lose] >= 0 {
 				t.Errorf("lane %d pushed at %v into a ring the other lane refilled", lose, pushedAt[lose])
 			}
-			if got := r.pl.Lane(lose).retryAt; got != grids[lose] {
-				t.Errorf("lane %d last tried at %v, want its grid point %v", lose, got, grids[lose])
+			if got := r.pl.Lane(lose).retryAt; got != spins[lose] {
+				t.Errorf("lane %d last tried at %v, want its first attempt %v: the pop should not wake it", lose, got, spins[lose])
 			}
-			if n := r.pl.space[0].Waiters(); n != 1 {
+			if n := len(r.pl.waiting[0]); n != 1 {
 				t.Errorf("%d lanes wait for space after the lost race, want 1", n)
 			}
 			if _, ok := r.pl.pop(0); !ok {
@@ -195,6 +196,165 @@ func TestRingSpaceEarlierGridPointWins(t *testing.T) {
 	r.e.Run()
 	if want := gridAfter(spins[lose], gap, pop2-1); pushedAt[lose] != want {
 		t.Errorf("lane %d pushed at %v after the second pop, want %v", lose, pushedAt[lose], want)
+	}
+}
+
+// A pop with N lanes waiting on its ring schedules two events, the
+// picked lane's wake and its grid-point push, where waking every waiter
+// would schedule 2N; the other lanes stay parked.
+func TestRingSpacePopWakesOneLane(t *testing.T) {
+	const lanes = 6
+	r := newRingRig(t, 1, 8, lanes)
+	r.fill(t)
+	r.pl.drainOn = true // hold the drain: the test pops by hand
+	gap := r.pl.gap
+	pushed := 0
+	for i := 0; i < lanes; i++ {
+		lane := r.pl.Lane(i)
+		start := sim.Time(i * 37)
+		r.e.Go("lane", func(p *sim.Proc) {
+			p.SleepUntil(start)
+			if err := lane.Submit(p, r.d); err != nil {
+				t.Error(err)
+			}
+			pushed++
+		})
+	}
+	r.e.RunUntil(sim.Time(5 * time.Microsecond))
+	if n := len(r.pl.waiting[0]); n != lanes {
+		t.Fatalf("%d lanes wait before the pop, want %d", n, lanes)
+	}
+	spins := make([]sim.Time, lanes)
+	for i := range spins {
+		spins[i] = r.pl.Lane(i).retryAt
+	}
+	// Pop off every lane's grid, so the picked lane's push is an event of
+	// its own; it lands within one grid step of the pop.
+	at := r.e.Now() + 1
+	for onGrid(spins, gap, at) {
+		at++
+	}
+	var before int64
+	r.e.At(at, func() {
+		before = r.e.Scheduled()
+		if _, ok := r.pl.pop(0); !ok {
+			t.Fatal("pop found the ring empty")
+		}
+		r.pl.pending.Add(-1) // the entry leaves the books as a drained one would
+	})
+	r.e.RunUntil(at + gap + 1)
+	if n := r.e.Scheduled() - before; n != 2 {
+		t.Errorf("a pop with %d waiting lanes scheduled %d events, want 2", lanes, n)
+	}
+	if pushed != 1 || len(r.pl.waiting[0]) != lanes-1 {
+		t.Errorf("%d lanes pushed and %d still wait, want 1 and %d", pushed, len(r.pl.waiting[0]), lanes-1)
+	}
+	r.pl.drainOn = false
+	r.pl.ensureDrain()
+	r.e.Run()
+	if pushed != lanes {
+		t.Errorf("%d of %d lanes pushed once the drain ran", pushed, lanes)
+	}
+}
+
+// occTrace records a one-WQ device's occupancy transitions in event
+// order, passing them on to the service's probe, and calls onDec, if
+// set, at each entry that leaves the queue.
+type occTrace struct {
+	dsa.Probe
+	last  int
+	steps []occStep
+	onDec func(at sim.Time)
+}
+
+// occStep is one traced event: delta +1 for an accepted submission, -1
+// for an entry that left the WQ, and 0 for a push into the plane's ring,
+// which the drain fuzz records beside them.
+type occStep struct {
+	at    sim.Time
+	delta int
+}
+
+func (o *occTrace) WQOccupancy(wq *dsa.WQ, at sim.Time, occupied, size int) {
+	o.steps = append(o.steps, occStep{at, occupied - o.last})
+	if occupied < o.last && o.onDec != nil {
+		o.onDec(at)
+	}
+	o.last = occupied
+	o.Probe.WQOccupancy(wq, at, occupied, size)
+}
+
+func traceOcc(r *ringRig) *occTrace {
+	o := &occTrace{Probe: r.svc.met}
+	r.devs[0].SetProbe(o)
+	return o
+}
+
+// A drain blocked on a full WQ schedules no event until the WQ frees a
+// slot, where a poll every PollGap scheduled one per gap; it then submits
+// at the first instant of its poll grid at or after the free.
+func TestDrainParksOnFullWQ(t *testing.T) {
+	r := newRingRig(t, 1, 4, 1)
+	tr := traceOcc(r)
+	wq := r.pl.wqs[0]
+	src, dst := r.tn.Alloc(1<<20), r.tn.Alloc(1<<20)
+	big := dsa.Descriptor{Op: dsa.OpMemmove, PASID: r.tn.AS.PASID, Src: src.Addr(0), Dst: dst.Addr(0), Size: 1 << 20}
+	// Busy all four engines with 1 MB copies, then fill the WQ behind
+	// them, out of band of the plane.
+	submitN := func() {
+		for i := 0; i < wq.Size; i++ {
+			if _, err := wq.Submit(big); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	submitN()
+	r.e.At(sim.Time(300), submitN)
+	block := sim.Time(time.Microsecond)
+	r.e.At(block, func() {
+		if err := r.pl.Lane(0).TrySubmit(r.e.Now(), r.d); err != nil {
+			t.Fatal(err)
+		}
+		r.pl.ensureDrain()
+	})
+	var parked, free sim.Time = -1, -1
+	var atPark, atFree int64
+	r.e.At(block+1, func() {
+		if !r.pl.parked || !r.pl.holding[0] {
+			t.Fatalf("drain parked %v holding %v after its pass into a full WQ, want both", r.pl.parked, r.pl.holding[0])
+		}
+		parked, atPark = r.e.Now(), r.e.Scheduled()
+	})
+	tr.onDec = func(at sim.Time) {
+		if parked >= 0 && free < 0 {
+			free, atFree = at, r.e.Scheduled()
+		}
+	}
+	r.e.Go("waiter", func(p *sim.Proc) {
+		p.SleepUntil(block + 2)
+		r.pl.WaitInflight(p, 0)
+	})
+	r.e.Run()
+	if free < 0 {
+		t.Fatal("no slot freed after the drain parked")
+	}
+	// A drain polling every PollGap would schedule about
+	// (free-block)/PollGap events here.
+	if n := atFree - atPark; n != 0 {
+		t.Errorf("parked drain scheduled %d events over the %v the WQ stayed full, want 0", n, free-parked)
+	}
+	var submitted sim.Time = -1
+	for _, st := range tr.steps {
+		if st.at > block && st.delta > 0 {
+			submitted = st.at
+			break
+		}
+	}
+	if want := gridNext(block, r.pl.gap, free); submitted != want {
+		t.Errorf("held entry submitted at %v, want %v: the first poll instant at or after the free at %v (blocked at %v)", submitted, want, free, block)
+	}
+	if r.pl.Pending() != 0 || r.pl.Inflight() != 0 || r.pl.drainOn {
+		t.Errorf("after run: pending %d inflight %d drain running %v, want 0/0/false", r.pl.Pending(), r.pl.Inflight(), r.pl.drainOn)
 	}
 }
 
@@ -225,7 +385,7 @@ func TestRingSpaceFailoverSweepConserves(t *testing.T) {
 	}
 	r.e.Go("drain starter", func(p *sim.Proc) {
 		p.SleepUntil(sim.Time(2 * time.Microsecond))
-		if n := r.pl.space[0].Waiters(); n != lanes {
+		if n := len(r.pl.waiting[0]); n != lanes {
 			t.Errorf("%d lanes wait for space before the sweep, want %d", n, lanes)
 		}
 		r.pl.WaitInflight(p, 0)
@@ -242,88 +402,196 @@ func TestRingSpaceFailoverSweepConserves(t *testing.T) {
 	}
 }
 
-// FuzzRingSpaceWait checks lanes waiting on a full ring against the loop
-// they replace, a TryPush every PollGap from the first attempt: with the
-// drain held and pops at random instants off every lane's grid, the
-// multiset of push instants must equal that loop's. Lanes sharing a grid
-// are interchangeable, so the multiset does not depend on which of them
-// wins a tie.
+// FuzzRingSpaceWait checks both ends of a plane ring against the poll
+// loops they replace.
+//
+// Lanes: a lane that finds its ring full re-tried its push every PollGap
+// from its first attempt. With the drain held and pops at random instants
+// off every lane's grid, the ring's push instants must equal that loop's
+// as a multiset: lanes whose grids reach a pop at the same instant are
+// interchangeable, so which of them takes the slot may differ.
+//
+// Drain: a drain that found its WQ full re-tried every PollGap from that
+// pass. With entries of random sizes pushed at random instants into a
+// small WQ, so the device frees slots at instants of its own, the drain
+// must submit at the instants pollDrain replays from the same pushes and
+// frees.
 func FuzzRingSpaceWait(f *testing.F) {
-	f.Add(uint8(1), uint8(2), []byte{0}, []byte{3})
-	f.Add(uint8(2), uint8(4), []byte{0, 5}, []byte{9, 1, 200, 7})
-	f.Add(uint8(8), uint8(8), []byte{0, 0, 1, 9, 3, 3, 40, 2}, []byte{0, 1, 2, 3, 250, 4, 5, 6, 7, 8, 9})
-	f.Add(uint8(5), uint8(3), []byte{7, 7, 7}, []byte{60, 60, 60, 60, 60, 60})
-	f.Fuzz(func(t *testing.T, nLanes, size uint8, starts, pops []byte) {
-		lanes := 1 + int(nLanes)%8
-		r := newRingRig(t, 1, 2+int(size)%15, lanes)
-		r.fill(t)
-		r.pl.drainOn = true
-		ring := r.pl.rings[0]
-		gap := r.pl.wqs[0].Dev.Cfg.Timing.PollGap
-		if len(pops) > 64 {
-			pops = pops[:64]
-		}
-		var got []sim.Time
-		for i := 0; i < lanes; i++ {
-			var start sim.Time
-			if len(starts) > 0 {
-				start = sim.Time(starts[i%len(starts)]) * 7
-			}
-			lane := r.pl.Lane(i)
-			r.e.Go("lane", func(p *sim.Proc) {
-				p.SleepUntil(start)
-				if err := lane.Submit(p, r.d); err != nil {
-					t.Error(err)
-				}
-				got = append(got, p.Now())
-			})
-		}
-		spins := make([]sim.Time, lanes)
-		var popAt, pushed []sim.Time
-		r.e.At(sim.Time(5*time.Microsecond), func() {
-			for i := range spins {
-				spins[i] = r.pl.Lane(i).retryAt
-			}
-			at := r.e.Now()
-			for _, b := range pops {
-				at += 1 + sim.Time(b)*13
-				for onGrid(spins, gap, at) {
-					at++
-				}
-				popAt = append(popAt, at)
-				r.e.At(at, func() {
-					// The entry leaves the books as a drained one would.
-					if _, ok := r.pl.pop(0); ok {
-						r.pl.pending.Add(-1)
-					}
-				})
-			}
-			// Every lane has re-tried once after the last pop by now.
-			r.e.At(at+gap+1, func() {
-				pushed = append(pushed, got...)
-				if n := r.pl.space[0].Waiters(); n != lanes-len(pushed) {
-					t.Errorf("%d lanes still wait, want %d", n, lanes-len(pushed))
-				}
-				// Release the drain so the waiting lanes finish.
-				r.pl.drainOn = false
-				r.pl.ensureDrain()
-			})
-		})
-		r.e.Run()
-		want := pollPushes(spins, gap, popAt, ring.Cap())
-		sort.Slice(pushed, func(i, j int) bool { return pushed[i] < pushed[j] })
-		if len(pushed) != len(want) {
-			t.Fatalf("%d lanes pushed, want %d (pops %v, first attempts %v)", len(pushed), len(want), popAt, spins)
-		}
-		for i := range pushed {
-			if pushed[i] != want[i] {
-				t.Fatalf("push instants %v, want %v (pops %v, first attempts %v)", pushed, want, popAt, spins)
-			}
-		}
-		if len(got) != lanes {
-			t.Errorf("%d of %d lanes pushed once the drain ran", len(got), lanes)
-		}
+	f.Add(uint8(1), uint8(2), []byte{0}, []byte{3}, uint8(0), []byte{0, 0, 0, 0, 0, 0})
+	f.Add(uint8(2), uint8(4), []byte{0, 5}, []byte{9, 1, 200, 7}, uint8(1), []byte{0, 1, 0, 2, 90, 0, 0, 3})
+	f.Add(uint8(8), uint8(8), []byte{0, 0, 1, 9, 3, 3, 40, 2}, []byte{0, 1, 2, 3, 250, 4, 5, 6, 7, 8, 9}, uint8(3), []byte{5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5})
+	f.Add(uint8(5), uint8(3), []byte{7, 7, 7}, []byte{60, 60, 60, 60, 60, 60}, uint8(2), []byte{0, 200, 0, 0, 0, 200, 1, 1, 1, 1})
+	f.Fuzz(func(t *testing.T, nLanes, size uint8, starts, pops []byte, wqSize uint8, pushes []byte) {
+		fuzzLaneWait(t, nLanes, size, starts, pops)
+		fuzzDrainPark(t, wqSize, starts, pushes)
 	})
+}
+
+// fuzzLaneWait is FuzzRingSpaceWait's lane half.
+func fuzzLaneWait(t *testing.T, nLanes, size uint8, starts, pops []byte) {
+	lanes := 1 + int(nLanes)%8
+	r := newRingRig(t, 1, 2+int(size)%15, lanes)
+	r.fill(t)
+	r.pl.drainOn = true
+	ring := r.pl.rings[0]
+	gap := r.pl.gap
+	if len(pops) > 64 {
+		pops = pops[:64]
+	}
+	var got []sim.Time
+	for i := 0; i < lanes; i++ {
+		var start sim.Time
+		if len(starts) > 0 {
+			start = sim.Time(starts[i%len(starts)]) * 7
+		}
+		lane := r.pl.Lane(i)
+		r.e.Go("lane", func(p *sim.Proc) {
+			p.SleepUntil(start)
+			if err := lane.Submit(p, r.d); err != nil {
+				t.Error(err)
+			}
+			got = append(got, p.Now())
+		})
+	}
+	spins := make([]sim.Time, lanes)
+	var popAt, pushed []sim.Time
+	r.e.At(sim.Time(5*time.Microsecond), func() {
+		for i := range spins {
+			spins[i] = r.pl.Lane(i).retryAt
+		}
+		at := r.e.Now()
+		for _, b := range pops {
+			at += 1 + sim.Time(b)*13
+			for onGrid(spins, gap, at) {
+				at++
+			}
+			popAt = append(popAt, at)
+			r.e.At(at, func() {
+				// The entry leaves the books as a drained one would.
+				if _, ok := r.pl.pop(0); ok {
+					r.pl.pending.Add(-1)
+				}
+			})
+		}
+		// Every lane has re-tried once after the last pop by now.
+		r.e.At(at+gap+1, func() {
+			pushed = append(pushed, got...)
+			if n := len(r.pl.waiting[0]); n != lanes-len(pushed) {
+				t.Errorf("%d lanes still wait, want %d", n, lanes-len(pushed))
+			}
+			// Release the drain so the waiting lanes finish.
+			r.pl.drainOn = false
+			r.pl.ensureDrain()
+		})
+	})
+	r.e.Run()
+	want := pollPushes(spins, gap, popAt, ring.Cap())
+	sort.Slice(pushed, func(i, j int) bool { return pushed[i] < pushed[j] })
+	if len(pushed) != len(want) {
+		t.Fatalf("%d lanes pushed, want %d (pops %v, first attempts %v)", len(pushed), len(want), popAt, spins)
+	}
+	for i := range pushed {
+		if pushed[i] != want[i] {
+			t.Fatalf("push instants %v, want %v (pops %v, first attempts %v)", pushed, want, popAt, spins)
+		}
+	}
+	if len(got) != lanes {
+		t.Errorf("%d of %d lanes pushed once the drain ran", len(got), lanes)
+	}
+}
+
+// fuzzDrainPark is FuzzRingSpaceWait's drain half: one lane's host-side
+// pushes, each followed by the drain start a simulated submission makes,
+// into a WQ of one to four entries.
+func fuzzDrainPark(t *testing.T, wqSize uint8, sizes, pushes []byte) {
+	r := newRingRig(t, 1, 1+int(wqSize)%4, 1)
+	tr := traceOcc(r)
+	src, dst := r.tn.Alloc(64<<10), r.tn.Alloc(64<<10)
+	if len(pushes) > 48 {
+		pushes = pushes[:48]
+	}
+	var at sim.Time
+	for k, b := range pushes {
+		at += sim.Time(b) * 11
+		d := dsa.Descriptor{Op: dsa.OpMemmove, Src: src.Addr(0), Dst: dst.Addr(0), Size: 4096}
+		if len(sizes) > 0 {
+			d.Size *= 1 + int64(sizes[k%len(sizes)])%16
+		}
+		r.e.At(at, func() {
+			if r.pl.Lane(0).TrySubmit(r.e.Now(), d) == nil {
+				tr.steps = append(tr.steps, occStep{r.e.Now(), 0})
+				r.pl.ensureDrain()
+			}
+		})
+	}
+	r.e.Run()
+	if r.pl.Pending() != 0 || r.pl.Inflight() != 0 || r.pl.drainOn {
+		t.Fatalf("after run: pending %d inflight %d drain running %v, want 0/0/false", r.pl.Pending(), r.pl.Inflight(), r.pl.drainOn)
+	}
+	var got []sim.Time
+	for _, st := range tr.steps {
+		if st.delta > 0 {
+			got = append(got, st.at)
+		}
+	}
+	want, tie := pollDrain(tr.steps, r.pl.wqs[0].Size, r.pl.gap)
+	if tie {
+		t.Skip("a WQ slot freed on a poll instant, where event order decides which comes first")
+	}
+	if len(got) != len(want) {
+		t.Fatalf("drain submitted %d entries, want %d (submits %v, poll loop %v)", len(got), len(want), got, want)
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("drain submitted at %v, poll loop at %v (transitions %v)", got, want, tr.steps)
+		}
+	}
+}
+
+// pollDrain is the drain reference: a one-ring drain that runs a pass at
+// each push while idle and, while its WQ is full, re-tries every gap from
+// the pass that found it full. steps are the ring's pushes (delta 0) and
+// the WQ's submissions (+1, ignored: they are what it predicts) and frees
+// (-1), in event order. A pass at an instant follows every push and free
+// of that instant; the one order that is not fixed, a free at a poll
+// instant, is reported as a tie. It returns the submission instants.
+func pollDrain(steps []occStep, size int, gap sim.Time) (subs []sim.Time, tie bool) {
+	ring, occ, held, polling := 0, 0, false, false
+	var next sim.Time
+	pass := func(at sim.Time) {
+		polling = false
+		for held || ring > 0 {
+			if !held {
+				ring, held = ring-1, true
+			}
+			if occ == size {
+				polling, next = true, at+gap
+				return
+			}
+			occ, held = occ+1, false
+			subs = append(subs, at)
+		}
+	}
+	for i := 0; i < len(steps) || polling; {
+		if polling && (i == len(steps) || next < steps[i].at) {
+			pass(next)
+			continue
+		}
+		at, pushed := steps[i].at, false
+		for ; i < len(steps) && steps[i].at == at; i++ {
+			switch steps[i].delta {
+			case 0:
+				ring, pushed = ring+1, true
+			case -1:
+				occ--
+				tie = tie || polling && next == at
+			}
+		}
+		if polling && next == at || !polling && pushed {
+			pass(at)
+		}
+	}
+	return subs, tie
 }
 
 // onGrid reports whether instant at is a poll instant of any spin's grid.
