@@ -15,7 +15,6 @@ import (
 
 	"dsasim/internal/dsa"
 	"dsasim/internal/exp"
-	"dsasim/internal/idxd"
 	"dsasim/internal/offload"
 	"dsasim/internal/sim"
 )
@@ -92,7 +91,7 @@ func BenchmarkSubmitContention(b *testing.B) {
 
 func benchSubmitContention(b *testing.B, submitters int) {
 	pr := SPR()
-	pr.WQs = []idxd.WQSpec{{Mode: "shared", Size: 128}}
+	pr.Groups = []dsa.GroupConfig{{Engines: 4, WQs: []dsa.WQConfig{{Mode: dsa.Shared, Size: 128}}}}
 	pl := NewPlatform(pr)
 	tn := pl.NewTenant()
 	plane, err := tn.NewPlane(submitters)

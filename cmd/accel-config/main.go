@@ -14,11 +14,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"dsasim/internal/dsa"
 	"dsasim/internal/idxd"
 	"dsasim/internal/mem"
+	"dsasim/internal/platform"
 	"dsasim/internal/sim"
 )
 
@@ -27,17 +27,14 @@ func fail(format string, args ...interface{}) {
 	os.Exit(1)
 }
 
-// newPlatform builds the simulated SPR platform with four discoverable but
-// unconfigured DSA instances, as a freshly booted system presents.
+// newPlatform builds socket 0 of the simulated SPR platform (its DRAM node
+// only) with four discoverable but unconfigured DSA instances, as a freshly
+// booted system presents.
 func newPlatform() (*sim.Engine, *mem.System, *idxd.Registry) {
+	pr := platform.SPR()
+	pr.Nodes = pr.Nodes[:1]
 	e := sim.New()
-	sys := mem.NewSystem(e, mem.SystemConfig{
-		Sockets: 1,
-		LLC:     mem.LLCConfig{Capacity: 105 << 20, Ways: 15, DDIOWays: 2},
-		NodeDefs: []mem.NodeConfig{
-			{Socket: 0, Kind: mem.DRAM, ReadLat: 110 * time.Nanosecond, WriteLat: 110 * time.Nanosecond, ReadGBps: 120, WriteGBps: 75},
-		},
-	})
+	sys := pr.System(e)
 	reg := idxd.NewRegistry(e, sys)
 	for i := 0; i < 4; i++ {
 		if _, err := reg.Discover(fmt.Sprintf("dsa%d", i), 0); err != nil {

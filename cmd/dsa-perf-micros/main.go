@@ -18,6 +18,7 @@ import (
 
 	"dsasim/internal/dsa"
 	"dsasim/internal/mem"
+	"dsasim/internal/platform"
 	"dsasim/internal/sim"
 )
 
@@ -65,28 +66,15 @@ func main() {
 		fail("unknown WQ mode %q", *wqMode)
 	}
 
+	pr := platform.SPR()
+	pr.Groups = []dsa.GroupConfig{{Engines: *engines, WQs: []dsa.WQConfig{{Mode: mode, Size: *wqSize}}}}
 	e := sim.New()
-	sys := mem.NewSystem(e, mem.SystemConfig{
-		Sockets: 2,
-		LLC:     mem.LLCConfig{Capacity: 105 << 20, Ways: 15, DDIOWays: 2},
-		UPILat:  70 * time.Nanosecond,
-		UPIGBps: 62,
-		NodeDefs: []mem.NodeConfig{
-			{Socket: 0, Kind: mem.DRAM, ReadLat: 110 * time.Nanosecond, WriteLat: 110 * time.Nanosecond, ReadGBps: 120, WriteGBps: 75},
-			{Socket: 1, Kind: mem.DRAM, ReadLat: 110 * time.Nanosecond, WriteLat: 110 * time.Nanosecond, ReadGBps: 120, WriteGBps: 75},
-			{Socket: 0, Kind: mem.CXL, ReadLat: 250 * time.Nanosecond, WriteLat: 400 * time.Nanosecond, ReadGBps: 16, WriteGBps: 10},
-		},
-	})
-	dev := dsa.New(e, sys, dsa.DefaultConfig("dsa0", 0))
-	if _, err := dev.AddGroup(dsa.GroupConfig{
-		Engines: *engines,
-		WQs:     []dsa.WQConfig{{Mode: mode, Size: *wqSize}},
-	}); err != nil {
+	sys := pr.System(e)
+	devs, err := pr.NewDevices(e, sys)
+	if err != nil {
 		fail("configuring device: %v", err)
 	}
-	if err := dev.Enable(); err != nil {
-		fail("enabling device: %v", err)
-	}
+	dev := devs[0]
 	as := mem.NewAddressSpace(1)
 	dev.BindPASID(as)
 

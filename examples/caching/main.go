@@ -8,41 +8,36 @@ import (
 	"fmt"
 
 	"dsasim/internal/cachesim"
-	"dsasim/internal/cpu"
 	"dsasim/internal/dsa"
-	"dsasim/internal/mem"
+	"dsasim/internal/platform"
 	"dsasim/internal/sim"
 )
 
 func run(hwCores, threads int, useDSA bool) cachesim.Result {
+	// One SPR socket; with DSA, one device with four shared WQs, one
+	// group+engine each.
+	pr := platform.SPR()
+	pr.Nodes = pr.Nodes[:1]
+	pr.Devices = 0
+	if useDSA {
+		pr.Devices = 1
+	}
+	g := dsa.GroupConfig{Engines: 1, WQs: []dsa.WQConfig{{Mode: dsa.Shared, Size: 16}}}
+	pr.Groups = []dsa.GroupConfig{g, g, g, g}
 	e := sim.New()
-	sys := mem.NewSystem(e, mem.SystemConfig{
-		Sockets: 1,
-		LLC:     mem.LLCConfig{Capacity: 105 << 20, Ways: 15, DDIOWays: 2},
-		NodeDefs: []mem.NodeConfig{
-			{Socket: 0, Kind: mem.DRAM, ReadLat: 110, WriteLat: 110, ReadGBps: 120, WriteGBps: 75},
-		},
-	})
+	sys := pr.System(e)
+	devs, err := pr.NewDevices(e, sys)
+	if err != nil {
+		panic(err)
+	}
 	cfg := cachesim.Config{
 		HWCores: hwCores, Threads: threads, OpsPerThd: 500,
 		CacheSize: 64 << 20, Seed: 42,
 	}
 	if useDSA {
-		dev := dsa.New(e, sys, dsa.DefaultConfig("dsa0", 0))
-		for g := 0; g < 4; g++ {
-			if _, err := dev.AddGroup(dsa.GroupConfig{
-				Engines: 1,
-				WQs:     []dsa.WQConfig{{Mode: dsa.Shared, Size: 16}},
-			}); err != nil {
-				panic(err)
-			}
-		}
-		if err := dev.Enable(); err != nil {
-			panic(err)
-		}
-		cfg.WQs = dev.WQs()
+		cfg.WQs = devs[0].WQs()
 	}
-	res, err := cachesim.Run(e, sys, sys.Node(0), cpu.SPRModel(), cfg)
+	res, err := cachesim.Run(e, sys, sys.Node(0), pr.CPU, cfg)
 	if err != nil {
 		panic(err)
 	}

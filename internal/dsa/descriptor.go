@@ -139,11 +139,6 @@ type Descriptor struct {
 	// prices its fetch against this socket's memory — a cross-socket
 	// sub-batch pays the real UPI round trip, not node 0's latency.
 	SubmitterSocket int
-
-	// CompletionAddr is where the completion record is written. The model
-	// delivers completions through a *Completion handle instead of raw
-	// memory, but the address participates in timing (DDIO write).
-	CompletionAddr mem.Addr
 }
 
 // Status is the completion status byte.

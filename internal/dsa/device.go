@@ -102,8 +102,7 @@ type atcKey struct {
 	page  mem.Addr
 }
 
-// DeviceStats aggregates the device's hardware counters (read by the
-// internal/pcm telemetry package).
+// DeviceStats aggregates the device's hardware counters (Device.Stats).
 type DeviceStats struct {
 	Submitted int64 // descriptors accepted into WQs (incl. batch parents)
 	// Retries counts ENQCMD rejections due to full shared WQs. A plane

@@ -25,16 +25,12 @@ type Engine struct {
 	group *Group
 	busy  bool
 
-	processed int64
-	busyTime  sim.Time
+	busyTime sim.Time
 
 	// releaseFn is eng.release captured once: every descriptor schedules
 	// one release, and a method value allocates a closure per use.
 	releaseFn func()
 }
-
-// Processed returns the number of descriptors this engine has issued.
-func (eng *Engine) Processed() int64 { return eng.processed }
 
 // BusyTime returns the cumulative engine front-end occupancy.
 func (eng *Engine) BusyTime() sim.Time { return eng.busyTime }
@@ -61,7 +57,6 @@ func (eng *Engine) execute(wk *work) {
 	e := d.E
 	now := e.Now()
 	wk.comp.DispatchTime = now
-	eng.processed++
 	g.inflight++
 
 	switch wk.d.Op {

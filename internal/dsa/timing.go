@@ -120,37 +120,3 @@ func CBDMATiming() Timing {
 	t.BatchSubDesc = t.EngineSetup      // no batch processing unit
 	return t
 }
-
-// trafficProfile describes the memory traffic of one operation as byte
-// multiples of the transfer size: how much the device reads, how much it
-// writes, and what the device fabric must carry (the larger of the two
-// directions, which is what bounds delivered throughput at 30 GB/s).
-type trafficProfile struct {
-	read  float64
-	write float64
-}
-
-// profileFor returns the traffic profile of op. Destination-size-changing
-// ops (DIF insert/strip, delta) use their dominant stream sizes.
-func profileFor(op OpType) trafficProfile {
-	switch op {
-	case OpMemmove, OpCopyCRC:
-		return trafficProfile{1, 1}
-	case OpFill:
-		return trafficProfile{0, 1}
-	case OpCompare, OpCreateDelta:
-		return trafficProfile{2, 0} // two source streams
-	case OpComparePattern, OpCRCGen, OpDIFCheck:
-		return trafficProfile{1, 0}
-	case OpApplyDelta:
-		return trafficProfile{1, 1}
-	case OpDualcast:
-		return trafficProfile{1, 2}
-	case OpDIFInsert, OpDIFStrip, OpDIFUpdate:
-		return trafficProfile{1, 1}
-	case OpNop, OpDrain, OpBatch, OpCacheFlush:
-		return trafficProfile{0, 0}
-	default:
-		return trafficProfile{1, 1}
-	}
-}

@@ -1,6 +1,6 @@
 // Package dto models the DSA Transparent Offload library the paper's
 // authors built (§5, Appendix B): libc-style entry points — Memcpy,
-// Memmove, Memset, Memcmp — that intercept calls and transparently replace
+// Memset, Memcmp — that intercept calls and transparently replace
 // them with synchronous DSA operations when the size crosses a threshold,
 // falling back to the CPU otherwise (or when the hardware path fails, e.g.
 // on a page fault, mirroring CacheBench's "redo on fault" policy).
@@ -78,12 +78,6 @@ func (i *Interposer) Memcpy(p *sim.Proc, dst, src mem.Addr, n int64) error {
 	i.stats.Offloaded++
 	i.stats.BytesOffload += n
 	return nil
-}
-
-// Memmove is Memcpy in this model (simulated buffers never alias in a way
-// the device mishandles; the DSA Memory Move operation handles overlap).
-func (i *Interposer) Memmove(p *sim.Proc, dst, src mem.Addr, n int64) error {
-	return i.Memcpy(p, dst, src, n)
 }
 
 // Memset fills n bytes at dst with the byte value c.

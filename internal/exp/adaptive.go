@@ -1,12 +1,10 @@
 package exp
 
 import (
-	"fmt"
 	"time"
 
-	"dsasim/internal/cpu"
-	"dsasim/internal/dsa"
 	"dsasim/internal/offload"
+	"dsasim/internal/platform"
 	"dsasim/internal/report"
 	"dsasim/internal/sim"
 	"dsasim/internal/telemetry"
@@ -99,37 +97,13 @@ func staticPol(count int, window time.Duration) offload.Policy {
 	return pol
 }
 
-// adaptiveRig builds the SPR-Adaptive device layout: one DSA per socket,
-// each with an express/bulk shared-WQ pair and part of the group read
-// buffers reserved for the express lane, behind the placement-qos
-// scheduler.
+// adaptiveRig builds the SPR-Adaptive device layout and scheduler under the
+// default service policy: each tenant brings its own.
 func adaptiveRig() (*sim.Engine, *offload.Service) {
-	e := sim.New()
-	sys := sprSystem(e)
-	var wqs []*dsa.WQ
-	for socket := 0; socket < 2; socket++ {
-		dev := dsa.New(e, sys, dsa.DefaultConfig(fmt.Sprintf("dsa%d", socket), socket))
-		if _, err := dev.AddGroup(dsa.GroupConfig{
-			Engines:     4,
-			ExpressBufs: 24,
-			WQs: []dsa.WQConfig{
-				{Mode: dsa.Shared, Size: 8, Priority: 15},
-				{Mode: dsa.Shared, Size: 24, Priority: 5},
-			},
-		}); err != nil {
-			panic(err)
-		}
-		if err := dev.Enable(); err != nil {
-			panic(err)
-		}
-		wqs = append(wqs, dev.WQs()...)
-	}
-	svc, err := offload.NewService(e, sys, wqs,
-		offload.WithScheduler(offload.NewPlacementQoS()), offload.WithCPUModel(cpu.SPRModel()))
-	if err != nil {
-		panic(err)
-	}
-	return e, svc
+	pr := platform.SPRAdaptive()
+	pr.Policy = nil
+	pl := platform.NewPlatform(pr)
+	return pl.E, pl.Offload
 }
 
 // streamRows flattens every telemetry digest into report rows at the

@@ -349,26 +349,19 @@ func Fig19() []*report.Table {
 	for i, c := range cfgs {
 		name := fmt.Sprintf("%dh%ds", c.h, c.s)
 		run := func(useDSA bool) cachesim.Result {
-			v := newEnv(0)
 			cfg := cachesim.Config{
 				HWCores: c.h, Threads: c.s, OpsPerThd: 300,
 				CacheSize: 64 << 20, Seed: uint64(100 + i),
 			}
+			ndev := 0
 			if useDSA {
-				// The paper's setup: four shared WQs, one group+engine each.
-				dev := dsa.New(v.e, v.sys, dsa.DefaultConfig("dsa0", 0))
-				for g := 0; g < 4; g++ {
-					if _, err := dev.AddGroup(dsa.GroupConfig{
-						Engines: 1,
-						WQs:     []dsa.WQConfig{{Mode: dsa.Shared, Size: 16}},
-					}); err != nil {
-						panic(err)
-					}
-				}
-				if err := dev.Enable(); err != nil {
-					panic(err)
-				}
-				cfg.WQs = dev.WQs()
+				ndev = 1
+			}
+			// The paper's setup: four shared WQs, one group+engine each.
+			g := dsa.GroupConfig{Engines: 1, WQs: []dsa.WQConfig{{Mode: dsa.Shared, Size: 16}}}
+			v := newEnv(ndev, g, g, g, g)
+			if useDSA {
+				cfg.WQs = v.devs[0].WQs()
 			}
 			res, err := cachesim.Run(v.e, v.sys, v.node(0), cpu.SPRModel(), cfg)
 			if err != nil {

@@ -4,9 +4,8 @@ import (
 	"fmt"
 	"time"
 
-	"dsasim/internal/cpu"
-	"dsasim/internal/dsa"
 	"dsasim/internal/offload"
+	"dsasim/internal/platform"
 	"dsasim/internal/report"
 	"dsasim/internal/sim"
 )
@@ -79,30 +78,14 @@ func sizeLabel(n int64) string {
 	}
 }
 
-// coalesceRig builds the single-socket QoS device layout (express 8 @ prio
-// 15, bulk 24 @ prio 5, shared mode) behind a PriorityAware service.
+// coalesceRig builds the SPR-QoS device layout (express 8 @ prio 15, bulk
+// 24 @ prio 5, shared mode) behind a PriorityAware service with the
+// default service policy: each tenant brings its own.
 func coalesceRig() (*sim.Engine, *offload.Service) {
-	e := sim.New()
-	sys := sprSystem(e)
-	dev := dsa.New(e, sys, dsa.DefaultConfig("dsa0", 0))
-	if _, err := dev.AddGroup(dsa.GroupConfig{
-		Engines: 4,
-		WQs: []dsa.WQConfig{
-			{Mode: dsa.Shared, Size: 8, Priority: 15},
-			{Mode: dsa.Shared, Size: 24, Priority: 5},
-		},
-	}); err != nil {
-		panic(err)
-	}
-	if err := dev.Enable(); err != nil {
-		panic(err)
-	}
-	svc, err := offload.NewService(e, sys, dev.WQs(),
-		offload.WithScheduler(offload.NewPriorityAware()), offload.WithCPUModel(cpu.SPRModel()))
-	if err != nil {
-		panic(err)
-	}
-	return e, svc
+	pr := platform.SPRQoS()
+	pr.Policy = nil
+	pl := platform.NewPlatform(pr)
+	return pl.E, pl.Offload
 }
 
 // coalescePol returns a policy coalescing count completions per delivery.

@@ -6,6 +6,7 @@ import (
 
 	"dsasim/internal/dsa"
 	"dsasim/internal/offload"
+	"dsasim/internal/platform"
 	"dsasim/internal/report"
 	"dsasim/internal/sim"
 )
@@ -69,43 +70,17 @@ func Contention() []*report.Table {
 	return []*report.Table{t}
 }
 
-// contentionEnv builds the experiment platform: 4 devices, two per
+// contentionRun drives n submitters to completion and returns the
+// aggregate submission rate in Mops/s. The platform has 4 devices, two per
 // socket, each with 4 engines behind one 128-entry shared WQ, under an
 // offload service with admission off and the default scheduler.
-func contentionEnv() (*env, *offload.Service, *offload.Tenant) {
-	e := sim.New()
-	sys := sprSystem(e)
-	v := &env{e: e, sys: sys}
-	var wqs []*dsa.WQ
-	for i := 0; i < 4; i++ {
-		dev := dsa.New(e, sys, dsa.DefaultConfig(fmt.Sprintf("dsa%d", i), i%2))
-		if _, err := dev.AddGroup(dsa.GroupConfig{
-			Engines: 4,
-			WQs:     []dsa.WQConfig{{Mode: dsa.Shared, Size: 128}},
-		}); err != nil {
-			panic(err)
-		}
-		if err := dev.Enable(); err != nil {
-			panic(err)
-		}
-		v.devs = append(v.devs, dev)
-		wqs = append(wqs, dev.WQs()...)
-	}
-	svc, err := offload.NewService(e, sys, wqs)
-	if err != nil {
-		panic(err)
-	}
-	tn, err := svc.NewTenant()
-	if err != nil {
-		panic(err)
-	}
-	return v, svc, tn
-}
-
-// contentionRun drives n submitters to completion and returns the
-// aggregate submission rate in Mops/s.
 func contentionRun(n int, sharded bool) float64 {
-	v, _, tn := contentionEnv()
+	pr := platform.SPR()
+	pr.Devices = 4
+	pr.DeviceSockets = []int{0, 1, 0, 1}
+	pr.Groups = []dsa.GroupConfig{{Engines: 4, WQs: []dsa.WQConfig{{Mode: dsa.Shared, Size: 128}}}}
+	plat := platform.NewPlatform(pr)
+	e, tn := plat.E, plat.NewTenant()
 	src := tn.Alloc(contSize)
 	dst := tn.Alloc(contSize)
 
@@ -118,7 +93,7 @@ func contentionRun(n int, sharded bool) float64 {
 		d := dsa.Descriptor{Op: dsa.OpMemmove, Src: src.Addr(0), Dst: dst.Addr(0), Size: contSize}
 		for i := 0; i < n; i++ {
 			lane := pl.Lane(i)
-			v.e.Go(fmt.Sprintf("shard%d", i), func(p *sim.Proc) {
+			e.Go(fmt.Sprintf("shard%d", i), func(p *sim.Proc) {
 				for j := 0; j < contOps; j++ {
 					p.Sleep(sim.Time(contThink))
 					if err := lane.Submit(p, d); err != nil {
@@ -135,7 +110,7 @@ func contentionRun(n int, sharded bool) float64 {
 	} else {
 		lock := sim.NewToken(1)
 		for i := 0; i < n; i++ {
-			v.e.Go(fmt.Sprintf("mono%d", i), func(p *sim.Proc) {
+			e.Go(fmt.Sprintf("mono%d", i), func(p *sim.Proc) {
 				window := make([]*offload.Future, 0, contQD)
 				for j := 0; j < contOps; j++ {
 					p.Sleep(sim.Time(contThink))
@@ -167,7 +142,7 @@ func contentionRun(n int, sharded bool) float64 {
 			})
 		}
 	}
-	v.e.Run()
+	e.Run()
 	ops := float64(n * contOps)
 	return ops / float64(end) * 1e3 // events/ns → Mops/s
 }

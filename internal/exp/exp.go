@@ -13,6 +13,7 @@ import (
 	"dsasim/internal/dif"
 	"dsasim/internal/dsa"
 	"dsasim/internal/mem"
+	"dsasim/internal/platform"
 	"dsasim/internal/report"
 	"dsasim/internal/sim"
 )
@@ -83,49 +84,43 @@ type env struct {
 	devs []*dsa.Device
 }
 
-// sprSystem builds the Table 2 SPR memory system.
-func sprSystem(e *sim.Engine) *mem.System {
-	return mem.NewSystem(e, mem.SystemConfig{
-		Sockets: 2,
-		LLC:     mem.LLCConfig{Capacity: 105 << 20, Ways: 15, DDIOWays: 2},
-		UPILat:  70 * time.Nanosecond,
-		UPIGBps: 62,
-		NodeDefs: []mem.NodeConfig{
-			{Socket: 0, Kind: mem.DRAM, ReadLat: 110 * time.Nanosecond, WriteLat: 110 * time.Nanosecond, ReadGBps: 120, WriteGBps: 75},
-			{Socket: 1, Kind: mem.DRAM, ReadLat: 110 * time.Nanosecond, WriteLat: 110 * time.Nanosecond, ReadGBps: 120, WriteGBps: 75},
-			{Socket: 0, Kind: mem.CXL, ReadLat: 250 * time.Nanosecond, WriteLat: 400 * time.Nanosecond, ReadGBps: 16, WriteGBps: 10},
-		},
-	})
+// newEnv builds a fresh SPR environment with ndev devices, each configured
+// with the given groups (default: one group, 4 engines, one 32-entry DWQ).
+func newEnv(ndev int, groups ...dsa.GroupConfig) *env {
+	pr := platform.SPR()
+	pr.Devices = ndev
+	pr.Groups = groups
+	return profileEnv(pr)
 }
 
-// newEnv builds a fresh environment with ndev devices, each configured with
-// the given groups (default: one group, 4 engines, one 32-entry DWQ).
-func newEnv(ndev int, groups ...dsa.GroupConfig) *env {
+// profileEnv builds a fresh environment on pr's memory system and devices,
+// every device bound to the environment's address space, and a socket-0
+// core running pr's CPU model.
+func profileEnv(pr platform.Profile) *env {
 	e := sim.New()
-	sys := sprSystem(e)
-	as := mem.NewAddressSpace(1)
-	core := cpu.NewCore(0, 0, sys, as, cpu.SPRModel())
-	v := &env{e: e, sys: sys, as: as, core: core}
-	if len(groups) == 0 {
-		groups = []dsa.GroupConfig{{
-			Engines: 4,
-			WQs:     []dsa.WQConfig{{Mode: dsa.Dedicated, Size: 32}},
-		}}
+	sys := pr.System(e)
+	devs, err := pr.NewDevices(e, sys)
+	if err != nil {
+		panic(err)
 	}
-	for i := 0; i < ndev; i++ {
-		dev := dsa.New(e, sys, dsa.DefaultConfig(fmt.Sprintf("dsa%d", i), 0))
-		for _, g := range groups {
-			if _, err := dev.AddGroup(g); err != nil {
-				panic(err)
-			}
-		}
-		if err := dev.Enable(); err != nil {
+	as := mem.NewAddressSpace(1)
+	for _, dev := range devs {
+		dev.BindPASID(as)
+	}
+	return &env{e: e, sys: sys, as: as, core: cpu.NewCore(0, 0, sys, as, pr.CPU), devs: devs}
+}
+
+// dsaPerSocket builds pr with one device named "dsa" on each socket in
+// place of the profile's own devices.
+func dsaPerSocket(pr platform.Profile) *platform.Platform {
+	pr.Devices = 0
+	pl := platform.NewPlatform(pr)
+	for s := range pl.Sys.Sockets {
+		if _, err := pl.AddDevice("dsa", s); err != nil {
 			panic(err)
 		}
-		dev.BindPASID(as)
-		v.devs = append(v.devs, dev)
 	}
-	return v
+	return pl
 }
 
 // node returns platform node i (0 local DRAM, 1 remote DRAM, 2 CXL).

@@ -5,6 +5,7 @@ import (
 
 	"dsasim/internal/dsa"
 	"dsasim/internal/mem"
+	"dsasim/internal/platform"
 	"dsasim/internal/report"
 	"dsasim/internal/sim"
 )
@@ -156,23 +157,9 @@ func CBDMAComparison() []*report.Table {
 		dsaRes := v.runCopy(copyCfg{size: size, count: 120, qd: 32})
 		t.Set("DSA", float64(size), dsaRes.gbps)
 
-		e := sim.New()
-		sys := sprSystem(e)
-		cfg := dsa.DefaultConfig("cbdma0", 0)
-		cfg.Timing = dsa.CBDMATiming()
-		cfg.Engines = 1
-		dev := dsa.New(e, sys, cfg)
-		if _, err := dev.AddGroup(dsa.GroupConfig{Engines: 1, WQs: []dsa.WQConfig{{Mode: dsa.Dedicated, Size: 32}}}); err != nil {
-			panic(err)
-		}
-		if err := dev.Enable(); err != nil {
-			panic(err)
-		}
-		as := mem.NewAddressSpace(1)
-		dev.BindPASID(as)
-		vb := &env{e: e, sys: sys, as: as}
-		vb.devs = []*dsa.Device{dev}
-		cbRes := vb.runCopy(copyCfg{size: size, count: 120, qd: 32})
+		pr := platform.SPR()
+		pr.DeviceConfig = platform.ICX().DeviceConfig
+		cbRes := profileEnv(pr).runCopy(copyCfg{size: size, count: 120, qd: 32})
 		t.Set("CBDMA", float64(size), cbRes.gbps)
 		if cbRes.gbps > 0 {
 			ratioSum += dsaRes.gbps / cbRes.gbps

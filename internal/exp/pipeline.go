@@ -5,6 +5,7 @@ import (
 	"dsasim/internal/dsa"
 	"dsasim/internal/mem"
 	"dsasim/internal/offload"
+	"dsasim/internal/platform"
 	"dsasim/internal/report"
 	"dsasim/internal/sim"
 )
@@ -62,51 +63,30 @@ func Pipeline() []*report.Table {
 	return []*report.Table{depth, size}
 }
 
-// pipelineEnv builds the experiment platform: one 4-engine device behind a
-// shared WQ on each socket, under an offload service with the placement
-// scheduler (so fused chains exercise intermediate-buffer-aware placement).
-func pipelineEnv() (*env, *offload.Tenant) {
-	e := sim.New()
-	sys := sprSystem(e)
-	v := &env{e: e, sys: sys}
-	var wqs []*dsa.WQ
-	for s := 0; s < 2; s++ {
-		dev := dsa.New(e, sys, dsa.DefaultConfig("dsa", s))
-		if _, err := dev.AddGroup(dsa.GroupConfig{
-			Engines: 4,
-			WQs:     []dsa.WQConfig{{Mode: dsa.Shared, Size: 64}},
-		}); err != nil {
-			panic(err)
-		}
-		if err := dev.Enable(); err != nil {
-			panic(err)
-		}
-		v.devs = append(v.devs, dev)
-		wqs = append(wqs, dev.WQs()...)
-	}
-	svc, err := offload.NewService(e, sys, wqs, offload.WithScheduler(offload.NewPlacement()))
-	if err != nil {
-		panic(err)
-	}
-	tn, err := svc.NewTenant()
-	if err != nil {
-		panic(err)
-	}
-	return v, tn
+// pipelineRig builds the experiment platform, one 4-engine device behind a
+// shared WQ on each socket under an offload service with the placement
+// scheduler (so fused chains exercise intermediate-buffer-aware
+// placement), and returns its engine and a tenant.
+func pipelineRig() (*sim.Engine, *offload.Tenant) {
+	pr := platform.SPR()
+	pr.Groups = []dsa.GroupConfig{{Engines: 4, WQs: []dsa.WQConfig{{Mode: dsa.Shared, Size: 64}}}}
+	pr.Scheduler = func() offload.Scheduler { return offload.NewPlacement() }
+	pl := dsaPerSocket(pr)
+	return pl.E, pl.NewTenant()
 }
 
 // chainRun executes pipeIters depth-stage move/digest chains (depth-1
 // copies feeding a CRC32) over a fresh platform and returns chain
 // throughput in GB/s (payload bytes touched per stage, summed).
 func chainRun(depth int, size int64, fused bool) float64 {
-	v, tn := pipelineEnv()
+	e, tn := pipelineRig()
 	src := tn.Alloc(size)
 	dst := tn.Alloc(size)
 	rng := sim.NewRand(17)
 	rng.Bytes(src.Bytes())
 
 	var elapsed sim.Time
-	v.e.Go("chain", func(p *sim.Proc) {
+	e.Go("chain", func(p *sim.Proc) {
 		start := p.Now()
 		if fused {
 			pl := tn.NewPipeline()
@@ -158,7 +138,7 @@ func chainRun(depth int, size int64, fused bool) float64 {
 		}
 		elapsed = p.Now() - start
 	})
-	v.e.Run()
+	e.Run()
 	return sim.Rate(size*int64(depth)*pipeIters, elapsed)
 }
 
@@ -166,7 +146,7 @@ func chainRun(depth int, size int64, fused bool) float64 {
 // input is verified and stripped to payload, and the payload written to its
 // destination. Returns GB/s over the payload bytes each stage touches.
 func difRun(payload int64, fused bool) float64 {
-	v, tn := pipelineEnv()
+	e, tn := pipelineRig()
 	blocks := payload / int64(dif.Block512)
 	protSize := blocks * int64(dif.Block512.Protected())
 	tags := dif.Tags{AppTag: 0x1D, RefTag: 9, IncrementRef: true}
@@ -181,7 +161,7 @@ func difRun(payload int64, fused bool) float64 {
 	}
 
 	var elapsed sim.Time
-	v.e.Go("dif", func(p *sim.Proc) {
+	e.Go("dif", func(p *sim.Proc) {
 		start := p.Now()
 		if fused {
 			pl := tn.NewPipeline()
@@ -210,7 +190,7 @@ func difRun(payload int64, fused bool) float64 {
 		}
 		elapsed = p.Now() - start
 	})
-	v.e.Run()
+	e.Run()
 	return sim.Rate(payload*2*pipeIters, elapsed)
 }
 

@@ -3,9 +3,8 @@ package exp
 import (
 	"fmt"
 
-	"dsasim/internal/cpu"
-	"dsasim/internal/dsa"
 	"dsasim/internal/offload"
+	"dsasim/internal/platform"
 	"dsasim/internal/report"
 	"dsasim/internal/sim"
 )
@@ -270,30 +269,13 @@ func Skew() []*report.Table {
 // placementThroughput measures aggregate GB/s of the workload under cfg on
 // the two-device SPR system.
 func placementThroughput(cfg placementCfg, wl placementWorkload) float64 {
-	e := sim.New()
-	sys := sprSystem(e)
-	var wqs []*dsa.WQ
-	for s := 0; s < 2; s++ {
-		dev := dsa.New(e, sys, dsa.DefaultConfig("dsa", s))
-		if _, err := dev.AddGroup(dsa.GroupConfig{
-			Engines: 4,
-			WQs:     []dsa.WQConfig{{Mode: dsa.Dedicated, Size: 32}},
-		}); err != nil {
-			panic(err)
-		}
-		if err := dev.Enable(); err != nil {
-			panic(err)
-		}
-		wqs = append(wqs, dev.WQs()...)
-	}
 	pol := offload.DefaultPolicy()
 	pol.SplitBatches = cfg.split
 	pol.LoadAware = cfg.loadAware
-	svc, err := offload.NewService(e, sys, wqs,
-		offload.WithScheduler(cfg.sched()), offload.WithPolicy(pol), offload.WithCPUModel(cpu.SPRModel()))
-	if err != nil {
-		panic(err)
-	}
-	bytes, end := wl.run(e, svc)
+	pr := platform.SPR()
+	pr.Scheduler = cfg.sched
+	pr.Policy = &pol
+	pl := dsaPerSocket(pr)
+	bytes, end := wl.run(pl.E, pl.Offload)
 	return sim.Rate(bytes, end)
 }

@@ -4,9 +4,8 @@ import (
 	"sort"
 	"time"
 
-	"dsasim/internal/cpu"
-	"dsasim/internal/dsa"
 	"dsasim/internal/offload"
+	"dsasim/internal/platform"
 	"dsasim/internal/report"
 	"dsasim/internal/sim"
 )
@@ -59,26 +58,11 @@ func qosConfigs() []qosCfg {
 // qosP99 measures the latency-sensitive tenant's p99 completion latency
 // under cfg with bulkQD megabyte copies kept in flight by the bulk tenant.
 func qosP99(cfg qosCfg, bulkQD int) sim.Time {
-	e := sim.New()
-	sys := sprSystem(e)
-	dev := dsa.New(e, sys, dsa.DefaultConfig("dsa0", 0))
-	if _, err := dev.AddGroup(dsa.GroupConfig{
-		Engines: 4,
-		WQs: []dsa.WQConfig{
-			{Mode: dsa.Shared, Size: 8, Priority: 15},
-			{Mode: dsa.Shared, Size: 24, Priority: 5},
-		},
-	}); err != nil {
-		panic(err)
-	}
-	if err := dev.Enable(); err != nil {
-		panic(err)
-	}
-	svc, err := offload.NewService(e, sys, dev.WQs(),
-		offload.WithScheduler(cfg.sched()), offload.WithCPUModel(cpu.SPRModel()))
-	if err != nil {
-		panic(err)
-	}
+	pr := platform.SPRQoS()
+	pr.Scheduler = cfg.sched
+	pr.Policy = nil
+	pl := platform.NewPlatform(pr)
+	e, svc := pl.E, pl.Offload
 
 	ls, err := svc.NewTenant(offload.OnSocket(0), offload.WithClass(offload.LatencySensitive))
 	if err != nil {

@@ -1,12 +1,8 @@
 package exp
 
 import (
-	"time"
-
-	"dsasim/internal/cpu"
-	"dsasim/internal/dsa"
-	"dsasim/internal/mem"
 	"dsasim/internal/offload"
+	"dsasim/internal/platform"
 	"dsasim/internal/report"
 	"dsasim/internal/sim"
 )
@@ -54,40 +50,13 @@ func Sched() []*report.Table {
 // schedThroughput measures GB/s of a socket-0 tenant running count
 // synchronous copies under the given scheduler and policy.
 func schedThroughput(sched offload.Scheduler, pol offload.Policy, size int64, count int) float64 {
-	e := sim.New()
-	sys := mem.NewSystem(e, mem.SystemConfig{
-		Sockets: 2,
-		LLC:     mem.LLCConfig{Capacity: 105 << 20, Ways: 15, DDIOWays: 2},
-		UPILat:  70 * time.Nanosecond,
-		UPIGBps: 62,
-		NodeDefs: []mem.NodeConfig{
-			{Socket: 0, Kind: mem.DRAM, ReadLat: 110 * time.Nanosecond, WriteLat: 110 * time.Nanosecond, ReadGBps: 120, WriteGBps: 75},
-			{Socket: 1, Kind: mem.DRAM, ReadLat: 110 * time.Nanosecond, WriteLat: 110 * time.Nanosecond, ReadGBps: 120, WriteGBps: 75},
-		},
-	})
-	var wqs []*dsa.WQ
-	for s := 0; s < 2; s++ {
-		dev := dsa.New(e, sys, dsa.DefaultConfig("dsa", s))
-		if _, err := dev.AddGroup(dsa.GroupConfig{
-			Engines: 4,
-			WQs:     []dsa.WQConfig{{Mode: dsa.Dedicated, Size: 32}},
-		}); err != nil {
-			panic(err)
-		}
-		if err := dev.Enable(); err != nil {
-			panic(err)
-		}
-		wqs = append(wqs, dev.WQs()...)
-	}
-	svc, err := offload.NewService(e, sys, wqs,
-		offload.WithScheduler(sched), offload.WithPolicy(pol), offload.WithCPUModel(cpu.SPRModel()))
-	if err != nil {
-		panic(err)
-	}
-	tn, err := svc.NewTenant(offload.OnSocket(0))
-	if err != nil {
-		panic(err)
-	}
+	pr := platform.SPR()
+	pr.Nodes = pr.Nodes[:2]
+	pr.Scheduler = func() offload.Scheduler { return sched }
+	pr.Policy = &pol
+	pl := dsaPerSocket(pr)
+	e := pl.E
+	tn := pl.NewTenantOn(0)
 	src := tn.Alloc(size)
 	dst := tn.Alloc(size)
 	var end sim.Time

@@ -1,9 +1,6 @@
 package fleet
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // shedCeil is the shed fraction a ramp step may incur per class and
 // still count as meeting SLO: a service that sheds more than half a
@@ -68,9 +65,4 @@ func meetsSLO(r *Result, sc Scenario) bool {
 		}
 	}
 	return true
-}
-
-// budgets returns the class budgets in class order (for reporting).
-func (sc Scenario) budgets() [nClasses]time.Duration {
-	return [nClasses]time.Duration{FG: sc.FgSLO, BG: sc.BgSLO}
 }

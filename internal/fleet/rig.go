@@ -1,66 +1,29 @@
 package fleet
 
 import (
-	"fmt"
 	"time"
 
-	"dsasim/internal/cpu"
 	"dsasim/internal/dsa"
 	"dsasim/internal/mem"
 	"dsasim/internal/offload"
+	"dsasim/internal/platform"
 	"dsasim/internal/sim"
 )
 
-// fleetSystem is the two-socket SPR memory system the scenarios run on
-// (Table 2 DRAM latencies/bandwidths; no CXL tier — the fleet scenarios
-// exercise socket placement, not memory tiering).
-func fleetSystem(e *sim.Engine) *mem.System {
-	return mem.NewSystem(e, mem.SystemConfig{
-		Sockets: 2,
-		LLC:     mem.LLCConfig{Capacity: 105 << 20, Ways: 15, DDIOWays: 2},
-		UPILat:  70 * time.Nanosecond,
-		UPIGBps: 62,
-		NodeDefs: []mem.NodeConfig{
-			{Socket: 0, Kind: mem.DRAM, ReadLat: 110 * time.Nanosecond, WriteLat: 110 * time.Nanosecond, ReadGBps: 120, WriteGBps: 75},
-			{Socket: 1, Kind: mem.DRAM, ReadLat: 110 * time.Nanosecond, WriteLat: 110 * time.Nanosecond, ReadGBps: 120, WriteGBps: 75},
-		},
-	})
-}
-
-// fleetRig builds the scenario platform: one DSA per socket with two
-// engines and an express/bulk shared-WQ pair (the adaptive experiment's
-// QoS layout, downsized to two engines so the overload phases actually
-// exceed capacity within a tractable event budget), behind the
-// placement-qos scheduler. Returns the engine and service.
+// fleetRig builds the scenario platform: SPR-Adaptive's device layout
+// (one DSA per socket with an express/bulk shared-WQ pair, behind the
+// placement-qos scheduler) downsized to two engines per device so the
+// overload phases actually exceed capacity within a tractable event
+// budget, on the DRAM-only machine (the scenarios exercise socket
+// placement, not memory tiering). Tenants bring their own policies.
+// Returns the engine, the service and the devices.
 func fleetRig() (*sim.Engine, *offload.Service, []*dsa.Device) {
-	e := sim.New()
-	sys := fleetSystem(e)
-	var wqs []*dsa.WQ
-	var devs []*dsa.Device
-	for socket := 0; socket < 2; socket++ {
-		dev := dsa.New(e, sys, dsa.DefaultConfig(fmt.Sprintf("dsa%d", socket), socket))
-		if _, err := dev.AddGroup(dsa.GroupConfig{
-			Engines:     2,
-			ExpressBufs: 24,
-			WQs: []dsa.WQConfig{
-				{Mode: dsa.Shared, Size: 8, Priority: 15},
-				{Mode: dsa.Shared, Size: 24, Priority: 5},
-			},
-		}); err != nil {
-			panic(err)
-		}
-		if err := dev.Enable(); err != nil {
-			panic(err)
-		}
-		wqs = append(wqs, dev.WQs()...)
-		devs = append(devs, dev)
-	}
-	svc, err := offload.NewService(e, sys, wqs,
-		offload.WithScheduler(offload.NewPlacementQoS()), offload.WithCPUModel(cpu.SPRModel()))
-	if err != nil {
-		panic(err)
-	}
-	return e, svc, devs
+	pr := platform.SPRAdaptive()
+	pr.Nodes = pr.Nodes[:2]
+	pr.Groups[0].Engines = 2
+	pr.Policy = nil
+	pl := platform.NewPlatform(pr)
+	return pl.E, pl.Offload, pl.Devices
 }
 
 // frontPolicy is the background data plane's policy: telemetry-driven

@@ -99,17 +99,6 @@ func (r *Registry) Discover(name string, socket int) (*Entry, error) {
 	return ent, nil
 }
 
-// Adopt registers an externally constructed device (custom Config).
-func (r *Registry) Adopt(dev *dsa.Device) (*Entry, error) {
-	name := dev.Cfg.Name
-	if _, ok := r.devs[name]; ok {
-		return nil, fmt.Errorf("idxd: device %q already registered", name)
-	}
-	ent := &Entry{Dev: dev, wqs: make(map[string]*dsa.WQ)}
-	r.devs[name] = ent
-	return ent, nil
-}
-
 // Get returns the entry for a device name.
 func (r *Registry) Get(name string) (*Entry, error) {
 	ent, ok := r.devs[name]

@@ -159,9 +159,6 @@ func (b *Buffer) Addr(off int64) Addr {
 // Slice returns the backing bytes in [off, off+n).
 func (b *Buffer) Slice(off, n int64) []byte { return b.data[off : off+n] }
 
-// PresentAt reports whether the page containing buffer offset off is mapped.
-func (b *Buffer) PresentAt(off int64) bool { return b.present[off/b.PageSize] }
-
 // TouchAll maps every page of the buffer (resolving any pending faults).
 func (b *Buffer) TouchAll() {
 	for i := range b.present {

@@ -18,9 +18,6 @@ type LLC struct {
 
 	occ   map[string]int64
 	total int64
-
-	// evictions counts bytes evicted per victim owner, for telemetry.
-	evictions map[string]int64
 }
 
 // LLCConfig sizes an LLC.
@@ -45,11 +42,10 @@ func NewLLC(cfg LLCConfig) *LLC {
 		panic(fmt.Sprintf("mem: DDIO ways %d exceed total ways %d", cfg.DDIOWays, cfg.Ways))
 	}
 	return &LLC{
-		capacity:  cfg.Capacity,
-		ways:      cfg.Ways,
-		ddioWays:  cfg.DDIOWays,
-		occ:       make(map[string]int64),
-		evictions: make(map[string]int64),
+		capacity: cfg.Capacity,
+		ways:     cfg.Ways,
+		ddioWays: cfg.DDIOWays,
+		occ:      make(map[string]int64),
 	}
 }
 
@@ -125,9 +121,6 @@ func (c *LLC) Occupancy(owner string) int64 { return c.occ[owner] }
 // Total returns the total occupied bytes.
 func (c *LLC) Total() int64 { return c.total }
 
-// Evicted returns cumulative bytes evicted from owner by other inserters.
-func (c *LLC) Evicted(owner string) int64 { return c.evictions[owner] }
-
 // Owners returns the current owners sorted by name (deterministic order for
 // reports).
 func (c *LLC) Owners() []string {
@@ -162,7 +155,6 @@ func (c *LLC) shrinkTo(limit int64, inserter string) int64 {
 			}
 			c.occ[name] -= take
 			c.total -= take
-			c.evictions[name] += take
 			victims += take
 			if c.occ[name] == 0 {
 				delete(c.occ, name)
@@ -174,7 +166,6 @@ func (c *LLC) shrinkTo(limit int64, inserter string) int64 {
 		over := c.total - limit
 		c.occ[inserter] -= over
 		c.total -= over
-		c.evictions[inserter] += over
 		if c.occ[inserter] <= 0 {
 			delete(c.occ, inserter)
 		}

@@ -80,27 +80,8 @@ func (n *Node) ReadGBps() float64 { return n.readGBps }
 // WriteGBps returns the node's configured write bandwidth.
 func (n *Node) WriteGBps() float64 { return n.writeGBps }
 
-// ReserveRead books n bytes of read traffic at the node and returns the
-// completion instant under current contention.
-func (n *Node) ReserveRead(bytes int64) sim.Time { return n.read.Reserve(bytes) }
-
-// ReserveWrite books n bytes of write traffic at the node.
-func (n *Node) ReserveWrite(bytes int64) sim.Time { return n.write.Reserve(bytes) }
-
 // ReserveReadAt books read traffic starting no earlier than t.
 func (n *Node) ReserveReadAt(t sim.Time, bytes int64) sim.Time { return n.read.ReserveAt(t, bytes) }
 
 // ReserveWriteAt books write traffic starting no earlier than t.
 func (n *Node) ReserveWriteAt(t sim.Time, bytes int64) sim.Time { return n.write.ReserveAt(t, bytes) }
-
-// ReadBacklog reports how far in the future the read pipe is booked.
-func (n *Node) ReadBacklog() sim.Time { return n.read.Backlog() }
-
-// WriteBacklog reports how far in the future the write pipe is booked.
-func (n *Node) WriteBacklog() sim.Time { return n.write.Backlog() }
-
-// ReadBytes returns cumulative read traffic served by the node.
-func (n *Node) ReadBytes() int64 { return n.read.BytesMoved() }
-
-// WriteBytes returns cumulative write traffic served by the node.
-func (n *Node) WriteBytes() int64 { return n.write.BytesMoved() }

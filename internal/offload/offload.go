@@ -135,12 +135,6 @@ func WithPolicy(p Policy) ServiceOption { return func(sv *Service) { sv.policy =
 // tenants (default SPR).
 func WithCPUModel(m cpu.Model) ServiceOption { return func(sv *Service) { sv.model = m } }
 
-// WithPASIDBase sets the first PASID handed to service-created tenants.
-func WithPASIDBase(n int) ServiceOption { return func(sv *Service) { sv.nextPASID = n } }
-
-// WithCoreBase sets the first core id handed to service-created tenants.
-func WithCoreBase(n int) ServiceOption { return func(sv *Service) { sv.nextCore = n } }
-
 // NewService builds a service over the given work queues (typically every
 // enabled WQ of every platform device).
 func NewService(e *sim.Engine, sys *mem.System, wqs []*dsa.WQ, opts ...ServiceOption) (*Service, error) {

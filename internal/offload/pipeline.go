@@ -39,14 +39,10 @@ type Ref struct {
 	addr mem.Addr
 	sc   int // 1+index into the pipeline's scratch declarations; 0 = not scratch
 	arg  int // 1+index into the pipeline's Arg declarations; 0 = not an Arg
-	off  int64
 }
 
 // At references a fixed address (an existing buffer).
 func At(a mem.Addr) Ref { return Ref{addr: a} }
-
-// Off offsets the reference by n bytes.
-func (r Ref) Off(n int64) Ref { r.off += n; return r }
 
 // set reports whether the operand is used.
 func (r Ref) set() bool { return r != Ref{} }
@@ -131,10 +127,6 @@ type Stage struct {
 // Result returns the stage's op-specific result value (CRC, delta-record
 // size, produced bytes), valid once the pipeline's Future has resolved.
 func (s *Stage) Result() uint64 { return s.pl.stages[s.i].result }
-
-// Output returns the resolved address of the stage's destination operand,
-// valid once Submit has placed the pipeline's scratch buffers.
-func (s *Stage) Output() mem.Addr { return s.pl.resolve(s.pl.stages[s.i].dst) }
 
 // StageOption customizes one stage at declaration.
 type StageOption func(*pstage)
@@ -347,11 +339,11 @@ func (pl *Pipeline) Home() int { return pl.home }
 func (pl *Pipeline) resolve(r Ref) mem.Addr {
 	switch {
 	case r.sc != 0:
-		return pl.scratchBufs[r.sc-1].Addr(r.off)
+		return pl.scratchBufs[r.sc-1].Addr(0)
 	case r.arg != 0:
-		return pl.args[r.arg-1] + mem.Addr(r.off)
+		return pl.args[r.arg-1]
 	}
-	return r.addr + mem.Addr(r.off)
+	return r.addr
 }
 
 // homeSocket scores candidate sockets for this submission by the fixed data

@@ -205,7 +205,6 @@ func (t *Tenant) AllocOn(node int, size int64, opts ...mem.AllocOption) *mem.Buf
 type submitCfg struct {
 	path    Path
 	noBatch bool
-	flags   dsa.Flags
 }
 
 // OpOption customizes one operation. Options take and return the config
@@ -220,11 +219,6 @@ func On(path Path) OpOption {
 // NoBatch bypasses the AutoBatcher for this operation.
 func NoBatch() OpOption {
 	return func(c submitCfg) submitCfg { c.noBatch = true; return c }
-}
-
-// OpFlags ORs extra descriptor flags into this operation.
-func OpFlags(f dsa.Flags) OpOption {
-	return func(c submitCfg) submitCfg { c.flags = f; return c }
 }
 
 func opCfg(opts []OpOption) submitCfg {
@@ -386,13 +380,13 @@ func (t *Tenant) do(p *sim.Proc, d dsa.Descriptor, opts []OpOption) (*Future, er
 		if err := t.admit(p); err != nil {
 			return nil, err
 		}
-		f, err := t.dispatch(p, d, c.flags, unpinned)
+		f, err := t.dispatch(p, d, 0, unpinned)
 		if err != nil {
 			t.stats.failures.Add(1)
 		}
 		return f, err
 	case t.autoBatchable(c, &d):
-		d.Flags = t.policy.Flags | c.flags
+		d.Flags = t.policy.Flags
 		return t.Batcher().add(p, d)
 	}
 	if t.closed.Load() {

@@ -78,10 +78,6 @@ type Digest struct {
 	shiftRun          int
 	drifts            int64
 	lastDriftAt       sim.Time
-
-	// Last closed window's summary, for window-over-window views.
-	lastRate float64
-	lastP99  int64
 }
 
 // NewDigest returns a digest rotating on the given window span
@@ -179,7 +175,6 @@ func (d *Digest) closeWindow(endAt sim.Time) {
 	if w.count > 0 {
 		p99 = w.sk.Quantile(0.99)
 	}
-	d.lastRate, d.lastP99 = rate, p99
 
 	if !d.baseSet {
 		if w.count >= driftMinCount {
@@ -222,9 +217,6 @@ func (d *Digest) closeWindow(endAt sim.Time) {
 
 // Count returns the all-time sample count.
 func (d *Digest) Count() int64 { return d.count }
-
-// Sum returns the all-time sample sum.
-func (d *Digest) Sum() int64 { return d.sum }
 
 // Mean returns the all-time mean sample value (0 when empty).
 func (d *Digest) Mean() float64 {
@@ -330,9 +322,3 @@ func (d *Digest) Drifts() int64 { return d.drifts }
 // LastDriftAt returns the virtual instant of the most recent flagged
 // shift (0 when none).
 func (d *Digest) LastDriftAt() sim.Time { return d.lastDriftAt }
-
-// WindowRate returns the last closed window's event rate (samples/s).
-func (d *Digest) WindowRate() float64 { return d.lastRate }
-
-// WindowP99 returns the last closed window's p99 sample value.
-func (d *Digest) WindowP99() int64 { return d.lastP99 }
