@@ -8,9 +8,6 @@ package dsasim
 // meaningful.
 
 import (
-	"fmt"
-	"runtime"
-	"sync"
 	"testing"
 
 	"dsasim/internal/dsa"
@@ -74,82 +71,6 @@ func BenchmarkSkewWindow(b *testing.B)           { benchExperiment(b, "skew", "G
 func BenchmarkCoalesceDelivery(b *testing.B)     { benchExperiment(b, "coalesce", "GBps_max") }
 func BenchmarkAdaptiveClosedLoop(b *testing.B)   { benchExperiment(b, "adaptive", "score_max") }
 func BenchmarkContentionExperiment(b *testing.B) { benchExperiment(b, "contention", "Mops_max") }
-
-// BenchmarkSubmitContention drives the sharded submission plane's host
-// fast path (offload.Lane.TrySubmit) with real concurrent goroutines —
-// the lock-free rings and atomic counters under actual parallelism, not
-// virtual time. ns/op is the per-submission software cost at each
-// submitter count; the CI race job runs the 16-submitter point under
-// -race as the memory-ordering exerciser.
-func BenchmarkSubmitContention(b *testing.B) {
-	for _, n := range []int{1, 4, 16, 64} {
-		b.Run(fmt.Sprintf("submitters-%d", n), func(b *testing.B) {
-			benchSubmitContention(b, n)
-		})
-	}
-}
-
-func benchSubmitContention(b *testing.B, submitters int) {
-	pr := SPR()
-	pr.Groups = []dsa.GroupConfig{{Engines: 4, WQs: []dsa.WQConfig{{Mode: dsa.Shared, Size: 128}}}}
-	pl := NewPlatform(pr)
-	tn := pl.NewTenant()
-	plane, err := tn.NewPlane(submitters)
-	if err != nil {
-		b.Fatal(err)
-	}
-	d := dsa.Descriptor{Op: dsa.OpMemmove, Size: 4096}
-
-	// A host-side drain stands in for the engine's: Pop keeps the rings
-	// from filling so the producers measure push cost, not backoff.
-	stop := make(chan struct{})
-	var drained sync.WaitGroup
-	drained.Add(1)
-	go func() {
-		defer drained.Done()
-		rings := make([]*dsa.SubmitRing, 0)
-		for _, wq := range plane.WQs() {
-			rings = append(rings, wq.Ring())
-		}
-		for {
-			idle := true
-			for _, r := range rings {
-				if _, ok := r.Pop(); ok {
-					idle = false
-				}
-			}
-			if idle {
-				select {
-				case <-stop:
-					return
-				default:
-					runtime.Gosched()
-				}
-			}
-		}
-	}()
-
-	per := (b.N + submitters - 1) / submitters
-	b.ResetTimer()
-	var wg sync.WaitGroup
-	for i := 0; i < submitters; i++ {
-		wg.Add(1)
-		go func(lane *offload.Lane) {
-			defer wg.Done()
-			var now sim.Time
-			for j := 0; j < per; j++ {
-				now += 2000 // each submitter's private virtual clock
-				for lane.TrySubmit(now, d) != nil {
-					runtime.Gosched() // ring momentarily full
-				}
-			}
-		}(plane.Lane(i))
-	}
-	wg.Wait()
-	b.StopTimer()
-	close(stop)
-	drained.Wait()
-}
 
 // Device micro-benchmarks: virtual-time throughput of the model itself.
 // b.SetBytes reflects simulated payload per iteration, so MB/s measures

@@ -3,7 +3,6 @@ package dsa
 import (
 	"fmt"
 	"slices"
-	"sync/atomic"
 
 	"dsasim/internal/mem"
 	"dsasim/internal/sim"
@@ -74,10 +73,9 @@ type Device struct {
 	probe Probe
 
 	// faults, when armed, injects deterministic page faults, WQ disable
-	// windows, and outages (see fault.go). offline is the outage flag,
-	// atomic because host-parallel submission paths read it.
+	// windows, and outages (see fault.go). offline is the outage flag.
 	faults  *FaultInjector
-	offline atomic.Bool
+	offline bool
 
 	// free pools completed works for reuse (see newWork). It never holds
 	// more items than the peak number of works in flight at once.

@@ -94,26 +94,26 @@ func (d *Device) InjectFaults(cfg FaultConfig) (*FaultInjector, error) {
 		}
 		wq, dur := d.wqs[w.WQ], w.Dur
 		d.E.At(w.At, func() {
-			wq.disabled.Store(true)
+			wq.disabled = true
 			d.stats.WQDisables++
 			wq.failQueued(StatusWQError, ErrWQDisabled)
 		})
 		d.E.At(w.At+dur, func() {
-			wq.disabled.Store(false)
+			wq.disabled = false
 			wq.ready()
 		})
 	}
 	for _, o := range cfg.Outages {
 		dur := o.Dur
 		d.E.At(o.At, func() {
-			d.offline.Store(true)
+			d.offline = true
 			d.stats.Outages++
 			for _, wq := range d.wqs {
 				wq.failQueued(StatusDeviceOffline, ErrDeviceOffline)
 			}
 		})
 		d.E.At(o.At+dur, func() {
-			d.offline.Store(false)
+			d.offline = false
 			for _, wq := range d.wqs {
 				wq.ready()
 			}
@@ -164,15 +164,14 @@ func (inj *FaultInjector) roll(d *Descriptor, now sim.Time) (off int64, ok bool)
 
 // Healthy reports whether the WQ front end accepts submissions right now:
 // the device is enabled and neither a WQ disable window nor a device
-// outage is in effect. Safe to read from host-parallel submission paths
-// (plane lanes, scheduler Picks); the flags are written only by
-// engine-domain fault events.
+// outage is in effect. Plane lanes and scheduler Picks route on it; only
+// fault events flip the flags.
 func (w *WQ) Healthy() bool {
-	return w.Dev.enabled && !w.disabled.Load() && !w.Dev.offline.Load()
+	return w.Dev.enabled && !w.disabled && !w.Dev.offline
 }
 
 // Offline reports whether the device is inside an outage window.
-func (d *Device) Offline() bool { return d.offline.Load() }
+func (d *Device) Offline() bool { return d.offline }
 
 // failQueued completes every queued-but-undispatched descriptor with the
 // given terminal status and returns its work to the free list. Dispatched
@@ -187,7 +186,7 @@ func (w *WQ) failQueued(status Status, err error) {
 			w.ready()
 			return
 		}
-		w.occupied.Add(-1)
+		w.occupied--
 		w.noteOcc()
 		comp := wk.comp
 		comp.complete(CompletionRecord{Status: status, Err: err})

@@ -129,7 +129,7 @@ func (g *Group) nextWork() (*work, bool) {
 				continue
 			}
 			wk, _ := wq.q.Pop()
-			wq.occupied.Add(-1)
+			wq.occupied--
 			wq.noteOcc()
 			wq.ready()
 			g.credits[idx]--

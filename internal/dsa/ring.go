@@ -1,32 +1,17 @@
 package dsa
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "dsasim/internal/sim"
 
-// SubmitRing is a bounded, lock-free, multi-producer single-consumer ring
-// feeding one work queue's ENQCMD path. Submitting shards (one per core or
-// goroutine) push prepared descriptors concurrently with a single CAS each;
-// one drain context pops them in FIFO order and materializes each into the
-// WQ. The ring replaces the service-wide mutex that used to serialize every
-// submission: producers never share a cache line beyond the tail counter,
-// so the software submission plane scales with submitter count instead of
-// collapsing onto one lock (the BriskStream partition-the-hot-state
-// observation applied to the offload front end).
-//
-// The implementation is the classic bounded MPMC sequence-number ring
-// (Vyukov), restricted here to one consumer. Each slot carries a sequence
-// word: a producer claims a slot by CAS-advancing the tail when the slot's
-// sequence matches, writes the entry, then publishes by storing sequence =
-// tail+1; the consumer reads when sequence = head+1 and releases by storing
-// sequence = head+capacity. Entries hold descriptors by value so the
-// steady-state push/pop path allocates nothing.
+// SubmitRing is a bounded FIFO of prepared descriptors feeding one work
+// queue's ENQCMD path: submitters push, one drain pops in order and hands
+// each entry to the WQ. The simulation runs on one goroutine, so the ring
+// is a plain queue; the slot-publish CAS a hardware-facing ring would pay
+// is priced in virtual time by Timing.RingPush. Entries hold descriptors
+// by value and the backing store is sized up front, so the steady-state
+// push/pop path allocates nothing.
 type SubmitRing struct {
-	mask  uint64
-	slots []ringSlot
-	head  atomic.Uint64 // consumer cursor (single consumer)
-	tail  atomic.Uint64 // producer cursor (CAS-advanced)
+	q   sim.FIFO[RingEntry]
+	cap int
 }
 
 // RingEntry is one queued submission: the descriptor by value and an opaque
@@ -38,110 +23,34 @@ type RingEntry struct {
 	Tag uint64
 }
 
-// ringSlot is one ring cell: its sequence word and the entry payload.
-type ringSlot struct {
-	seq atomic.Uint64
-	e   RingEntry
-}
-
 // NewSubmitRing builds a ring with at least the given capacity, rounded up
-// to a power of two (minimum 2) so index math is a mask.
+// to a power of two (minimum 2), the slot count of a masked ring.
 func NewSubmitRing(capacity int) *SubmitRing {
-	if capacity < 2 {
-		capacity = 2
-	}
-	n := 1
+	n := 2
 	for n < capacity {
 		n <<= 1
 	}
-	r := &SubmitRing{mask: uint64(n - 1), slots: make([]ringSlot, n)}
-	for i := range r.slots {
-		r.slots[i].seq.Store(uint64(i))
-	}
+	r := &SubmitRing{cap: n}
+	// A FIFO compacts only once half its backing array is popped slots,
+	// so twice the capacity keeps a bounded stream on one array.
+	r.q.Grow(2 * n)
 	return r
 }
 
 // Cap returns the ring capacity.
-func (r *SubmitRing) Cap() int { return len(r.slots) }
+func (r *SubmitRing) Cap() int { return r.cap }
 
-// Len returns the entries currently queued. It is a racy snapshot under
-// concurrent producers — good enough for the load signal the submission
-// plane's ring choice reads, never used for correctness.
-func (r *SubmitRing) Len() int {
-	n := int64(r.tail.Load()) - int64(r.head.Load())
-	if n < 0 {
-		return 0
-	}
-	return int(n)
-}
+// Len returns the entries currently queued.
+func (r *SubmitRing) Len() int { return r.q.Len() }
 
 // TryPush enqueues one descriptor, returning false when the ring is full.
-// Safe to call from many producers concurrently; allocation-free.
 func (r *SubmitRing) TryPush(d Descriptor, tag uint64) bool {
-	for {
-		tail := r.tail.Load()
-		slot := &r.slots[tail&r.mask]
-		seq := slot.seq.Load()
-		switch {
-		case seq == tail:
-			if r.tail.CompareAndSwap(tail, tail+1) {
-				slot.e = RingEntry{D: d, Tag: tag}
-				slot.seq.Store(tail + 1)
-				return true
-			}
-		case seq < tail:
-			// The slot has not been released by the consumer yet: full.
-			return false
-		default:
-			// Another producer claimed this tail; reload and retry.
-		}
+	if r.q.Len() >= r.cap {
+		return false
 	}
+	r.q.Push(RingEntry{D: d, Tag: tag})
+	return true
 }
 
-// Pop dequeues the oldest entry. Single consumer only: the drain context
-// that owns the ring. Returns ok false when the ring is empty (or the
-// oldest claimed slot is still being written — the consumer retries on its
-// next pass rather than spinning on the producer).
-func (r *SubmitRing) Pop() (RingEntry, bool) {
-	head := r.head.Load()
-	slot := &r.slots[head&r.mask]
-	if slot.seq.Load() != head+1 {
-		return RingEntry{}, false
-	}
-	e := slot.e
-	slot.e = RingEntry{}
-	slot.seq.Store(head + uint64(len(r.slots)))
-	r.head.Store(head + 1)
-	return e, true
-}
-
-// AttachRing creates and attaches a lock-free submission ring to this WQ
-// (capacity rounded up to a power of two). Exactly one submission plane may
-// own a WQ's ring — its drain context is the single consumer — so a second
-// attach panics rather than silently corrupting the ring.
-func (w *WQ) AttachRing(capacity int) *SubmitRing {
-	if w.ring != nil {
-		panic(fmt.Sprintf("dsa: wq %d of %s already has a submission ring", w.ID, w.Dev.Cfg.Name))
-	}
-	w.ring = NewSubmitRing(capacity)
-	return w.ring
-}
-
-// Ring returns the WQ's attached submission ring, or nil.
-func (w *WQ) Ring() *SubmitRing { return w.ring }
-
-// DetachRing removes the WQ's submission ring so a later plane may attach
-// its own (tenant churn retires planes with their tenants). The caller
-// owns the single-consumer side and must have drained the ring first.
-func (w *WQ) DetachRing() { w.ring = nil }
-
-// ReattachRing re-installs a previously detached ring: the plane's drain
-// failover detaches a dead WQ's ring and re-installs the same ring object
-// when the queue heals, so lanes holding the ring pointer resume feeding
-// it. Panics if a ring is already attached.
-func (w *WQ) ReattachRing(r *SubmitRing) {
-	if w.ring != nil {
-		panic(fmt.Sprintf("dsa: wq %d of %s already has a submission ring", w.ID, w.Dev.Cfg.Name))
-	}
-	w.ring = r
-}
+// Pop dequeues the oldest entry; ok is false when the ring is empty.
+func (r *SubmitRing) Pop() (RingEntry, bool) { return r.q.Pop() }

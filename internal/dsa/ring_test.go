@@ -2,8 +2,6 @@ package dsa
 
 import (
 	"bytes"
-	"runtime"
-	"sync"
 	"testing"
 )
 
@@ -50,64 +48,6 @@ func TestSubmitRingFIFOAndFull(t *testing.T) {
 	}
 }
 
-// TestSubmitRingConcurrent hammers the ring with parallel producers and one
-// consumer — the MPSC contract — checking nothing is lost, duplicated, or
-// reordered within a producer. Run under -race this is the lock-free
-// algorithm's memory-ordering test.
-func TestSubmitRingConcurrent(t *testing.T) {
-	const producers = 8
-	const perProducer = 500
-	r := NewSubmitRing(64)
-
-	var wg sync.WaitGroup
-	for pr := 0; pr < producers; pr++ {
-		wg.Add(1)
-		go func(pr int) {
-			defer wg.Done()
-			for i := 0; i < perProducer; i++ {
-				// Tag encodes (producer, sequence) so the consumer can check
-				// per-producer FIFO order.
-				for !r.TryPush(Descriptor{Size: int64(i)}, uint64(pr)<<32|uint64(i)) {
-					runtime.Gosched()
-				}
-			}
-		}(pr)
-	}
-
-	seen := make([]int, producers)
-	got := 0
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for got < producers*perProducer {
-			e, ok := r.Pop()
-			if !ok {
-				runtime.Gosched()
-				continue
-			}
-			pr, seq := int(e.Tag>>32), int(e.Tag&0xffffffff)
-			if seq != seen[pr] {
-				t.Errorf("producer %d: popped seq %d, want %d (reordered or lost)", pr, seq, seen[pr])
-				return
-			}
-			if e.D.Size != int64(seq) {
-				t.Errorf("producer %d seq %d: entry payload %d torn", pr, seq, e.D.Size)
-				return
-			}
-			seen[pr]++
-			got++
-		}
-	}()
-	wg.Wait()
-	<-done
-	if got != producers*perProducer {
-		t.Fatalf("consumed %d entries, want %d", got, producers*perProducer)
-	}
-	if r.Len() != 0 {
-		t.Fatalf("ring not drained: Len = %d", r.Len())
-	}
-}
-
 func TestSubmitRingZeroAlloc(t *testing.T) {
 	r := NewSubmitRing(8)
 	d := Descriptor{Op: OpMemmove, Size: 4096}
@@ -119,11 +59,13 @@ func TestSubmitRingZeroAlloc(t *testing.T) {
 	}
 }
 
-// FuzzSubmitRing model-checks the ring against a reference FIFO: each
-// script byte drives one operation (low bit selects push vs pop), and
-// every observable — push/pop success, payload, tag, Len — must match
-// the model exactly, including across arbitrarily many wrap-arounds of
-// a tiny ring. The fuzzer owns the schedule; the model owns the truth.
+// FuzzSubmitRing model-checks the bounded ring against a reference FIFO
+// of the requested capacity rounded up to a power of two (minimum 2):
+// each script byte drives one operation (low bit selects push vs pop),
+// and every observable — push/pop success, so full at exactly the
+// rounded capacity, payload, tag, Len — must match the model exactly,
+// across arbitrarily many laps of a tiny ring. The fuzzer owns the
+// schedule; the model owns the truth.
 func FuzzSubmitRing(f *testing.F) {
 	f.Add(uint8(4), []byte{0, 0, 2, 1, 0, 3, 1, 1})
 	f.Add(uint8(1), bytes.Repeat([]byte{0, 1}, 64)) // two-slot ring, many laps
@@ -131,15 +73,22 @@ func FuzzSubmitRing(f *testing.F) {
 	f.Add(uint8(0), []byte{1, 1, 0, 1, 1})
 	f.Fuzz(func(t *testing.T, capacity uint8, script []byte) {
 		r := NewSubmitRing(int(capacity))
+		limit := 2
+		for limit < int(capacity) {
+			limit <<= 1
+		}
+		if r.Cap() != limit {
+			t.Fatalf("Cap = %d for capacity %d, want %d", r.Cap(), capacity, limit)
+		}
 		var model []RingEntry
 		seq := int64(0)
 		for i, op := range script {
 			if op&1 == 0 {
 				d := Descriptor{Op: OpMemmove, Size: seq + 1}
 				pushed := r.TryPush(d, uint64(seq))
-				if want := len(model) < r.Cap(); pushed != want {
+				if want := len(model) < limit; pushed != want {
 					t.Fatalf("op %d: TryPush = %v with %d/%d occupied, want %v",
-						i, pushed, len(model), r.Cap(), want)
+						i, pushed, len(model), limit, want)
 				}
 				if pushed {
 					model = append(model, RingEntry{D: d, Tag: uint64(seq)})
@@ -166,19 +115,20 @@ func FuzzSubmitRing(f *testing.F) {
 	})
 }
 
-func TestWQAttachRing(t *testing.T) {
+// A WQ's ready hook has one owner, the single drain feeding it: a second
+// hook is refused until the owner removes its own.
+func TestWQReadyHookHasOneOwner(t *testing.T) {
 	wq := newRig(t).dev.WQs()[0]
-	if wq.Ring() != nil {
-		t.Fatal("fresh WQ already has a ring")
+	if err := wq.SetOnReady(func() {}); err != nil {
+		t.Fatalf("first hook refused: %v", err)
 	}
-	r := wq.AttachRing(10)
-	if wq.Ring() != r || r.Cap() != 16 {
-		t.Fatalf("AttachRing: got %v (cap %d)", wq.Ring(), r.Cap())
+	if err := wq.SetOnReady(func() {}); err == nil {
+		t.Fatal("second hook installed over the first")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("second AttachRing did not panic")
-		}
-	}()
-	wq.AttachRing(4)
+	if err := wq.SetOnReady(nil); err != nil {
+		t.Fatalf("removing the hook failed: %v", err)
+	}
+	if err := wq.SetOnReady(func() {}); err != nil {
+		t.Fatalf("hook refused after the owner removed its own: %v", err)
+	}
 }

@@ -72,11 +72,11 @@ type Timing struct {
 	// the moderation hardware resolves.
 	IntrCoalesceTick time.Duration
 	// RingPush is the software cost of publishing one prepared descriptor
-	// into a WQ's lock-free submission ring (SubmitRing.TryPush): one CAS
-	// on the shared tail plus a 64-byte slot write. It is the only point
-	// where concurrent submitters to one ring serialize, and it is what a
-	// sharded submission plane pays instead of the service mutex's hold
-	// time.
+	// into a WQ's submission ring: one CAS on the shared tail plus a
+	// 64-byte slot write. It is the only point where concurrent submitters
+	// to one ring serialize, and it is what a sharded submission plane
+	// pays instead of the service mutex's hold time. The model's ring is a
+	// plain queue (SubmitRing); this cost is where the CAS lives.
 	RingPush time.Duration
 	// FaultReport is the device-side cost of detecting a page fault and
 	// writing the partial completion record (block-on-fault clear). The

@@ -2,7 +2,6 @@ package dsa
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"dsasim/internal/mem"
 	"dsasim/internal/sim"
@@ -73,19 +72,12 @@ type WQ struct {
 	group *Group
 	q     sim.FIFO[*work]
 	// occupied counts entries consumed (freed on dispatch to an engine).
-	// The engine alone writes it; it is atomic because host-domain plane
-	// lanes read it to route.
-	occupied atomic.Int32
+	occupied int
 
 	onReady func() // the ready hook (SetOnReady), or nil
 
-	// ring, when attached, is the lock-free software submission ring
-	// feeding this WQ's ENQCMD path (see SubmitRing / AttachRing).
-	ring *SubmitRing
-
-	// disabled marks a transient fault-injector disable window; atomic
-	// because host-parallel submission paths read it through Healthy.
-	disabled atomic.Bool
+	// disabled marks a transient fault-injector disable window.
+	disabled bool
 
 	// statistics
 	submitted int64
@@ -95,16 +87,23 @@ type WQ struct {
 // Group returns the group this WQ belongs to.
 func (w *WQ) Group() *Group { return w.group }
 
-// Occupancy returns the entries currently held. Safe to read from host
-// goroutines.
-func (w *WQ) Occupancy() int { return int(w.occupied.Load()) }
+// Occupancy returns the entries currently held.
+func (w *WQ) Occupancy() int { return w.occupied }
 
 // SetOnReady installs fn (nil to remove) as the queue's ready hook: the
 // engine calls it when an entry leaves the queue, by dispatch or by a
 // fault failing the queue, and when the queue's health flips either way.
 // A submitter that found the queue full or failed waits on it instead of
-// polling. fn runs inside engine events and must not block.
-func (w *WQ) SetOnReady(fn func()) { w.onReady = fn }
+// polling. fn runs inside engine events and must not block. A queue has
+// one hook owner: installing a hook over another fails until the owner
+// removes its own.
+func (w *WQ) SetOnReady(fn func()) error {
+	if fn != nil && w.onReady != nil {
+		return fmt.Errorf("dsa: wq %d of %s already has a ready hook", w.ID, w.Dev.Cfg.Name)
+	}
+	w.onReady = fn
+	return nil
+}
 
 // ready calls the ready hook, if any.
 func (w *WQ) ready() {
@@ -129,10 +128,10 @@ func (w *WQ) Submit(d Descriptor) (*Completion, error) {
 	if !w.Dev.enabled {
 		return nil, fmt.Errorf("dsa: device %s not enabled", w.Dev.Cfg.Name)
 	}
-	if w.Dev.offline.Load() {
+	if w.Dev.offline {
 		return nil, fmt.Errorf("dsa: %s: %w", w.Dev.Cfg.Name, ErrDeviceOffline)
 	}
-	if w.disabled.Load() {
+	if w.disabled {
 		return nil, fmt.Errorf("dsa: wq %d of %s: %w", w.ID, w.Dev.Cfg.Name, ErrWQDisabled)
 	}
 	if w.Occupancy() >= w.Size {
@@ -153,8 +152,8 @@ func (w *WQ) Submit(d Descriptor) (*Completion, error) {
 	comp.desc = d
 	wk := w.Dev.newWork()
 	wk.d, wk.comp, wk.wq, wk.enqueued = d, comp, w, w.Dev.E.Now()
-	if occ := int(w.occupied.Add(1)); occ > w.maxOcc {
-		w.maxOcc = occ
+	if w.occupied++; w.occupied > w.maxOcc {
+		w.maxOcc = w.occupied
 	}
 	w.noteOcc()
 	w.submitted++

@@ -35,7 +35,7 @@ const (
 // over one table (id "contention", y in Mops/s):
 //
 //   - sharded: the per-shard submission plane — lane-local admission,
-//     lock-free per-WQ rings, snapshot routing. Each submitter pays its
+//     bounded per-WQ rings, occupancy routing. Each submitter pays its
 //     own portal write in parallel; the only serialization is the
 //     ring's slot-publish CAS (Timing.RingPush per push).
 //   - global-lock: the same workload through the classic shared-state

@@ -107,7 +107,7 @@ func (b *Batch) Submit(p *sim.Proc) (*Future, error) {
 	if groups == nil {
 		return b.t.submitSlice(p, descs, b.flags)
 	}
-	b.t.stats.splits.Add(int64(len(groups)))
+	b.t.stats.Splits += int64(len(groups))
 	parts := make([]*Future, 0, len(groups))
 	for _, idx := range groups {
 		sub := make([]dsa.Descriptor, len(idx))
@@ -144,7 +144,7 @@ func (t *Tenant) submitChain(p *sim.Proc, descs []dsa.Descriptor, flags dsa.Flag
 func (t *Tenant) submitSlice(p *sim.Proc, descs []dsa.Descriptor, flags dsa.Flags) (*Future, error) {
 	f, err := t.submitChain(p, descs, flags, unpinned)
 	if err != nil {
-		t.stats.failures.Add(1)
+		t.stats.Failures++
 	}
 	return f, err
 }
@@ -264,7 +264,7 @@ func (ab *AutoBatcher) add(p *sim.Proc, d dsa.Descriptor) (*Future, error) {
 	f := ab.t.newFuture()
 	f.op, f.ab, f.start = d.Op, ab, p.Now()
 	ab.futs = append(ab.futs, f)
-	ab.t.stats.coalesce.Add(1)
+	ab.t.stats.Coalesce++
 	limit := ab.t.policy.AutoBatch
 	if devMax := ab.t.S.maxBatch; limit > devMax {
 		limit = devMax
@@ -304,7 +304,7 @@ func (ab *AutoBatcher) Flush(p *sim.Proc) error {
 	if groups == nil {
 		return ab.flushSlice(p, descs, futs)
 	}
-	ab.t.stats.splits.Add(int64(len(groups)))
+	ab.t.stats.Splits += int64(len(groups))
 	var firstErr error
 	for _, idx := range groups {
 		sub := make([]dsa.Descriptor, len(idx))

@@ -155,8 +155,7 @@ func TestPlaneCloseDetachesRingsForSuccessor(t *testing.T) {
 // drain failover at the same instant. Close's contract must hold under
 // fire — the in-flight future stays waitable and resolves through the
 // retry, the failed-over plane drains fully, and every post-close
-// submission path still reports ErrTenantClosed. Under -race this is the
-// engine-domain/host-lane boundary exerciser for the fault plane.
+// submission path still reports ErrTenantClosed.
 func TestCloseRacesFaultingPipelineWithFailover(t *testing.T) {
 	r := newRig(t, 2, dsa.WQConfig{Mode: dsa.Shared, Size: 16})
 	if _, err := r.devs[0].InjectFaults(dsa.FaultConfig{

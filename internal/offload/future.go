@@ -298,7 +298,7 @@ func (f *Future) resolve(dur sim.Time) {
 		}
 		sw.failCounted = true
 	}
-	f.t.stats.failures.Add(1)
+	f.t.stats.Failures++
 }
 
 // decode reads an operation's result values out of a successful completion

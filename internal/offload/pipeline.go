@@ -414,7 +414,7 @@ func (pl *Pipeline) Submit(p *sim.Proc) (*Future, error) {
 		return nil, fmt.Errorf("offload: empty pipeline")
 	case pl.driver != nil && len(pl.order) != len(pl.stages):
 		return nil, fmt.Errorf("offload: pipeline stage declared after its first Submit")
-	case pl.cur != nil && !t.closed.Load(): // admit refuses a closed tenant
+	case pl.cur != nil && !t.closed: // admit refuses a closed tenant
 		return nil, fmt.Errorf("offload: pipeline submitted while its previous run is in flight")
 	}
 	for i, a := range pl.args {
@@ -429,7 +429,7 @@ func (pl *Pipeline) Submit(p *sim.Proc) (*Future, error) {
 	if err := t.admit(p); err != nil {
 		return nil, err
 	}
-	t.stats.pipelines.Add(1)
+	t.stats.Pipelines++
 	pl.home = pl.homeSocket()
 	pl.scratchBufs = pl.scratchBufs[:0]
 	for _, size := range pl.scratchSizes {
@@ -592,7 +592,7 @@ func (pl *Pipeline) finish(err error) {
 	if err == nil {
 		f.res.Record = dsa.CompletionRecord{Status: dsa.StatusSuccess, Result: uint64(len(pl.stages))}
 	} else {
-		t.stats.failures.Add(1)
+		t.stats.Failures++
 	}
 	f.err, f.ran = err, true
 	f.sig.Broadcast(t.S.E)

@@ -1,17 +1,22 @@
-// The sharded submission plane: per-shard lanes feeding lock-free
-// per-WQ rings, routed on live occupancy and drained by an event-driven
-// consumer instead of timers.
+// The sharded submission plane: per-shard lanes feeding bounded per-WQ
+// rings, routed on live occupancy and drained by an event-driven consumer
+// instead of timers.
 //
 // The classic Tenant path serializes every submitter through shared
 // state: one admission bucket, one AutoBatcher, one coalescer rebuild
 // check, and scheduler Picks that read live EWMAs. One submitter never
 // notices; at 64 the shared state is the queue. The plane shards the
-// tenant-side state per submission lane — each submitting context owns a
+// tenant-side state per submission lane — each submitting process owns a
 // lane and touches nothing shared on the fast path — and funnels
-// descriptors into each WQ's ENQCMD path through a bounded lock-free
-// MPSC ring (dsa.SubmitRing), whose push is a couple of atomics. Lanes
-// route on each WQ's live occupancy plus its ring's backlog, two atomic
-// loads per ring, instead of syncing the telemetry hub per Pick.
+// descriptors into each WQ's ENQCMD path through a bounded ring
+// (dsa.SubmitRing). Lanes route on each WQ's occupancy plus its ring's
+// backlog instead of syncing the telemetry hub per Pick.
+//
+// The simulation runs on one goroutine, so rings, counters and health
+// flags are plain data. What sharding buys is priced in virtual time:
+// each lane pays its ENQCMD portal write in its own timeline, and
+// submitters sharing a ring serialize only on the slot-publish CAS,
+// Timing.RingPush.
 //
 // Neither side of a ring polls. A lane that finds its ring full waits
 // until a pop picks it; the drain that finds a WQ full parks until the
@@ -36,7 +41,6 @@ package offload
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"dsasim/internal/dsa"
@@ -50,7 +54,7 @@ import (
 const planeSyncCadence = 2 * time.Microsecond
 
 // Plane is a tenant's sharded submission front end: N Lanes (one per
-// submitting context) over one lock-free SubmitRing per service WQ, a
+// submitting process) over one bounded SubmitRing per service WQ, a
 // drain that moves ring entries into the device WQs, and completion-side
 // wakeup moderation. Build one with Tenant.NewPlane; hand each submitter
 // its own Lane.
@@ -80,10 +84,8 @@ type Plane struct {
 
 	// pending counts entries pushed to rings but not yet accepted by a
 	// WQ; inflight counts WQ-accepted descriptors not yet completed.
-	// Both are atomics: lanes increment pending from concurrent host
-	// goroutines while the drain and completion hooks run engine-side.
-	pending  atomic.Int64
-	inflight atomic.Int64
+	pending  int64
+	inflight int64
 
 	// Completion-side wakeup moderation: completed() broadcasts doneSig
 	// every wakeEvery-th completion (resolved from the tenant's
@@ -91,19 +93,17 @@ type Plane struct {
 	// 64 outstanding ops is not woken 64 times.
 	doneSig   sim.Signal
 	wakeEvery int64
-	compCount atomic.Int64
+	compCount int64
 
 	// onLat, when set, observes the stamped latency of every completion
-	// (see OnCompletion). Engine-domain: installed before traffic starts,
-	// invoked from the device completion path.
+	// (see OnCompletion). Installed before traffic starts, invoked from
+	// the device completion path.
 	onLat func(lat sim.Time, ok bool)
 
 	// dead marks rings whose WQ died (disable window or device outage):
-	// the drain detached them from their WQs and redistributed their
-	// entries; lanes skip them until the drain observes the WQ healthy
-	// again and reattaches. Atomic because lanes read from host
-	// goroutines while the drain flips them engine-side.
-	dead []atomic.Bool
+	// the drain redistributed their entries, and lanes skip them until the
+	// drain observes the WQ healthy again.
+	dead []bool
 
 	// drainOn marks the drain as running: a pass is scheduled, or it is
 	// parked, blocked on a full WQ with no pass scheduled. drainAt is the
@@ -130,9 +130,7 @@ type Plane struct {
 
 // Lane is one submission shard: lane-local admission bucket and routing
 // cursor, shared nothing. A Lane belongs to exactly one submitting
-// context (goroutine in host-parallel benchmarks, process in the
-// simulation) — its methods are not safe for concurrent use on the
-// same Lane, which is the point.
+// process.
 type Lane struct {
 	pl     *Plane
 	id     int
@@ -155,8 +153,9 @@ type Lane struct {
 // NewPlane attaches a sharded submission plane with nlanes lanes to the
 // tenant. One plane per tenant, one ring per service WQ; the telemetry
 // hub switches to merging at most once per planeSyncCadence. Returns
-// an error if the tenant already has a plane or any service WQ already
-// carries a submission ring (one plane per WQ set).
+// an error if the tenant already has a plane or another plane already
+// drains any service WQ (one plane per WQ set: the plane owns each WQ's
+// ready hook).
 func (t *Tenant) NewPlane(nlanes int) (*Plane, error) {
 	if nlanes < 1 {
 		return nil, fmt.Errorf("offload: plane needs at least 1 lane, got %d", nlanes)
@@ -165,18 +164,13 @@ func (t *Tenant) NewPlane(nlanes int) (*Plane, error) {
 		return nil, fmt.Errorf("offload: tenant already has a submission plane")
 	}
 	wqs := t.S.wqs
-	for _, wq := range wqs {
-		if wq.Ring() != nil {
-			return nil, fmt.Errorf("offload: wq %d of %s already has a submission ring", wq.ID, wq.Dev.Cfg.Name)
-		}
-	}
 	pl := &Plane{
 		t:       t,
 		wqs:     wqs,
 		rings:   make([]*dsa.SubmitRing, len(wqs)),
 		ringTok: make([]*sim.Token, len(wqs)),
 		waiting: make([][]*Lane, len(wqs)),
-		dead:    make([]atomic.Bool, len(wqs)),
+		dead:    make([]bool, len(wqs)),
 		all:     make([]int, len(wqs)),
 		held:    make([]dsa.RingEntry, len(wqs)),
 		holding: make([]bool, len(wqs)),
@@ -184,10 +178,13 @@ func (t *Tenant) NewPlane(nlanes int) (*Plane, error) {
 	}
 	pl.drainFn, pl.completedFn = pl.drain, pl.completed
 	for i, wq := range wqs {
-		pl.rings[i] = wq.AttachRing(wq.Size)
+		if err := wq.SetOnReady(func() { pl.wake(i) }); err != nil {
+			pl.unhook(i)
+			return nil, fmt.Errorf("offload: another plane drains wq %d of %s: %w", wq.ID, wq.Dev.Cfg.Name, err)
+		}
+		pl.rings[i] = dsa.NewSubmitRing(wq.Size)
 		pl.ringTok[i] = sim.NewToken(1)
 		pl.all[i] = i
-		wq.SetOnReady(func() { pl.wake(i) })
 	}
 	pl.cands = pl.candidates()
 	count, _ := t.coalesceParams()
@@ -260,10 +257,10 @@ func (pl *Plane) WQs() []*dsa.WQ { return pl.wqs }
 func (pl *Plane) OnCompletion(fn func(lat sim.Time, ok bool)) { pl.onLat = fn }
 
 // Pending returns entries pushed to rings but not yet WQ-accepted.
-func (pl *Plane) Pending() int64 { return pl.pending.Load() }
+func (pl *Plane) Pending() int64 { return pl.pending }
 
 // Inflight returns WQ-accepted descriptors not yet completed.
-func (pl *Plane) Inflight() int64 { return pl.inflight.Load() }
+func (pl *Plane) Inflight() int64 { return pl.inflight }
 
 // laneShare returns this lane's shard of the tenant's admission policy:
 // the rate divides evenly across lanes, the burst divides with a floor
@@ -278,10 +275,10 @@ func (l *Lane) laneShare() (rate float64, burst int) {
 	return pol.AdmitRate / float64(n), burst
 }
 
-// live reports whether ring i may take traffic: not detached by failover,
-// and its WQ healthy (a disable window or outage the drain has not yet
-// detached). Two flag loads, so picks stay allocation-free.
-func (pl *Plane) live(i int) bool { return !pl.dead[i].Load() && pl.wqs[i].Healthy() }
+// live reports whether ring i may take traffic: not marked dead by
+// failover, and its WQ healthy (a disable window or outage the drain has
+// not yet seen).
+func (pl *Plane) live(i int) bool { return !pl.dead[i] && pl.wqs[i].Healthy() }
 
 // leastLoaded returns the live ring of idx whose WQ occupancy plus ring
 // backlog is smallest, scanning from start so equally loaded rings
@@ -338,45 +335,14 @@ func (l *Lane) pickRing() int {
 	return best
 }
 
-// TrySubmit is the host-domain fast path: lane-local admission, an
-// occupancy-routed ring pick, and one lock-free push — no engine, no
-// locks, no allocation. It returns ErrAdmission when the lane's bucket
-// sheds the submission and dsa.ErrWQFull when every candidate ring is
-// full (the caller retries or sheds, as with bounded-retry submission).
-// now is the submitter's notion of virtual time; concurrent callers on
-// distinct lanes never share state beyond the rings' atomics.
-func (l *Lane) TrySubmit(now sim.Time, d dsa.Descriptor) error {
-	if l.pl.t.closed.Load() {
-		return fmt.Errorf("offload: lane %d: %w", l.id, ErrTenantClosed)
-	}
-	rate, burst := l.laneShare()
-	if ok, _ := l.bucket.take(now, rate, burst); !ok {
-		l.pl.t.stats.shed.Add(1)
-		return ErrAdmission
-	}
-	d.PASID = l.pl.t.AS.PASID
-	d.Flags |= l.pl.t.policy.Flags
-	idx := l.pickRing()
-	stamp := stampTag(now)
-	// Preferred ring full: sweep the candidates once.
-	if !l.pl.rings[idx].TryPush(d, stamp) && !l.pl.push(l.pl.cands, d, stamp) {
-		l.pl.t.stats.failures.Add(1)
-		return dsa.ErrWQFull
-	}
-	l.pl.t.stats.hwOps.Add(1)
-	l.pl.t.stats.hwBytes.Add(d.Size)
-	l.pl.pending.Add(1)
-	return nil
-}
-
-// Submit is the simulation-domain path: the same lane-local admission
-// and routing as TrySubmit, but charging virtual time the way hardware
-// does — the ENQCMD issue in the submitter's own timeline (64 procs pay
-// it in parallel, not in series) and the ring's slot-publish CAS as a
-// capacity-1 token held for Timing.RingPush, the only serialization
-// point left between submitters sharing a ring. The drain is scheduled
-// lazily and the submission completes through the normal device path.
-// The completion is stamped with the submit instant (see SubmitStamped).
+// Submit is the plane's way in: lane-local admission and routing,
+// charging virtual time the way hardware does — the ENQCMD issue in the
+// submitter's own timeline (64 procs pay it in parallel, not in series)
+// and the ring's slot-publish CAS as a capacity-1 token held for
+// Timing.RingPush, the only serialization point left between submitters
+// sharing a ring. The drain is scheduled lazily and the submission
+// completes through the normal device path. The completion is stamped
+// with the submit instant (see SubmitStamped).
 func (l *Lane) Submit(p *sim.Proc, d dsa.Descriptor) error {
 	return l.SubmitStamped(p, d, p.Now())
 }
@@ -392,7 +358,7 @@ func (l *Lane) Submit(p *sim.Proc, d dsa.Descriptor) error {
 func (l *Lane) SubmitStamped(p *sim.Proc, d dsa.Descriptor, stamp sim.Time) error {
 	pl := l.pl
 	t := pl.t
-	if t.closed.Load() {
+	if t.closed {
 		return fmt.Errorf("offload: lane %d: %w", l.id, ErrTenantClosed)
 	}
 	rate, burst := l.laneShare()
@@ -416,9 +382,9 @@ func (l *Lane) SubmitStamped(p *sim.Proc, d dsa.Descriptor, stamp sim.Time) erro
 		l.retry, l.retryRing, l.retryAt = dsa.RingEntry{D: d, Tag: stampTag(stamp)}, idx, p.Now()
 		p.Chain(ringWait, l)
 	}
-	t.stats.hwOps.Add(1)
-	t.stats.hwBytes.Add(d.Size)
-	pl.pending.Add(1)
+	t.stats.HWOps++
+	t.stats.HWBytes += d.Size
+	pl.pending++
 	pl.ensureDrain()
 	return nil
 }
@@ -473,10 +439,8 @@ func ringRetry(p *sim.Proc, arg any) {
 }
 
 // ensureDrain starts the drain if it is idle, and resumes it if it is
-// parked and a pass could now move a ring. Engine-domain only (the
-// simulation is single-threaded, so the checks cannot race); the drain
-// stops when the rings empty, keeping the event loop free of perpetual
-// timers.
+// parked and a pass could now move a ring. The drain stops when the rings
+// empty, keeping the event loop free of perpetual timers.
 func (pl *Plane) ensureDrain() {
 	if !pl.drainOn {
 		pl.drainOn = true
@@ -500,13 +464,13 @@ func (pl *Plane) wake(i int) {
 	e.At(gridNext(pl.drainAt, pl.gap, e.Now()), pl.drainFn)
 }
 
-// ready reports whether a drain pass would change ring i: reattach or
+// ready reports whether a drain pass would change ring i: revive or
 // sweep it when dead, pop into its empty hold slot, or hand the held
 // entry to a WQ that has room or has failed.
 func (pl *Plane) ready(i int) bool {
 	wq := pl.wqs[i]
 	switch {
-	case pl.dead[i].Load():
+	case pl.dead[i]:
 		return wq.Healthy() || pl.rings[i].Len() > 0
 	case !pl.holding[i]:
 		return pl.rings[i].Len() > 0
@@ -520,19 +484,18 @@ func (pl *Plane) ready(i int) bool {
 // the popped entry, and the drain parks until a WQ's ready hook or a
 // push wakes it (see wake); a *dead* WQ (disable window or device outage
 // — Submit returns dsa.ErrWQDisabled or dsa.ErrDeviceOffline, not
-// ErrWQFull) triggers failover: the drain detaches the dead ring and
-// redistributes its entries to healthy rings, then reattaches once the
+// ErrWQFull) triggers failover: the drain marks the ring dead and
+// redistributes its entries to healthy rings, then revives it once the
 // WQ reports healthy again. Each pass is one engine callback that runs
 // until the rings run dry.
 func (pl *Plane) drain() {
 	held, holding := pl.held, pl.holding
 	blocked := false
 	for i := range pl.rings {
-		if pl.dead[i].Load() {
+		if pl.dead[i] {
 			if pl.wqs[i].Healthy() {
-				// The WQ healed: reattach its ring and resume.
-				pl.wqs[i].ReattachRing(pl.rings[i])
-				pl.dead[i].Store(false)
+				// The WQ healed: revive its ring.
+				pl.dead[i] = false
 			} else {
 				// Sweep entries lanes raced into the dead ring while
 				// every candidate was down.
@@ -559,11 +522,11 @@ func (pl *Plane) drain() {
 			}
 			comp.SetOnDone(pl.completedFn, held[i].Tag)
 			holding[i] = false
-			pl.inflight.Add(1)
-			pl.pending.Add(-1)
+			pl.inflight++
+			pl.pending--
 		}
 	}
-	if pl.pending.Load() == 0 {
+	if pl.pending == 0 {
 		pl.drainOn = false
 		return
 	}
@@ -578,16 +541,14 @@ func (pl *Plane) drain() {
 	pl.ensureDrain()
 }
 
-// failover handles a dead WQ discovered by the drain: detach its ring so
-// a healed queue can reattach cleanly, mark it dead for the lanes, and
-// redistribute the held entry plus everything queued behind it onto
-// healthy rings. Entries with nowhere to go are shed (counted as
-// failures) rather than stranded behind a dead queue.
+// failover handles a dead WQ discovered by the drain: mark its ring dead
+// for the lanes and redistribute the held entry plus everything queued
+// behind it onto healthy rings. Entries with nowhere to go are shed
+// (counted as failures) rather than stranded behind a dead queue.
 func (pl *Plane) failover(i int, held []dsa.RingEntry, holding []bool) {
-	if !pl.dead[i].Load() {
-		pl.dead[i].Store(true)
-		pl.wqs[i].DetachRing()
-		pl.t.stats.failovers.Add(1)
+	if !pl.dead[i] {
+		pl.dead[i] = true
+		pl.t.stats.Failovers++
 		pl.t.S.met.failover()
 	}
 	if holding[i] {
@@ -646,15 +607,19 @@ func (pl *Plane) wakeLane(i int) {
 // redistribute re-queues one failed-over entry onto the first healthy
 // candidate ring — falling back to any healthy service ring (a
 // cross-socket detour) when the class pool is down — and sheds it when
-// every ring is down or full.
+// every ring is down or full. Shedding the last outstanding entry wakes
+// WaitInflight's barrier, as the last completion does.
 func (pl *Plane) redistribute(e dsa.RingEntry) {
 	if pl.pushAny(e.D, e.Tag) {
 		return
 	}
-	pl.pending.Add(-1)
-	pl.t.stats.failures.Add(1)
+	pl.pending--
+	pl.t.stats.Failures++
 	if stamp := tagStamp(e.Tag); stamp != 0 && pl.onLat != nil {
 		pl.onLat(pl.t.S.E.Now()-sim.Time(stamp-1), false)
+	}
+	if pl.pending+pl.inflight == 0 {
+		pl.doneSig.Broadcast(pl.t.S.E)
 	}
 }
 
@@ -697,14 +662,16 @@ func (pl *Plane) completed(c *dsa.Completion, tag uint64) {
 		if ok {
 			pl.t.recordSLO(lat)
 		} else {
-			pl.t.stats.failures.Add(1)
+			pl.t.stats.Failures++
 		}
 		if pl.onLat != nil {
 			pl.onLat(lat, ok)
 		}
 	}
-	left := pl.inflight.Add(-1)
-	if left == 0 || pl.compCount.Add(1)%pl.wakeEvery == 0 {
+	pl.inflight--
+	if pl.inflight == 0 {
+		pl.doneSig.Broadcast(pl.t.S.E)
+	} else if pl.compCount++; pl.compCount%pl.wakeEvery == 0 {
 		pl.doneSig.Broadcast(pl.t.S.E)
 	}
 }
@@ -720,11 +687,11 @@ func (pl *Plane) retry(c *dsa.Completion, rec dsa.CompletionRecord, tag uint64) 
 	if !pl.pushAny(rem, tagRetry(tag)) {
 		return false
 	}
-	pl.t.stats.hwOps.Add(1)
-	pl.t.stats.hwBytes.Add(rem.Size)
+	pl.t.stats.HWOps++
+	pl.t.stats.HWBytes += rem.Size
 	pl.t.retried()
-	pl.inflight.Add(-1)
-	pl.pending.Add(1)
+	pl.inflight--
+	pl.pending++
 	pl.ensureDrain()
 	return true
 }
@@ -734,25 +701,29 @@ func (pl *Plane) retry(c *dsa.Completion, rec dsa.CompletionRecord, tag uint64) 
 // full barrier. Wakeups are moderated by the plane's completion hook,
 // so deep pipelines pay one wakeup per coalescing window, not per op.
 func (pl *Plane) WaitInflight(p *sim.Proc, max int64) {
-	for pl.pending.Load()+pl.inflight.Load() > max {
+	for pl.pending+pl.inflight > max {
 		pl.ensureDrain()
 		p.Wait(&pl.doneSig)
 	}
 }
 
-// Close detaches the plane from its WQ rings so a successor plane (a
+// Close detaches the plane from its WQs so a successor plane (a
 // replacement tenant's, under churn) can attach. It refuses while work
 // is outstanding — WaitInflight(p, 0) first — because the rings' single
 // consumer is this plane's drain. The tenant is left planeless, not
 // closed: Tenant.Close is the lifecycle call, this is its plane half.
 func (pl *Plane) Close() error {
-	if n := pl.pending.Load() + pl.inflight.Load(); n != 0 {
+	if n := pl.pending + pl.inflight; n != 0 {
 		return fmt.Errorf("offload: plane closed with %d operations outstanding", n)
 	}
-	for _, wq := range pl.wqs {
-		wq.DetachRing()
-		wq.SetOnReady(nil)
-	}
+	pl.unhook(len(pl.wqs))
 	pl.t.plane = nil
 	return nil
+}
+
+// unhook removes the plane's ready hook from its first n WQs.
+func (pl *Plane) unhook(n int) {
+	for _, wq := range pl.wqs[:n] {
+		wq.SetOnReady(nil)
+	}
 }

@@ -2,7 +2,6 @@ package offload_test
 
 import (
 	"errors"
-	"sync/atomic"
 	"testing"
 
 	"dsasim/internal/dsa"
@@ -41,7 +40,7 @@ func TestPlaneOnePerWQSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := tn2.NewPlane(2); err == nil {
-		t.Fatal("plane over already-ringed WQs did not fail")
+		t.Fatal("plane over WQs another plane drains did not fail")
 	}
 	if _, err := tn2.NewPlane(0); err == nil {
 		t.Fatal("zero-lane plane did not fail")
@@ -50,7 +49,7 @@ func TestPlaneOnePerWQSet(t *testing.T) {
 
 // TestPlaneQoSCandidates checks the lanes honor the same express/rest
 // reservation the PriorityAware Pick path applies: a latency-sensitive
-// tenant's pushes land only on the top-priority WQ rings, a bulk
+// tenant's submissions land only on the top-priority WQ, a bulk
 // tenant's only on the rest.
 func TestPlaneQoSCandidates(t *testing.T) {
 	cfg := []dsa.WQConfig{
@@ -64,48 +63,28 @@ func TestPlaneQoSCandidates(t *testing.T) {
 		{offload.LatencySensitive, 10},
 		{offload.Bulk, 1},
 	} {
-		_, _, pl := planeRig(t, 1, 2, tc.class, cfg...)
-		lane := pl.Lane(0)
-		for i := 0; i < 8; i++ {
-			if err := lane.TrySubmit(0, dsa.Descriptor{Op: dsa.OpMemmove, Size: 4096}); err != nil {
-				t.Fatal(err)
+		r, tn, pl := planeRig(t, 1, 2, tc.class, cfg...)
+		src, dst := tn.Alloc(4096), tn.Alloc(4096)
+		d := dsa.Descriptor{Op: dsa.OpMemmove, Src: src.Addr(0), Dst: dst.Addr(0), Size: 4096}
+		r.run(func(p *sim.Proc) {
+			lane := pl.Lane(0)
+			for i := 0; i < 8; i++ {
+				if err := lane.Submit(p, d); err != nil {
+					t.Error(err)
+					return
+				}
 			}
-		}
+			pl.WaitInflight(p, 0)
+		})
 		for _, wq := range pl.WQs() {
-			got := wq.Ring().Len()
+			got := wq.Submitted()
 			if wq.Priority == tc.wantPri && got != 8 {
-				t.Errorf("%v: priority-%d ring holds %d entries, want 8", tc.class, wq.Priority, got)
+				t.Errorf("%v: priority-%d WQ accepted %d descriptors, want 8", tc.class, wq.Priority, got)
 			}
 			if wq.Priority != tc.wantPri && got != 0 {
-				t.Errorf("%v: priority-%d ring holds %d entries, want 0", tc.class, wq.Priority, got)
+				t.Errorf("%v: priority-%d WQ accepted %d descriptors, want 0", tc.class, wq.Priority, got)
 			}
 		}
-	}
-}
-
-// TestPlaneRoutingLeastLoaded checks the snapshot+backlog routing: with
-// one ring pre-loaded, new submissions spread to the emptier rings.
-func TestPlaneRoutingLeastLoaded(t *testing.T) {
-	cfg := []dsa.WQConfig{
-		{Mode: dsa.Shared, Size: 32},
-		{Mode: dsa.Shared, Size: 32},
-	}
-	_, _, pl := planeRig(t, 1, 1, offload.Bulk, cfg...)
-	wqs := pl.WQs()
-	// Pre-load ring 0 out of band, as a sibling lane's burst would.
-	for i := 0; i < 6; i++ {
-		if !wqs[0].Ring().TryPush(dsa.Descriptor{Op: dsa.OpNop}, 0) {
-			t.Fatal("pre-load push failed")
-		}
-	}
-	lane := pl.Lane(0)
-	for i := 0; i < 6; i++ {
-		if err := lane.TrySubmit(0, dsa.Descriptor{Op: dsa.OpMemmove, Size: 4096}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := wqs[1].Ring().Len(); got != 6 {
-		t.Errorf("ring 1 holds %d entries, want all 6 routed around the backlog", got)
 	}
 }
 
@@ -113,22 +92,28 @@ func TestPlaneRoutingLeastLoaded(t *testing.T) {
 // shard of the tenant rate: every lane admits its burst share, then
 // sheds, without any lane stealing a sibling's tokens.
 func TestPlaneAdmissionShards(t *testing.T) {
-	_, tn, pl := planeRig(t, 1, 4, offload.Bulk)
+	r, tn, pl := planeRig(t, 1, 4, offload.Bulk)
 	pol := tn.Policy()
 	pol.AdmitRate = 1000 // ~1 token/ms: nothing re-accrues within the test
 	pol.AdmitBurst = 4   // one per lane
 	tn.SetPolicy(pol)
-	d := dsa.Descriptor{Op: dsa.OpMemmove, Size: 4096}
-	for i := 0; i < pl.Lanes(); i++ {
-		if err := pl.Lane(i).TrySubmit(0, d); err != nil {
-			t.Fatalf("lane %d burst submission shed: %v", i, err)
+	src, dst := tn.Alloc(4096), tn.Alloc(4096)
+	d := dsa.Descriptor{Op: dsa.OpMemmove, Src: src.Addr(0), Dst: dst.Addr(0), Size: 4096}
+	r.run(func(p *sim.Proc) {
+		for i := 0; i < pl.Lanes(); i++ {
+			if err := pl.Lane(i).Submit(p, d); err != nil {
+				t.Errorf("lane %d burst submission shed: %v", i, err)
+				return
+			}
 		}
-	}
-	for i := 0; i < pl.Lanes(); i++ {
-		if err := pl.Lane(i).TrySubmit(0, d); !errors.Is(err, offload.ErrAdmission) {
-			t.Fatalf("lane %d over-burst submission err = %v, want ErrAdmission", i, err)
+		for i := 0; i < pl.Lanes(); i++ {
+			if err := pl.Lane(i).Submit(p, d); !errors.Is(err, offload.ErrAdmission) {
+				t.Errorf("lane %d over-burst submission err = %v, want ErrAdmission", i, err)
+				return
+			}
 		}
-	}
+		pl.WaitInflight(p, 0)
+	})
 	if s := tn.Stats(); s.HWOps != 4 || s.Shed != 4 {
 		t.Errorf("stats = %d admitted / %d shed, want 4/4", s.HWOps, s.Shed)
 	}
@@ -174,37 +159,11 @@ func TestPlaneSimSubmitCompletes(t *testing.T) {
 	}
 }
 
-// TestSubmitZeroAllocsParallel is the satellite alloc gate: the host
-// fast path must stay allocation-free under parallel submitters, the
-// property that makes 64-goroutine scaling possible at all.
-func TestSubmitZeroAllocsParallel(t *testing.T) {
-	_, _, pl := planeRig(t, 1, 64, offload.Bulk,
-		dsa.WQConfig{Mode: dsa.Shared, Size: 128})
-	d := dsa.Descriptor{Op: dsa.OpMemmove, Size: 4096}
-	var next atomic.Int64
-	res := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		b.RunParallel(func(pb *testing.PB) {
-			lane := pl.Lane(int(next.Add(1)-1) % pl.Lanes())
-			var now sim.Time
-			for pb.Next() {
-				now += 100
-				// A full ring sheds with a sentinel error — still
-				// allocation-free, so saturation cannot mask a leak.
-				_ = lane.TrySubmit(now, d)
-			}
-		})
-	})
-	if allocs := res.AllocsPerOp(); allocs != 0 {
-		t.Fatalf("Lane.TrySubmit allocates %d times per op under RunParallel, want 0", allocs)
-	}
-}
-
 // A warmed plane operation — one SubmitStamped on a one-lane plane,
 // drained with WaitInflight — allocates nothing. The drain is an engine
-// callback whose scratch and callbacks come from the plane; it publishes
-// the routing occupancy in place; and the device recycles each hooked
-// Completion once its hook has run.
+// callback whose scratch and callbacks come from the plane, the rings are
+// sized up front, and the device recycles each hooked Completion once its
+// hook has run.
 func TestPlaneSubmitAllocBudget(t *testing.T) {
 	const budget = 0
 	r, tn, pl := planeRig(t, 1, 1, offload.Bulk)

@@ -1,7 +1,6 @@
 package offload
 
 import (
-	"sync/atomic"
 	"time"
 
 	"dsasim/internal/dsa"
@@ -228,56 +227,9 @@ type Stats struct {
 	// observed, whatever the retry budget; Retries the hardware
 	// re-submissions recovery issued; Fallbacks the operations finished
 	// on-core after consecutive faults; Failovers the WQ-death events where
-	// a plane drain detached a dead ring and redistributed its entries.
+	// a plane drain marked a ring dead and redistributed its entries.
 	Faults    int64
 	Retries   int64
 	Fallbacks int64
 	Failovers int64
-}
-
-// statCounters is the tenant's live counter storage. The fields mirror
-// Stats but are atomics: the sharded submission plane increments them from
-// concurrently running submitter goroutines (host-parallel benchmarks and
-// the race job), where the plain int64 increments the public struct used
-// to hold would be torn reads/writes. Tenant.Stats assembles a plain Stats
-// copy from loads.
-type statCounters struct {
-	hwOps, swOps     atomic.Int64
-	hwBytes, swBytes atomic.Int64
-	batches          atomic.Int64
-	coalesce         atomic.Int64
-	splits           atomic.Int64
-	failures         atomic.Int64
-	shed, delayed    atomic.Int64
-	pipelines        atomic.Int64
-	admitWakeups     atomic.Int64
-	sloOk, sloMiss   atomic.Int64
-	faults           atomic.Int64
-	retries          atomic.Int64
-	fallbacks        atomic.Int64
-	failovers        atomic.Int64
-}
-
-// snapshot assembles the public Stats view from atomic loads.
-func (c *statCounters) snapshot() Stats {
-	return Stats{
-		HWOps:        c.hwOps.Load(),
-		SWOps:        c.swOps.Load(),
-		HWBytes:      c.hwBytes.Load(),
-		SWBytes:      c.swBytes.Load(),
-		Batches:      c.batches.Load(),
-		Coalesce:     c.coalesce.Load(),
-		Splits:       c.splits.Load(),
-		Failures:     c.failures.Load(),
-		Shed:         c.shed.Load(),
-		Delayed:      c.delayed.Load(),
-		Pipelines:    c.pipelines.Load(),
-		AdmitWakeups: c.admitWakeups.Load(),
-		SLOOk:        c.sloOk.Load(),
-		SLOMiss:      c.sloMiss.Load(),
-		Faults:       c.faults.Load(),
-		Retries:      c.retries.Load(),
-		Fallbacks:    c.fallbacks.Load(),
-		Failovers:    c.failovers.Load(),
-	}
 }

@@ -241,17 +241,17 @@ func (t *Tenant) admitThrough(p *sim.Proc, b *tokenBucket, rate float64, burst i
 		return true
 	}
 	if !t.policy.AdmitWait {
-		t.stats.shed.Add(1)
+		t.stats.Shed++
 		return false
 	}
-	t.stats.delayed.Add(1)
+	t.stats.Delayed++
 	var floor sim.Time
 	if count, window := t.coalesceParams(); count > 1 {
 		floor = window
 	}
 	for !ok {
 		p.Sleep(max(wait, floor))
-		t.stats.admitWakeups.Add(1)
+		t.stats.AdmitWakeups++
 		ok, wait = b.take(p.Now(), rate, burst)
 	}
 	return true

@@ -73,7 +73,7 @@ func (t *Tenant) faulted(rec *dsa.CompletionRecord, attempt int) (fallback, retr
 	if !recoverable(rec) {
 		return false, false
 	}
-	t.stats.faults.Add(1)
+	t.stats.Faults++
 	t.S.met.fault()
 	pol := &t.policy
 	if pol.RetryMax <= 0 {
@@ -84,7 +84,7 @@ func (t *Tenant) faulted(rec *dsa.CompletionRecord, attempt int) (fallback, retr
 
 // retried counts one recovery re-submission.
 func (t *Tenant) retried() {
-	t.stats.retries.Add(1)
+	t.stats.Retries++
 	t.S.met.retry()
 }
 
@@ -162,7 +162,7 @@ func (t *Tenant) fallback(p *sim.Proc, f *Future, rem dsa.Descriptor) bool {
 	if err != nil {
 		return false
 	}
-	t.stats.fallbacks.Add(1)
+	t.stats.Fallbacks++
 	t.S.met.fallback()
 	f.done, f.res, f.err = true, res, nil
 	return true

@@ -10,8 +10,8 @@ import (
 	"dsasim/internal/sim"
 )
 
-// ringRig is a plane over one shared WQ of the given size per socket, for
-// in-package tests that drive the plane's rings by hand.
+// ringRig is a plane over per-socket devices, for in-package tests that
+// drive the plane's rings by hand.
 type ringRig struct {
 	e    *sim.Engine
 	devs []*dsa.Device
@@ -21,7 +21,15 @@ type ringRig struct {
 	d    dsa.Descriptor // a 4 KB copy between tenant buffers
 }
 
+// newRingRig builds a ringRig with one shared WQ of the given size per
+// socket.
 func newRingRig(t *testing.T, sockets, size, lanes int, faults ...dsa.FaultConfig) *ringRig {
+	t.Helper()
+	return newWQRig(t, sockets, lanes, []dsa.WQConfig{{Mode: dsa.Shared, Size: size}}, faults...)
+}
+
+// newWQRig builds a ringRig with the WQs cfg on every socket's device.
+func newWQRig(t *testing.T, sockets, lanes int, cfg []dsa.WQConfig, faults ...dsa.FaultConfig) *ringRig {
 	t.Helper()
 	e := sim.New()
 	var nodes []mem.NodeConfig
@@ -39,7 +47,7 @@ func newRingRig(t *testing.T, sockets, size, lanes int, faults ...dsa.FaultConfi
 	var wqs []*dsa.WQ
 	for s := 0; s < sockets; s++ {
 		dev := dsa.New(e, sys, dsa.DefaultConfig("dsa", s))
-		if _, err := dev.AddGroup(dsa.GroupConfig{Engines: 4, WQs: []dsa.WQConfig{{Mode: dsa.Shared, Size: size}}}); err != nil {
+		if _, err := dev.AddGroup(dsa.GroupConfig{Engines: 4, WQs: cfg}); err != nil {
 			t.Fatal(err)
 		}
 		if err := dev.Enable(); err != nil {
@@ -68,15 +76,31 @@ func newRingRig(t *testing.T, sockets, size, lanes int, faults ...dsa.FaultConfi
 	return r
 }
 
-// fill pushes host-domain submissions into ring 0 until it is full. The
-// host path schedules no drain, so the entries stay put until the test
-// pops them or starts the drain.
+// push queues d the way lane 0's Submit does — on the ring its pick
+// routes to, counted as pending — but charges no virtual time and starts
+// no drain, so the entry stays put until the test pops it or starts the
+// drain. The rigs set no admission rate. It reports false when the
+// picked ring is full.
+func (r *ringRig) push(d dsa.Descriptor) bool {
+	pl := r.pl
+	d.PASID = r.tn.AS.PASID
+	d.Flags |= r.tn.policy.Flags
+	if !pl.rings[pl.Lane(0).pickRing()].TryPush(d, stampTag(r.e.Now())) {
+		return false
+	}
+	r.tn.stats.HWOps++
+	r.tn.stats.HWBytes += d.Size
+	pl.pending++
+	return true
+}
+
+// fill pushes submissions into ring 0 until it is full.
 func (r *ringRig) fill(t *testing.T) {
 	t.Helper()
 	ring := r.pl.rings[0]
 	for ring.Len() < ring.Cap() {
-		if err := r.pl.Lane(0).TrySubmit(r.e.Now(), r.d); err != nil {
-			t.Fatal(err)
+		if !r.push(r.d) {
+			t.Fatal("push found the ring full")
 		}
 	}
 }
@@ -240,7 +264,7 @@ func TestRingSpacePopWakesOneLane(t *testing.T) {
 		if _, ok := r.pl.pop(0); !ok {
 			t.Fatal("pop found the ring empty")
 		}
-		r.pl.pending.Add(-1) // the entry leaves the books as a drained one would
+		r.pl.pending-- // the entry leaves the books as a drained one would
 	})
 	r.e.RunUntil(at + gap + 1)
 	if n := r.e.Scheduled() - before; n != 2 {
@@ -312,8 +336,8 @@ func TestDrainParksOnFullWQ(t *testing.T) {
 	r.e.At(sim.Time(300), submitN)
 	block := sim.Time(time.Microsecond)
 	r.e.At(block, func() {
-		if err := r.pl.Lane(0).TrySubmit(r.e.Now(), r.d); err != nil {
-			t.Fatal(err)
+		if !r.push(r.d) {
+			t.Fatal("push found the ring full")
 		}
 		r.pl.ensureDrain()
 	})
@@ -469,7 +493,7 @@ func fuzzLaneWait(t *testing.T, nLanes, size uint8, starts, pops []byte) {
 			r.e.At(at, func() {
 				// The entry leaves the books as a drained one would.
 				if _, ok := r.pl.pop(0); ok {
-					r.pl.pending.Add(-1)
+					r.pl.pending--
 				}
 			})
 		}
@@ -500,8 +524,7 @@ func fuzzLaneWait(t *testing.T, nLanes, size uint8, starts, pops []byte) {
 	}
 }
 
-// fuzzDrainPark is FuzzRingSpaceWait's drain half: one lane's host-side
-// pushes, each followed by the drain start a simulated submission makes,
+// fuzzDrainPark is FuzzRingSpaceWait's drain half: one lane's pushes, each followed by the drain start a simulated submission makes,
 // into a WQ of one to four entries.
 func fuzzDrainPark(t *testing.T, wqSize uint8, sizes, pushes []byte) {
 	r := newRingRig(t, 1, 1+int(wqSize)%4, 1)
@@ -518,7 +541,7 @@ func fuzzDrainPark(t *testing.T, wqSize uint8, sizes, pushes []byte) {
 			d.Size *= 1 + int64(sizes[k%len(sizes)])%16
 		}
 		r.e.At(at, func() {
-			if r.pl.Lane(0).TrySubmit(r.e.Now(), d) == nil {
+			if r.push(d) {
 				tr.steps = append(tr.steps, occStep{r.e.Now(), 0})
 				r.pl.ensureDrain()
 			}

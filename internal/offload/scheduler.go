@@ -82,7 +82,7 @@ func (r *RoundRobin) Pick(req Request, wqs []*dsa.WQ) *dsa.WQ {
 	// Wrap instead of growing forever: a long simulation would otherwise
 	// overflow the counter (and modulo of a negative index panics).
 	r.next = (r.next + 1) % n
-	// Skip WQs inside a fault window (two atomic loads per probe, no
+	// Skip WQs inside a fault window (two flag reads per probe, no
 	// allocation); with everything healthy the pick is the plain rotation.
 	for k := 0; k < n; k++ {
 		if wq := wqs[(i+k)%n]; wq.Healthy() {
@@ -177,7 +177,7 @@ func leastLoadedOf(wqs []*dsa.WQ, offset int) *dsa.WQ {
 
 // leastLoadedHealthy is leastLoadedOf restricted to healthy WQs, returning
 // nil when the pool is entirely inside a fault window. Allocation-free:
-// the health probe is two atomic flag loads per WQ.
+// the health probe is two flag reads per WQ.
 func leastLoadedHealthy(wqs []*dsa.WQ, offset int) *dsa.WQ {
 	n := len(wqs)
 	i := offset % n

@@ -3,7 +3,6 @@ package offload
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"dsasim/internal/cpu"
 	"dsasim/internal/dif"
@@ -33,11 +32,9 @@ type Tenant struct {
 	batcher *AutoBatcher
 	clients map[*dsa.WQ]*dsa.Client
 
-	// stats counters are atomic: the submission plane's lanes increment
-	// them from concurrent host goroutines while tests and dashboards read
-	// Stats() (satellite of the sharded-plane work — the plain counters
-	// here used to race at 64 submitters).
-	stats statCounters
+	// stats holds the live counters; Stats() returns a copy with Drifts
+	// filled in.
+	stats Stats
 
 	// plane, when non-nil, is the tenant's sharded submission front end
 	// (one per tenant; see NewPlane).
@@ -58,10 +55,8 @@ type Tenant struct {
 	coalCount  int
 	coalWindow sim.Time
 
-	// closed marks a retired tenant (Close). Atomic because the plane's
-	// host-domain TrySubmit path reads it from concurrent goroutines
-	// while Close runs engine-side.
-	closed atomic.Bool
+	// closed marks a retired tenant (Close).
+	closed bool
 
 	// futs is the free list of released Futures (see Future.Release).
 	futs []*Future
@@ -84,18 +79,18 @@ type Tenant struct {
 // out of scope for the simulation), so a replacement tenant is simply
 // NewTenant again.
 func (t *Tenant) Close(p *sim.Proc) error {
-	if t.closed.Load() {
+	if t.closed {
 		return fmt.Errorf("offload: close: %w", ErrTenantClosed)
 	}
 	if t.batcher != nil {
 		t.batcher.Flush(p)
 	}
-	t.closed.Store(true)
+	t.closed = true
 	return nil
 }
 
 // Closed reports whether the tenant has been retired with Close.
-func (t *Tenant) Closed() bool { return t.closed.Load() }
+func (t *Tenant) Closed() bool { return t.closed }
 
 // recordSLO scores one completed operation's latency against the tenant's
 // SLO budget. No-op without a budget.
@@ -105,9 +100,9 @@ func (t *Tenant) recordSLO(d sim.Time) {
 		return
 	}
 	if d <= b {
-		t.stats.sloOk.Add(1)
+		t.stats.SLOOk++
 	} else {
-		t.stats.sloMiss.Add(1)
+		t.stats.SLOMiss++
 	}
 }
 
@@ -126,7 +121,7 @@ func (t *Tenant) Class() QoSClass { return t.class }
 // the telemetry plane: the regime shifts flagged on this tenant's
 // completion streams so far.
 func (t *Tenant) Stats() Stats {
-	s := t.stats.snapshot()
+	s := t.stats
 	s.Drifts = t.S.met.tenantDrifts(t.AS.PASID)
 	return s
 }
@@ -257,7 +252,7 @@ func (t *Tenant) autoBatchable(c submitCfg, d *dsa.Descriptor) bool {
 // (Policy.AdmitWait), or shed with ErrAdmission. A tenant closed while the
 // submission waited for its token refuses it.
 func (t *Tenant) admit(p *sim.Proc) error {
-	if t.closed.Load() {
+	if t.closed {
 		return fmt.Errorf("offload: %w", ErrTenantClosed)
 	}
 	if !t.admitThrough(p, &t.bucket, t.policy.AdmitRate, t.policy.AdmitBurst) {
@@ -267,7 +262,7 @@ func (t *Tenant) admit(p *sim.Proc) error {
 		}
 		return t.overRate
 	}
-	if t.closed.Load() {
+	if t.closed {
 		return fmt.Errorf("offload: %w", ErrTenantClosed)
 	}
 	return nil
@@ -355,12 +350,12 @@ func (t *Tenant) dispatch(p *sim.Proc, d dsa.Descriptor, flags dsa.Flags, pin in
 	if err != nil {
 		return nil, err
 	}
-	t.stats.hwOps.Add(1)
-	t.stats.hwBytes.Add(d.Size)
+	t.stats.HWOps++
+	t.stats.HWBytes += d.Size
 	if d.Op == dsa.OpBatch {
-		t.stats.batches.Add(1)
+		t.stats.Batches++
 		for i := range d.Descs {
-			t.stats.hwBytes.Add(d.Descs[i].Size)
+			t.stats.HWBytes += d.Descs[i].Size
 		}
 	}
 	f := t.newFuture()
@@ -382,19 +377,19 @@ func (t *Tenant) do(p *sim.Proc, d dsa.Descriptor, opts []OpOption) (*Future, er
 		}
 		f, err := t.dispatch(p, d, 0, unpinned)
 		if err != nil {
-			t.stats.failures.Add(1)
+			t.stats.Failures++
 		}
 		return f, err
 	case t.autoBatchable(c, &d):
 		d.Flags = t.policy.Flags
 		return t.Batcher().add(p, d)
 	}
-	if t.closed.Load() {
+	if t.closed {
 		return nil, fmt.Errorf("offload: %w", ErrTenantClosed)
 	}
 	res, err := t.execSW(p, &d, p.Now())
 	if err != nil {
-		t.stats.failures.Add(1)
+		t.stats.Failures++
 		return nil, err
 	}
 	t.recordSLO(res.Duration)
@@ -457,8 +452,8 @@ func (t *Tenant) execSW(p *sim.Proc, d *dsa.Descriptor, start sim.Time) (Result,
 		return Result{}, err
 	}
 	p.Sleep(dur)
-	t.stats.swOps.Add(1)
-	t.stats.swBytes.Add(bytes)
+	t.stats.SWOps++
+	t.stats.SWBytes += bytes
 	res := decode(d.Op, rec)
 	res.Duration = p.Now() - start
 	return res, nil

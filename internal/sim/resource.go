@@ -1,5 +1,7 @@
 package sim
 
+import "slices"
+
 // Pipe models a serialized bandwidth resource (a link, port, or memory
 // channel). Transfers are granted in request order: each reservation starts
 // no earlier than the previous one finished, which yields fair FIFO
@@ -115,6 +117,9 @@ func (q *FIFO[T]) Push(v T) {
 	}
 	q.items = append(q.items, v)
 }
+
+// Grow makes room for n more pushes without reallocating.
+func (q *FIFO[T]) Grow(n int) { q.items = slices.Grow(q.items, n) }
 
 // Pop removes and returns the head of the queue; ok is false when empty.
 func (q *FIFO[T]) Pop() (v T, ok bool) {

@@ -13,9 +13,7 @@ import (
 
 	"dsasim/internal/cpu"
 	"dsasim/internal/dsa"
-	"dsasim/internal/isal"
 	"dsasim/internal/mem"
-	"dsasim/internal/offload"
 	"dsasim/internal/sim"
 )
 
@@ -28,23 +26,12 @@ const (
 	CPUCopy Mode = iota
 	// DSACopy offloads packet copies as batch descriptors.
 	DSACopy
-	// PipelineCopy serves compressed ingress through fused offload DAGs:
-	// per burst, one pipeline runs ISA-L inflate (software stage), a DSA
-	// CRC over the inflated payload, and the DSA move into guest memory —
-	// the device stages of the whole burst fuse into one fenced batch, one
-	// admission and one completion window instead of per-stage round trips.
-	PipelineCopy
 )
 
 // Packet is one network packet with a sequence number for ordering checks.
-// Compressed packets (PipelineCopy ingress) carry the RLE image in Data
-// plus the expected inflated length and payload CRC for verification.
 type Packet struct {
 	Seq  uint64
 	Data []byte
-
-	RawLen int64  // inflated length (0: Data is uncompressed)
-	CRC    uint32 // CRC32 of the inflated payload
 }
 
 // Virtqueue is the guest-shared descriptor ring: a table of guest buffers,
@@ -134,37 +121,20 @@ type Backend struct {
 	stage   []*mem.Buffer // host-side staging buffers, one per VQ slot
 	pending []pendingCopy // the recording array (§6.4 packet ordering)
 
-	// PipelineCopy mode state.
-	tenant *offload.Tenant
-
 	// Stats.
-	Forwarded  uint64
-	Bytes      int64
-	Verified   uint64 // PipelineCopy: payload CRCs matching the sender's
-	Mismatched uint64
-	nextSeq    uint64 // next sequence expected in the used ring (order check)
-	ordered    bool
+	Forwarded uint64
+	Bytes     int64
+	nextSeq   uint64 // next sequence expected in the used ring (order check)
+	ordered   bool
 }
 
-// pendingCopy tracks one in-flight burst in the recording array: a raw
-// batch completion (DSACopy) or a pipeline future with the burst's CRC
-// stages (PipelineCopy).
+// pendingCopy tracks one in-flight burst's batch completion in the
+// recording array.
 type pendingCopy struct {
 	comp  *dsa.Completion
-	fut   *offload.Future
-	crcs  []*offload.Stage
-	wants []uint32
 	descs []int
 	seqs  []uint64
 	sizes []int64
-}
-
-// done reports whether the burst's copies have landed.
-func (pc *pendingCopy) done() bool {
-	if pc.fut != nil {
-		return pc.fut.Done()
-	}
-	return pc.comp.Done()
 }
 
 // NewBackend builds a backend. wq may be nil for CPUCopy mode.
@@ -184,25 +154,6 @@ func NewBackend(mode Mode, vq *Virtqueue, core *cpu.Core, as *mem.AddressSpace, 
 	return b, nil
 }
 
-// NewPipelineBackend builds a PipelineCopy backend submitting through the
-// offload tenant tn. The virtqueue's guest buffers must live in tn's
-// address space (build the Virtqueue with tn.AS) so the device resolves
-// them under the tenant's PASID. Staging mbufs are sized for the RLE
-// worst case (2 bytes per input byte).
-func NewPipelineBackend(vq *Virtqueue, tn *offload.Tenant) (*Backend, error) {
-	if tn == nil {
-		return nil, fmt.Errorf("vhost: pipeline mode needs an offload tenant")
-	}
-	b := &Backend{
-		Mode: PipelineCopy, VQ: vq, Core: tn.Core, AS: tn.AS,
-		Costs: DefaultCosts(), tenant: tn, ordered: true,
-	}
-	for _, gb := range vq.Buffers {
-		b.stage = append(b.stage, tn.Alloc(2*gb.Size+2, mem.OnNode(gb.Node)))
-	}
-	return b, nil
-}
-
 // InOrder reports whether every used-ring write-back so far was in packet
 // sequence order (the §6.4 reorder-array guarantee).
 func (b *Backend) InOrder() bool { return b.ordered }
@@ -214,8 +165,6 @@ func (b *Backend) EnqueueBurst(p *sim.Proc, pkts []*Packet) (int, error) {
 	switch b.Mode {
 	case DSACopy:
 		return b.enqueueDSA(p, pkts)
-	case PipelineCopy:
-		return b.enqueuePipeline(p, pkts)
 	default:
 		return b.enqueueCPU(p, pkts)
 	}
@@ -307,63 +256,12 @@ func (b *Backend) enqueueDSA(p *sim.Proc, pkts []*Packet) (int, error) {
 	return len(subs), nil
 }
 
-// enqueuePipeline is the fused variant of the optimized design: the whole
-// burst becomes ONE pipeline DAG — per packet an inflate stage (software,
-// run by the pipeline driver on this backend's core), a CRC over the
-// inflated payload, and the move into guest memory, chained with After.
-// The burst's device stages compile into one fenced batch: one admission,
-// one submission, one completion window; the recording array then reaps
-// the pipeline future exactly like a raw batch completion.
-func (b *Backend) enqueuePipeline(p *sim.Proc, pkts []*Packet) (int, error) {
-	b.reap(p)
-
-	pl := b.tenant.NewPipeline()
-	var pc pendingCopy
-	for _, pkt := range pkts {
-		desc, ok := b.VQ.avail.Pop()
-		if !ok {
-			break
-		}
-		busy := b.Costs.FetchDesc + b.Costs.Protocol + b.Costs.PrepareDSA + b.Costs.ReorderScan
-		p.Sleep(busy)
-		b.Core.ChargeBusy(busy)
-
-		buf := b.VQ.Buffers[desc]
-		stage := b.stage[desc]
-		copy(stage.Bytes(), pkt.Data)
-		rawLen := pkt.RawLen
-		if rawLen == 0 || rawLen > buf.Size {
-			rawLen = buf.Size
-		}
-		inflated := pl.Scratch(buf.Size)
-		d := pl.Decompress(inflated, offload.At(stage.Addr(0)), int64(len(pkt.Data)), buf.Size)
-		crc := pl.CRC32(inflated, rawLen, 0, offload.After(d))
-		pl.Copy(offload.At(buf.Addr(0)), inflated, rawLen, offload.After(crc))
-
-		pc.crcs = append(pc.crcs, crc)
-		pc.wants = append(pc.wants, pkt.CRC)
-		pc.descs = append(pc.descs, desc)
-		pc.seqs = append(pc.seqs, pkt.Seq)
-		pc.sizes = append(pc.sizes, rawLen)
-	}
-	if len(pc.descs) == 0 {
-		return 0, nil
-	}
-	fut, err := pl.Submit(p)
-	if err != nil {
-		return 0, err
-	}
-	pc.fut = fut
-	b.pending = append(b.pending, pc)
-	return len(pc.descs), nil
-}
-
 // reap writes back used descriptors for completed copies, stopping at the
 // first uncompleted burst so packets are never reordered.
 func (b *Backend) reap(p *sim.Proc) {
 	for len(b.pending) > 0 {
 		head := b.pending[0]
-		if !head.done() {
+		if !head.comp.Done() {
 			return
 		}
 		busy := time.Duration(len(head.descs)) * b.Costs.UsedWriteBack
@@ -372,13 +270,6 @@ func (b *Backend) reap(p *sim.Proc) {
 		for i, desc := range head.descs {
 			b.completeUsed(desc, head.seqs[i], head.sizes[i])
 		}
-		for i, crc := range head.crcs {
-			if uint32(crc.Result()) == head.wants[i] {
-				b.Verified++
-			} else {
-				b.Mismatched++
-			}
-		}
 		b.pending = b.pending[1:]
 	}
 }
@@ -386,12 +277,7 @@ func (b *Backend) reap(p *sim.Proc) {
 // Drain waits for all in-flight copies and writes back their descriptors.
 func (b *Backend) Drain(p *sim.Proc) {
 	for len(b.pending) > 0 {
-		head := b.pending[0]
-		if head.fut != nil {
-			head.fut.Wait(p, offload.Poll)
-		} else {
-			head.comp.Wait(p)
-		}
+		b.pending[0].comp.Wait(p)
 		b.reap(p)
 	}
 }
@@ -409,14 +295,10 @@ func (b *Backend) completeUsed(desc int, seq uint64, n int64) {
 }
 
 // Generator produces packets of a fixed size with sequential payloads.
-// Compressed generators emit RLE-compressed payloads (runs, as bulk
-// transfer traffic compresses) with the inflated length and CRC attached
-// for the PipelineCopy backend's end-to-end verification.
 type Generator struct {
-	Size       int64
-	compressed bool
-	next       uint64
-	rng        *sim.Rand
+	Size int64
+	next uint64
+	rng  *sim.Rand
 }
 
 // NewGenerator creates a packet generator.
@@ -424,47 +306,14 @@ func NewGenerator(size int64, seed uint64) *Generator {
 	return &Generator{Size: size, rng: sim.NewRand(seed)}
 }
 
-// NewCompressedGenerator creates a generator of RLE-compressed size-byte
-// payloads for PipelineCopy ingress.
-func NewCompressedGenerator(size int64, seed uint64) *Generator {
-	return &Generator{Size: size, compressed: true, rng: sim.NewRand(seed)}
-}
-
 // Burst returns n fresh packets.
 func (g *Generator) Burst(n int) []*Packet {
 	pkts := make([]*Packet, n)
 	for i := range pkts {
-		if g.compressed {
-			pkts[i] = g.compressedPacket()
-		} else {
-			data := make([]byte, g.Size)
-			g.rng.Bytes(data)
-			pkts[i] = &Packet{Seq: g.next, Data: data}
-		}
+		data := make([]byte, g.Size)
+		g.rng.Bytes(data)
+		pkts[i] = &Packet{Seq: g.next, Data: data}
 		g.next++
 	}
 	return pkts
-}
-
-// compressedPacket builds one runs-heavy payload and its RLE image.
-func (g *Generator) compressedPacket() *Packet {
-	raw := make([]byte, g.Size)
-	for i := 0; i < len(raw); {
-		run := 16 + g.rng.Intn(48)
-		if i+run > len(raw) {
-			run = len(raw) - i
-		}
-		v := byte(g.rng.Uint64())
-		for j := 0; j < run; j++ {
-			raw[i+j] = v
-		}
-		i += run
-	}
-	comp := make([]byte, 2*g.Size+2)
-	clen, err := isal.Compress(comp, raw)
-	if err != nil {
-		// Worst-case sizing above makes this unreachable.
-		panic(err)
-	}
-	return &Packet{Seq: g.next, Data: comp[:clen], RawLen: g.Size, CRC: isal.CRC32(0, raw)}
 }

@@ -7,9 +7,7 @@ import (
 
 	"dsasim/internal/cpu"
 	"dsasim/internal/dsa"
-	"dsasim/internal/isal"
 	"dsasim/internal/mem"
-	"dsasim/internal/offload"
 	"dsasim/internal/sim"
 )
 
@@ -186,70 +184,6 @@ func TestCPURateFallsWithPacketSizeDSAFlat(t *testing.T) {
 	}
 	if cpu64 < dsa64 {
 		t.Fatalf("CPU should win at 64B: %.2f vs %.2f", cpu64, dsa64)
-	}
-}
-
-// PipelineCopy: compressed ingress inflates, digests, and lands in guest
-// memory in order, with every payload CRC verified — the whole burst fused
-// into one pipeline submission.
-func TestPipelineCopyInflatesVerifiesAndOrders(t *testing.T) {
-	r := newRig(t)
-	svc, err := offload.NewService(r.e, r.sys, []*dsa.WQ{r.wq}, offload.WithScheduler(offload.NewPlacement()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tn, err := svc.NewTenant()
-	if err != nil {
-		t.Fatal(err)
-	}
-	vq := NewVirtqueue(tn.AS, r.sys.Node(0), 128, 2048)
-	b, err := NewPipelineBackend(vq, tn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen := NewCompressedGenerator(1024, 11)
-	var sent []*Packet
-	r.e.Go("fwd", func(p *sim.Proc) {
-		for i := 0; i < 3; i++ {
-			pkts := gen.Burst(32)
-			sent = append(sent, pkts...)
-			if n, err := b.EnqueueBurst(p, pkts); err != nil || n != 32 {
-				t.Errorf("burst %d: %d, %v", i, n, err)
-				return
-			}
-		}
-		b.Drain(p)
-	})
-	r.e.Run()
-	if !b.InOrder() {
-		t.Fatal("used ring written out of order")
-	}
-	if b.Forwarded != uint64(len(sent)) {
-		t.Fatalf("forwarded %d of %d", b.Forwarded, len(sent))
-	}
-	if b.Verified != uint64(len(sent)) || b.Mismatched != 0 {
-		t.Fatalf("CRC verification: %d verified, %d mismatched of %d", b.Verified, b.Mismatched, len(sent))
-	}
-	// The whole 32-packet burst fuses into one pipeline (one admission);
-	// per-packet inflate output must land inflated, not compressed.
-	if got := tn.Stats().Pipelines; got != 3 {
-		t.Fatalf("Pipelines = %d, want 3 (one per burst)", got)
-	}
-	for i := range sent {
-		ue, ok := vq.PopUsed()
-		if !ok || ue.Seq != uint64(i) {
-			t.Fatalf("used entry %d: ok=%v seq=%d", i, ok, ue.Seq)
-		}
-		if ue.Len != sent[i].RawLen {
-			t.Fatalf("packet %d landed %d bytes, want inflated %d", i, ue.Len, sent[i].RawLen)
-		}
-		want := make([]byte, sent[i].RawLen)
-		if _, err := isal.Decompress(want, sent[i].Data); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(vq.Buffers[ue.Desc].Slice(0, ue.Len), want) {
-			t.Fatalf("packet %d corrupted in guest memory", i)
-		}
 	}
 }
 
