@@ -1,7 +1,6 @@
 package dsa
 
 import (
-	"errors"
 	"time"
 
 	"dsasim/internal/mem"
@@ -81,24 +80,33 @@ func (eng *Engine) execute(wk *work) {
 		return
 	}
 
-	var spanBuf [3]span
-	spans, err := spansOf(&wk.d, &spanBuf)
+	spans, err := spansOf(&wk.d, &wk.spans)
 	if err != nil {
 		eng.finish(wk, now+issue, CompletionRecord{Status: StatusError, Err: err})
 		eng.free(now + issue)
 		return
 	}
 
-	// Validate addresses up front (descriptor sanity, not faults).
-	for _, sp := range spans {
-		if sp.n == 0 {
-			continue
-		}
-		if _, err := as.View(sp.addr, sp.n); err != nil {
+	// Resolve every operand once (descriptor sanity, not faults): the
+	// page check, the traffic booking and the deferred apply all use the
+	// resolved buffer. A bad address with nothing to move fails only when
+	// the operation applies its bytes, as it would reading them then.
+	var unapplied error
+	for i := range spans {
+		sp := &spans[i]
+		buf, off, err := as.Resolve(sp.addr, sp.n)
+		if err != nil {
+			if sp.n == 0 {
+				if unapplied == nil {
+					unapplied = err
+				}
+				continue
+			}
 			eng.finish(wk, now+issue, CompletionRecord{Status: StatusError, Err: err})
 			eng.free(now + issue)
 			return
 		}
+		sp.buf, sp.off = buf, off
 	}
 
 	// Address translation: the pipeline-fill translation of the first
@@ -115,35 +123,23 @@ func (eng *Engine) execute(wk *work) {
 	faulted := false
 	var faultAddr mem.Addr
 	for _, sp := range spans {
-		if sp.n == 0 {
-			continue
-		}
 		for {
-			err := as.CheckMapped(sp.addr, sp.n)
-			if err == nil {
+			addr, absent := sp.buf.FirstAbsent(sp.off, sp.n)
+			if !absent {
 				break
-			}
-			var pf *mem.PageFaultError
-			if !errors.As(err, &pf) {
-				eng.finish(wk, now+issue, CompletionRecord{Status: StatusError, Err: err})
-				eng.free(now + issue)
-				return
 			}
 			d.stats.PageFaults++
 			if wk.d.Flags&FlagBlockOnFault != 0 {
-				// The engine stalls while the OS resolves the fault.
+				// The engine stalls while the OS resolves the fault. The
+				// page lies in a resolved buffer, so mapping it cannot fail.
 				faultDelay += d.Sys.IOMMU.FaultLat()
-				if err := as.ResolveFault(pf.Addr); err != nil {
-					eng.finish(wk, now+issue, CompletionRecord{Status: StatusError, Err: err})
-					eng.free(now + issue)
-					return
-				}
+				_ = as.ResolveFault(addr)
 				continue
 			}
 			// Partial completion at the faulting offset.
 			faulted = true
-			faultAddr = pf.Addr
-			if off := int64(pf.Addr - sp.addr); off < upTo {
+			faultAddr = addr
+			if off := int64(addr - sp.addr); off < upTo {
 				upTo = off
 			}
 			break
@@ -193,7 +189,7 @@ func (eng *Engine) execute(wk *work) {
 			// report the fault without side effects.
 			switch wk.d.Op {
 			case OpMemmove, OpFill, OpCopyCRC, OpDualcast:
-				pr := execute(as, &wk.d, upTo)
+				pr := execute(spans, &wk.d, upTo)
 				pr.Status = StatusPageFault
 				pr.BytesCompleted = upTo
 				pr.FaultAddr = faultAddr
@@ -201,10 +197,13 @@ func (eng *Engine) execute(wk *work) {
 			}
 		}
 		eng.finish(wk, finishAt, rec)
+	} else if unapplied != nil && wk.d.Op != OpCacheFlush {
+		// A cache flush applies no bytes, so its bad address goes unseen.
+		eng.finish(wk, finishAt, CompletionRecord{Status: StatusError, Err: unapplied})
 	} else {
 		// Defer functional execution to completion time so overlapping
 		// descriptors apply in completion order.
-		wk.as, wk.apply = as, true
+		wk.apply = true
 		eng.finish(wk, finishAt, CompletionRecord{})
 	}
 	eng.busyTime += dataDone - now
@@ -217,7 +216,6 @@ func (eng *Engine) reserveData(wk *work, spans []span, dataStart sim.Time) sim.T
 	g := eng.group
 	d := g.Dev
 	t := d.Cfg.Timing
-	as, _ := d.space(wk.d.PASID)
 
 	var readBytes, writeBytes int64
 	done := dataStart
@@ -225,10 +223,7 @@ func (eng *Engine) reserveData(wk *work, spans []span, dataStart sim.Time) sim.T
 		if sp.n == 0 {
 			continue
 		}
-		buf, _, err := as.Lookup(sp.addr)
-		if err != nil {
-			continue
-		}
+		buf := sp.buf
 		var spDone sim.Time
 		if buf.CacheResident && !sp.write {
 			// LLC-resident source: no memory traffic, short latency.
@@ -310,7 +305,7 @@ func (wk *work) fire() {
 	d := g.Dev
 	rec := wk.rec
 	if wk.apply {
-		rec = execute(wk.as, &wk.d, wk.d.Size)
+		rec = execute(wk.spans[:], &wk.d, wk.d.Size)
 	}
 	d.stats.Completed++
 	g.inflight--

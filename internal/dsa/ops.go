@@ -10,13 +10,19 @@ import (
 	"dsasim/internal/mem"
 )
 
-// span is one memory range a descriptor accesses, used for fault checking
-// and traffic accounting.
+// span is one memory range a descriptor accesses. The engine resolves it
+// once per execution (buf, off); fault checking, traffic accounting and
+// the operation's data all read the resolved buffer.
 type span struct {
 	addr  mem.Addr
 	n     int64
 	write bool
+	buf   *mem.Buffer
+	off   int64
 }
+
+// bytes returns the span's resolved bytes.
+func (sp *span) bytes() []byte { return sp.buf.Slice(sp.off, sp.n) }
 
 // spansOf enumerates the ranges descriptor d touches into the caller's buf
 // and returns the filled prefix. Destination sizes for size-changing
@@ -27,57 +33,62 @@ func spansOf(d *Descriptor, buf *[3]span) ([]span, error) {
 	case OpNop, OpDrain, OpBatch:
 		return nil, nil
 	case OpMemmove, OpCopyCRC:
-		return fillSpans(buf, span{d.Src, s, false}, span{d.Dst, s, true}), nil
+		return fillSpans(buf, rd(d.Src, s), wr(d.Dst, s)), nil
 	case OpFill:
-		return fillSpans(buf, span{d.Dst, s, true}), nil
+		return fillSpans(buf, wr(d.Dst, s)), nil
 	case OpCompare:
-		return fillSpans(buf, span{d.Src, s, false}, span{d.Src2, s, false}), nil
+		return fillSpans(buf, rd(d.Src, s), rd(d.Src2, s)), nil
 	case OpComparePattern, OpCRCGen, OpCacheFlush:
-		return fillSpans(buf, span{d.Src, s, false}), nil
+		return fillSpans(buf, rd(d.Src, s)), nil
 	case OpCreateDelta:
-		return fillSpans(buf, span{d.Src, s, false}, span{d.Src2, s, false}, span{d.Dst, d.MaxDst, true}), nil
+		return fillSpans(buf, rd(d.Src, s), rd(d.Src2, s), wr(d.Dst, d.MaxDst)), nil
 	case OpApplyDelta:
 		// Src is the delta record (Size bytes); Dst is the buffer being
 		// patched (MaxDst bytes).
-		return fillSpans(buf, span{d.Src, s, false}, span{d.Dst, d.MaxDst, true}), nil
+		return fillSpans(buf, rd(d.Src, s), wr(d.Dst, d.MaxDst)), nil
 	case OpDualcast:
-		return fillSpans(buf, span{d.Src, s, false}, span{d.Dst, s, true}, span{d.Dst2, s, true}), nil
+		return fillSpans(buf, rd(d.Src, s), wr(d.Dst, s), wr(d.Dst2, s)), nil
 	case OpDIFInsert:
 		if !d.DIFBlock.Valid() {
 			return nil, fmt.Errorf("dsa: invalid DIF block size %d", d.DIFBlock)
 		}
 		out := s / int64(d.DIFBlock) * d.DIFBlock.Protected()
-		return fillSpans(buf, span{d.Src, s, false}, span{d.Dst, out, true}), nil
+		return fillSpans(buf, rd(d.Src, s), wr(d.Dst, out)), nil
 	case OpDIFCheck:
 		if !d.DIFBlock.Valid() {
 			return nil, fmt.Errorf("dsa: invalid DIF block size %d", d.DIFBlock)
 		}
-		return fillSpans(buf, span{d.Src, s, false}), nil
+		return fillSpans(buf, rd(d.Src, s)), nil
 	case OpDIFStrip:
 		if !d.DIFBlock.Valid() {
 			return nil, fmt.Errorf("dsa: invalid DIF block size %d", d.DIFBlock)
 		}
 		out := s / d.DIFBlock.Protected() * int64(d.DIFBlock)
-		return fillSpans(buf, span{d.Src, s, false}, span{d.Dst, out, true}), nil
+		return fillSpans(buf, rd(d.Src, s), wr(d.Dst, out)), nil
 	case OpDIFUpdate:
 		if !d.DIFBlock.Valid() {
 			return nil, fmt.Errorf("dsa: invalid DIF block size %d", d.DIFBlock)
 		}
-		return fillSpans(buf, span{d.Src, s, false}, span{d.Dst, s, true}), nil
+		return fillSpans(buf, rd(d.Src, s), wr(d.Dst, s)), nil
 	default:
 		return nil, fmt.Errorf("dsa: unsupported opcode %v", d.Op)
 	}
 }
+
+// rd and wr build a span read or written by the operation.
+func rd(addr mem.Addr, n int64) span { return span{addr: addr, n: n} }
+func wr(addr mem.Addr, n int64) span { return span{addr: addr, n: n, write: true} }
 
 // fillSpans copies spans into buf and returns the filled prefix.
 func fillSpans(buf *[3]span, spans ...span) []span {
 	return buf[:copy(buf[:], spans)]
 }
 
-// execute performs descriptor d's operation on address space as, moving real
-// bytes, and returns the completion record. upTo limits the bytes processed
-// (partial completion after a page fault); pass d.Size for full execution.
-func execute(as *mem.AddressSpace, d *Descriptor, upTo int64) CompletionRecord {
+// execute performs descriptor d's operation over its resolved spans (laid
+// out as spansOf fills them), moving real bytes, and returns the
+// completion record. upTo limits the bytes processed (partial completion
+// after a page fault); pass d.Size for full execution.
+func execute(sp []span, d *Descriptor, upTo int64) CompletionRecord {
 	rec := CompletionRecord{Status: StatusSuccess, BytesCompleted: upTo}
 	fail := func(err error) CompletionRecord {
 		return CompletionRecord{Status: StatusError, Err: err}
@@ -90,101 +101,43 @@ func execute(as *mem.AddressSpace, d *Descriptor, upTo int64) CompletionRecord {
 		return rec
 
 	case OpMemmove:
-		src, err := as.View(d.Src, d.Size)
-		if err != nil {
-			return fail(err)
-		}
-		dst, err := as.View(d.Dst, d.Size)
-		if err != nil {
-			return fail(err)
-		}
-		copy(dst[:upTo], src[:upTo])
+		copy(sp[1].bytes()[:upTo], sp[0].bytes()[:upTo])
 		return rec
 
 	case OpFill:
-		dst, err := as.View(d.Dst, d.Size)
-		if err != nil {
-			return fail(err)
-		}
-		isal.Fill(dst[:upTo], d.Pattern)
+		isal.Fill(sp[0].bytes()[:upTo], d.Pattern)
 		return rec
 
 	case OpCompare:
-		a, err := as.View(d.Src, d.Size)
-		if err != nil {
-			return fail(err)
-		}
-		b, err := as.View(d.Src2, d.Size)
-		if err != nil {
-			return fail(err)
-		}
-		off, eq := isal.Compare(a[:upTo], b[:upTo])
+		off, eq := isal.Compare(sp[0].bytes()[:upTo], sp[1].bytes()[:upTo])
 		rec.Mismatch = !eq
 		rec.Result = uint64(off)
 		return rec
 
 	case OpComparePattern:
-		src, err := as.View(d.Src, d.Size)
-		if err != nil {
-			return fail(err)
-		}
-		off, eq := isal.ComparePattern(src[:upTo], d.Pattern)
+		off, eq := isal.ComparePattern(sp[0].bytes()[:upTo], d.Pattern)
 		rec.Mismatch = !eq
 		rec.Result = uint64(off)
 		return rec
 
 	case OpCRCGen:
-		src, err := as.View(d.Src, d.Size)
-		if err != nil {
-			return fail(err)
-		}
-		rec.Result = uint64(isal.CRC32(d.CRCSeed, src[:upTo]))
+		rec.Result = uint64(isal.CRC32(d.CRCSeed, sp[0].bytes()[:upTo]))
 		return rec
 
 	case OpCopyCRC:
-		src, err := as.View(d.Src, d.Size)
-		if err != nil {
-			return fail(err)
-		}
-		dst, err := as.View(d.Dst, d.Size)
-		if err != nil {
-			return fail(err)
-		}
-		copy(dst[:upTo], src[:upTo])
-		rec.Result = uint64(isal.CRC32(d.CRCSeed, src[:upTo]))
+		src := sp[0].bytes()[:upTo]
+		copy(sp[1].bytes()[:upTo], src)
+		rec.Result = uint64(isal.CRC32(d.CRCSeed, src))
 		return rec
 
 	case OpDualcast:
-		src, err := as.View(d.Src, d.Size)
-		if err != nil {
-			return fail(err)
-		}
-		d1, err := as.View(d.Dst, d.Size)
-		if err != nil {
-			return fail(err)
-		}
-		d2, err := as.View(d.Dst2, d.Size)
-		if err != nil {
-			return fail(err)
-		}
-		copy(d1[:upTo], src[:upTo])
-		copy(d2[:upTo], src[:upTo])
+		src := sp[0].bytes()[:upTo]
+		copy(sp[1].bytes()[:upTo], src)
+		copy(sp[2].bytes()[:upTo], src)
 		return rec
 
 	case OpCreateDelta:
-		orig, err := as.View(d.Src, d.Size)
-		if err != nil {
-			return fail(err)
-		}
-		mod, err := as.View(d.Src2, d.Size)
-		if err != nil {
-			return fail(err)
-		}
-		out, err := as.View(d.Dst, d.MaxDst)
-		if err != nil {
-			return fail(err)
-		}
-		used, err := delta.Create(out, orig, mod)
+		used, err := delta.Create(sp[2].bytes(), sp[0].bytes(), sp[1].bytes())
 		if errors.Is(err, delta.ErrRecordFull) {
 			return CompletionRecord{Status: StatusRecordFull, Err: err}
 		}
@@ -195,86 +148,40 @@ func execute(as *mem.AddressSpace, d *Descriptor, upTo int64) CompletionRecord {
 		return rec
 
 	case OpApplyDelta:
-		recBytes, err := as.View(d.Src, d.Size)
-		if err != nil {
-			return fail(err)
-		}
-		dst, err := as.View(d.Dst, d.MaxDst)
-		if err != nil {
-			return fail(err)
-		}
-		if err := delta.Apply(dst, recBytes, int(d.Size)); err != nil {
+		if err := delta.Apply(sp[1].bytes(), sp[0].bytes(), int(d.Size)); err != nil {
 			return fail(err)
 		}
 		return rec
 
 	case OpDIFInsert:
-		src, err := as.View(d.Src, d.Size)
-		if err != nil {
-			return fail(err)
-		}
-		out := d.Size / int64(d.DIFBlock) * d.DIFBlock.Protected()
-		dst, err := as.View(d.Dst, out)
-		if err != nil {
-			return fail(err)
-		}
-		if err := dif.Insert(dst, src, d.DIFBlock, d.DIFTags); err != nil {
+		if err := dif.Insert(sp[1].bytes(), sp[0].bytes(), d.DIFBlock, d.DIFTags); err != nil {
 			return fail(err)
 		}
 		return rec
 
 	case OpDIFCheck:
-		src, err := as.View(d.Src, d.Size)
-		if err != nil {
-			return fail(err)
-		}
-		if err := dif.Check(src, d.DIFBlock, d.DIFTags); err != nil {
-			var ce *dif.CheckError
-			if errors.As(err, &ce) {
-				return CompletionRecord{Status: StatusDIFError, Err: err, Result: uint64(ce.Block)}
-			}
-			return fail(err)
-		}
-		return rec
+		return difRecord(rec, dif.Check(sp[0].bytes(), d.DIFBlock, d.DIFTags))
 
 	case OpDIFStrip:
-		src, err := as.View(d.Src, d.Size)
-		if err != nil {
-			return fail(err)
-		}
-		out := d.Size / d.DIFBlock.Protected() * int64(d.DIFBlock)
-		dst, err := as.View(d.Dst, out)
-		if err != nil {
-			return fail(err)
-		}
-		if err := dif.Strip(dst, src, d.DIFBlock, d.DIFTags); err != nil {
-			var ce *dif.CheckError
-			if errors.As(err, &ce) {
-				return CompletionRecord{Status: StatusDIFError, Err: err, Result: uint64(ce.Block)}
-			}
-			return fail(err)
-		}
-		return rec
+		return difRecord(rec, dif.Strip(sp[1].bytes(), sp[0].bytes(), d.DIFBlock, d.DIFTags))
 
 	case OpDIFUpdate:
-		src, err := as.View(d.Src, d.Size)
-		if err != nil {
-			return fail(err)
-		}
-		dst, err := as.View(d.Dst, d.Size)
-		if err != nil {
-			return fail(err)
-		}
-		if err := dif.Update(dst, src, d.DIFBlock, d.DIFTags, d.DIFTags2); err != nil {
-			var ce *dif.CheckError
-			if errors.As(err, &ce) {
-				return CompletionRecord{Status: StatusDIFError, Err: err, Result: uint64(ce.Block)}
-			}
-			return fail(err)
-		}
-		return rec
+		return difRecord(rec, dif.Update(sp[1].bytes(), sp[0].bytes(), d.DIFBlock, d.DIFTags, d.DIFTags2))
 
 	default:
 		return CompletionRecord{Status: StatusBadOpcode, Err: fmt.Errorf("dsa: opcode %v", d.Op)}
 	}
+}
+
+// difRecord is a DIF check's outcome: rec on success, a DIF error naming
+// the failing block on a check failure, a plain error otherwise.
+func difRecord(rec CompletionRecord, err error) CompletionRecord {
+	if err == nil {
+		return rec
+	}
+	var ce *dif.CheckError
+	if errors.As(err, &ce) {
+		return CompletionRecord{Status: StatusDIFError, Err: err, Result: uint64(ce.Block)}
+	}
+	return CompletionRecord{Status: StatusError, Err: err}
 }

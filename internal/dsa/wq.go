@@ -3,7 +3,6 @@ package dsa
 import (
 	"fmt"
 
-	"dsasim/internal/mem"
 	"dsasim/internal/sim"
 )
 
@@ -48,11 +47,11 @@ type work struct {
 	enqueued  sim.Time
 
 	// Completion state, set by the engine when it schedules fire: the
-	// record to write, or, with apply, the address space the operation
-	// executes against when the record is written.
+	// record to write, or, with apply, the resolved spans the operation
+	// executes over when the record is written.
 	g     *Group
 	rec   CompletionRecord
-	as    *mem.AddressSpace
+	spans [3]span
 	apply bool
 
 	// fireFn is wk.fire bound once when the work is first allocated, so

@@ -166,38 +166,20 @@ func (b *Buffer) TouchAll() {
 	}
 }
 
-// PageFaultError reports a device access to an unmapped page. The faulting
-// address lets the OS model resolve exactly that page.
-type PageFaultError struct {
-	Addr  Addr
-	PASID int
-}
-
-// Error implements error.
-func (e *PageFaultError) Error() string {
-	return fmt.Sprintf("mem: page fault at %#x (PASID %d)", e.Addr, e.PASID)
-}
-
-// CheckMapped verifies that every page backing [addr, addr+n) is present,
-// returning a PageFaultError for the first unmapped page. Device reads and
-// writes call this before moving data.
-func (as *AddressSpace) CheckMapped(addr Addr, n int64) error {
+// FirstAbsent returns the address of the first unmapped page backing the n
+// bytes at offset off of the buffer, and false when every such page is
+// present (always for n == 0). Device reads and writes check the buffer
+// they resolved this way before moving data: an absent page is a fault.
+func (b *Buffer) FirstAbsent(off, n int64) (Addr, bool) {
 	if n == 0 {
-		return nil
-	}
-	b, off, err := as.Lookup(addr)
-	if err != nil {
-		return err
-	}
-	if off+n > b.Size {
-		return fmt.Errorf("mem: access [%#x,+%d) overruns buffer end", addr, n)
+		return 0, false
 	}
 	for p := off / b.PageSize; p <= (off+n-1)/b.PageSize; p++ {
 		if !b.present[p] {
-			return &PageFaultError{Addr: b.Base + Addr(p*b.PageSize), PASID: as.PASID}
+			return b.Base + Addr(p*b.PageSize), true
 		}
 	}
-	return nil
+	return 0, false
 }
 
 // ResolveFault maps the page containing addr, as the OS page-fault handler
@@ -212,7 +194,7 @@ func (as *AddressSpace) ResolveFault(addr Addr) error {
 }
 
 // Read copies n bytes at addr into p (functional data path). It does not
-// check page presence: callers model faults via CheckMapped first.
+// check page presence: callers model faults via FirstAbsent first.
 func (as *AddressSpace) Read(addr Addr, p []byte) error {
 	b, off, err := as.Lookup(addr)
 	if err != nil {
@@ -238,16 +220,27 @@ func (as *AddressSpace) Write(addr Addr, p []byte) error {
 	return nil
 }
 
-// View returns a zero-copy window onto the n bytes at addr, erroring if the
-// range spans buffers or overruns. Device operations use View to avoid
-// double-copying payloads.
-func (as *AddressSpace) View(addr Addr, n int64) ([]byte, error) {
+// Resolve returns the buffer holding the n bytes at addr and their offset
+// within it, erroring if addr is unmapped or the range spans buffers or
+// overruns. The device resolves each operand once per descriptor and
+// reuses the result for fault checks, traffic and the data itself.
+func (as *AddressSpace) Resolve(addr Addr, n int64) (*Buffer, int64, error) {
 	b, off, err := as.Lookup(addr)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if off+n > b.Size {
-		return nil, fmt.Errorf("mem: view [%#x,+%d) overruns buffer end", addr, n)
+		return nil, 0, fmt.Errorf("mem: view [%#x,+%d) overruns buffer end", addr, n)
+	}
+	return b, off, nil
+}
+
+// View returns a zero-copy window onto the n bytes at addr, with Resolve's
+// errors. CPU operations use View to avoid double-copying payloads.
+func (as *AddressSpace) View(addr Addr, n int64) ([]byte, error) {
+	b, off, err := as.Resolve(addr, n)
+	if err != nil {
+		return nil, err
 	}
 	return b.data[off : off+n], nil
 }

@@ -2,7 +2,6 @@ package mem
 
 import (
 	"bytes"
-	"errors"
 	"testing"
 	"testing/quick"
 	"time"
@@ -148,28 +147,32 @@ func TestCrossBufferAccessRejected(t *testing.T) {
 func TestLazyBufferFaultsForDevice(t *testing.T) {
 	as := NewAddressSpace(7)
 	b := as.Alloc(3*Page4K, Lazy())
-	err := as.CheckMapped(b.Addr(0), b.Size)
-	var pf *PageFaultError
-	if !errors.As(err, &pf) {
-		t.Fatalf("CheckMapped = %v, want PageFaultError", err)
+	buf, off, err := as.Resolve(b.Addr(0), b.Size)
+	if err != nil || buf != b || off != 0 {
+		t.Fatalf("Resolve = %v, %d, %v; want the buffer at offset 0", buf, off, err)
 	}
-	if pf.PASID != 7 {
-		t.Fatalf("fault PASID = %d, want 7", pf.PASID)
+	addr, absent := b.FirstAbsent(off, b.Size)
+	if !absent || addr != b.Addr(0) {
+		t.Fatalf("FirstAbsent = %#x, %v; want the first page", addr, absent)
 	}
-	if err := as.ResolveFault(pf.Addr); err != nil {
+	if err := as.ResolveFault(addr); err != nil {
 		t.Fatal(err)
 	}
 	// Next fault is the second page.
-	err = as.CheckMapped(b.Addr(0), b.Size)
-	if !errors.As(err, &pf) {
-		t.Fatalf("second CheckMapped = %v, want PageFaultError", err)
+	if addr, absent = b.FirstAbsent(0, b.Size); !absent || addr != b.Addr(Page4K) {
+		t.Fatalf("second fault at %#x (%v), want %#x", addr, absent, b.Addr(Page4K))
 	}
-	if pf.Addr != b.Addr(Page4K) {
-		t.Fatalf("second fault at %#x, want %#x", pf.Addr, b.Addr(Page4K))
+	// A range inside the mapped first page faults nowhere, and neither
+	// does an empty range on an absent page.
+	if addr, absent = b.FirstAbsent(10, Page4K-10); absent {
+		t.Fatalf("mapped prefix faults at %#x", addr)
+	}
+	if _, absent = b.FirstAbsent(2*Page4K, 0); absent {
+		t.Fatal("empty range faults")
 	}
 	b.TouchAll()
-	if err := as.CheckMapped(b.Addr(0), b.Size); err != nil {
-		t.Fatalf("CheckMapped after TouchAll = %v", err)
+	if addr, absent = b.FirstAbsent(0, b.Size); absent {
+		t.Fatalf("fault at %#x after TouchAll", addr)
 	}
 }
 

@@ -2,67 +2,56 @@ package offload
 
 import (
 	"testing"
+	"time"
 
 	"dsasim/internal/dsa"
 	"dsasim/internal/sim"
 )
 
-// The placement load view folds each WQ's latency EWMA as completions are
-// recorded; once the shards merge, it equals the digest's EWMA exactly.
-func TestLoadViewMatchesDigestEWMA(t *testing.T) {
+// A completion is priced the moment the probe records it: adaptive
+// coalescing's inter-arrival gap, QoS pressure and a load-aware placement
+// pick all read it at once, and none of them syncs the telemetry hub.
+func TestCompletionPricedWithoutSync(t *testing.T) {
 	r := newRingRig(t, 2, 8, 1)
-	m := r.svc.met
-	m.hub.SetSyncCadence(0) // every Sync merges, not one per plane cadence
-	wqs := r.svc.WQs()
-	rng := sim.NewRand(7)
-	var at sim.Time
-	for i := 0; i < 5000; i++ {
-		at += sim.Time(rng.Intn(400))
-		wq := wqs[rng.Intn(len(wqs))]
-		var lat sim.Time
-		if rng.Intn(10) > 0 { // a zero latency records no sample
-			lat = sim.Time(1 + rng.Intn(20000))
-		}
-		m.Completed(wq, at, r.tn.AS.PASID, lat)
-		if rng.Intn(50) == 0 {
-			m.hub.Sync(at)
-			checkLoadView(t, m, wqs)
-		}
-	}
-	m.hub.Sync(at)
-	checkLoadView(t, m, wqs)
-}
+	sv, m := r.svc, r.svc.met
+	wq0, wq1 := sv.WQs()[0], sv.WQs()[1]
+	pasid := r.tn.AS.PASID
 
-func checkLoadView(t *testing.T, m *metrics, wqs []*dsa.WQ) {
-	t.Helper()
-	for _, wq := range wqs {
-		if live, merged := m.latLive(wq), m.latEWMA(wq); live != merged {
-			t.Fatalf("wq %s.%d: live view %v, digest EWMA %v after Sync", wq.Dev.Cfg.Name, wq.ID, live, merged)
+	r.e.Go("completions", func(p *sim.Proc) {
+		m.Completed(wq1, p.Now(), pasid, 1000)
+		p.Sleep(700)
+		m.Completed(wq1, p.Now(), pasid, 1000)
+		if got := m.tenantGap(pasid); got != 700 {
+			t.Errorf("tenant gap %v after completions 700ns apart, want 700ns", got)
+		}
+	})
+	r.e.Run()
+
+	// One occupancy sample seeds wq0's EWMA at 6/8; wq1 is idle.
+	m.WQOccupancy(wq0, r.e.Now(), 6, 8)
+	if got := sv.Pressure(); got != 0.375 {
+		t.Errorf("pressure %v after one 6/8 occupancy sample on one of two WQs, want 0.375", got)
+	}
+
+	// Six descriptors wait on wq0, the data's home. Without a completion
+	// there the backlog is unpriced and the pick stays home; one slow
+	// completion prices it, and the same pick detours to the idle socket.
+	for i := 0; i < 6; i++ {
+		if _, err := wq0.Submit(dsa.Descriptor{Op: dsa.OpNop, PASID: pasid}); err != nil {
+			t.Fatal(err)
 		}
 	}
-}
-
-// A load-aware placement pick reads the live view and merges nothing: a
-// completion still buffered in the device shard stays there, yet the
-// pick already prices it.
-func TestPickLeavesBufferedSampleUnmerged(t *testing.T) {
-	r := newRingRig(t, 2, 8, 1)
-	m := r.svc.met
-	wq := r.svc.WQs()[0]
-	lat := m.hub.Digest(m.wq[wq].lat)
-	m.Completed(wq, r.e.Now(), r.tn.AS.PASID, 1500)
-	topo := r.svc.Topology()
-	node := r.svc.Sys.Node(0)
-	req := Request{Socket: 0, Topo: topo, SrcNode: node, DstNode: node, LoadAware: true, Size: 64 << 10}
-	NewPlacement().Pick(req, r.svc.WQs())
-	if n := lat.Count(); n != 0 {
-		t.Errorf("pick merged %d buffered samples into the latency digest, want 0", n)
+	node := sv.Sys.Node(0)
+	req := Request{Socket: 0, Topo: sv.Topology(), SrcNode: node, DstNode: node, LoadAware: true, Size: 64 << 10}
+	pl := NewPlacement()
+	if got := pl.Pick(req, sv.WQs()); got != wq0 {
+		t.Fatalf("pick with no latency history = wq on socket %d, want the data's home", got.Dev.Cfg.Socket)
 	}
-	if got := m.latLive(wq); got != 1500 {
-		t.Errorf("live view %v after one 1.5µs completion, want 1.5µs", got)
+	m.Completed(wq0, r.e.Now(), pasid, sim.Time(10*time.Millisecond))
+	if got, want := sv.Topology().QueueDelay(0), sim.Time(60*time.Millisecond); got != want {
+		t.Errorf("socket 0 queue delay %v, want %v (6 queued × one 10ms completion)", got, want)
 	}
-	m.hub.Sync(r.e.Now())
-	if n := lat.Count(); n != 1 {
-		t.Errorf("Sync merged %d samples, want 1", n)
+	if got := pl.Pick(req, sv.WQs()); got != wq1 {
+		t.Errorf("pick after a 10ms completion behind 6 queued = wq on socket %d, want the idle socket", got.Dev.Cfg.Socket)
 	}
 }

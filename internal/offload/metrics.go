@@ -15,19 +15,14 @@ import (
 // events, and all smoothing, windowing, and drift detection happen here,
 // keyed per WQ, per socket, and per tenant.
 //
-// Recording is shard-local: the device plane (occupancy transitions, WQ
-// and socket completion latencies) writes through one shard, and each
-// tenant's completion/inter-arrival streams write through the tenant's
-// own shard. Views call sync() first, which drains every shard and
-// rotates windows up to the current virtual instant — the pull half of
-// the record-locally/merge-periodically design. The one exception is the
-// placement load view: Completed also folds each WQ's latency EWMA in
-// place as the completion happens (latLive), so a placement pick reads
-// the current value without a sync — the push half.
+// The service runs on the simulation's one goroutine, so every event is
+// recorded straight into its stream's digest (Hub.Record) as it happens:
+// placement, QoS pressure and adaptive coalescing read current digests
+// with no merge step. Only the drift readers sync the hub first, to close
+// the windows that ended since each stream's last sample.
 type metrics struct {
 	e   *sim.Engine
 	hub *telemetry.Hub
-	dev *telemetry.Shard
 
 	wq   map[*dsa.WQ]*wqStreams
 	sock []telemetry.ID // per-socket completion-latency streams
@@ -42,24 +37,16 @@ type metrics struct {
 	failoverID telemetry.ID
 }
 
-// wqStreams are one work queue's device-plane streams, plus the live
-// latency EWMA the placement load view reads.
+// wqStreams are one work queue's device-plane streams.
 type wqStreams struct {
 	occ telemetry.ID // occupancy, in per-mille of the WQ size
 	lat telemetry.ID // submit→finish completion latency, ns
-
-	// latNow folds every lat sample as Completed records it, in the dev
-	// shard's recording order, so it equals the lat digest's EWMA once
-	// the shard merges.
-	latNow telemetry.EWMA
 }
 
-// tenantStreams are one tenant's completion streams, recorded through the
-// tenant's own shard.
+// tenantStreams are one tenant's completion streams.
 type tenantStreams struct {
 	lat    telemetry.ID // completion latency, ns
 	iat    telemetry.ID // completion inter-arrival gap, ns
-	shard  *telemetry.Shard
 	lastAt sim.Time
 	seen   bool
 }
@@ -69,7 +56,6 @@ func newMetrics(e *sim.Engine) *metrics {
 	return &metrics{
 		e:          e,
 		hub:        h,
-		dev:        h.NewShard(),
 		wq:         make(map[*dsa.WQ]*wqStreams),
 		ten:        make(map[int]*tenantStreams),
 		faultID:    h.Stream("service.faults"),
@@ -79,13 +65,12 @@ func newMetrics(e *sim.Engine) *metrics {
 	}
 }
 
-// Fault-recovery event hooks. All run engine-side (device completion
-// events, the plane drain, Future recovery), so the shared dev shard is
-// safe to record through.
-func (m *metrics) fault()    { m.dev.Record(m.faultID, m.e.Now(), 1) }
-func (m *metrics) retry()    { m.dev.Record(m.retryID, m.e.Now(), 1) }
-func (m *metrics) fallback() { m.dev.Record(m.fallbackID, m.e.Now(), 1) }
-func (m *metrics) failover() { m.dev.Record(m.failoverID, m.e.Now(), 1) }
+// Fault-recovery event hooks, run from device completion events, the
+// plane drain and Future recovery.
+func (m *metrics) fault()    { m.hub.Record(m.faultID, m.e.Now(), 1) }
+func (m *metrics) retry()    { m.hub.Record(m.retryID, m.e.Now(), 1) }
+func (m *metrics) fallback() { m.hub.Record(m.fallbackID, m.e.Now(), 1) }
+func (m *metrics) failover() { m.hub.Record(m.failoverID, m.e.Now(), 1) }
 
 // observe registers streams for newly added WQs (and their sockets) and
 // installs the probe on their devices. Idempotent per WQ, so hot-plugged
@@ -108,16 +93,15 @@ func (m *metrics) observe(wqs []*dsa.WQ) {
 	}
 }
 
-// tenant returns the streams registered for a PASID, creating them (and
-// the tenant's shard) on first use.
+// tenant returns the streams registered for a PASID, creating them on
+// first use.
 func (m *metrics) tenant(pasid int) *tenantStreams {
 	ts, ok := m.ten[pasid]
 	if !ok {
 		name := fmt.Sprintf("pasid%d", pasid)
 		ts = &tenantStreams{
-			lat:   m.hub.Stream(name + ".lat"),
-			iat:   m.hub.Stream(name + ".iat"),
-			shard: m.hub.NewShard(),
+			lat: m.hub.Stream(name + ".lat"),
+			iat: m.hub.Stream(name + ".iat"),
 		}
 		m.ten[pasid] = ts
 	}
@@ -130,7 +114,7 @@ func (m *metrics) WQOccupancy(wq *dsa.WQ, at sim.Time, occupied, size int) {
 	if !ok {
 		return
 	}
-	m.dev.Record(s.occ, at, int64(occupied)*1000/int64(size))
+	m.hub.Record(s.occ, at, int64(occupied)*1000/int64(size))
 }
 
 // Completed implements dsa.Probe.
@@ -140,24 +124,23 @@ func (m *metrics) Completed(wq *dsa.WQ, at sim.Time, pasid int, lat sim.Time) {
 		return
 	}
 	if lat > 0 {
-		m.dev.Record(s.lat, at, int64(lat))
-		s.latNow.Add(int64(lat))
-		m.dev.Record(m.sock[wq.Dev.Cfg.Socket], at, int64(lat))
+		m.hub.Record(s.lat, at, int64(lat))
+		m.hub.Record(m.sock[wq.Dev.Cfg.Socket], at, int64(lat))
 	}
 	if ts := m.ten[pasid]; ts != nil {
 		if lat > 0 {
-			ts.shard.Record(ts.lat, at, int64(lat))
+			m.hub.Record(ts.lat, at, int64(lat))
 		}
 		if ts.seen {
-			ts.shard.Record(ts.iat, at, int64(at-ts.lastAt))
+			m.hub.Record(ts.iat, at, int64(at-ts.lastAt))
 		}
 		ts.seen, ts.lastAt = true, at
 	}
 }
 
-// sync drains the shards and rotates windows up to now. Policy views call
-// it before reading; the underlying digests make repeated syncs at one
-// instant cheap, so callers need no extra memoization.
+// sync rotates every digest's windows up to now, closing the ones that
+// ended since each stream's last sample. Only the drift views need it:
+// the drift detector runs as windows close.
 func (m *metrics) sync() { m.hub.Sync(m.e.Now()) }
 
 // occEWMA returns the WQ's smoothed occupancy fraction in [0,1] — the
@@ -170,24 +153,14 @@ func (m *metrics) occEWMA(wq *dsa.WQ) float64 {
 	return m.hub.Digest(s.occ).EWMA() / 1000
 }
 
-// latEWMA returns the WQ's smoothed completion latency as of the last
-// merge (0 until the first completion).
+// latEWMA returns the WQ's smoothed completion latency as of its last
+// completion (0 until the first).
 func (m *metrics) latEWMA(wq *dsa.WQ) sim.Time {
 	s, ok := m.wq[wq]
 	if !ok {
 		return 0
 	}
 	return sim.Time(m.hub.Digest(s.lat).EWMA())
-}
-
-// latLive returns the WQ's smoothed completion latency as of its last
-// completion, with no sync: what latEWMA returns once the shards merge.
-func (m *metrics) latLive(wq *dsa.WQ) sim.Time {
-	s, ok := m.wq[wq]
-	if !ok {
-		return 0
-	}
-	return sim.Time(s.latNow.Value())
 }
 
 // tenantGap returns the tenant's recent completion inter-arrival gap (the
@@ -198,7 +171,6 @@ func (m *metrics) tenantGap(pasid int) sim.Time {
 	if !ok {
 		return 0
 	}
-	m.sync()
 	return sim.Time(m.hub.Digest(ts.iat).RecentMean(m.e.Now()))
 }
 

@@ -10,7 +10,7 @@
 // lane and touches nothing shared on the fast path — and funnels
 // descriptors into each WQ's ENQCMD path through a bounded ring
 // (dsa.SubmitRing). Lanes route on each WQ's occupancy plus its ring's
-// backlog instead of syncing the telemetry hub per Pick.
+// backlog, read live, and leave the telemetry hub alone.
 //
 // The simulation runs on one goroutine, so rings, counters and health
 // flags are plain data. What sharding buys is priced in virtual time:
@@ -41,17 +41,10 @@ package offload
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"dsasim/internal/dsa"
 	"dsasim/internal/sim"
 )
-
-// planeSyncCadence is the sync cadence a plane installs on the telemetry
-// hub, so policy reads within a couple of microseconds share one
-// shard→global merge. A couple of microseconds is about one device
-// service quantum.
-const planeSyncCadence = 2 * time.Microsecond
 
 // Plane is a tenant's sharded submission front end: N Lanes (one per
 // submitting process) over one bounded SubmitRing per service WQ, a
@@ -151,8 +144,7 @@ type Lane struct {
 }
 
 // NewPlane attaches a sharded submission plane with nlanes lanes to the
-// tenant. One plane per tenant, one ring per service WQ; the telemetry
-// hub switches to merging at most once per planeSyncCadence. Returns
+// tenant. One plane per tenant, one ring per service WQ. Returns
 // an error if the tenant already has a plane or another plane already
 // drains any service WQ (one plane per WQ set: the plane owns each WQ's
 // ready hook).
@@ -198,7 +190,6 @@ func (t *Tenant) NewPlane(nlanes int) (*Plane, error) {
 		// candidates instead of all hammering ring 0.
 		pl.lanes[i] = &Lane{pl: pl, id: i, cursor: i}
 	}
-	t.S.met.hub.SetSyncCadence(planeSyncCadence)
 	t.plane = pl
 	return pl, nil
 }

@@ -331,7 +331,6 @@ func (sv *Service) pressureOver(wqs []*dsa.WQ) float64 {
 	if len(wqs) == 0 {
 		return 0
 	}
-	sv.met.sync()
 	var occ float64
 	var worst sim.Time
 	for _, wq := range wqs {

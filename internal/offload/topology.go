@@ -119,7 +119,7 @@ func (t *Topology) QueueDelay(socket int) sim.Time {
 // queueDelayOf estimates the queueing delay of the best WQ in pool:
 // occupancy (descriptors accepted but not yet completed ahead of a new
 // arrival) times the smoothed per-descriptor completion latency, which
-// the telemetry plane folds at each completion (metrics.latLive), so a
+// the telemetry plane records at each completion (metrics.latEWMA), so a
 // pick syncs nothing. A WQ with no latency history yet estimates zero —
 // the model needs at least one completion before a backlog is priced,
 // which the streams deliver within the first handful of descriptors.
@@ -128,7 +128,7 @@ func (t *Topology) queueDelayOf(pool []*dsa.WQ) sim.Time {
 	for i, wq := range pool {
 		var est sim.Time
 		if t.met != nil {
-			est = t.met.latLive(wq) * sim.Time(wq.Occupancy())
+			est = t.met.latEWMA(wq) * sim.Time(wq.Occupancy())
 		}
 		if i == 0 || est < best {
 			best = est

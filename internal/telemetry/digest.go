@@ -50,7 +50,12 @@ type windowAgg struct {
 	sk    Sketch
 }
 
+// reset empties the window. An empty window is left alone: clearing its
+// sketch would rewrite every bucket to the zeros it already holds.
 func (w *windowAgg) reset() {
+	if w.count == 0 {
+		return
+	}
 	w.count, w.sum = 0, 0
 	w.sk.Reset()
 }
@@ -69,10 +74,14 @@ type Digest struct {
 
 	count   int64
 	sum     int64
-	ewma    EWMA
+	ewma    float64 // seeded by the first sample, smoothed by ewmaAlpha after it
 	firstAt sim.Time
 
-	// Drift state (see closeWindow).
+	drift driftState
+}
+
+// driftState is the drift detector's state (see closeWindow).
+type driftState struct {
 	baseRate, baseP99 float64
 	baseSet           bool
 	shiftRun          int
@@ -90,16 +99,16 @@ func NewDigest(window sim.Time) *Digest {
 }
 
 // Record folds one sample at virtual instant at into the digest, rotating
-// windows as needed. Samples are merged from shard buffers in submission
-// order, so a sample's instant is never ahead of the engine clock; a
-// sample landing after its window closed (buffered across a boundary)
-// joins the current window — standard late-data policy for tumbling
-// windows.
+// windows as needed. Samples arrive in timestamp order, so an instant is
+// never ahead of the engine clock; a shard sample whose window a read
+// closed before the merge joins the current window — standard late-data
+// policy for tumbling windows.
 func (d *Digest) Record(at sim.Time, v int64) {
 	if !d.opened {
 		d.opened = true
 		d.start = at
 		d.firstAt = at
+		d.ewma = float64(v)
 	}
 	d.advance(at)
 	w := &d.ring[d.cur]
@@ -108,58 +117,36 @@ func (d *Digest) Record(at sim.Time, v int64) {
 	w.sk.Add(v)
 	d.count++
 	d.sum += v
-	d.ewma.Add(v)
+	d.ewma += ewmaAlpha * (float64(v) - d.ewma)
 }
 
-// EWMA is the exponentially weighted moving average a Digest keeps,
-// seeded by the first sample and smoothed by ewmaAlpha after it. The zero
-// value is empty. A recorder that folds a stream's samples into its own
-// EWMA in recording order holds the value the stream's digest reaches once
-// those samples merge, without waiting for the merge.
-type EWMA struct {
-	v   float64
-	set bool
-}
-
-// Add folds one sample into the average.
-func (a *EWMA) Add(v int64) {
-	if !a.set {
-		a.v, a.set = float64(v), true
-		return
-	}
-	a.v += ewmaAlpha * (float64(v) - a.v)
-}
-
-// Value returns the average, 0 before the first sample.
-func (a *EWMA) Value() float64 { return a.v }
-
-// advance rotates the ring until at falls inside the current window. A gap
-// longer than the whole ring fast-forwards: the intervening windows were
-// empty and carry no information worth closing one by one.
+// advance rotates the ring until at falls inside the current window,
+// closing every window on the way, so each view is the same whenever and
+// however often the digest is read. Closing an empty window is a function
+// of the drift state alone: once one leaves that state unchanged, so would
+// every later one, and the rest of the gap is skipped in one step.
 func (d *Digest) advance(at sim.Time) {
-	if gap := at - d.start; gap >= sim.Time(ringWindows)*d.window {
-		skip := gap / d.window
-		d.start += skip * d.window
-		for i := range d.ring {
-			d.ring[i].reset()
-		}
-		d.filled = 0
-		// The stream went idle for the whole ring; the old baseline
-		// describes a regime that ended, so the next closed window
-		// re-seeds it.
-		d.baseSet = false
-		d.shiftRun = 0
-		return
-	}
 	for at >= d.start+d.window {
+		idle := d.ring[d.cur].count == 0
+		before := d.drift
 		d.closeWindow(d.start + d.window)
-		d.cur = (d.cur + 1) % ringWindows
-		d.ring[d.cur].reset()
-		d.start += d.window
-		if d.filled < ringWindows-1 {
-			d.filled++
+		d.rotate(1)
+		if idle && d.drift == before {
+			d.rotate(int64((at - d.start) / d.window))
+			return
 		}
 	}
+}
+
+// rotate opens the next k windows: the ring slots they reuse are emptied
+// and the count of closed windows it holds saturates at ringWindows-1.
+func (d *Digest) rotate(k int64) {
+	for i := int64(1); i <= k && i <= ringWindows; i++ {
+		d.ring[(int64(d.cur)+i)%ringWindows].reset()
+	}
+	d.cur = int((int64(d.cur) + k) % ringWindows)
+	d.start += sim.Time(k) * d.window
+	d.filled = int(min(int64(d.filled)+k, ringWindows-1))
 }
 
 // closeWindow runs the drift detector over the window that just ended:
@@ -169,49 +156,49 @@ func (d *Digest) advance(at sim.Time) {
 // a genuine new regime keeps deviating until flagged — then the baseline
 // snaps to it and the detector re-arms for the next shift.
 func (d *Digest) closeWindow(endAt sim.Time) {
-	w := &d.ring[d.cur]
+	w, s := &d.ring[d.cur], &d.drift
 	rate := float64(w.count) / d.window.Seconds()
 	var p99 int64
 	if w.count > 0 {
 		p99 = w.sk.Quantile(0.99)
 	}
 
-	if !d.baseSet {
+	if !s.baseSet {
 		if w.count >= driftMinCount {
-			d.baseRate, d.baseP99, d.baseSet = rate, float64(p99), true
+			s.baseRate, s.baseP99, s.baseSet = rate, float64(p99), true
 		}
 		return
 	}
 	shifted := false
-	baseCount := d.baseRate * d.window.Seconds()
+	baseCount := s.baseRate * d.window.Seconds()
 	if w.count >= driftMinCount || baseCount >= driftMinCount {
-		if rate > driftFactor*d.baseRate || rate < d.baseRate/driftFactor {
+		if rate > driftFactor*s.baseRate || rate < s.baseRate/driftFactor {
 			shifted = true
 		}
 	}
-	if w.count >= driftMinCount && d.baseP99 > 0 {
-		if f := float64(p99); f > driftFactor*d.baseP99 || f < d.baseP99/driftFactor {
+	if w.count >= driftMinCount && s.baseP99 > 0 {
+		if f := float64(p99); f > driftFactor*s.baseP99 || f < s.baseP99/driftFactor {
 			shifted = true
 		}
 	}
 	if shifted {
-		d.shiftRun++
-		if d.shiftRun >= driftSustain {
-			d.drifts++
-			d.lastDriftAt = endAt
-			d.shiftRun = 0
+		s.shiftRun++
+		if s.shiftRun >= driftSustain {
+			s.drifts++
+			s.lastDriftAt = endAt
+			s.shiftRun = 0
 			// The new regime becomes the baseline.
-			d.baseRate, d.baseP99 = rate, float64(p99)
+			s.baseRate, s.baseP99 = rate, float64(p99)
 			if w.count < driftMinCount {
-				d.baseSet = false
+				s.baseSet = false
 			}
 		}
 		return
 	}
-	d.shiftRun = 0
-	d.baseRate += baselineAlpha * (rate - d.baseRate)
+	s.shiftRun = 0
+	s.baseRate += baselineAlpha * (rate - s.baseRate)
 	if w.count >= driftMinCount {
-		d.baseP99 += baselineAlpha * (float64(p99) - d.baseP99)
+		s.baseP99 += baselineAlpha * (float64(p99) - s.baseP99)
 	}
 }
 
@@ -228,7 +215,7 @@ func (d *Digest) Mean() float64 {
 
 // EWMA returns the exponentially weighted moving average of the sample
 // values (0 until the first sample, which seeds it).
-func (d *Digest) EWMA() float64 { return d.ewma.Value() }
+func (d *Digest) EWMA() float64 { return d.ewma }
 
 // span returns the virtual time the live ring covers as of now.
 func (d *Digest) span(now sim.Time) sim.Time {
@@ -317,8 +304,8 @@ func (d *Digest) advance2(now sim.Time) {
 }
 
 // Drifts returns the regime shifts flagged so far.
-func (d *Digest) Drifts() int64 { return d.drifts }
+func (d *Digest) Drifts() int64 { return d.drift.drifts }
 
 // LastDriftAt returns the virtual instant of the most recent flagged
 // shift (0 when none).
-func (d *Digest) LastDriftAt() sim.Time { return d.lastDriftAt }
+func (d *Digest) LastDriftAt() sim.Time { return d.drift.lastDriftAt }

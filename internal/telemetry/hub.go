@@ -24,13 +24,13 @@ type sample struct {
 }
 
 // Hub owns the registered streams and their digests. Streams are created
-// up front (Stream), recorded into through Shards, and read through
-// Digest views; Sync merges every shard's buffered samples into the
-// digests in global timestamp order (ties broken by shard registration
-// order), so a given recording history always merges the same way
-// regardless of which shard recorded what or when reads happen — the
-// order-sensitive views (EWMA) are as deterministic as the commutative
-// ones.
+// up front (Stream), recorded into directly (Record) or through Shards,
+// and read through Digest views. Sync merges every shard's buffered
+// samples into the digests in global timestamp order (ties broken by
+// shard registration order), so a given recording history always merges
+// the same way regardless of which shard recorded what or when reads
+// happen — the order-sensitive views (EWMA) are as deterministic as the
+// commutative ones.
 type Hub struct {
 	window  sim.Time
 	names   []string
@@ -45,23 +45,10 @@ type Hub struct {
 	// nextRoll is a lower bound on every opened digest's next window
 	// boundary: before it, Sync's rotation pass would only make no-op
 	// advance2 calls, so it is skipped. A digest's boundary never moves
-	// earlier, so the bound is lowered only where a merged sample opens a
-	// digest (Hub.noteOpen) and recomputed after each rotation pass. Hub
-	// digests must therefore be recorded into through shards only.
+	// earlier, so the bound is lowered only where a sample opens a digest
+	// (Hub.noteOpen) and recomputed after each rotation pass. Hub digests
+	// must therefore be recorded into through the hub or its shards only.
 	nextRoll sim.Time
-
-	// cadence, when positive, rate-limits the shard→digest merge: a Sync
-	// within cadence of the last merge returns without draining, so
-	// policy reads that sync first (QoS pressure, the adaptive coalescing
-	// gap, drift counts) share one periodic aggregation instead of
-	// merging per call (the BriskStream periodic-aggregation point). The
-	// merge instants follow whichever of those reads comes first after
-	// each cadence expires; placement picks are not among them, since
-	// they read a latency EWMA their recorder keeps current. Zero (the
-	// default) merges on every Sync, the exact pre-cadence behavior.
-	cadence  sim.Time
-	lastSync sim.Time
-	synced   bool
 }
 
 // NewHub returns a hub whose digests rotate on the given window span
@@ -90,13 +77,23 @@ func (h *Hub) Name(id ID) string { return h.names[id] }
 // Streams returns the number of registered streams.
 func (h *Hub) Streams() int { return len(h.digests) }
 
-// Digest returns the stream's digest. Callers must Sync first (or hold a
-// freshly synced hub) for the view to include buffered shard samples.
+// Digest returns the stream's digest. It holds every sample recorded
+// through Record; shard samples join it at the next Sync or buffer flush.
 func (h *Hub) Digest(id ID) *Digest {
 	if int(id) < 0 || int(id) >= len(h.digests) {
 		panic(fmt.Sprintf("telemetry: unknown stream id %d", id))
 	}
 	return h.digests[id]
+}
+
+// Record folds one sample straight into the stream's digest: the
+// recording path for a caller that shares the hub's goroutine, which
+// needs no buffering and leaves nothing for a read to merge first.
+// Samples must arrive in timestamp order. Allocation-free.
+func (h *Hub) Record(id ID, at sim.Time, v int64) {
+	d := h.digests[id]
+	h.noteOpen(d, at)
+	d.Record(at, v)
 }
 
 // NewShard returns a shard-local recorder bound to this hub. Each
@@ -108,22 +105,12 @@ func (h *Hub) NewShard() *Shard {
 	return s
 }
 
-// SetSyncCadence bounds how often Sync actually merges the shards: calls
-// within d of the last merge are no-ops, so views can be at most d stale.
-// A non-positive d restores merge-on-every-Sync.
-func (h *Hub) SetSyncCadence(d sim.Time) { h.cadence = d }
-
 // Sync merges every shard's buffered samples into the digests in global
 // timestamp order and rotates windows up to now. It is the pull half of
-// the shard-local/periodic-merge design: policies call it (rate-limited by
-// SetSyncCadence and memoized per virtual instant at the policy layer)
-// before reading views, instead of a wall-clock merge timer that would
-// keep the event loop alive. Allocation-free.
+// the shard-local/periodic-merge design: readers call it before reading
+// views, instead of a wall-clock merge timer that would keep the event
+// loop alive. Allocation-free.
 func (h *Hub) Sync(now sim.Time) {
-	if h.synced && h.cadence > 0 && now < h.lastSync+h.cadence {
-		return
-	}
-	h.lastSync, h.synced = now, true
 	h.merge()
 	if now < h.nextRoll {
 		return
@@ -196,6 +183,8 @@ func (h *Hub) noteOpen(d *Digest, at sim.Time) {
 // array, and the buffer merges into the hub's digests when it fills or at
 // the next Sync. No locks and no allocations on the recording path; the
 // only hub state it touches is the dirty list, once per merge interval.
+// Shards batch merges per recorder (the per-core recording shape);
+// Hub.Record is the unbuffered path.
 type Shard struct {
 	h     *Hub
 	idx   int  // registration index, the merge's tie-break
@@ -210,8 +199,7 @@ type Shard struct {
 // only while the list grows to its high-water mark. Flushes inline when
 // the buffer fills — the overflow fallback merges this shard's samples in
 // recording order ahead of the next Sync (still allocation-free, since
-// digests record in place); size the sync cadence so the common case
-// stays under one buffer per merge.
+// digests record in place).
 func (s *Shard) Record(id ID, at sim.Time, v int64) {
 	if !s.dirty {
 		s.dirty = true

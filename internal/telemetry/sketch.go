@@ -1,22 +1,20 @@
 // Package telemetry is the simulator's streaming-metrics subsystem: fixed-
-// size quantile sketches folded into ring-buffered windowed digests, fed
-// from shard-local recorders and merged off the hot path. It replaces the
-// bespoke per-policy EWMAs that grew alongside each adaptive mechanism
-// (the G2 offload threshold, load-aware placement's queueing-delay model,
-// interrupt-coalescing windows) with one signal plane: sources record raw
-// events (occupancies, latencies, inter-arrival gaps), digests maintain
-// count/rate, mean, EWMA, and p50/p95/p99 views over tumbling virtual-time
-// windows, and every policy reads the same views.
+// size quantile sketches folded into ring-buffered windowed digests. It
+// replaces the bespoke per-policy EWMAs that grew alongside each adaptive
+// mechanism (the G2 offload threshold, load-aware placement's queueing-
+// delay model, interrupt-coalescing windows) with one signal plane:
+// sources record raw events (occupancies, latencies, inter-arrival gaps),
+// digests maintain count/rate, mean, EWMA, and p50/p95/p99 views over
+// tumbling virtual-time windows, and every policy reads the same views.
 //
-// The design follows the shard-local/periodic-merge shape BriskStream uses
-// for per-core statistics on shared-memory multicores: the recording path
-// is a couple of array writes into a shard-local buffer (no locks, no
-// allocations), and merging into the global digests happens in batches —
-// when a shard buffer fills, or when a policy pulls a view through
-// Hub.Sync. In a discrete-event simulator the pull happens at policy-read
-// time rather than on a wall-clock timer (a perpetual timer event would
-// keep the engine's event loop alive forever); the observable effect in
-// virtual time is the same.
+// A recorder that runs on the simulation's goroutine records straight
+// into a digest (Hub.Record), so every view is current the moment its
+// sample is recorded. Digests close windows as samples and reads move
+// them forward, and a view's value never depends on when or how often it
+// was read. Shards keep the shard-local/periodic-merge shape BriskStream
+// uses for per-core statistics: a recording is an array write into a
+// shard-local buffer, merged into the digests in timestamp order when the
+// buffer fills or at Hub.Sync.
 package telemetry
 
 import "math/bits"

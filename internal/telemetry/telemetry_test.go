@@ -213,54 +213,19 @@ func TestShardAggregationDeterminism(t *testing.T) {
 	}
 }
 
-// TestHubSyncCadence checks the rate-limited merge: Syncs within the
-// cadence of the last merge leave the views untouched, the first Sync at
-// or past the cadence drains the shards.
-func TestHubSyncCadence(t *testing.T) {
-	h := NewHub(0)
-	id := h.Stream("lat")
-	s := h.NewShard()
-	h.SetSyncCadence(2 * time.Microsecond)
-
-	s.Record(id, 100, 1000)
-	h.Sync(sim.Time(time.Microsecond)) // first sync always merges
-	if c := h.Digest(id).Count(); c != 1 {
-		t.Fatalf("first Sync merged %d samples, want 1", c)
-	}
-
-	s.Record(id, sim.Time(time.Microsecond)+100, 2000)
-	h.Sync(sim.Time(2 * time.Microsecond)) // within cadence: no merge
-	if c := h.Digest(id).Count(); c != 1 {
-		t.Fatalf("within-cadence Sync merged early: count %d, want 1", c)
-	}
-
-	h.Sync(sim.Time(3 * time.Microsecond)) // past cadence: merges
-	if c := h.Digest(id).Count(); c != 2 {
-		t.Fatalf("past-cadence Sync did not merge: count %d, want 2", c)
-	}
-
-	h.SetSyncCadence(0)
-	s.Record(id, sim.Time(3*time.Microsecond)+100, 3000)
-	h.Sync(sim.Time(3*time.Microsecond) + 200) // cadence off: every Sync merges
-	if c := h.Digest(id).Count(); c != 3 {
-		t.Fatalf("cadence-off Sync did not merge: count %d, want 3", c)
-	}
-}
-
 // TestHubMergeMatchesFullScan checks the dirty-shard merge and the skipped
 // rotation pass against a reference that scans every registered shard on
 // each merge and rotates every digest on each Sync. 96 shards are
 // registered and a handful record, several at equal timestamps (the
 // registration-order tie-break), one overflows its buffer mid-interval,
 // one stream opens late, and idle gaps span single windows and the whole
-// ring. After every Sync each digest's full state must equal the
+// ring. One more stream, opened late too, is recorded through Hub.Record
+// alone. After every Sync each digest's full state must equal the
 // reference's.
 func TestHubMergeMatchesFullScan(t *testing.T) {
 	const nShards, nStreams = 96, 5
-	cadence := 2 * time.Microsecond
 	h := NewHub(0)
-	h.SetSyncCadence(cadence)
-	ref := make([]*Digest, nStreams)
+	ref := make([]*Digest, nStreams+1) // the last is the direct stream
 	for i := range ref {
 		h.Stream("s")
 		ref[i] = NewDigest(h.Window())
@@ -270,8 +235,6 @@ func TestHubMergeMatchesFullScan(t *testing.T) {
 		shards[i] = h.NewShard()
 	}
 	refBuf := make([][]sample, nShards)
-	var refLast sim.Time
-	refSynced := false
 
 	record := func(si int, id ID, at sim.Time, v int64) {
 		shards[si].Record(id, at, v)
@@ -284,10 +247,6 @@ func TestHubMergeMatchesFullScan(t *testing.T) {
 		}
 	}
 	refSync := func(now sim.Time) {
-		if refSynced && now < refLast+cadence {
-			return
-		}
-		refLast, refSynced = now, true
 		for {
 			best := -1
 			for i := range refBuf {
@@ -331,6 +290,12 @@ func TestHubMergeMatchesFullScan(t *testing.T) {
 		for k := 1 + rng.Intn(3); k > 0; k-- {
 			si := active[rng.Intn(len(active))]
 			record(si, ID(rng.Intn(streams)), at, int64(rng.ExpFloat64()*3000))
+			samples++
+		}
+		if step > 2200 && rng.Intn(3) == 0 {
+			v := int64(rng.ExpFloat64() * 3000)
+			h.Record(nStreams, at, v)
+			ref[nStreams].Record(at, v)
 			samples++
 		}
 		if step == 2000 {
@@ -500,8 +465,79 @@ func TestDigestSpikeAbsorbed(t *testing.T) {
 	}
 }
 
-// TestTelemetryZeroAlloc asserts the hot paths — shard Record, hub Sync,
-// and every digest read view — never allocate.
+// FuzzDigestReadSchedule checks that a digest's views do not depend on
+// when it is read. Two digests record the same samples: one is read at
+// random instants between them, the other at every window boundary, which
+// closes each window on its own. Gaps range from a fraction of a window to
+// far past the whole ring, and values from flat to sharply shifting, so
+// the drift detector flags, re-arms and decays across idle stretches.
+// Every view must agree at every read and at the end.
+func FuzzDigestReadSchedule(f *testing.F) {
+	// Each sample is 3 bytes: gap, value, and a read flag with its offset.
+	f.Add([]byte{10, 50, 0, 10, 50, 0, 250, 200, 0x85, 10, 50, 0x80})
+	busy := make([]byte, 0, 3*120)
+	for i := 0; i < 100; i++ {
+		busy = append(busy, 2, byte(40+i%3), 0)
+	}
+	busy = append(busy, 240, 60, 0, 3, 60, 0x90, 255, 90, 0, 1, 200, 0xF0)
+	f.Add(busy)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const w = 1000 // window, ns
+		if len(data) > 3*100 {
+			data = data[:3*100] // a long gap costs the stepped digest ~1000 reads
+		}
+		read, stepped := NewDigest(w), NewDigest(w)
+		var at, next sim.Time // next: the stepped digest's next boundary
+		step := func(to sim.Time) {
+			for ; next != 0 && next <= to; next += w {
+				stepped.RecentMean(next)
+			}
+		}
+		check := func(now sim.Time) {
+			t.Helper()
+			step(now)
+			for _, q := range []float64{0.5, 0.99} {
+				if a, b := read.Quantile(now, q), stepped.Quantile(now, q); a != b {
+					t.Fatalf("at %d: q%.2f %d, stepped %d", now, q, a, b)
+				}
+			}
+			if a, b := read.Rate(now), stepped.Rate(now); a != b {
+				t.Fatalf("at %d: rate %g, stepped %g", now, a, b)
+			}
+			if a, b := read.RecentMean(now), stepped.RecentMean(now); a != b {
+				t.Fatalf("at %d: recent mean %g, stepped %g", now, a, b)
+			}
+			if read.EWMA() != stepped.EWMA() || read.Drifts() != stepped.Drifts() || read.LastDriftAt() != stepped.LastDriftAt() {
+				t.Fatalf("at %d: ewma %g drifts %d last %d, stepped %g %d %d", now,
+					read.EWMA(), read.Drifts(), read.LastDriftAt(), stepped.EWMA(), stepped.Drifts(), stepped.LastDriftAt())
+			}
+		}
+		for i := 0; i+3 <= len(data); i += 3 {
+			g, v, flags := data[i], data[i+1], data[i+2]
+			gap := sim.Time(g) * 8 // up to ~1.8 windows
+			if g >= 224 {
+				gap = sim.Time(g-223) * 37 * w // 37 to 1184 windows
+			}
+			if flags&0x80 != 0 && next != 0 {
+				check(at + gap*sim.Time(flags>>4&7)/8)
+			}
+			at += gap
+			val := int64(v) << (flags & 15)
+			step(at)
+			read.Record(at, val)
+			stepped.Record(at, val)
+			if next == 0 {
+				next = at + w
+			}
+		}
+		if next != 0 {
+			check(at + 5000*w)
+		}
+	})
+}
+
+// TestTelemetryZeroAlloc asserts the hot paths — shard and hub Record, hub
+// Sync, and every digest read view — never allocate.
 func TestTelemetryZeroAlloc(t *testing.T) {
 	h := NewHub(0)
 	id := h.Stream("lat")
@@ -513,6 +549,14 @@ func TestTelemetryZeroAlloc(t *testing.T) {
 		s.Record(id, at, 1500)
 	}); n != 0 {
 		t.Errorf("Shard.Record allocates %.1f/op, want 0", n)
+	}
+
+	direct := h.Stream("direct")
+	if n := testing.AllocsPerRun(1000, func() {
+		at += 100 * time.Nanosecond
+		h.Record(direct, at, 1500)
+	}); n != 0 {
+		t.Errorf("Hub.Record allocates %.1f/op, want 0", n)
 	}
 
 	if n := testing.AllocsPerRun(200, func() {
