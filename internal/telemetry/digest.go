@@ -99,10 +99,9 @@ func NewDigest(window sim.Time) *Digest {
 }
 
 // Record folds one sample at virtual instant at into the digest, rotating
-// windows as needed. Samples arrive in timestamp order, so an instant is
-// never ahead of the engine clock; a shard sample whose window a read
-// closed before the merge joins the current window — standard late-data
-// policy for tumbling windows.
+// windows as needed. Samples arrive in timestamp order; a shard sample
+// whose window a read closed before the merge joins the current window —
+// standard late-data policy for tumbling windows.
 func (d *Digest) Record(at sim.Time, v int64) {
 	if !d.opened {
 		d.opened = true
