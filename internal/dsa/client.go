@@ -166,9 +166,13 @@ func preparedStep(p *sim.Proc, arg any) {
 type call struct {
 	c    *Client
 	comp *Completion
-	// after is the time a completion wait spends once the record is
-	// written: the interrupt delivery and handler, or the UMWAIT wake.
-	after sim.Time
+	// A completion wait's mode, start instant and whether its interrupt
+	// is coalesced, and the time it spends once the record is written:
+	// the interrupt delivery and handler, or the UMWAIT wake.
+	mode      WaitMode
+	start     sim.Time
+	coalesced bool
+	after     sim.Time
 	// A re-issue's descriptor, its re-issue budget (< 0: unbounded), the
 	// rejections so far and the last portal write's error.
 	d        Descriptor
@@ -258,55 +262,87 @@ func portalStep(p *sim.Proc, arg any) {
 // into the process at most once: the steps after the completion record
 // run as a chain.
 func (c *Client) Wait(p *sim.Proc, comp *Completion, mode WaitMode) sim.Time {
-	t := c.WQ.Dev.Cfg.Timing
-	start := p.Now()
-	switch mode {
-	case Interrupt:
-		r := c.getCall()
-		r.comp = comp
-		// Follow the completion's own moderation vector, not the client's
-		// current one: a policy swap may have re-pointed c.Coal while this
-		// descriptor was in flight, and its delivery still belongs to the
-		// vector that tracked it — the old coalescer's timer/threshold will
-		// announce it, and falling back to the per-descriptor path here
-		// would bill a second, phantom delivery.
-		coalesced := comp.coal != nil
-		if coalesced {
-			p.Chain(coalescedStep, r)
-		} else {
-			r.after = t.IntrDeliver + t.IntrHandler
-			p.Chain(awaitStep, r)
-		}
-		c.putCall(r)
-		waited := p.Now() - start
-		c.WaitTime += waited
-		if !coalesced {
-			// Only the handler burns core cycles; the wait itself is free
-			// (the core ran other work or slept).
-			c.chargeBusy(t.IntrHandler)
-		}
-		return waited
-	case UMWait:
-		r := c.getCall()
-		r.comp, r.after = comp, cpu.UMWaitWake
-		p.Chain(awaitStep, r)
-		c.putCall(r)
-		waited := p.Now() - start
-		c.WaitTime += waited
-		if c.Core != nil {
-			c.Core.UMWait(waited - cpu.UMWaitWake)
-			c.Core.ChargeBusy(cpu.UMWaitWake)
-		}
-		return waited
-	default: // Poll
+	if mode == Poll {
+		start := p.Now()
 		if !comp.done {
-			p.SleepPoll(t.PollGap, completionDone, comp)
+			p.SleepPoll(c.WQ.Dev.Cfg.Timing.PollGap, completionDone, comp)
 		}
 		waited := p.Now() - start
 		c.WaitTime += waited
 		c.chargeBusy(waited)
 		return waited
 	}
+	r, first := c.waitCall(p, comp, mode)
+	p.Chain(first, r)
+	return c.endWait(p, r)
+}
+
+// ArmWait starts an Interrupt or UMWait wait for comp from a step of p's
+// running chain (sim.Proc.Continue), so the process is resumed once, when
+// the wait ends, instead of once to start it and once more at its end.
+// Once the chain has resumed the process, EndWait finishes the
+// accounting Wait would have done. It reports false, arming nothing, for
+// a Poll wait.
+func (c *Client) ArmWait(p *sim.Proc, comp *Completion, mode WaitMode) bool {
+	if mode == Poll {
+		return false
+	}
+	r, first := c.waitCall(p, comp, mode)
+	comp.armed = r
+	p.Continue(first, r)
+	return true
+}
+
+// EndWait finishes the wait ArmWait armed on comp, and returns its
+// duration, as Wait does.
+func (c *Client) EndWait(p *sim.Proc, comp *Completion) sim.Time {
+	r := comp.armed
+	comp.armed = nil
+	return c.endWait(p, r)
+}
+
+// waitCall sets up an Interrupt or UMWait wait for comp, from now: its
+// call state and the chain's first step.
+func (c *Client) waitCall(p *sim.Proc, comp *Completion, mode WaitMode) (*call, sim.Step) {
+	t := c.WQ.Dev.Cfg.Timing
+	r := c.getCall()
+	r.comp, r.mode, r.start = comp, mode, p.Now()
+	if mode == UMWait {
+		r.after = cpu.UMWaitWake
+		return r, awaitStep
+	}
+	// Follow the completion's own moderation vector, not the client's
+	// current one: a policy swap may have re-pointed c.Coal while this
+	// descriptor was in flight, and its delivery still belongs to the
+	// vector that tracked it — the old coalescer's timer/threshold will
+	// announce it, and falling back to the per-descriptor path here would
+	// bill a second, phantom delivery.
+	if r.coalesced = comp.coal != nil; r.coalesced {
+		return r, coalescedStep
+	}
+	r.after = t.IntrDeliver + t.IntrHandler
+	return r, awaitStep
+}
+
+// endWait accounts a finished chained wait on the client and its core,
+// and returns its call to the pool.
+func (c *Client) endWait(p *sim.Proc, r *call) sim.Time {
+	waited := p.Now() - r.start
+	mode, coalesced := r.mode, r.coalesced
+	c.putCall(r)
+	c.WaitTime += waited
+	switch {
+	case mode == UMWait:
+		if c.Core != nil {
+			c.Core.UMWait(waited - cpu.UMWaitWake)
+			c.Core.ChargeBusy(cpu.UMWaitWake)
+		}
+	case !coalesced:
+		// Only the handler burns core cycles; the wait itself is free
+		// (the core ran other work or slept).
+		c.chargeBusy(c.WQ.Dev.Cfg.Timing.IntrHandler)
+	}
+	return waited
 }
 
 // awaitStep blocks until the completion record is written, then spends

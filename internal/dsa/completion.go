@@ -35,6 +35,9 @@ type Completion struct {
 	onDone    func(c *Completion, tag uint64)
 	onDoneTag uint64
 
+	// armed is the wait Client.ArmWait started, until EndWait ends it.
+	armed *call
+
 	// desc is the submitted descriptor, kept so completion hooks can
 	// rebuild a remainder submission after a partial completion.
 	desc Descriptor

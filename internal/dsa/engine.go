@@ -26,6 +26,14 @@ type Engine struct {
 
 	busyTime sim.Time
 
+	// A release that would find no queued work is not scheduled: lazy
+	// marks its place in the event order, (until, seq), reserved instead.
+	// The engine is idle once that place sorts before the running event;
+	// work queued before then schedules the release there (armRelease).
+	lazy  bool
+	until sim.Time
+	seq   uint64
+
 	// releaseFn is eng.release captured once: every descriptor schedules
 	// one release, and a method value allocates a closure per use.
 	releaseFn func()
@@ -34,9 +42,37 @@ type Engine struct {
 // BusyTime returns the cumulative engine front-end occupancy.
 func (eng *Engine) BusyTime() sim.Time { return eng.busyTime }
 
-// free schedules the engine's release at instant at.
+// free releases the engine at instant at. With no work queued in the
+// group the release would only mark the engine idle, so it reserves its
+// place in the event order instead of scheduling an event.
 func (eng *Engine) free(at sim.Time) {
-	eng.group.Dev.E.At(at, eng.releaseFn)
+	e := eng.group.Dev.E
+	if eng.group.pending() > 0 {
+		e.At(at, eng.releaseFn)
+		return
+	}
+	eng.lazy, eng.until, eng.seq = true, at, e.Reserve()
+}
+
+// idle reports whether dispatch may hand the engine a descriptor: it is
+// not busy, or its reserved release would already have run.
+func (eng *Engine) idle() bool {
+	return !eng.busy || eng.lazy && eng.group.Dev.E.Passed(eng.until, eng.seq)
+}
+
+// armRelease is called as work is queued in the group: a reserved
+// release that has not yet passed is scheduled at its reserved place, so
+// it dispatches the work when the eager release would have.
+func (eng *Engine) armRelease() {
+	if !eng.lazy {
+		return
+	}
+	eng.lazy = false
+	if e := eng.group.Dev.E; e.Passed(eng.until, eng.seq) {
+		eng.busy = false
+	} else {
+		e.AtSeq(eng.until, eng.seq, eng.releaseFn)
+	}
 }
 
 // release marks the engine idle and re-arms dispatch.
@@ -50,7 +86,7 @@ func (eng *Engine) release() {
 // Every execute increments the group's inflight count exactly once; the
 // matching decrement happens when the work's completion record is written.
 func (eng *Engine) execute(wk *work) {
-	eng.busy = true
+	eng.busy, eng.lazy = true, false
 	g := eng.group
 	d := g.Dev
 	e := d.E
@@ -440,6 +476,7 @@ func (bs *batchState) issueReady() {
 		cw.own.SubmitTime = bs.wk.comp.SubmitTime
 		bs.nextIssue++
 		g.batchQ.Push(cw)
+		g.armReleases()
 	}
 }
 

@@ -156,7 +156,7 @@ func (g *Group) allCreditsSpent() bool {
 // event whenever a descriptor arrives or an engine frees up.
 func (g *Group) dispatch() {
 	for _, eng := range g.Engines {
-		if eng.busy {
+		if !eng.idle() {
 			continue
 		}
 		wk, ok := g.nextWork()
@@ -164,6 +164,14 @@ func (g *Group) dispatch() {
 			return
 		}
 		eng.execute(wk)
+	}
+}
+
+// armReleases schedules the engines' reserved releases once work is
+// queued (Engine.armRelease).
+func (g *Group) armReleases() {
+	for _, eng := range g.Engines {
+		eng.armRelease()
 	}
 }
 

@@ -546,3 +546,77 @@ func TestClientCallsResumeOncePerBlockingCall(t *testing.T) {
 	})
 	r.e.Run()
 }
+
+// An engine release that finds no queued work only marks the engine idle,
+// so it is not scheduled: a descriptor into an idle group costs two
+// events, its dispatch and its completion record. A descriptor queued
+// while the engine still works schedules the release, which dispatches it
+// at the instant the engine frees, and a reserved release that has passed
+// leaves the engine idle for the next arrival's dispatch.
+func TestLazyReleaseTwoEventsPerIdleDescriptor(t *testing.T) {
+	r := newRig(t, GroupConfig{Engines: 1, WQs: []WQConfig{{Mode: Shared, Size: 8}}})
+	size := int64(64 << 10)
+	src, dst := r.alloc(size), r.alloc(size)
+	wq := r.dev.WQs()[0]
+	eng := wq.Group().Engines[0]
+	d := Descriptor{Op: OpMemmove, PASID: 1, Src: src.Addr(0), Dst: dst.Addr(0), Size: size}
+	hop := r.dev.Cfg.Timing.PortalHop / 2
+	submit := func(at sim.Time, comp **Completion) {
+		r.e.At(at, func() {
+			c, err := wq.Submit(d)
+			if err != nil {
+				t.Error(err)
+			}
+			*comp = c
+		})
+	}
+
+	// A lone descriptor: submit, dispatch and completion events only.
+	var a, b, c *Completion
+	submit(0, &a)
+	r.e.Run()
+	if n := r.e.Scheduled(); n != 3 {
+		t.Fatalf("lone descriptor: %d events with its submit, want 3", n)
+	}
+	if a.DispatchTime != hop {
+		t.Fatalf("lone descriptor dispatched at %v, want %v", a.DispatchTime, hop)
+	}
+	freeA := a.DispatchTime + eng.BusyTime()
+	if want := a.FinishTime - r.dev.Cfg.Timing.CRWrite - hop; freeA != want {
+		t.Fatalf("engine freed at %v, want %v", freeA, want)
+	}
+
+	// b arrives while a second descriptor holds the engine: the release
+	// is scheduled and hands b the engine the instant it frees.
+	var held *Completion
+	base := r.e.Now() + time.Microsecond
+	submit(base, &held)
+	submit(base+hop+1, &b)
+	before := r.e.Scheduled()
+	r.e.Run()
+	// The engine frees when the data lands, before the record write and
+	// its hop back to the host.
+	freeHeld := held.FinishTime - r.dev.Cfg.Timing.CRWrite - hop
+	if n := r.e.Scheduled() - before; n != 2+2+1 {
+		t.Errorf("queued descriptor: %d events after two submits, want 5 (one release)", n)
+	}
+	if b.DispatchTime != freeHeld {
+		t.Errorf("queued descriptor dispatched at %v, want the release at %v", b.DispatchTime, freeHeld)
+	}
+	if held.DispatchTime != base+hop {
+		t.Errorf("descriptor into a free engine dispatched at %v, want %v", held.DispatchTime, base+hop)
+	}
+
+	// c arrives after b's reserved release has passed: the engine is
+	// idle, and c costs two events again.
+	before = r.e.Scheduled()
+	at := r.e.Now() + time.Microsecond
+	submit(at, &c)
+	r.e.Run()
+	if n := r.e.Scheduled() - before; n != 3 {
+		t.Errorf("descriptor after a passed release: %d events with its submit, want 3", n)
+	}
+	if c.DispatchTime != at+hop {
+		t.Errorf("descriptor after a passed release dispatched at %v, want %v", c.DispatchTime, at+hop)
+	}
+}

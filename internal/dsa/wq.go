@@ -158,6 +158,7 @@ func (w *WQ) Submit(d Descriptor) (*Completion, error) {
 	w.submitted++
 	w.Dev.stats.Submitted++
 	w.q.Push(wk)
+	w.group.armReleases()
 	// The descriptor becomes visible to the group arbiter after the portal
 	// fabric hop.
 	w.Dev.E.After(w.Dev.Cfg.Timing.PortalHop/2, w.group.dispatchFn)

@@ -388,16 +388,25 @@ func (d *driver) enqueue(s int, it reapItem) {
 // Future is released once waited, with its completion, so the next
 // arrival reuses both; a broker burst's Future is released before its
 // pipeline returns to the free list, whose next run may then reuse it.
+//
+// An idle reaper waits for work as a chain (reapIdle): the step the
+// signal wakes pops the item and starts its future's wait in the same
+// chain, so the reaper is resumed once, when that wait ends, not also
+// for the signal.
 func (d *driver) reaper(s int) func(p *sim.Proc) {
 	return func(p *sim.Proc) {
+		r := &reapWake{d: d, s: s}
 		for {
 			it, ok := d.reapQ[s].Pop()
 			if !ok {
 				if d.subDone[s] {
 					return
 				}
-				p.Wait(&d.reapSig[s])
-				continue
+				p.Chain(reapIdle, r)
+				if !r.have {
+					continue
+				}
+				it, r.have = r.it, false
 			}
 			_, err := it.fut.Wait(p, offload.Interrupt)
 			end := p.Now()
@@ -416,6 +425,35 @@ func (d *driver) reaper(s int) func(p *sim.Proc) {
 			d.release(s, it.burst)
 		}
 	}
+}
+
+// reapWake is an idle reaper's chain state: its shard, and the item the
+// wake step popped for the process to finish.
+type reapWake struct {
+	d    *driver
+	s    int
+	it   reapItem
+	have bool
+}
+
+// reapIdle parks an idle reaper on its shard's signal.
+func reapIdle(p *sim.Proc, arg any) {
+	r := arg.(*reapWake)
+	p.ThenWait(&r.d.reapSig[r.s], reapPop)
+}
+
+// reapPop runs in the signal's wake event: it pops the next item and
+// starts its future's Interrupt wait in the running chain. With nothing
+// queued (the submitter finished), or a future ArmWait leaves to Wait,
+// the chain ends and the process takes over.
+func reapPop(p *sim.Proc, arg any) {
+	r := arg.(*reapWake)
+	it, ok := r.d.reapQ[r.s].Pop()
+	if !ok {
+		return
+	}
+	r.it, r.have = it, true
+	it.fut.ArmWait(p, offload.Interrupt)
 }
 
 // result assembles the per-phase tables and the offload-layer SLO

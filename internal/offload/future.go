@@ -84,6 +84,9 @@ type Future struct {
 	res  Result
 	err  error
 
+	// armed marks a wait ArmWait started, which the next Wait finishes.
+	armed bool
+
 	// released marks a Future handed back with Release, so any later use
 	// of the handle panics instead of reading another operation's state.
 	released bool
@@ -166,7 +169,10 @@ func (f *Future) Wait(p *sim.Proc, mode WaitMode) (Result, error) {
 			return f.res, f.err
 		}
 	}
-	if f.sharedWait == nil || !f.sharedWait.paid || !f.comp.Done() {
+	if f.armed {
+		f.armed = false
+		f.cl.EndWait(p, f.comp)
+	} else if f.sharedWait == nil || !f.sharedWait.paid || !f.comp.Done() {
 		f.cl.Wait(p, f.comp, mode)
 		if f.sharedWait != nil {
 			f.sharedWait.paid = true
@@ -186,6 +192,23 @@ func (f *Future) Wait(p *sim.Proc, mode WaitMode) (Result, error) {
 	}
 	f.resolve(p.Now() - f.start)
 	return f.res, f.err
+}
+
+// ArmWait starts the completion wait of a plain pending hardware future
+// from a step of p's running chain (sim.Proc.Continue), so a process that
+// was parked on something else starts the wait without being resumed for
+// it. The chain then resumes the process when the wait ends, and the next
+// Wait finishes it: the wait's accounting, fault recovery and the result
+// stay on the process, exactly as a plain Wait would run them. It reports
+// whether it armed anything; a pipeline, joined, auto-batched, coalesced
+// sibling or resolved future is left to Wait.
+func (f *Future) ArmWait(p *sim.Proc, mode WaitMode) bool {
+	f.live()
+	if f.done || f.armed || f.pipe || f.parts != nil || f.ab != nil || f.sharedWait != nil || f.comp == nil {
+		return false
+	}
+	f.armed = f.cl.ArmWait(p, f.comp, mode)
+	return f.armed
 }
 
 // waitParts resolves a joined (split-batch) future: every sub-batch is

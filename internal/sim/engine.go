@@ -85,6 +85,7 @@ func (h eventHeap) down(i int) {
 
 // push appends an event and restores heap order.
 func (e *Engine) push(ev event) {
+	e.pushed++
 	e.events = append(e.events, ev)
 	e.events.up(len(e.events) - 1)
 }
@@ -106,6 +107,8 @@ type Engine struct {
 	now     Time
 	events  eventHeap
 	seq     uint64
+	cur     uint64  // sequence number of the running event
+	pushed  int64   // events scheduled, reserved ones once pushed
 	procs   int     // live processes, for leak detection
 	idle    []*Proc // finished processes whose coroutines Go reuses
 	resumes int64   // coroutine switches into a process
@@ -130,14 +133,41 @@ func (e *Engine) At(t Time, fn func()) {
 	e.push(event{at: t, seq: e.seq, fn: fn})
 }
 
+// Reserve takes the sequence number an event scheduled now would get,
+// without scheduling one. An event whose effect may turn out to be
+// nothing can reserve its place in the order, and be scheduled with AtSeq
+// only if something comes to depend on it; until then Passed tells
+// whether it would already have run.
+func (e *Engine) Reserve() uint64 {
+	e.seq++
+	return e.seq
+}
+
+// AtSeq schedules fn at instant t under a sequence number from Reserve,
+// so it runs where an At at the reserving instant would have. The event
+// must not have passed.
+func (e *Engine) AtSeq(t Time, seq uint64, fn func()) {
+	if e.Passed(t, seq) {
+		panic(fmt.Sprintf("sim: scheduling reserved event at %v seq %d behind the running event", t, seq))
+	}
+	e.push(event{at: t, seq: seq, fn: fn})
+}
+
+// Passed reports whether an event at (t, seq) sorts before the running
+// event, so it would already have run.
+func (e *Engine) Passed(t Time, seq uint64) bool {
+	return t < e.now || t == e.now && seq < e.cur
+}
+
 // After schedules fn to run d from now. Negative d panics.
 func (e *Engine) After(d Time, fn func()) { e.At(e.now+d, fn) }
 
 // Resumes counts the engine's coroutine switches into processes.
 func (e *Engine) Resumes() int64 { return e.resumes }
 
-// Scheduled counts the events scheduled so far, run or not.
-func (e *Engine) Scheduled() int64 { return int64(e.seq) }
+// Scheduled counts the events scheduled so far, run or not. A reserved
+// sequence number counts only once AtSeq schedules its event.
+func (e *Engine) Scheduled() int64 { return e.pushed }
 
 // Pending reports the number of scheduled events.
 func (e *Engine) Pending() int { return len(e.events) }
@@ -148,7 +178,7 @@ func (e *Engine) step() bool {
 		return false
 	}
 	ev := e.pop()
-	e.now = ev.at
+	e.now, e.cur = ev.at, ev.seq
 	ev.fn()
 	return true
 }
@@ -181,7 +211,8 @@ func (e *Engine) RunUntil(t Time) {
 		}
 	}
 	if t > e.now {
-		e.now = t
+		// Every event at or before t has run, reserved ones included.
+		e.now, e.cur = t, e.seq+1
 	}
 }
 

@@ -22,7 +22,10 @@ type pollWorld struct {
 	live  int // procs still running
 	trace []pollEvent
 	procs []pollWaiter
-	stats pollStats
+	hand  []pollWaiter // per proc, the argument its chain hands off to
+	// handoffs counts a chained run's Continue handoffs.
+	handoffs int
+	stats    pollStats
 }
 
 // pollStats counts the corner cases a straight-line run went through, so
@@ -58,12 +61,27 @@ type link struct {
 }
 
 // pollWaiter is one proc's chain argument: its plan for the current round
-// and the link it is on.
+// and the link it is on. A chain reaching link cut (-1: none) hands the
+// rest of the plan to next with Continue, and from then on no step may
+// get this argument (gone).
 type pollWaiter struct {
 	w    *pollWorld
 	id   int
 	plan []link
 	i    int
+	cut  int
+	next *pollWaiter
+	gone bool
+}
+
+// waiterOf is a chain step's argument, which must not be one the chain
+// handed off.
+func waiterOf(arg any) *pollWaiter {
+	pw := arg.(*pollWaiter)
+	if pw.gone {
+		panic(fmt.Sprintf("waiter %d: a step got the argument its chain handed off", pw.id))
+	}
+	return pw
 }
 
 // log traces one step at the current instant.
@@ -129,13 +147,25 @@ func (w *pollWorld) chained(p *Proc, pw *pollWaiter) {
 		w.log("link %d.0", pw.id)
 		return
 	}
-	pw.i = 0
+	pw.i, pw.gone, pw.next = 0, false, nil
+	if pw.cut >= 0 {
+		pw.next = &w.hand[pw.id]
+		*pw.next = pollWaiter{w: w, id: pw.id, plan: pw.plan, cut: -1}
+	}
 	p.Chain(linkStart, pw)
 }
 
-// linkStart arms the current link, or ends the chain after the last.
+// linkStart arms the current link, or ends the chain after the last. At
+// the cut it hands the rest of the plan to the next argument instead.
 func linkStart(p *Proc, arg any) {
-	pw := arg.(*pollWaiter)
+	pw := waiterOf(arg)
+	if pw.i == pw.cut {
+		next := pw.next
+		next.i, pw.gone = pw.i, true
+		pw.w.handoffs++
+		p.Continue(linkStart, next)
+		return
+	}
 	if pw.i == len(pw.plan) {
 		return
 	}
@@ -154,7 +184,7 @@ func linkStart(p *Proc, arg any) {
 
 // linkEnd traces the end of the current link and starts the next.
 func linkEnd(p *Proc, arg any) {
-	pw := arg.(*pollWaiter)
+	pw := waiterOf(arg)
 	pw.w.log("link %d.%d", pw.id, pw.i)
 	pw.i++
 	linkStart(p, arg)
@@ -163,7 +193,7 @@ func linkEnd(p *Proc, arg any) {
 // linkSignal checks a signal wait's condition and re-arms on the signal
 // while it does not hold.
 func linkSignal(p *Proc, arg any) {
-	pw := arg.(*pollWaiter)
+	pw := waiterOf(arg)
 	k := pw.plan[pw.i].k
 	if !pw.w.sigReady(k) {
 		p.ThenWait(&pw.w.sigs[k], linkSignal)
@@ -174,7 +204,7 @@ func linkSignal(p *Proc, arg any) {
 
 // linkPolled is one poll check inside a chain.
 func linkPolled(p *Proc, arg any) {
-	pw := arg.(*pollWaiter)
+	pw := waiterOf(arg)
 	if !pollCheck(pw) {
 		p.Then(pw.plan[pw.i].d, linkPolled)
 		return
@@ -195,7 +225,7 @@ func runPollWorld(seed uint64, chain, plans bool, nprocs, ncallbacks int) *pollW
 	w := &pollWorld{
 		e: New(), chain: chain, live: nprocs,
 		flags: make([]bool, nprocs), ready: make([]bool, nsigs), sigs: make([]Signal, nsigs),
-		procs: make([]pollWaiter, nprocs),
+		procs: make([]pollWaiter, nprocs), hand: make([]pollWaiter, nprocs),
 	}
 	const horizon = 400
 	for id := 0; id < nprocs; id++ {
@@ -205,13 +235,18 @@ func runPollWorld(seed uint64, chain, plans bool, nprocs, ncallbacks int) *pollW
 		start := Time(rng.Intn(20))
 		pre := make([]Time, rounds)
 		roundPlans := make([][]link, rounds)
+		cuts := make([]int, rounds)
 		for r := range pre {
 			pre[r] = Time(rng.Intn(3)) * gap
 			if !plans {
 				roundPlans[r] = []link{{kind: linkPoll, d: gap}}
+				cuts[r] = -1
 				continue
 			}
 			roundPlans[r] = make([]link, 1+rng.Intn(4))
+			// A chained plan hands off at a random link boundary, its
+			// start and end included, or not at all.
+			cuts[r] = rng.Intn(len(roundPlans[r])+2) - 1
 			for i := range roundPlans[r] {
 				l := link{kind: linkKind(rng.Intn(4)), d: Time(rng.Intn(8))}
 				switch l.kind {
@@ -236,7 +271,7 @@ func runPollWorld(seed uint64, chain, plans bool, nprocs, ncallbacks int) *pollW
 						p.Sleep(pre[r])
 					}
 					w.log("wait %d", id)
-					pw.plan = roundPlans[r]
+					pw.plan, pw.cut = roundPlans[r], cuts[r]
 					if chained {
 						w.chained(p, pw)
 					} else {
@@ -353,7 +388,9 @@ func TestSleepPollMatchesSleepLoop(t *testing.T) {
 // Sleep, SleepUntil and Wait code it replaces, event for event, with ties
 // at one instant, signal waits that find their condition already true or
 // wake to find it false, passed SleepUntil instants and re-arming polls
-// all reached, and with chain steps and plain waiters on one signal.
+// all reached, with chain steps and plain waiters on one signal, and
+// with chains that hand the rest of their plan to a new argument
+// (Continue) at a link boundary.
 func TestChainMatchesStraightLine(t *testing.T) {
 	var seen pollStats
 	for seed := uint64(1); seed <= 200; seed++ {
@@ -367,8 +404,12 @@ func TestChainMatchesStraightLine(t *testing.T) {
 		t.Fatalf("the model missed a corner case: %+v", seen)
 	}
 	// A chained run must save switches, or the chains never ran.
-	if loop, chain := runPollWorld(7, false, true, 4, 30), runPollWorld(7, true, true, 4, 30); chain.e.Resumes() >= loop.e.Resumes() {
+	loop, chain := runPollWorld(7, false, true, 4, 30), runPollWorld(7, true, true, 4, 30)
+	if chain.e.Resumes() >= loop.e.Resumes() {
 		t.Fatalf("chained run resumed %d times, straight-line %d", chain.e.Resumes(), loop.e.Resumes())
+	}
+	if chain.handoffs == 0 {
+		t.Fatal("no chain handed its plan off")
 	}
 }
 
@@ -384,8 +425,9 @@ func (w *pollWorld) count(prefix string) int {
 }
 
 // FuzzSleepPoll is TestChainMatchesStraightLine over fuzzed seeds, proc
-// counts and competing callback counts: chains of every link kind, and
-// SleepPoll as the chain of a lone poll.
+// counts and competing callback counts: chains of every link kind that
+// hand their plan to a new argument with Continue at any link boundary,
+// and SleepPoll as the chain of a lone poll.
 func FuzzSleepPoll(f *testing.F) {
 	f.Add(uint64(1), uint8(1), uint8(0))
 	f.Add(uint64(42), uint8(3), uint8(20))

@@ -197,6 +197,16 @@ func (p *Proc) Chain(first Step, arg any) {
 	p.stepArg = nil
 }
 
+// Continue hands the running chain a new step and argument: first(p,
+// arg) runs at once, in the current link's event, and every later step
+// gets arg, as if the chain had been started with Chain(first, arg). A
+// step calls it to start another chain's work without resuming the
+// process in between.
+func (p *Proc) Continue(first Step, arg any) {
+	p.stepArg = arg
+	first(p, arg)
+}
+
 // Then arms the chain's next link: next runs after virtual duration d, as
 // Sleep(d) would wake. A nil next resumes the process instead.
 func (p *Proc) Then(d Time, next Step) {

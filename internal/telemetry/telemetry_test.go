@@ -616,3 +616,60 @@ func TestSketchMax(t *testing.T) {
 		t.Fatalf("Reset left max=%d count=%d", sk.Max(), sk.Count())
 	}
 }
+
+// upwardQuantile is the nearest-rank bucket scan from bucket 0 that
+// Sketch.Quantile makes for lower quantiles, the reference its downward
+// scan for upper ones must equal.
+func upwardQuantile(s *Sketch, q float64) int64 {
+	if s.count == 0 {
+		return 0
+	}
+	target := int64(q*float64(s.count) + 0.5)
+	if target < 1 {
+		target = 1
+	}
+	if target > s.count {
+		target = s.count
+	}
+	var seen int64
+	for i, c := range s.buckets {
+		if seen += int64(c); seen >= target {
+			return valueOf(i)
+		}
+	}
+	return valueOf(nBuckets - 1)
+}
+
+// FuzzSketchQuantileScan pins Sketch.Quantile to the upward scan at every
+// quantile, over sketches built by Add and Merge from random values:
+// exact small buckets, negatives clamped to 0, values past the top
+// bucket, and a maximum alone in its bucket.
+func FuzzSketchQuantileScan(f *testing.F) {
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9})
+	f.Add([]byte{0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
+	f.Add([]byte{0x80, 0x81, 7, 0x40, 0x90, 3, 0xC0, 0x7F, 0x20})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var sk, other Sketch
+		for len(data) >= 3 {
+			// Value: a random octave and mantissa; the top bit of the
+			// third byte records it into the sketch merged in at the end.
+			v := int64(data[1])<<(data[0]%48) | int64(data[2]&0x0F)
+			if data[0]%16 == 15 {
+				v = -v
+			}
+			if data[2]&0x80 != 0 {
+				other.Add(v)
+			} else {
+				sk.Add(v)
+			}
+			data = data[3:]
+		}
+		sk.Merge(&other)
+		for i := 0; i <= 1000; i++ {
+			q := float64(i) / 1000
+			if got, want := sk.Quantile(q), upwardQuantile(&sk, q); got != want {
+				t.Fatalf("q%.3f over %d values (max %d): %d, upward scan %d", q, sk.Count(), sk.Max(), got, want)
+			}
+		}
+	})
+}
