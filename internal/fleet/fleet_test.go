@@ -163,7 +163,7 @@ const allocScale = 1
 
 // TestFleetArrivalAllocBudget pins packetswitch: Future and plane traffic.
 func TestFleetArrivalAllocBudget(t *testing.T) {
-	const budget = 0.06 // measured 0.042
+	const budget = 0.06 // measured 0.024
 	if perOp := allocsPerArrival(t, Packetswitch().Scaled(allocScale)); perOp > budget {
 		t.Errorf("packetswitch allocated %.3f times per arrival over set-up, budget %.2f", perOp, budget)
 	}
@@ -181,7 +181,7 @@ func TestFleetBrokerAllocBudget(t *testing.T) {
 // TestFleetChaosAllocBudget pins chaos: packetswitch traffic with fault
 // retries, plane failover and shedding beside the successes.
 func TestFleetChaosAllocBudget(t *testing.T) {
-	const budget = 0.06 // measured 0.048
+	const budget = 0.06 // measured 0.027
 	if perOp := allocsPerArrival(t, Chaos().Scaled(allocScale)); perOp > budget {
 		t.Errorf("chaos allocated %.3f times per arrival over set-up, budget %.2f", perOp, budget)
 	}
@@ -226,9 +226,9 @@ func drainedTestRuns() []*driver {
 // instant and one resume per dispatch or wait.
 func TestFleetResumeBudget(t *testing.T) {
 	budget := map[string]float64{
-		"packetswitch-fleet": 2.95, // measured 2.52
+		"packetswitch-fleet": 2.95, // measured 2.59
 		"msgbroker-fleet":    2.8,  // measured 2.50
-		"chaos-fleet":        2.95, // measured 2.53
+		"chaos-fleet":        2.95, // measured 2.58
 	}
 	for _, d := range drainedTestRuns() {
 		perOp := float64(d.e.Resumes()) / float64(d.arrivals())
@@ -246,9 +246,9 @@ func TestFleetResumeBudget(t *testing.T) {
 // engine release is scheduled only when work waits for the engine.
 func TestFleetEventBudget(t *testing.T) {
 	budget := map[string]float64{
-		"packetswitch-fleet": 7.7,  // measured 7.40
+		"packetswitch-fleet": 7.7,  // measured 7.48
 		"msgbroker-fleet":    8.45, // measured 8.13
-		"chaos-fleet":        8.35, // measured 8.06
+		"chaos-fleet":        8.35, // measured 7.66
 	}
 	for _, d := range drainedTestRuns() {
 		perOp := float64(d.e.Scheduled()) / float64(d.arrivals())
@@ -262,12 +262,14 @@ func TestFleetEventBudget(t *testing.T) {
 // TestFleetResultGolden pins every virtual-time result of the three
 // scenarios at testScale, seed 0, as a digest of the printed Result. A
 // change that only cuts host cost must leave it alone; a change that
-// moves virtual time updates it and says why.
+// moves virtual time updates it and says why. packetswitch and chaos
+// last moved when plane lanes began routing each background copy to the
+// DSA on its data's socket, instead of always to the tenant socket's.
 func TestFleetResultGolden(t *testing.T) {
 	golden := map[string]string{
-		"packetswitch-fleet": "d19025e9b100516e",
+		"packetswitch-fleet": "55b0984d219a7404",
 		"msgbroker-fleet":    "ee16ef2525afd64f",
-		"chaos-fleet":        "8de5d3df1d1b3e5c",
+		"chaos-fleet":        "3c863aa93c5ec060",
 	}
 	for _, d := range drainedTestRuns() {
 		sum := sha256.Sum256(fmt.Appendf(nil, "%+v", d.result()))

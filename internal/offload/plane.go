@@ -9,8 +9,10 @@
 // tenant-side state per submission lane — each submitting process owns a
 // lane and touches nothing shared on the fast path — and funnels
 // descriptors into each WQ's ENQCMD path through a bounded ring
-// (dsa.SubmitRing). Lanes route on each WQ's occupancy plus its ring's
-// backlog, read live, and leave the telemetry hub alone.
+// (dsa.SubmitRing). Lanes route each descriptor to its data-home socket
+// under a data-aware scheduler, as Placement does on the Future path, and
+// within it on each WQ's occupancy plus its ring's backlog, read live;
+// they leave the telemetry hub alone.
 //
 // The simulation runs on one goroutine, so rings, counters and health
 // flags are plain data. What sharding buys is priced in virtual time:
@@ -27,9 +29,11 @@
 // instants; only the order of events that share an instant can differ.
 //
 // Scheduling semantics are preserved, not replaced: lane candidate sets
-// are precomputed from the same Topology express/rest partition the
-// PriorityAware/Placement schedulers use (a latency-sensitive tenant's
-// lanes only ever target the reserved express WQs on its socket), the
+// are precomputed per socket from the same Topology express/rest
+// partition the PriorityAware/Placement schedulers use (a latency-
+// sensitive tenant's lanes only ever target reserved express WQs), the
+// socket is the data home the service's DataAware scheduler would pick
+// (the tenant's own socket under any other scheduler), the
 // per-lane admission buckets shard the same Policy.AdmitRate through the
 // tenant's one admission loop, and completions flow through the unchanged
 // device completion path — including interrupt coalescing, whose resolved
@@ -67,13 +71,16 @@ type Plane struct {
 	// order. Each pop wakes one of them (wakeLane); the rest stay parked.
 	waiting [][]*Lane
 
-	// cands are the ring indices the tenant's QoS class may target,
-	// precomputed from the Topology express/rest partition on the
-	// tenant's socket (a tenant's class is fixed at creation) so the host
-	// fast path never walks WQ slices; all is every ring, the detour set
-	// when the class pool is down.
-	cands []int
-	all   []int
+	// cands are, per socket, the ring indices the tenant's QoS class may
+	// target there, precomputed from the Topology express/rest partition
+	// (a tenant's class is fixed at creation) so the host fast path never
+	// walks WQ slices; all is every ring, the detour set when the class
+	// pool is down. dataAware routes each descriptor to its data home's
+	// pool (Tenant.dataHome), as the service's DataAware scheduler does;
+	// otherwise every descriptor goes to the tenant socket's pool.
+	cands     [][]int
+	all       []int
+	dataAware bool
 
 	// pending counts entries pushed to rings but not yet accepted by a
 	// WQ; inflight counts WQ-accepted descriptors not yet completed.
@@ -178,7 +185,11 @@ func (t *Tenant) NewPlane(nlanes int) (*Plane, error) {
 		pl.ringTok[i] = sim.NewToken(1)
 		pl.all[i] = i
 	}
-	pl.cands = pl.candidates()
+	pl.cands = make([][]int, t.S.topo.Sockets())
+	for socket := range pl.cands {
+		pl.cands[socket] = pl.candidates(socket)
+	}
+	pl.dataAware = t.S.dataAware
 	count, _ := t.coalesceParams()
 	pl.wakeEvery = 1
 	if count > 1 {
@@ -195,13 +206,12 @@ func (t *Tenant) NewPlane(nlanes int) (*Plane, error) {
 }
 
 // candidates precomputes the ring indices the tenant's QoS class may
-// target, mirroring pickExpress: the tenant-socket pool when the socket
-// has a local device (full set otherwise), partitioned into the express
-// lane for latency-sensitive tenants and the rest for bulk — collapsing to
-// the shared pool when priorities are uniform.
-func (pl *Plane) candidates() []int {
+// target on socket, mirroring pickExpress: the socket's pool when it has
+// a local device (full set otherwise), partitioned into the express lane
+// for latency-sensitive tenants and the rest for bulk — collapsing to the
+// shared pool when priorities are uniform.
+func (pl *Plane) candidates(socket int) []int {
 	topo := pl.t.S.topo
-	socket := pl.t.Core.Socket
 	pool := topo.Local(socket)
 	express, rest := topo.Split(socket)
 	idx := make(map[*dsa.WQ]int, len(pl.wqs))
@@ -299,19 +309,29 @@ func (pl *Plane) push(idx []int, d dsa.Descriptor, tag uint64) bool {
 	return false
 }
 
-// pushAny places one entry on a live candidate ring or, with the class
-// pool down or full, on any live service ring — a cross-socket detour
-// beats failing the op.
-func (pl *Plane) pushAny(d dsa.Descriptor, tag uint64) bool {
-	return pl.push(pl.cands, d, tag) || pl.push(pl.all, d, tag)
+// home returns the candidate rings of d's socket: its data home under a
+// data-aware scheduler, the tenant's socket otherwise.
+func (pl *Plane) home(d *dsa.Descriptor) []int {
+	if pl.dataAware {
+		return pl.cands[pl.t.dataHome(d)]
+	}
+	return pl.cands[pl.t.Core.Socket]
 }
 
-// pickRing routes one submission: the least-loaded live candidate ring,
-// scanned from a lane-local strided cursor so equally loaded rings spread
-// across lanes instead of herding. Allocation-free.
-func (l *Lane) pickRing() int {
+// pushAny places one entry on a live candidate ring of its socket or,
+// with the class pool down or full, on any live service ring — a
+// cross-socket detour beats failing the op.
+func (pl *Plane) pushAny(d dsa.Descriptor, tag uint64) bool {
+	return pl.push(pl.home(&d), d, tag) || pl.push(pl.all, d, tag)
+}
+
+// pickRing routes one submission among cands, its socket's candidate
+// rings: the least-loaded live one, scanned from a lane-local strided
+// cursor so equally loaded rings spread across lanes instead of herding.
+// Allocation-free.
+func (l *Lane) pickRing(cands []int) int {
 	pl := l.pl
-	best := pl.leastLoaded(pl.cands, l.cursor)
+	best := pl.leastLoaded(cands, l.cursor)
 	if best < 0 {
 		// Candidate pool down (disable window or outage): detour to any
 		// healthy service ring — cross-socket beats shedding.
@@ -320,7 +340,7 @@ func (l *Lane) pickRing() int {
 	if best < 0 {
 		// Everything is down: fall back to the plain rotation so the
 		// entry lands somewhere; the drain redistributes or sheds it.
-		best = pl.cands[l.cursor%len(pl.cands)]
+		best = cands[l.cursor%len(cands)]
 	}
 	l.cursor++
 	return best
@@ -362,7 +382,7 @@ func (l *Lane) SubmitStamped(p *sim.Proc, d dsa.Descriptor, stamp sim.Time) erro
 	d.PASID = t.AS.PASID
 	d.Flags |= t.policy.Flags
 	tm := pl.wqs[0].Dev.Cfg.Timing
-	idx := l.pickRing()
+	idx := l.pickRing(pl.home(&d))
 	// The slot-publish CAS: submitters racing into one ring serialize
 	// for RingPush nanoseconds each, in arrival order. The portal write
 	// after it is per-submitter work: each lane's proc pays it in its own

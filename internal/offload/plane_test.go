@@ -163,29 +163,52 @@ func TestPlaneSimSubmitCompletes(t *testing.T) {
 // drained with WaitInflight — allocates nothing. The drain is an engine
 // callback whose scratch and callbacks come from the plane, the rings are
 // sized up front, and the device recycles each hooked Completion once its
-// hook has run.
+// hook has run. The same holds when a data-aware scheduler routes the
+// lane to the copy's data home on the other socket.
 func TestPlaneSubmitAllocBudget(t *testing.T) {
 	const budget = 0
-	r, tn, pl := planeRig(t, 1, 1, offload.Bulk)
-	src, dst := tn.Alloc(32<<10), tn.Alloc(32<<10)
-	d := dsa.Descriptor{Op: dsa.OpMemmove, Src: src.Addr(0), Dst: dst.Addr(0), Size: 32 << 10}
-	var allocs float64
-	r.e.Go("plane", func(p *sim.Proc) {
-		lane := pl.Lane(0)
-		op := func() {
-			if err := lane.SubmitStamped(p, d, p.Now()); err != nil {
-				t.Error(err)
-				return
+	for _, dataAware := range []bool{false, true} {
+		r := newRig(t, 2)
+		var opts []offload.ServiceOption
+		if dataAware {
+			opts = append(opts, offload.WithScheduler(offload.NewPlacementQoS()))
+		}
+		tn, err := r.service(t, opts...).NewTenant(offload.WithClass(offload.Bulk))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pl, err := tn.NewPlane(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src, dst := tn.AllocOn(1, 32<<10), tn.AllocOn(1, 32<<10)
+		d := dsa.Descriptor{Op: dsa.OpMemmove, Src: src.Addr(0), Dst: dst.Addr(0), Size: 32 << 10}
+		var allocs float64
+		r.e.Go("plane", func(p *sim.Proc) {
+			lane := pl.Lane(0)
+			op := func() {
+				if err := lane.SubmitStamped(p, d, p.Now()); err != nil {
+					t.Error(err)
+					return
+				}
+				pl.WaitInflight(p, 0)
 			}
-			pl.WaitInflight(p, 0)
+			for i := 0; i < 64; i++ {
+				op()
+			}
+			allocs = testing.AllocsPerRun(200, op)
+		})
+		r.e.Run()
+		if allocs > budget {
+			t.Errorf("data-aware %v: plane op allocated %.2f times per op, budget %d", dataAware, allocs, budget)
 		}
-		for i := 0; i < 64; i++ {
-			op()
+		// The tenant's socket, or the copies' data home.
+		want := 0
+		if dataAware {
+			want = 1
 		}
-		allocs = testing.AllocsPerRun(200, op)
-	})
-	r.e.Run()
-	if allocs > budget {
-		t.Errorf("plane op allocated %.2f times per op, budget %d", allocs, budget)
+		if pl.WQs()[want].Submitted() == 0 {
+			t.Errorf("data-aware %v: the socket-1 copies never reached socket %d", dataAware, want)
+		}
 	}
 }

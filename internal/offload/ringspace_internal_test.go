@@ -31,6 +31,13 @@ func newRingRig(t *testing.T, sockets, size, lanes int, faults ...dsa.FaultConfi
 // newWQRig builds a ringRig with the WQs cfg on every socket's device.
 func newWQRig(t *testing.T, sockets, lanes int, cfg []dsa.WQConfig, faults ...dsa.FaultConfig) *ringRig {
 	t.Helper()
+	return newSchedRig(t, nil, sockets, lanes, cfg, faults...)
+}
+
+// newSchedRig is newWQRig under the service scheduler sched (nil: the
+// default).
+func newSchedRig(t *testing.T, sched Scheduler, sockets, lanes int, cfg []dsa.WQConfig, faults ...dsa.FaultConfig) *ringRig {
+	t.Helper()
 	e := sim.New()
 	var nodes []mem.NodeConfig
 	for s := 0; s < sockets; s++ {
@@ -61,8 +68,12 @@ func newWQRig(t *testing.T, sockets, lanes int, cfg []dsa.WQConfig, faults ...ds
 		r.devs = append(r.devs, dev)
 		wqs = append(wqs, dev.WQs()...)
 	}
+	var opts []ServiceOption
+	if sched != nil {
+		opts = append(opts, WithScheduler(sched))
+	}
 	var err error
-	if r.svc, err = NewService(e, sys, wqs); err != nil {
+	if r.svc, err = NewService(e, sys, wqs, opts...); err != nil {
 		t.Fatal(err)
 	}
 	if r.tn, err = r.svc.NewTenant(WithClass(Bulk)); err != nil {
@@ -85,7 +96,7 @@ func (r *ringRig) push(d dsa.Descriptor) bool {
 	pl := r.pl
 	d.PASID = r.tn.AS.PASID
 	d.Flags |= r.tn.policy.Flags
-	if !pl.rings[pl.Lane(0).pickRing()].TryPush(d, stampTag(r.e.Now())) {
+	if !pl.rings[pl.Lane(0).pickRing(pl.home(&d))].TryPush(d, stampTag(r.e.Now())) {
 		return false
 	}
 	r.tn.stats.HWOps++
