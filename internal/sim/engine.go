@@ -193,6 +193,8 @@ func (e *Engine) Run() {
 			return
 		}
 	}
+	// Every event has run, and so would every reserved one up to now.
+	e.cur = e.seq + 1
 	e.stopIdle()
 	if e.procs > 0 {
 		panic(fmt.Sprintf("sim: deadlock: %d process(es) parked with no pending events", e.procs))
@@ -210,9 +212,11 @@ func (e *Engine) RunUntil(t Time) {
 			return
 		}
 	}
+	// Every event at or before t has run, and so would every reserved
+	// one there.
+	e.cur = e.seq + 1
 	if t > e.now {
-		// Every event at or before t has run, reserved ones included.
-		e.now, e.cur = t, e.seq+1
+		e.now = t
 	}
 }
 

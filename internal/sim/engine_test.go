@@ -42,6 +42,54 @@ func TestEngineTieBreaksBySequence(t *testing.T) {
 	}
 }
 
+// A reserved sequence number keeps its event's place in the order: an
+// event scheduled later with AtSeq runs before the events scheduled after
+// the reservation for the same instant, and after those scheduled before
+// it. Passed tells whether a reserved event would already have run, and
+// once Run drains, every reserved event up to the final instant has. An
+// unscheduled reservation is not counted as a scheduled event.
+func TestReservedEventKeepsItsPlace(t *testing.T) {
+	e := New()
+	var order []string
+	var r, late, last uint64
+	e.At(10, func() {
+		e.At(20, func() { order = append(order, "before") })
+		r = e.Reserve()
+		e.At(20, func() {
+			order = append(order, "after")
+			if !e.Passed(20, r) {
+				t.Error("a reserved event that ran is not passed")
+			}
+			last, late = e.Reserve(), e.Reserve()
+			if e.Passed(20, last) {
+				t.Error("a reservation at the running instant, after the running event, is passed")
+			}
+		})
+		if e.Passed(20, r) || e.Passed(10, r) {
+			t.Error("a reservation at or after the running event is passed")
+		}
+	})
+	e.At(15, func() {
+		e.AtSeq(20, r, func() { order = append(order, "reserved") })
+	})
+	e.Run()
+	if got := fmt.Sprint(order); got != "[before reserved after]" {
+		t.Errorf("order %s, want [before reserved after]", got)
+	}
+	if !e.Passed(20, last) || e.Passed(21, late) {
+		t.Error("after Run, a reservation at the final instant must be passed and a later one not")
+	}
+	if got := e.Scheduled(); got != 5 {
+		t.Errorf("%d events scheduled, want 5 (three reservations, one pushed)", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("scheduling a passed reservation did not panic")
+		}
+	}()
+	e.AtSeq(20, last, func() {})
+}
+
 func TestEngineNestedScheduling(t *testing.T) {
 	e := New()
 	hits := 0
