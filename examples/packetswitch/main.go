@@ -30,6 +30,7 @@ func forwardingRate(mode vhost.Mode, pktSize int64) (float64, bool) {
 		wq = pl.Offload.Scheduler().Pick(offload.Request{
 			Socket: tn.Core.Socket,
 			Class:  offload.LatencySensitive,
+			Topo:   pl.Offload.Topology(),
 		}, pl.Offload.WQs())
 	}
 	backend, err := vhost.NewBackend(mode, vq, tn.Core, tn.AS, wq)

@@ -73,7 +73,8 @@ type WQ struct {
 	// occupied counts entries consumed (freed on dispatch to an engine).
 	occupied int
 
-	onReady func() // the ready hook (SetOnReady), or nil
+	onReady func()      // the ready hook (SetOnReady), or nil
+	feed    *SubmitRing // the ring feeding the queue (SetFeed), or nil
 
 	// disabled marks a transient fault-injector disable window.
 	disabled bool
@@ -88,6 +89,20 @@ func (w *WQ) Group() *Group { return w.group }
 
 // Occupancy returns the entries currently held.
 func (w *WQ) Occupancy() int { return w.occupied }
+
+// Load returns the backlog a new submission would queue behind: the
+// entries held plus those waiting in the ring that feeds the queue
+// (SetFeed). Without a feeding ring it equals Occupancy.
+func (w *WQ) Load() int {
+	if w.feed == nil {
+		return w.occupied
+	}
+	return w.occupied + w.feed.Len()
+}
+
+// SetFeed names r (nil to remove) as the submit ring feeding the queue, so
+// that Load counts its queued entries.
+func (w *WQ) SetFeed(r *SubmitRing) { w.feed = r }
 
 // SetOnReady installs fn (nil to remove) as the queue's ready hook: the
 // engine calls it when an entry leaves the queue, by dispatch or by a

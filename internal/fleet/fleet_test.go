@@ -262,14 +262,17 @@ func TestFleetEventBudget(t *testing.T) {
 // TestFleetResultGolden pins every virtual-time result of the three
 // scenarios at testScale, seed 0, as a digest of the printed Result. A
 // change that only cuts host cost must leave it alone; a change that
-// moves virtual time updates it and says why. packetswitch and chaos
-// last moved when plane lanes began routing each background copy to the
-// DSA on its data's socket, instead of always to the tenant socket's.
+// moves virtual time updates it and says why. packetswitch last moved
+// when plane lanes began routing each background copy to the DSA on its
+// data's socket, instead of always to the tenant socket's. chaos last
+// moved when plane lanes, retries and failover re-queues began asking
+// the service scheduler for their WQ: with socket 0's bulk WQ dead, bulk
+// entries now take socket 1's bulk WQ instead of an express WQ.
 func TestFleetResultGolden(t *testing.T) {
 	golden := map[string]string{
 		"packetswitch-fleet": "55b0984d219a7404",
 		"msgbroker-fleet":    "ee16ef2525afd64f",
-		"chaos-fleet":        "3c863aa93c5ec060",
+		"chaos-fleet":        "cffb3c0306fea9db",
 	}
 	for _, d := range drainedTestRuns() {
 		sum := sha256.Sum256(fmt.Appendf(nil, "%+v", d.result()))

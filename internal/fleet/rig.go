@@ -26,13 +26,15 @@ func fleetRig() (*sim.Engine, *offload.Service, []*dsa.Device) {
 	return pl.E, pl.Offload, pl.Devices
 }
 
-// frontPolicy is the background data plane's policy: telemetry-driven
-// load-aware placement, coalesced interrupt completions with adaptive
-// window sizing, and shedding admission control at the scenario's cap —
-// the production knobs, not a benchmark special.
+// frontPolicy is the background data plane's policy: data-home placement
+// (its lanes ask the service's Placement scheduler like any submission),
+// coalesced interrupt completions with adaptive window sizing, and
+// shedding admission control at the scenario's cap — the production
+// knobs, not a benchmark special. It leaves Policy.LoadAware off:
+// routing the lanes through the load-aware detour measured a chaos fg
+// p99 of 716.8 µs, against 145.5 µs under data-home placement.
 func frontPolicy(sc Scenario) offload.Policy {
 	pol := offload.DefaultPolicy()
-	pol.LoadAware = true
 	pol.Wait = offload.Interrupt
 	pol.CoalesceCount = 16
 	pol.CoalesceWindow = 8 * time.Microsecond

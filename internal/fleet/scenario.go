@@ -25,7 +25,7 @@ func fleetPhases() []Phase {
 // background plane forwards 32 KB frame batches through per-shard
 // submission-plane lanes while foreground tenants issue 4 KB
 // latency-sensitive lookups through the express path. ~30% of frames
-// cross sockets, so the load-aware placement actually routes.
+// cross sockets, so data-home placement actually routes.
 func Packetswitch() Scenario {
 	return Scenario{
 		Name:    "packetswitch-fleet",
@@ -100,8 +100,8 @@ func Msgbroker() Scenario {
 
 // Chaos is the packet switch under injected failures: a steady trickle
 // of page faults (cold destination pages), a cold-page storm, a
-// transient express-WQ disable on socket 0 overlapping the storm, and a
-// full outage of socket 1's device. The plan fits inside one RampDur so
+// transient express-WQ disable on socket 1 overlapping the storm, and a
+// full outage of socket 0's device. The plan fits inside one RampDur so
 // every SLO-attained ramp step experiences the complete fault sequence;
 // in the phase run the injection ends early and the recovery tracker
 // measures how long the tails take to come home. The default
@@ -127,9 +127,12 @@ func Chaos() Scenario {
 		DisableAt:  1 * time.Millisecond,
 		DisableDur: 800 * time.Microsecond,
 
-		// Whole-device outage on socket 0 — the background plane's home
-		// socket, so every lane and the drain must fail over cross-socket
-		// onto device 1's rings and back when it heals.
+		// Whole-device outage on socket 0, the background plane's home
+		// socket. While it lasts the scheduler sends lane pushes and
+		// retries to socket 1's bulk WQ, keeping off the express lanes,
+		// and the drain fails over any entry still queued on a dead
+		// ring. Failovers still read 0 in the committed runs, for a
+		// cause not yet established.
 		OutageDev: 0,
 		OutageAt:  1800 * time.Microsecond,
 		OutageDur: 1200 * time.Microsecond,

@@ -150,13 +150,13 @@ func (t *Tenant) submitSlice(p *sim.Proc, descs []dsa.Descriptor, flags dsa.Flag
 }
 
 // splitByHome groups descriptors into per-socket sub-batches by data home
-// (Tenant.dataHome), returning index groups in first-seen order, with
-// submission order preserved inside each group. Under Policy.LoadAware the
-// grouping key is not the raw home but where the scheduler's cost model
-// says the descriptor will actually run (loadRouter): a slice homed on a
-// saturated socket detours with the rest of the traffic instead of being
-// dutifully split out and submitted into the backlog, and slices whose
-// routes coincide merge into one sub-batch. It returns nil — submit as
+// (the tenant's socket for a descriptor without one), returning index
+// groups in first-seen order, with submission order preserved inside each
+// group. Under Policy.LoadAware the grouping key is not the raw home but
+// where the scheduler's cost model says the descriptor will actually run
+// (loadRouter): a slice homed on a saturated socket detours with the rest
+// of the traffic instead of being dutifully split out and submitted into
+// the backlog, and slices whose routes coincide merge into one sub-batch. It returns nil — submit as
 // one batch — when splitting is disabled (Policy.SplitBatches), the active
 // scheduler is not data-aware (a blind policy would route every sub-batch
 // to the same device, making the split pure parent overhead), the flush
@@ -197,15 +197,18 @@ func (t *Tenant) splitByHome(descs []dsa.Descriptor, flags dsa.Flags) [][]int {
 	// with flush width (and let the estimate drift mid-scan).
 	var routed map[int]int
 	for i := range descs {
-		d := &descs[i]
-		home := t.dataHome(d)
+		req := t.request(&descs[i])
+		home, ok := dataSocket(req.SrcNode, req.DstNode)
+		if !ok {
+			home = t.Core.Socket
+		}
 		if lr != nil {
 			if routed == nil {
 				routed = make(map[int]int, 2)
 			}
 			r, ok := routed[home]
 			if !ok {
-				r = lr.routeSocket(t.request(d), home)
+				r = lr.routeSocket(req, home)
 				routed[home] = r
 			}
 			home = r

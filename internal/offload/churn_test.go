@@ -165,7 +165,9 @@ func TestCloseRacesFaultingPipelineWithFailover(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	svc := r.service(t)
+	// NUMALocal keeps both tenants' traffic on their socket, device 0, so
+	// the chain meets the storm and the plane the outage.
+	svc := r.service(t, offload.WithScheduler(offload.NewNUMALocal()))
 	pol := offload.DefaultPolicy()
 	pol.RetryMax = 3
 	ptn, err := svc.NewTenant(offload.TenantPolicy(pol))

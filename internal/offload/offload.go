@@ -152,7 +152,7 @@ func NewService(e *sim.Engine, sys *mem.System, wqs []*dsa.WQ, opts ...ServiceOp
 	for _, o := range opts {
 		o(sv)
 	}
-	_, sv.dataAware = sv.sched.(DataAware)
+	_, sv.dataAware = sv.sched.(loadRouter)
 	sv.AddWQs(wqs...)
 	return sv, nil
 }

@@ -177,17 +177,18 @@ func TestWaitModesAllComplete(t *testing.T) {
 func TestNUMALocalPicksSameSocketWQ(t *testing.T) {
 	r := newRig(t, 2)
 	wqs := r.wqs()
+	topo := r.service(t).Topology()
 	s := offload.NewNUMALocal()
 	for i := 0; i < 4; i++ {
-		if got := s.Pick(offload.Request{Socket: 0}, wqs); got.Dev.Cfg.Socket != 0 {
+		if got := s.Pick(offload.Request{Socket: 0, Topo: topo}, wqs); got.Dev.Cfg.Socket != 0 {
 			t.Fatalf("socket-0 pick %d landed on socket %d", i, got.Dev.Cfg.Socket)
 		}
-		if got := s.Pick(offload.Request{Socket: 1}, wqs); got.Dev.Cfg.Socket != 1 {
+		if got := s.Pick(offload.Request{Socket: 1, Topo: topo}, wqs); got.Dev.Cfg.Socket != 1 {
 			t.Fatalf("socket-1 pick %d landed on socket %d", i, got.Dev.Cfg.Socket)
 		}
 	}
 	// No local device: socket 5 falls back to the full set.
-	if got := s.Pick(offload.Request{Socket: 5}, wqs); got == nil {
+	if got := s.Pick(offload.Request{Socket: 5, Topo: topo}, wqs); got == nil {
 		t.Fatal("fallback pick returned nil")
 	}
 }

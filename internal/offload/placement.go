@@ -16,17 +16,6 @@ import (
 	"dsasim/internal/sim"
 )
 
-// DataAware marks schedulers that route on the request's SrcNode/DstNode
-// data homes. The batch submission paths split mixed-home flushes into
-// per-socket sub-batches only for such schedulers — under a blind policy
-// the sub-batches would all land on the same device and the split would be
-// pure parent-descriptor overhead.
-type DataAware interface {
-	// DataSocket resolves the socket a request's data is homed on; ok is
-	// false when the request carries no usable placement information.
-	DataSocket(req Request) (socket int, ok bool)
-}
-
 // Placement routes each descriptor to a WQ on its data's socket: the
 // socket both ends share when they agree, otherwise the side of the
 // faster-write medium (see dataSocket). Requests without placement
@@ -99,32 +88,28 @@ func (s *Placement) Name() string {
 	return "placement"
 }
 
-// DataSocket implements DataAware.
-func (s *Placement) DataSocket(req Request) (int, bool) {
-	return dataSocket(req.SrcNode, req.DstNode)
-}
-
 // Pick implements Scheduler.
 func (s *Placement) Pick(req Request, wqs []*dsa.WQ) *dsa.WQ {
 	socket, ok := dataSocket(req.SrcNode, req.DstNode)
 	if !ok {
 		socket = req.Socket
 	}
-	if req.LoadAware && ok && req.Topo != nil {
+	if req.LoadAware && ok {
 		socket = s.loadAwareSocket(req, socket)
 	}
 	s.next = (s.next + 1) % len(wqs)
 	if s.qos {
 		return pickExpress(req, socket, wqs, s.next)
 	}
-	return leastLoadedOf(req.localPool(socket, wqs), s.next)
+	return leastLoadedOf(req.Topo.Local(socket), s.next)
 }
 
-// loadRouter is implemented by data-aware schedulers whose load-aware cost
-// model can re-price a target socket (Placement). The batch paths consult
-// it through splitByHome so a split flush groups its descriptors by where
-// they will actually run — detouring a saturated socket's slice instead of
-// dutifully submitting it into the backlog.
+// loadRouter marks the schedulers that route on the request's SrcNode/
+// DstNode data homes (Placement), whose load-aware cost model can re-price
+// a target socket. The service resolves data homes only under one, and
+// the batch paths consult it through splitByHome so a split flush groups
+// its descriptors by where they will actually run — detouring a saturated
+// socket's slice instead of dutifully submitting it into the backlog.
 type loadRouter interface {
 	// routeSocket resolves the socket a request homed on home would be
 	// served from once load is priced in; it returns home unchanged when
@@ -134,7 +119,7 @@ type loadRouter interface {
 
 // routeSocket implements loadRouter.
 func (s *Placement) routeSocket(req Request, home int) int {
-	if !req.LoadAware || req.Topo == nil {
+	if !req.LoadAware {
 		return home
 	}
 	return s.loadAwareSocket(req, home)

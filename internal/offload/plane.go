@@ -1,18 +1,23 @@
 // The sharded submission plane: per-shard lanes feeding bounded per-WQ
-// rings, routed on live occupancy and drained by an event-driven consumer
-// instead of timers.
+// rings, drained by an event-driven consumer instead of timers.
 //
 // The classic Tenant path serializes every submitter through shared
-// state: one admission bucket, one AutoBatcher, one coalescer rebuild
-// check, and scheduler Picks that read live EWMAs. One submitter never
-// notices; at 64 the shared state is the queue. The plane shards the
-// tenant-side state per submission lane — each submitting process owns a
-// lane and touches nothing shared on the fast path — and funnels
-// descriptors into each WQ's ENQCMD path through a bounded ring
-// (dsa.SubmitRing). Lanes route each descriptor to its data-home socket
-// under a data-aware scheduler, as Placement does on the Future path, and
-// within it on each WQ's occupancy plus its ring's backlog, read live;
-// they leave the telemetry hub alone.
+// state: one admission bucket, one AutoBatcher and one coalescer rebuild
+// check. One submitter never notices; at 64 the shared state is the
+// queue. The plane shards the tenant-side state per submission lane —
+// each submitting process owns a lane and touches nothing shared on the
+// fast path — and funnels descriptors into each WQ's ENQCMD path through
+// a bounded ring (dsa.SubmitRing).
+//
+// The plane does not route. A lane push, a fault retry and a failover
+// re-queue each ask the service scheduler for a WQ (Scheduler.Pick, on
+// the request a Future's dispatch would build) and land on that WQ's
+// ring, so the express-lane reservation, data-home placement and every
+// other scheduler rule hold on the plane as they do on the Future path.
+// A ring's queued entries count toward its WQ's backlog (dsa.WQ.Load),
+// so a load-reading scheduler sees what the lanes have queued. The one
+// choice left to the plane is the last resort of a re-queue whose picked
+// ring is dead or full: the first live ring that takes it.
 //
 // The simulation runs on one goroutine, so rings, counters and health
 // flags are plain data. What sharding buys is priced in virtual time:
@@ -28,18 +33,13 @@
 // replace the shared-WQ ENQCMD retry loop of §3.2 on the same retry
 // instants; only the order of events that share an instant can differ.
 //
-// Scheduling semantics are preserved, not replaced: lane candidate sets
-// are precomputed per socket from the same Topology express/rest
-// partition the PriorityAware/Placement schedulers use (a latency-
-// sensitive tenant's lanes only ever target reserved express WQs), the
-// socket is the data home the service's DataAware scheduler would pick
-// (the tenant's own socket under any other scheduler), the
-// per-lane admission buckets shard the same Policy.AdmitRate through the
-// tenant's one admission loop, and completions flow through the unchanged
-// device completion path — including interrupt coalescing, whose resolved
-// count also paces the plane's wakeup moderation. A faulted completion
-// consults the tenant's one retry decision (recover.go) and re-queues its
-// remainder onto a live ring, the attempt count carried in the ring tag.
+// The per-lane admission buckets shard the tenant's Policy.AdmitRate
+// through its one admission loop, and completions flow through the
+// unchanged device completion path — including interrupt coalescing,
+// whose resolved count also paces the plane's wakeup moderation. A
+// faulted completion consults the tenant's one retry decision
+// (recover.go) and re-queues its remainder, the attempt count carried in
+// the ring tag.
 package offload
 
 import (
@@ -58,8 +58,14 @@ import (
 type Plane struct {
 	t     *Tenant
 	lanes []*Lane
-	wqs   []*dsa.WQ
 	rings []*dsa.SubmitRing
+
+	// wqs and topo are the service's WQ set and placement index at
+	// NewPlane, ring i feeding wqs[i]. The plane's picks run over them,
+	// not the service's current set: a WQ hot-plugged later
+	// (Service.AddWQs) has no ring.
+	wqs  []*dsa.WQ
+	topo *Topology
 
 	// ringTok serializes concurrent virtual-time pushes into one ring:
 	// a capacity-1 slot held for Timing.RingPush models the CAS that
@@ -70,17 +76,6 @@ type Plane struct {
 	// waiting lists, per ring, the lanes that found it full, in wait
 	// order. Each pop wakes one of them (wakeLane); the rest stay parked.
 	waiting [][]*Lane
-
-	// cands are, per socket, the ring indices the tenant's QoS class may
-	// target there, precomputed from the Topology express/rest partition
-	// (a tenant's class is fixed at creation) so the host fast path never
-	// walks WQ slices; all is every ring, the detour set when the class
-	// pool is down. dataAware routes each descriptor to its data home's
-	// pool (Tenant.dataHome), as the service's DataAware scheduler does;
-	// otherwise every descriptor goes to the tenant socket's pool.
-	cands     [][]int
-	all       []int
-	dataAware bool
 
 	// pending counts entries pushed to rings but not yet accepted by a
 	// WQ; inflight counts WQ-accepted descriptors not yet completed.
@@ -101,8 +96,8 @@ type Plane struct {
 	onLat func(lat sim.Time, ok bool)
 
 	// dead marks rings whose WQ died (disable window or device outage):
-	// the drain redistributed their entries, and lanes skip them until the
-	// drain observes the WQ healthy again.
+	// the drain redistributed their entries, and re-queues skip them until
+	// the drain observes the WQ healthy again.
 	dead []bool
 
 	// drainOn marks the drain as running: a pass is scheduled, or it is
@@ -128,14 +123,12 @@ type Plane struct {
 	completedFn func(c *dsa.Completion, tag uint64)
 }
 
-// Lane is one submission shard: lane-local admission bucket and routing
-// cursor, shared nothing. A Lane belongs to exactly one submitting
-// process.
+// Lane is one submission shard: a lane-local admission bucket, shared
+// with nothing. A Lane belongs to exactly one submitting process.
 type Lane struct {
 	pl     *Plane
 	id     int
 	bucket tokenBucket
-	cursor int
 	// published is the instant SubmitStamped's slot publish ends; retry
 	// is the entry a ring-full SubmitStamped re-pushes to retryRing, and
 	// retryAt the instant of its last push attempt, or of the one a pop
@@ -166,11 +159,11 @@ func (t *Tenant) NewPlane(nlanes int) (*Plane, error) {
 	pl := &Plane{
 		t:       t,
 		wqs:     wqs,
+		topo:    t.S.topo,
 		rings:   make([]*dsa.SubmitRing, len(wqs)),
 		ringTok: make([]*sim.Token, len(wqs)),
 		waiting: make([][]*Lane, len(wqs)),
 		dead:    make([]bool, len(wqs)),
-		all:     make([]int, len(wqs)),
 		held:    make([]dsa.RingEntry, len(wqs)),
 		holding: make([]bool, len(wqs)),
 		gap:     wqs[0].Dev.Cfg.Timing.PollGap,
@@ -183,13 +176,8 @@ func (t *Tenant) NewPlane(nlanes int) (*Plane, error) {
 		}
 		pl.rings[i] = dsa.NewSubmitRing(wq.Size)
 		pl.ringTok[i] = sim.NewToken(1)
-		pl.all[i] = i
+		wq.SetFeed(pl.rings[i])
 	}
-	pl.cands = make([][]int, t.S.topo.Sockets())
-	for socket := range pl.cands {
-		pl.cands[socket] = pl.candidates(socket)
-	}
-	pl.dataAware = t.S.dataAware
 	count, _ := t.coalesceParams()
 	pl.wakeEvery = 1
 	if count > 1 {
@@ -197,41 +185,10 @@ func (t *Tenant) NewPlane(nlanes int) (*Plane, error) {
 	}
 	pl.lanes = make([]*Lane, nlanes)
 	for i := range pl.lanes {
-		// Cursors start strided so lanes spread across equally loaded
-		// candidates instead of all hammering ring 0.
-		pl.lanes[i] = &Lane{pl: pl, id: i, cursor: i}
+		pl.lanes[i] = &Lane{pl: pl, id: i}
 	}
 	t.plane = pl
 	return pl, nil
-}
-
-// candidates precomputes the ring indices the tenant's QoS class may
-// target on socket, mirroring pickExpress: the socket's pool when it has
-// a local device (full set otherwise), partitioned into the express lane
-// for latency-sensitive tenants and the rest for bulk — collapsing to the
-// shared pool when priorities are uniform.
-func (pl *Plane) candidates(socket int) []int {
-	topo := pl.t.S.topo
-	pool := topo.Local(socket)
-	express, rest := topo.Split(socket)
-	idx := make(map[*dsa.WQ]int, len(pl.wqs))
-	for i, wq := range pl.wqs {
-		idx[wq] = i
-	}
-	toIdx := func(wqs []*dsa.WQ) []int {
-		out := make([]int, 0, len(wqs))
-		for _, wq := range wqs {
-			out = append(out, idx[wq])
-		}
-		return out
-	}
-	switch {
-	case len(rest) == 0:
-		return toIdx(pool)
-	case pl.t.class == LatencySensitive:
-		return toIdx(express)
-	}
-	return toIdx(rest)
 }
 
 // Plane returns the tenant's submission plane, or nil before NewPlane.
@@ -281,27 +238,30 @@ func (l *Lane) laneShare() (rate float64, burst int) {
 // not yet seen).
 func (pl *Plane) live(i int) bool { return !pl.dead[i] && pl.wqs[i].Healthy() }
 
-// leastLoaded returns the live ring of idx whose WQ occupancy plus ring
-// backlog is smallest, scanning from start so equally loaded rings
-// spread across lanes; -1 when none is live.
-func (pl *Plane) leastLoaded(idx []int, start int) int {
-	best, bestLoad := -1, 0
-	for k := range idx {
-		i := idx[(start+k)%len(idx)]
-		if !pl.live(i) {
-			continue
-		}
-		load := pl.rings[i].Len() + pl.wqs[i].Occupancy()
-		if best < 0 || load < bestLoad {
-			best, bestLoad = i, load
+// pick asks the service scheduler for d's WQ, on the request dispatch
+// builds for a Future but over the plane's own WQ set, and returns the
+// index of that WQ's ring; -1 when the scheduler picked a WQ the plane
+// does not feed. Allocation-free.
+func (pl *Plane) pick(d *dsa.Descriptor) int {
+	req := pl.t.request(d)
+	req.Topo = pl.topo
+	wq := pl.t.S.sched.Pick(req, pl.wqs)
+	for i, w := range pl.wqs {
+		if w == wq {
+			return i
 		}
 	}
-	return best
+	return -1
 }
 
-// push places one entry on the first live ring of idx that takes it.
-func (pl *Plane) push(idx []int, d dsa.Descriptor, tag uint64) bool {
-	for _, i := range idx {
+// push re-queues one entry on the ring of the WQ the scheduler picks for
+// it or, when that ring is dead or full, on the first live ring that
+// takes it — any detour beats failing the op.
+func (pl *Plane) push(d dsa.Descriptor, tag uint64) bool {
+	if i := pl.pick(&d); i >= 0 && pl.live(i) && pl.rings[i].TryPush(d, tag) {
+		return true
+	}
+	for i := range pl.rings {
 		if pl.live(i) && pl.rings[i].TryPush(d, tag) {
 			return true
 		}
@@ -309,51 +269,15 @@ func (pl *Plane) push(idx []int, d dsa.Descriptor, tag uint64) bool {
 	return false
 }
 
-// home returns the candidate rings of d's socket: its data home under a
-// data-aware scheduler, the tenant's socket otherwise.
-func (pl *Plane) home(d *dsa.Descriptor) []int {
-	if pl.dataAware {
-		return pl.cands[pl.t.dataHome(d)]
-	}
-	return pl.cands[pl.t.Core.Socket]
-}
-
-// pushAny places one entry on a live candidate ring of its socket or,
-// with the class pool down or full, on any live service ring — a
-// cross-socket detour beats failing the op.
-func (pl *Plane) pushAny(d dsa.Descriptor, tag uint64) bool {
-	return pl.push(pl.home(&d), d, tag) || pl.push(pl.all, d, tag)
-}
-
-// pickRing routes one submission among cands, its socket's candidate
-// rings: the least-loaded live one, scanned from a lane-local strided
-// cursor so equally loaded rings spread across lanes instead of herding.
-// Allocation-free.
-func (l *Lane) pickRing(cands []int) int {
-	pl := l.pl
-	best := pl.leastLoaded(cands, l.cursor)
-	if best < 0 {
-		// Candidate pool down (disable window or outage): detour to any
-		// healthy service ring — cross-socket beats shedding.
-		best = pl.leastLoaded(pl.all, 0)
-	}
-	if best < 0 {
-		// Everything is down: fall back to the plain rotation so the
-		// entry lands somewhere; the drain redistributes or sheds it.
-		best = cands[l.cursor%len(cands)]
-	}
-	l.cursor++
-	return best
-}
-
-// Submit is the plane's way in: lane-local admission and routing,
-// charging virtual time the way hardware does — the ENQCMD issue in the
-// submitter's own timeline (64 procs pay it in parallel, not in series)
-// and the ring's slot-publish CAS as a capacity-1 token held for
-// Timing.RingPush, the only serialization point left between submitters
-// sharing a ring. The drain is scheduled lazily and the submission
-// completes through the normal device path. The completion is stamped
-// with the submit instant (see SubmitStamped).
+// Submit is the plane's way in: lane-local admission, a WQ from the
+// service scheduler, and the push onto that WQ's ring, charging virtual
+// time the way hardware does — the ENQCMD issue in the submitter's own
+// timeline (64 procs pay it in parallel, not in series) and the ring's
+// slot-publish CAS as a capacity-1 token held for Timing.RingPush, the
+// only serialization point left between submitters sharing a ring. The
+// drain is scheduled lazily and the submission completes through the
+// normal device path. The completion is stamped with the submit instant
+// (see SubmitStamped).
 func (l *Lane) Submit(p *sim.Proc, d dsa.Descriptor) error {
 	return l.SubmitStamped(p, d, p.Now())
 }
@@ -381,8 +305,11 @@ func (l *Lane) SubmitStamped(p *sim.Proc, d dsa.Descriptor, stamp sim.Time) erro
 	}
 	d.PASID = t.AS.PASID
 	d.Flags |= t.policy.Flags
+	idx := pl.pick(&d)
+	if idx < 0 {
+		return fmt.Errorf("offload: lane %d: scheduler %q picked a WQ the plane does not feed", l.id, t.S.sched.Name())
+	}
 	tm := pl.wqs[0].Dev.Cfg.Timing
-	idx := l.pickRing(pl.home(&d))
 	// The slot-publish CAS: submitters racing into one ring serialize
 	// for RingPush nanoseconds each, in arrival order. The portal write
 	// after it is per-submitter work: each lane's proc pays it in its own
@@ -508,8 +435,8 @@ func (pl *Plane) drain() {
 				// The WQ healed: revive its ring.
 				pl.dead[i] = false
 			} else {
-				// Sweep entries lanes raced into the dead ring while
-				// every candidate was down.
+				// Sweep entries lanes pushed into the dead ring while
+				// every WQ was down.
 				pl.sweepDead(i)
 				continue
 			}
@@ -615,13 +542,11 @@ func (pl *Plane) wakeLane(i int) {
 	l.space.Broadcast(pl.t.S.E)
 }
 
-// redistribute re-queues one failed-over entry onto the first healthy
-// candidate ring — falling back to any healthy service ring (a
-// cross-socket detour) when the class pool is down — and sheds it when
+// redistribute re-queues one failed-over entry (push) and sheds it when
 // every ring is down or full. Shedding the last outstanding entry wakes
 // WaitInflight's barrier, as the last completion does.
 func (pl *Plane) redistribute(e dsa.RingEntry) {
-	if pl.pushAny(e.D, e.Tag) {
+	if pl.push(e.D, e.Tag) {
 		return
 	}
 	pl.pending--
@@ -688,14 +613,14 @@ func (pl *Plane) completed(c *dsa.Completion, tag uint64) {
 }
 
 // retry re-queues the unfinished remainder of a faulted plane submission
-// onto a live ring, carrying the original latency stamp so the recovered
-// op's SLO span includes every retry round trip. The remainder counts in
+// (push), carrying the original latency stamp so the recovered op's SLO
+// span includes every retry round trip. The remainder counts in
 // Stats.HWOps/HWBytes, as a Future or pipeline re-submission does through
 // Tenant.dispatch. Returns false when no ring can take it — the completion
 // then surfaces as a failure.
 func (pl *Plane) retry(c *dsa.Completion, rec dsa.CompletionRecord, tag uint64) bool {
 	rem := remainderOf(*c.Desc(), rec)
-	if !pl.pushAny(rem, tagRetry(tag)) {
+	if !pl.push(rem, tagRetry(tag)) {
 		return false
 	}
 	pl.t.stats.HWOps++
@@ -732,9 +657,10 @@ func (pl *Plane) Close() error {
 	return nil
 }
 
-// unhook removes the plane's ready hook from its first n WQs.
+// unhook removes the plane's ready hook and ring from its first n WQs.
 func (pl *Plane) unhook(n int) {
 	for _, wq := range pl.wqs[:n] {
 		wq.SetOnReady(nil)
+		wq.SetFeed(nil)
 	}
 }

@@ -8,9 +8,11 @@ import (
 	"dsasim/internal/sim"
 )
 
-// Lanes route on ring backlog plus WQ occupancy: with one ring pre-loaded
-// out of band, as a sibling lane's burst would, new submissions spread to
-// the emptier ring, and a WQ's own backlog counts the same as its ring's.
+// A ring's backlog counts toward its WQ's load, which the scheduler's
+// least-loaded pick reads: with one ring pre-loaded out of band, as a
+// sibling lane's burst would, new submissions spread to the emptier ring,
+// and a WQ's own backlog counts the same as its ring's. The rig runs the
+// Placement scheduler, least-loaded within the socket.
 func TestPlaneRoutingLeastLoaded(t *testing.T) {
 	r := newWQRig(t, 1, 1, []dsa.WQConfig{{Mode: dsa.Shared, Size: 32}, {Mode: dsa.Shared, Size: 32}})
 	pl := r.pl
@@ -31,9 +33,9 @@ func TestPlaneRoutingLeastLoaded(t *testing.T) {
 	if _, err := pl.wqs[1].Submit(r.d); err != nil {
 		t.Fatal(err)
 	}
-	for start := range pl.all {
-		if got := pl.leastLoaded(pl.all, start); got != 0 {
-			t.Errorf("leastLoaded from %d picked ring %d, want 0 (6 queued against 6+1)", start, got)
+	for start := range pl.wqs {
+		if got := pl.pick(&r.d); got != 0 {
+			t.Errorf("pick %d routed to ring %d, want 0 (6 queued against 6+1)", start, got)
 		}
 	}
 }

@@ -12,8 +12,8 @@ import (
 // class pool on its data-home socket, as Placement does for a Future: the
 // bulk tenant on socket 0 sends a socket-1 copy to socket 1's rest WQ, a
 // copy that straddles the sockets to the side dataSocket picks, and a
-// copy homed on a dead device to a live ring. Under any other scheduler
-// the lane keeps the tenant's socket.
+// copy homed on a dead device to a live ring. Under a scheduler blind to
+// data homes (PriorityAware) the lane keeps the tenant's socket.
 func TestPlaneRoutesByDataHome(t *testing.T) {
 	// Per device: an express WQ (top priority) and a rest WQ, so the bulk
 	// tenant's pool on each socket is the rest WQ alone.
@@ -88,7 +88,7 @@ func TestPlaneRoutesByDataHome(t *testing.T) {
 	})
 
 	t.Run("blind scheduler", func(t *testing.T) {
-		r := newSchedRig(t, NewLeastLoaded(), 2, 1, cfg)
+		r := newSchedRig(t, NewPriorityAware(), 2, 1, cfg)
 		if dev, wq := submitted(t, r, 1, 1); dev != 0 || wq != restWQ {
 			t.Errorf("socket-1 copy under a blind scheduler accepted by device %d WQ %d, want the tenant socket's rest WQ", dev, wq)
 		}

@@ -135,28 +135,23 @@ func (s *PriorityAware) Pick(req Request, wqs []*dsa.WQ) *dsa.WQ {
 // and the QoS-composed Placement scheduler, which differ only in how the
 // socket is chosen.
 func pickExpress(req Request, socket int, wqs []*dsa.WQ, offset int) *dsa.WQ {
-	var pool, express, rest []*dsa.WQ
-	if req.Topo != nil {
-		pool = req.Topo.Local(socket)
-		express, rest = req.Topo.Split(socket)
-	} else {
-		pool = localWQs(socket, wqs)
-		express, rest = splitByPriority(pool)
-	}
+	express, rest := req.Topo.Split(socket)
 	if len(rest) == 0 {
 		// Uniform priorities: no WQ can be reserved without starving bulk
 		// traffic entirely, so the classes share the pool.
-		return leastLoadedOf(pool, offset)
+		return leastLoadedOf(req.Topo.Local(socket), offset)
 	}
+	// A class whose partition is inside a fault window detours, and keeps
+	// off the express lanes while it can: a latency-sensitive request
+	// takes its socket's bulk WQs, a bulk one the bulk WQs of any socket.
+	// Failing that, any live WQ beats a dead queue.
 	primary, alt := express, rest
 	if req.Class != LatencySensitive {
-		primary, alt = rest, express
+		primary, alt = rest, req.Topo.allRest
 	}
 	if wq := leastLoadedHealthy(primary, offset); wq != nil {
 		return wq
 	}
-	// The class partition is inside a fault window: crossing the QoS
-	// split — and, failing that, the socket — beats a dead queue.
 	if wq := leastLoadedHealthy(alt, offset); wq != nil {
 		return wq
 	}

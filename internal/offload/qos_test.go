@@ -52,9 +52,10 @@ func TestPriorityAwareSteering(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newRig(t, tc.sockets, tc.wqcfg...)
 			wqs := r.wqs()
+			topo := r.service(t).Topology()
 			s := offload.NewPriorityAware()
 			for i := 0; i < 8; i++ {
-				got := s.Pick(offload.Request{Socket: tc.socket, Class: tc.class}, wqs)
+				got := s.Pick(offload.Request{Socket: tc.socket, Class: tc.class, Topo: topo}, wqs)
 				if got == nil {
 					t.Fatalf("pick %d returned nil", i)
 				}

@@ -28,10 +28,13 @@ func newRingRig(t *testing.T, sockets, size, lanes int, faults ...dsa.FaultConfi
 	return newWQRig(t, sockets, lanes, []dsa.WQConfig{{Mode: dsa.Shared, Size: size}}, faults...)
 }
 
-// newWQRig builds a ringRig with the WQs cfg on every socket's device.
+// newWQRig builds a ringRig with the WQs cfg on every socket's device,
+// under the Placement scheduler: it reads WQ load, ring backlog included,
+// and keeps the rig's copies, homed on the tenant's socket, on socket 0's
+// rings.
 func newWQRig(t *testing.T, sockets, lanes int, cfg []dsa.WQConfig, faults ...dsa.FaultConfig) *ringRig {
 	t.Helper()
-	return newSchedRig(t, nil, sockets, lanes, cfg, faults...)
+	return newSchedRig(t, NewPlacement(), sockets, lanes, cfg, faults...)
 }
 
 // newSchedRig is newWQRig under the service scheduler sched (nil: the
@@ -87,8 +90,8 @@ func newSchedRig(t *testing.T, sched Scheduler, sockets, lanes int, cfg []dsa.WQ
 	return r
 }
 
-// push queues d the way lane 0's Submit does — on the ring its pick
-// routes to, counted as pending — but charges no virtual time and starts
+// push queues d the way a lane's Submit does — on the ring of the
+// scheduler's pick, counted as pending — but charges no virtual time and starts
 // no drain, so the entry stays put until the test pops it or starts the
 // drain. The rigs set no admission rate. It reports false when the
 // picked ring is full.
@@ -96,7 +99,7 @@ func (r *ringRig) push(d dsa.Descriptor) bool {
 	pl := r.pl
 	d.PASID = r.tn.AS.PASID
 	d.Flags |= r.tn.policy.Flags
-	if !pl.rings[pl.Lane(0).pickRing(pl.home(&d))].TryPush(d, stampTag(r.e.Now())) {
+	if !pl.rings[pl.pick(&d)].TryPush(d, stampTag(r.e.Now())) {
 		return false
 	}
 	r.tn.stats.HWOps++

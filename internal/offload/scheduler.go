@@ -27,19 +27,10 @@ type Request struct {
 	// fills it from the submitting tenant's policy).
 	LoadAware bool
 
-	// Topo is the service's precomputed WQ placement index. The service
-	// fills it on every submission; direct Pick callers may leave it nil,
-	// in which case schedulers derive (and allocate) the subsets per call.
+	// Topo is the precomputed WQ placement index over the wqs Pick is
+	// handed. Required: the service and the submission plane fill it on
+	// every submission, and direct Pick callers pass Service.Topology.
 	Topo *Topology
-}
-
-// localPool returns the WQs local to socket, preferring the precomputed
-// index and falling back to a per-call scan when the request carries none.
-func (req *Request) localPool(socket int, wqs []*dsa.WQ) []*dsa.WQ {
-	if req.Topo != nil {
-		return req.Topo.Local(socket)
-	}
-	return localWQs(socket, wqs)
 }
 
 // Scheduler picks the work queue for one submission. Implementations see
@@ -107,7 +98,7 @@ func (s *NUMALocal) Name() string { return "numa-local" }
 
 // Pick implements Scheduler.
 func (s *NUMALocal) Pick(req Request, wqs []*dsa.WQ) *dsa.WQ {
-	local := req.localPool(req.Socket, wqs)
+	local := req.Topo.Local(req.Socket)
 	n := len(local)
 	i := s.next[req.Socket] % n
 	s.next[req.Socket] = (i + 1) % n
@@ -126,10 +117,11 @@ func (s *NUMALocal) Pick(req Request, wqs []*dsa.WQ) *dsa.WQ {
 	return local[i]
 }
 
-// LeastLoaded picks the WQ with the fewest occupied entries, breaking ties
-// round-robin so equal queues still spread. Occupancy counts descriptors
-// accepted but not yet dispatched to an engine, so a hogged or slow queue
-// is routed around instead of blocking the submitter in the retry loop.
+// LeastLoaded picks the WQ with the least backlog (WQ.Load), breaking
+// ties round-robin so equal queues still spread. The backlog counts
+// descriptors accepted but not yet dispatched to an engine, plus those
+// queued in a plane ring feeding the WQ, so a hogged or slow queue is
+// routed around instead of blocking the submitter in the retry loop.
 type LeastLoaded struct {
 	next int
 }
@@ -146,23 +138,7 @@ func (s *LeastLoaded) Pick(req Request, wqs []*dsa.WQ) *dsa.WQ {
 	return leastLoadedOf(wqs, s.next)
 }
 
-// localWQs returns the subset of wqs on the given socket, or wqs itself
-// when the socket has no local device (the UPI-crossing fallback). It
-// allocates; the service hot path uses the Topology cache instead.
-func localWQs(socket int, wqs []*dsa.WQ) []*dsa.WQ {
-	var local []*dsa.WQ
-	for _, wq := range wqs {
-		if wq.Dev.Cfg.Socket == socket {
-			local = append(local, wq)
-		}
-	}
-	if len(local) == 0 {
-		return wqs
-	}
-	return local
-}
-
-// leastLoadedOf returns the healthy WQ with the fewest occupied entries,
+// leastLoadedOf returns the healthy WQ with the least backlog (WQ.Load),
 // scanning from the rotating offset so ties spread round-robin. When the
 // whole pool is inside a fault window it returns the rotation pick — the
 // submission fails fast with the WQ's fault sentinel and recovery (or
@@ -183,7 +159,7 @@ func leastLoadedHealthy(wqs []*dsa.WQ, offset int) *dsa.WQ {
 	i := offset % n
 	var best *dsa.WQ
 	for k := 0; k < n; k++ {
-		if wq := wqs[i]; wq.Healthy() && (best == nil || wq.Occupancy() < best.Occupancy()) {
+		if wq := wqs[i]; wq.Healthy() && (best == nil || wq.Load() < best.Load()) {
 			best = wq
 		}
 		if i++; i == n {

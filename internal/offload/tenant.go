@@ -298,23 +298,6 @@ func (t *Tenant) request(d *dsa.Descriptor) Request {
 	return req
 }
 
-// dataHome resolves the socket one queued descriptor's data places it on,
-// falling back to the tenant's socket when the descriptor carries no
-// placement information. The batch paths group descriptors by this key.
-func (t *Tenant) dataHome(d *dsa.Descriptor) int {
-	var src, dst *mem.Node
-	if d.Src != 0 {
-		src = t.AS.NodeAt(d.Src)
-	}
-	if d.Dst != 0 {
-		dst = t.AS.NodeAt(d.Dst)
-	}
-	if s, ok := dataSocket(src, dst); ok {
-		return s
-	}
-	return t.Core.Socket
-}
-
 // unpinned is dispatch's pin for descriptors routed by their data homes.
 const unpinned = -1
 

@@ -8,11 +8,10 @@ import (
 
 // Topology is the service's precomputed placement index over its work
 // queues: per-socket WQ subsets and, within each socket, the express/rest
-// priority partition PriorityAware reserves. It is rebuilt on AddWQs and
-// shared by every scheduler through Request.Topo, so the submission hot
-// path never re-derives (or re-allocates) these subsets per Pick — the
-// old localWQs/splitByPriority calls allocated fresh slices on every
-// submission.
+// priority partition PriorityAware reserves. It is rebuilt on AddWQs (a
+// submission plane keeps the one it was built on) and handed to every
+// scheduler through Request.Topo, so the submission hot path never
+// re-derives or re-allocates these subsets per Pick.
 //
 // The index also carries the interconnect prices the load-aware cost
 // model reads (Placement.Pick with Request.LoadAware): the UPI hop

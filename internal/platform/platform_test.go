@@ -5,6 +5,7 @@ import (
 
 	"dsasim/internal/dsa"
 	"dsasim/internal/mem"
+	"dsasim/internal/offload"
 	"dsasim/internal/sim"
 )
 
@@ -49,5 +50,67 @@ func TestNewDevicesDefaultLayout(t *testing.T) {
 	}
 	if len(devs) != 2 {
 		t.Fatalf("devices = %d, want 2", len(devs))
+	}
+}
+
+// A device hot-plugged after a tenant built its submission plane has no
+// ring. The plane keeps picking over the WQs and placement index it was
+// built on, so under schedulers that would send work to the new device
+// every lane submission still completes on the plane's rings.
+func TestAddDeviceAfterPlaneKeepsLanesOnRings(t *testing.T) {
+	for _, sched := range []func() offload.Scheduler{
+		func() offload.Scheduler { return offload.NewRoundRobin() },
+		func() offload.Scheduler { return offload.NewLeastLoaded() },
+		func() offload.Scheduler { return offload.NewNUMALocal() },
+		func() offload.Scheduler { return offload.NewPlacementQoS() },
+	} {
+		pr := SPRQoS()
+		pr.Scheduler = sched
+		pl := NewPlatform(pr)
+		name := pl.Offload.Scheduler().Name()
+		tn := pl.NewTenant(offload.WithClass(offload.Bulk))
+		plane, err := tn.NewPlane(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hot, err := pl.AddDevice("dsa-hot", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const ops = 16
+		var ok, failed int
+		plane.OnCompletion(func(_ sim.Time, good bool) {
+			if good {
+				ok++
+			} else {
+				failed++
+			}
+		})
+		src, dst := tn.Alloc(4096), tn.Alloc(4096)
+		d := dsa.Descriptor{Op: dsa.OpMemmove, Src: src.Addr(0), Dst: dst.Addr(0), Size: 4096}
+		pl.Run(func(p *sim.Proc) {
+			for i := 0; i < ops; i++ {
+				if err := plane.Lane(i%plane.Lanes()).Submit(p, d); err != nil {
+					t.Errorf("%s: lane submit %d: %v", name, i, err)
+					return
+				}
+			}
+			plane.WaitInflight(p, 0)
+		})
+		if ok != ops || failed != 0 {
+			t.Errorf("%s: %d ok, %d failed, want all %d ok", name, ok, failed, ops)
+		}
+		var accepted int64
+		for _, wq := range plane.WQs() {
+			accepted += wq.Submitted()
+		}
+		if accepted != ops {
+			t.Errorf("%s: the plane's WQs accepted %d descriptors, want %d", name, accepted, ops)
+		}
+		for _, wq := range hot.WQs() {
+			if n := wq.Submitted(); n != 0 {
+				t.Errorf("%s: hot-plugged WQ %d, which has no ring, accepted %d descriptors", name, wq.ID, n)
+			}
+		}
 	}
 }
