@@ -186,8 +186,9 @@ func (d *driver) phaseAt(t sim.Time) int {
 // bgCompleted is the plane's completion observer: the stamp is the
 // scheduled arrival, so the stamped latency is already open-loop, and
 // the arrival instant (and with it the phase) is recovered from it. ok
-// is false for terminal faults (retry budget spent, or shed during
-// failover redistribution) — those score as failures, not goodput.
+// is false for operations that ended failed (retry budget spent, shed
+// with no live ring to fail over to, or refused by the WQ) — those score
+// as failures, not goodput.
 func (d *driver) bgCompleted(lat sim.Time, ok bool) {
 	arr := d.e.Now() - lat
 	d.record(arr, BG, lat, d.sc.BgSLO, !ok)

@@ -131,8 +131,10 @@ func Chaos() Scenario {
 		// socket. While it lasts the scheduler sends lane pushes and
 		// retries to socket 1's bulk WQ, keeping off the express lanes,
 		// and the drain fails over any entry still queued on a dead
-		// ring. Failovers still read 0 in the committed runs, for a
-		// cause not yet established.
+		// ring. Failovers read 0 in the committed runs: at the outage
+		// instant every plane ring is empty and socket 0's WQs hold 0–1
+		// descriptors, so the faulted completions' retry re-queue absorbs
+		// all the outage kills (faults equal retries).
 		OutageDev: 0,
 		OutageAt:  1800 * time.Microsecond,
 		OutageDur: 1200 * time.Microsecond,

@@ -17,7 +17,7 @@
 // A ring's queued entries count toward its WQ's backlog (dsa.WQ.Load),
 // so a load-reading scheduler sees what the lanes have queued. The one
 // choice left to the plane is the last resort of a re-queue whose picked
-// ring is dead or full: the first live ring that takes it.
+// ring is unhealthy or full: the first healthy ring that takes it.
 //
 // The simulation runs on one goroutine, so rings, counters and health
 // flags are plain data. What sharding buys is priced in virtual time:
@@ -39,7 +39,8 @@
 // whose resolved count also paces the plane's wakeup moderation. A
 // faulted completion consults the tenant's one retry decision
 // (recover.go) and re-queues its remainder, the attempt count carried in
-// the ring tag.
+// the ring tag; an entry the drain finds behind a dead WQ fails over by
+// the same re-queue (push).
 package offload
 
 import (
@@ -90,15 +91,10 @@ type Plane struct {
 	wakeEvery int64
 	compCount int64
 
-	// onLat, when set, observes the stamped latency of every completion
-	// (see OnCompletion). Installed before traffic starts, invoked from
-	// the device completion path.
+	// onLat, when set, observes the stamped latency of every operation's
+	// end (see OnCompletion). Installed before traffic starts, invoked
+	// from the device completion path and the drain.
 	onLat func(lat sim.Time, ok bool)
-
-	// dead marks rings whose WQ died (disable window or device outage):
-	// the drain redistributed their entries, and re-queues skip them until
-	// the drain observes the WQ healthy again.
-	dead []bool
 
 	// drainOn marks the drain as running: a pass is scheduled, or it is
 	// parked, blocked on a full WQ with no pass scheduled. drainAt is the
@@ -163,7 +159,6 @@ func (t *Tenant) NewPlane(nlanes int) (*Plane, error) {
 		rings:   make([]*dsa.SubmitRing, len(wqs)),
 		ringTok: make([]*sim.Token, len(wqs)),
 		waiting: make([][]*Lane, len(wqs)),
-		dead:    make([]bool, len(wqs)),
 		held:    make([]dsa.RingEntry, len(wqs)),
 		holding: make([]bool, len(wqs)),
 		gap:     wqs[0].Dev.Cfg.Timing.PollGap,
@@ -205,13 +200,14 @@ func (pl *Plane) Lanes() int { return len(pl.lanes) }
 func (pl *Plane) WQs() []*dsa.WQ { return pl.wqs }
 
 // OnCompletion registers fn to observe the stamped latency of every plane
-// completion: the span from the submission's stamp (the submit instant,
+// operation: the span from the submission's stamp (the submit instant,
 // or the caller-provided stamp of SubmitStamped) to the completion record
-// write. ok reports whether the operation ultimately succeeded — false
-// means a terminal fault after the retry budget (the fleet driver scores
-// those against the SLO as failures, not goodput). Install before traffic
-// starts; the hook runs on the device completion path, so it must not
-// block.
+// write, or to the instant the drain ended it. ok reports whether the
+// operation ultimately succeeded — false means a terminal fault after the
+// retry budget, an entry shed with no healthy ring to take it, or one the WQ
+// refused (the fleet driver scores those against the SLO as failures, not
+// goodput). Install before traffic starts; the hook runs on the device
+// completion path and in the drain, so it must not block.
 func (pl *Plane) OnCompletion(fn func(lat sim.Time, ok bool)) { pl.onLat = fn }
 
 // Pending returns entries pushed to rings but not yet WQ-accepted.
@@ -233,11 +229,6 @@ func (l *Lane) laneShare() (rate float64, burst int) {
 	return pol.AdmitRate / float64(n), burst
 }
 
-// live reports whether ring i may take traffic: not marked dead by
-// failover, and its WQ healthy (a disable window or outage the drain has
-// not yet seen).
-func (pl *Plane) live(i int) bool { return !pl.dead[i] && pl.wqs[i].Healthy() }
-
 // pick asks the service scheduler for d's WQ, on the request dispatch
 // builds for a Future but over the plane's own WQ set, and returns the
 // index of that WQ's ring; -1 when the scheduler picked a WQ the plane
@@ -254,15 +245,18 @@ func (pl *Plane) pick(d *dsa.Descriptor) int {
 	return -1
 }
 
-// push re-queues one entry on the ring of the WQ the scheduler picks for
-// it or, when that ring is dead or full, on the first live ring that
-// takes it — any detour beats failing the op.
+// push is the plane's one re-queue, taken by a faulted completion's
+// remainder and by an entry failed over off a dead WQ: the ring of the
+// WQ the scheduler picks for it or, when that WQ is unhealthy or its
+// ring full, the first healthy ring that takes it — any detour beats
+// failing the op. It returns false when no ring takes the entry, which
+// the caller then ends failed.
 func (pl *Plane) push(d dsa.Descriptor, tag uint64) bool {
-	if i := pl.pick(&d); i >= 0 && pl.live(i) && pl.rings[i].TryPush(d, tag) {
+	if i := pl.pick(&d); i >= 0 && pl.wqs[i].Healthy() && pl.rings[i].TryPush(d, tag) {
 		return true
 	}
 	for i := range pl.rings {
-		if pl.live(i) && pl.rings[i].TryPush(d, tag) {
+		if pl.wqs[i].Healthy() && pl.rings[i].TryPush(d, tag) {
 			return true
 		}
 	}
@@ -402,45 +396,34 @@ func (pl *Plane) wake(i int) {
 	e.At(gridNext(pl.drainAt, pl.gap, e.Now()), pl.drainFn)
 }
 
-// ready reports whether a drain pass would change ring i: revive or
-// sweep it when dead, pop into its empty hold slot, or hand the held
-// entry to a WQ that has room or has failed.
+// ready reports whether a drain pass would change ring i: pop into its
+// empty hold slot, or hand the held entry to a WQ that has room or has
+// failed.
 func (pl *Plane) ready(i int) bool {
-	wq := pl.wqs[i]
-	switch {
-	case pl.dead[i]:
-		return wq.Healthy() || pl.rings[i].Len() > 0
-	case !pl.holding[i]:
+	if !pl.holding[i] {
 		return pl.rings[i].Len() > 0
 	}
+	wq := pl.wqs[i]
 	return wq.Occupancy() < wq.Size || !wq.Healthy()
 }
 
 // drain moves ring entries into the device WQs: pop, WQ.Submit (zero
 // virtual cost — the submitter already paid the portal write in its own
-// timeline), hook the completion for wakeup moderation. A full WQ holds
-// the popped entry, and the drain parks until a WQ's ready hook or a
-// push wakes it (see wake); a *dead* WQ (disable window or device outage
-// — Submit returns dsa.ErrWQDisabled or dsa.ErrDeviceOffline, not
-// ErrWQFull) triggers failover: the drain marks the ring dead and
-// redistributes its entries to healthy rings, then revives it once the
-// WQ reports healthy again. Each pass is one engine callback that runs
-// until the rings run dry.
+// timeline), hook the completion for wakeup moderation. It judges each
+// Submit in one place:
+//   - accepted: the entry is in flight;
+//   - dsa.ErrWQFull: hold the entry, and park until a WQ's ready hook or
+//     a push wakes the drain (see wake);
+//   - the WQ is unhealthy (a disable window or device outage): fail the
+//     entry over through push, and shed it when no ring takes it;
+//   - any other refusal (an oversized transfer, say): end it failed.
+//
+// Each pass is one engine callback that runs until the rings run dry, so
+// a dead WQ's ring empties in the pass that finds it dead.
 func (pl *Plane) drain() {
 	held, holding := pl.held, pl.holding
 	blocked := false
-	for i := range pl.rings {
-		if pl.dead[i] {
-			if pl.wqs[i].Healthy() {
-				// The WQ healed: revive its ring.
-				pl.dead[i] = false
-			} else {
-				// Sweep entries lanes pushed into the dead ring while
-				// every WQ was down.
-				pl.sweepDead(i)
-				continue
-			}
-		}
+	for i, wq := range pl.wqs {
 		for {
 			if !holding[i] {
 				e, ok := pl.pop(i)
@@ -449,19 +432,33 @@ func (pl *Plane) drain() {
 				}
 				held[i], holding[i] = e, true
 			}
-			comp, err := pl.wqs[i].Submit(held[i].D)
-			if err != nil {
-				if errors.Is(err, dsa.ErrWQDisabled) || errors.Is(err, dsa.ErrDeviceOffline) {
-					pl.failover(i, held, holding)
-				} else {
-					blocked = true
-				}
+			comp, err := wq.Submit(held[i].D)
+			if errors.Is(err, dsa.ErrWQFull) {
+				blocked = true
 				break
 			}
-			comp.SetOnDone(pl.completedFn, held[i].Tag)
 			holding[i] = false
-			pl.inflight++
+			if err == nil {
+				comp.SetOnDone(pl.completedFn, held[i].Tag)
+				pl.inflight++
+				pl.pending--
+				continue
+			}
+			if !wq.Healthy() {
+				pl.t.stats.Failovers++
+				pl.t.S.met.failover()
+				if pl.push(held[i].D, held[i].Tag) {
+					continue
+				}
+			}
+			// Refused, or failed over with no ring to take it: shed.
+			// Shedding the last outstanding entry wakes WaitInflight's
+			// barrier, as the last completion does.
 			pl.pending--
+			pl.end(held[i].Tag, false)
+			if pl.pending+pl.inflight == 0 {
+				pl.doneSig.Broadcast(pl.t.S.E)
+			}
 		}
 	}
 	if pl.pending == 0 {
@@ -477,34 +474,6 @@ func (pl *Plane) drain() {
 	// that landed behind the scan resumes it one grid step on at once.
 	pl.parked, pl.drainAt = true, pl.t.S.E.Now()
 	pl.ensureDrain()
-}
-
-// failover handles a dead WQ discovered by the drain: mark its ring dead
-// for the lanes and redistribute the held entry plus everything queued
-// behind it onto healthy rings. Entries with nowhere to go are shed
-// (counted as failures) rather than stranded behind a dead queue.
-func (pl *Plane) failover(i int, held []dsa.RingEntry, holding []bool) {
-	if !pl.dead[i] {
-		pl.dead[i] = true
-		pl.t.stats.Failovers++
-		pl.t.S.met.failover()
-	}
-	if holding[i] {
-		holding[i] = false
-		pl.redistribute(held[i])
-	}
-	pl.sweepDead(i)
-}
-
-// sweepDead drains a dead ring's entries onto healthy rings.
-func (pl *Plane) sweepDead(i int) {
-	for {
-		e, ok := pl.pop(i)
-		if !ok {
-			return
-		}
-		pl.redistribute(e)
-	}
 }
 
 // pop takes ring i's oldest entry and wakes a lane waiting for the freed
@@ -542,68 +511,54 @@ func (pl *Plane) wakeLane(i int) {
 	l.space.Broadcast(pl.t.S.E)
 }
 
-// redistribute re-queues one failed-over entry (push) and sheds it when
-// every ring is down or full. Shedding the last outstanding entry wakes
-// WaitInflight's barrier, as the last completion does.
-func (pl *Plane) redistribute(e dsa.RingEntry) {
-	if pl.push(e.D, e.Tag) {
-		return
-	}
-	pl.pending--
-	pl.t.stats.Failures++
-	if stamp := tagStamp(e.Tag); stamp != 0 && pl.onLat != nil {
-		pl.onLat(pl.t.S.E.Now()-sim.Time(stamp-1), false)
-	}
-	if pl.pending+pl.inflight == 0 {
-		pl.doneSig.Broadcast(pl.t.S.E)
-	}
-}
-
-// Ring tags carry the submission's latency stamp in the low 56 bits (+1
-// so tag 0 still means "no stamp" at virtual time zero — 2^56 ns is ~2
-// years of virtual time) and the fault-retry attempt count in the top 8,
-// so recovery needs no per-operation state.
+// Ring tags carry the submission's latency stamp in the low 56 bits
+// (2^56 ns is ~2 years of virtual time) and the fault-retry attempt count
+// in the top 8, so recovery needs no per-operation state.
 const (
 	tagAttemptShift = 56
 	tagStampMask    = uint64(1)<<tagAttemptShift - 1
 )
 
 // stampTag encodes a submission's latency stamp into the ring tag.
-func stampTag(at sim.Time) uint64 { return (uint64(at) + 1) & tagStampMask }
+func stampTag(at sim.Time) uint64 { return uint64(at) & tagStampMask }
 
-// tagStamp extracts the latency stamp (0 = unstamped).
-func tagStamp(tag uint64) uint64 { return tag & tagStampMask }
+// tagStamp extracts the latency stamp.
+func tagStamp(tag uint64) sim.Time { return sim.Time(tag & tagStampMask) }
 
 // tagAttempt extracts the fault-retry attempt count.
 func tagAttempt(tag uint64) int { return int(tag >> tagAttemptShift) }
 
 // tagRetry returns the tag for the next attempt, stamp preserved.
 func tagRetry(tag uint64) uint64 {
-	return tagStamp(tag) | uint64(tagAttempt(tag)+1)<<tagAttemptShift
+	return tag&tagStampMask | uint64(tagAttempt(tag)+1)<<tagAttemptShift
+}
+
+// end ends one plane operation: a success scores its stamped latency
+// against the tenant's SLO, a failure counts in Stats.Failures, and the
+// OnCompletion observer sees either.
+func (pl *Plane) end(tag uint64, ok bool) {
+	lat := pl.t.S.E.Now() - tagStamp(tag)
+	if ok {
+		pl.t.recordSLO(lat)
+	} else {
+		pl.t.stats.Failures++
+	}
+	if pl.onLat != nil {
+		pl.onLat(lat, ok)
+	}
 }
 
 // completed is the plane's completion hook (dsa.Completion.SetOnDone):
-// recover faulted completions within the policy's retry budget, then
-// score the stamped latency, decrement inflight, and wake waiters —
-// every wakeEvery-th completion, or immediately when the plane drains to
-// zero, mirroring how interrupt coalescing amortizes delivery.
+// recover faulted completions within the policy's retry budget, else end
+// the operation, decrement inflight, and wake waiters — every
+// wakeEvery-th completion, or immediately when the plane drains to zero,
+// mirroring how interrupt coalescing amortizes delivery.
 func (pl *Plane) completed(c *dsa.Completion, tag uint64) {
 	rec := c.Record()
 	if _, retry := pl.t.faulted(&rec, tagAttempt(tag)+1); retry && pl.retry(c, rec, tag) {
 		return // remainder re-queued; the op is still in flight
 	}
-	ok := rec.Status == dsa.StatusSuccess
-	if stamp := tagStamp(tag); stamp != 0 {
-		lat := pl.t.S.E.Now() - sim.Time(stamp-1)
-		if ok {
-			pl.t.recordSLO(lat)
-		} else {
-			pl.t.stats.Failures++
-		}
-		if pl.onLat != nil {
-			pl.onLat(lat, ok)
-		}
-	}
+	pl.end(tag, rec.Status == dsa.StatusSuccess)
 	pl.inflight--
 	if pl.inflight == 0 {
 		pl.doneSig.Broadcast(pl.t.S.E)

@@ -73,3 +73,35 @@ func TestPlaneShedWakesWaitInflight(t *testing.T) {
 		t.Errorf("after run: pending %d inflight %d, want 0/0", r.pl.Pending(), r.pl.Inflight())
 	}
 }
+
+// An entry the WQ refuses for good, here a copy past the device's
+// MaxTransfer, ends failed in the drain pass that finds it: counted in
+// Failures, seen by the OnCompletion observer, and off the books, so a
+// WaitInflight barrier wakes. Mistaken for a full WQ, it would be re-tried
+// every PollGap and never end.
+func TestPlaneRefusedEntryEnds(t *testing.T) {
+	r := newRingRig(t, 1, 8, 1)
+	big := r.d
+	big.Size = r.devs[0].Cfg.MaxTransfer + 4096
+	_, failed := countEnds(r)
+	woke := sim.Time(-1)
+	r.e.Go("submitter", func(p *sim.Proc) {
+		if err := r.pl.Lane(0).Submit(p, big); err != nil {
+			t.Error(err)
+			return
+		}
+		r.pl.WaitInflight(p, 0)
+		woke = p.Now()
+	})
+	r.e.RunUntil(sim.Time(time.Millisecond))
+	if woke < 0 {
+		t.Fatalf("WaitInflight still parked after 1ms: pending %d, inflight %d, %d events scheduled",
+			r.pl.Pending(), r.pl.Inflight(), r.e.Scheduled())
+	}
+	if s := r.tn.Stats(); *failed != 1 || s.Failures != 1 || s.Failovers != 0 {
+		t.Errorf("failed %d, stats %d failures / %d failovers, want 1/1/0", *failed, s.Failures, s.Failovers)
+	}
+	if r.pl.Pending() != 0 || r.pl.Inflight() != 0 {
+		t.Errorf("after run: pending %d inflight %d, want 0/0", r.pl.Pending(), r.pl.Inflight())
+	}
+}

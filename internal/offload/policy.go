@@ -226,8 +226,9 @@ type Stats struct {
 	// pipeline and plane paths. Faults counts faulted hardware completions
 	// observed, whatever the retry budget; Retries the hardware
 	// re-submissions recovery issued; Fallbacks the operations finished
-	// on-core after consecutive faults; Failovers the WQ-death events where
-	// a plane drain marked a ring dead and redistributed its entries.
+	// on-core after consecutive faults; Failovers the plane entries a
+	// drain found behind a dead WQ and moved off its ring, re-queued
+	// elsewhere or shed.
 	Faults    int64
 	Retries   int64
 	Fallbacks int64

@@ -154,8 +154,8 @@ func TestPipelineChainRetriesFaultedBatch(t *testing.T) {
 
 // A whole-device outage under a submission plane: queued work completes
 // with device_offline and is re-queued onto the surviving socket, the
-// drain marks the dead rings (a failover), lanes detour cross-socket,
-// and the healed device serves traffic again.
+// drain fails over the entries queued behind the dead WQs, lanes detour
+// cross-socket, and the healed device serves traffic again.
 func TestPlaneFailoverOnDeviceOutage(t *testing.T) {
 	r := newRig(t, 2, dsa.WQConfig{Mode: dsa.Shared, Size: 16})
 	// 256KB ops service at ~5µs apiece against a ~0.4µs submit cadence,
@@ -202,7 +202,7 @@ func TestPlaneFailoverOnDeviceOutage(t *testing.T) {
 		if preHeal == 0 {
 			t.Error("no completions during the outage epoch")
 		}
-		// Past the window: the healed device's rings revive and serve.
+		// Past the window: the healed device serves again.
 		if heal := sim.Time(75 * time.Microsecond); p.Now() < heal {
 			p.SleepUntil(heal)
 		}
@@ -226,7 +226,7 @@ func TestPlaneFailoverOnDeviceOutage(t *testing.T) {
 	}
 	st := tn.Stats()
 	if st.Failovers == 0 {
-		t.Fatalf("failovers=%d, want >=1 (the drain must mark the dead rings)", st.Failovers)
+		t.Fatalf("failovers=%d, want >=1 (the drain must move entries off the dead rings)", st.Failovers)
 	}
 	if st.Faults == 0 || st.Retries == 0 {
 		t.Fatalf("faults=%d retries=%d, want both nonzero (queued work re-queued cross-socket)", st.Faults, st.Retries)

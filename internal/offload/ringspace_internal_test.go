@@ -334,20 +334,7 @@ func traceOcc(r *ringRig) *occTrace {
 func TestDrainParksOnFullWQ(t *testing.T) {
 	r := newRingRig(t, 1, 4, 1)
 	tr := traceOcc(r)
-	wq := r.pl.wqs[0]
-	src, dst := r.tn.Alloc(1<<20), r.tn.Alloc(1<<20)
-	big := dsa.Descriptor{Op: dsa.OpMemmove, PASID: r.tn.AS.PASID, Src: src.Addr(0), Dst: dst.Addr(0), Size: 1 << 20}
-	// Busy all four engines with 1 MB copies, then fill the WQ behind
-	// them, out of band of the plane.
-	submitN := func() {
-		for i := 0; i < wq.Size; i++ {
-			if _, err := wq.Submit(big); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	submitN()
-	r.e.At(sim.Time(300), submitN)
+	fillWQ(t, r, r.pl.wqs[0])
 	block := sim.Time(time.Microsecond)
 	r.e.At(block, func() {
 		if !r.push(r.d) {
@@ -396,48 +383,142 @@ func TestDrainParksOnFullWQ(t *testing.T) {
 	}
 }
 
-// A ring whose WQ dies while lanes wait on it is swept by failover: the
-// sweep's pops wake the lanes, whose pushes land in the dead ring and are
-// swept in turn, and every entry still ends exactly once.
+// A ring whose WQ dies fails its entries over one at a time, each by
+// the plane's one re-queue: Failovers counts every entry moved off the
+// dead WQ's ring, each lands on a live ring or is shed, and each ends
+// exactly once.
 func TestRingSpaceFailoverSweepConserves(t *testing.T) {
-	const lanes = 12 // more than the ring holds: some re-wait on the sweep
-	outage := dsa.FaultConfig{Outages: []dsa.Outage{{At: sim.Time(500 * time.Nanosecond), Dur: sim.Time(100 * time.Microsecond)}}}
-	r := newRingRig(t, 2, 8, lanes, outage)
-	r.fill(t)
-	total := r.pl.rings[0].Len() + lanes
-	var done, failed int
-	r.pl.OnCompletion(func(_ sim.Time, ok bool) {
-		if ok {
-			done++
-		} else {
-			failed++
+	outage := func(at sim.Time) dsa.FaultConfig {
+		return dsa.FaultConfig{Outages: []dsa.Outage{{At: at, Dur: sim.Time(100 * time.Microsecond)}}}
+	}
+	// The drain's pops wake lanes waiting on the dead ring, and their
+	// pushes land in it and fail over in turn.
+	t.Run("waiting lanes", func(t *testing.T) {
+		const lanes = 12 // more than the ring holds: some re-wait
+		r := newRingRig(t, 2, 8, lanes, outage(sim.Time(500*time.Nanosecond)))
+		r.fill(t)
+		total := r.pl.rings[0].Len() + lanes
+		done, failed := countEnds(r)
+		for i := 0; i < lanes; i++ {
+			lane := r.pl.Lane(i)
+			r.e.Go("lane", func(p *sim.Proc) {
+				if err := lane.Submit(p, r.d); err != nil {
+					t.Error(err)
+				}
+			})
+		}
+		r.e.Go("drain starter", func(p *sim.Proc) {
+			p.SleepUntil(sim.Time(2 * time.Microsecond))
+			if n := len(r.pl.waiting[0]); n != lanes {
+				t.Errorf("%d lanes wait for space before the failover, want %d", n, lanes)
+			}
+			r.pl.WaitInflight(p, 0)
+		})
+		r.e.Run()
+		if *done+*failed != total {
+			t.Errorf("done %d + failed %d, want all %d entries ended once", *done, *failed, total)
+		}
+		if st := r.tn.Stats(); st.Failovers != int64(total) {
+			t.Errorf("failovers %d, want %d: every entry passed through the dead ring", st.Failovers, total)
+		}
+		if r.pl.Pending() != 0 || r.pl.Inflight() != 0 {
+			t.Errorf("after run: pending %d inflight %d, want 0/0", r.pl.Pending(), r.pl.Inflight())
 		}
 	})
-	for i := 0; i < lanes; i++ {
-		lane := r.pl.Lane(i)
-		r.e.Go("lane", func(p *sim.Proc) {
-			if err := lane.Submit(p, r.d); err != nil {
-				t.Error(err)
+	// N entries wait in socket 0's ring behind its full WQ when the
+	// device dies: the drain fails each over to socket 1's ring or, with
+	// socket 1 dead too, sheds it, and the barrier wakes either way.
+	const n = 5
+	dies := sim.Time(2 * time.Microsecond)
+	for _, tc := range []struct {
+		name    string
+		allDead bool
+	}{{"queued behind a full WQ", false}, {"every WQ dead", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			faults := []dsa.FaultConfig{outage(dies)}
+			if tc.allDead {
+				faults = append(faults, outage(dies))
+			}
+			r := newRingRig(t, 2, 8, 1, faults...)
+			done, failed := countEnds(r)
+			fillWQ(t, r, r.pl.wqs[0])
+			r.e.At(sim.Time(time.Microsecond), func() {
+				for i := 0; i < n; i++ {
+					if !r.push(r.d) {
+						t.Fatal("push found the ring full")
+					}
+				}
+				if got := r.pl.rings[0].Len(); got != n {
+					t.Fatalf("ring 0 holds %d entries, want %d", got, n)
+				}
+				r.pl.ensureDrain()
+			})
+			woke := sim.Time(-1)
+			r.e.Go("waiter", func(p *sim.Proc) {
+				p.SleepUntil(sim.Time(time.Microsecond) + 1)
+				if !r.pl.parked {
+					t.Error("drain not parked behind the full WQ before it died")
+				}
+				r.pl.WaitInflight(p, 0)
+				woke = p.Now()
+			})
+			r.e.Run()
+			st := r.tn.Stats()
+			if st.Failovers != n {
+				t.Errorf("failovers %d, want %d: one per entry moved off the dead ring", st.Failovers, n)
+			}
+			if *done+*failed != n || r.pl.Pending() != 0 || r.pl.Inflight() != 0 {
+				t.Errorf("done %d failed %d pending %d inflight %d, want %d entries ended once",
+					*done, *failed, r.pl.Pending(), r.pl.Inflight(), n)
+			}
+			if woke < dies {
+				t.Errorf("WaitInflight returned at %v, want after the outage at %v", woke, dies)
+			}
+			if tc.allDead {
+				if *failed != n || st.Failures != n {
+					t.Errorf("failed %d, Failures %d, want all %d shed", *failed, st.Failures, n)
+				}
+				if heal := dies + sim.Time(100*time.Microsecond); woke >= heal {
+					t.Errorf("WaitInflight returned at %v, want at the shed, before the heal at %v", woke, heal)
+				}
+				return
+			}
+			if got := r.devs[1].Stats().Submitted; *done != n || got != n {
+				t.Errorf("done %d, socket 1 accepted %d, want all %d failed over to the live ring", *done, got, n)
 			}
 		})
 	}
-	r.e.Go("drain starter", func(p *sim.Proc) {
-		p.SleepUntil(sim.Time(2 * time.Microsecond))
-		if n := len(r.pl.waiting[0]); n != lanes {
-			t.Errorf("%d lanes wait for space before the sweep, want %d", n, lanes)
+}
+
+// countEnds counts the plane's successful and failed operation ends.
+func countEnds(r *ringRig) (done, failed *int) {
+	done, failed = new(int), new(int)
+	r.pl.OnCompletion(func(_ sim.Time, ok bool) {
+		if ok {
+			*done++
+		} else {
+			*failed++
 		}
-		r.pl.WaitInflight(p, 0)
 	})
-	r.e.Run()
-	if done+failed != total {
-		t.Errorf("done %d + failed %d, want all %d entries ended once", done, failed, total)
+	return done, failed
+}
+
+// fillWQ busies every engine of wq's group with 1 MB copies and fills wq
+// behind them, out of band of the plane.
+func fillWQ(t *testing.T, r *ringRig, wq *dsa.WQ) {
+	t.Helper()
+	src, dst := r.tn.Alloc(1<<20), r.tn.Alloc(1<<20)
+	big := dsa.Descriptor{Op: dsa.OpMemmove, PASID: r.tn.AS.PASID, Src: src.Addr(0), Dst: dst.Addr(0), Size: 1 << 20}
+	submit := func() {
+		for wq.Occupancy() < wq.Size {
+			if _, err := wq.Submit(big); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	if st := r.tn.Stats(); st.Failovers == 0 {
-		t.Error("no failover: the outage did not reach the drain")
-	}
-	if r.pl.Pending() != 0 || r.pl.Inflight() != 0 {
-		t.Errorf("after run: pending %d inflight %d, want 0/0", r.pl.Pending(), r.pl.Inflight())
-	}
+	submit()
+	// The engines take their first copies a portal hop later; refill.
+	r.e.At(sim.Time(300), submit)
 }
 
 // FuzzRingSpaceWait checks both ends of a plane ring against the poll
