@@ -267,11 +267,16 @@ func TestFleetEventBudget(t *testing.T) {
 // data's socket, instead of always to the tenant socket's. chaos last
 // moved when plane lanes, retries and failover re-queues began asking
 // the service scheduler for their WQ: with socket 0's bulk WQ dead, bulk
-// entries now take socket 1's bulk WQ instead of an express WQ.
+// entries now take socket 1's bulk WQ instead of an express WQ. msgbroker
+// last moved when a fused pipeline began taking its home socket from the
+// one Placement cost model: it prices the bulk pool its chains use, not
+// the whole socket's best WQ, and smooths that price and holds the route
+// with the same hysteresis as every other submission. Both parts move it;
+// SLO misses at this scale fell from 54 to 29.
 func TestFleetResultGolden(t *testing.T) {
 	golden := map[string]string{
 		"packetswitch-fleet": "55b0984d219a7404",
-		"msgbroker-fleet":    "ee16ef2525afd64f",
+		"msgbroker-fleet":    "f3256f32fce4c6b1",
 		"chaos-fleet":        "cffb3c0306fea9db",
 	}
 	for _, d := range drainedTestRuns() {

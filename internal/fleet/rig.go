@@ -30,9 +30,11 @@ func fleetRig() (*sim.Engine, *offload.Service, []*dsa.Device) {
 // (its lanes ask the service's Placement scheduler like any submission),
 // coalesced interrupt completions with adaptive window sizing, and
 // shedding admission control at the scenario's cap — the production
-// knobs, not a benchmark special. It leaves Policy.LoadAware off:
-// routing the lanes through the load-aware detour measured a chaos fg
-// p99 of 716.8 µs, against 145.5 µs under data-home placement.
+// knobs, not a benchmark special. It leaves Policy.LoadAware off. With
+// the lanes routed through the load-aware detour, the benchmark harness's
+// default-seed fg p99 reads the same 8.704 µs on chaos and 7.879 against
+// 7.936 µs on packetswitch: too small a gain to move every baseline on
+// one seed.
 func frontPolicy(sc Scenario) offload.Policy {
 	pol := offload.DefaultPolicy()
 	pol.Wait = offload.Interrupt

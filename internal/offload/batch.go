@@ -154,27 +154,27 @@ func (t *Tenant) submitSlice(p *sim.Proc, descs []dsa.Descriptor, flags dsa.Flag
 // groups in first-seen order, with submission order preserved inside each
 // group. Under Policy.LoadAware the grouping key is not the raw home but
 // where the scheduler's cost model says the descriptor will actually run
-// (loadRouter): a slice homed on a saturated socket detours with the rest
-// of the traffic instead of being dutifully split out and submitted into
-// the backlog, and slices whose routes coincide merge into one sub-batch. It returns nil — submit as
-// one batch — when splitting is disabled (Policy.SplitBatches), the active
-// scheduler is not data-aware (a blind policy would route every sub-batch
-// to the same device, making the split pure parent overhead), the flush
-// carries a Fence anywhere (fences order descriptors across the whole
-// batch, which independent devices cannot honor), or every descriptor
-// shares a target.
+// (Placement.route): a slice homed on a saturated socket detours with the
+// rest of the traffic instead of being dutifully split out and submitted
+// into the backlog, and slices whose routes coincide merge into one
+// sub-batch. It returns nil — submit as one batch — when splitting is
+// disabled (Policy.SplitBatches), the active scheduler is not data-aware
+// (a blind policy would route every sub-batch to the same device, making
+// the split pure parent overhead), the flush carries a Fence anywhere
+// (fences order descriptors across the whole batch, which independent
+// devices cannot honor), or every descriptor shares a target.
 //
 // flags are the batch-level flags the parent will be submitted with: a
 // fence arriving via Batch.WithFlags (or the tenant policy) makes the chain
 // exactly as unsplittable as a per-descriptor fence. The fence scan is a
-// pure pre-pass, before any load-aware routing: routeSocket folds a sample
-// into the placement cost EWMA and moves the hysteresis incumbent, so
+// pure pre-pass, before any load-aware routing: route folds a sample into
+// the placement cost EWMA and moves the hysteresis incumbent, so
 // discovering a mid-chain fence only after routing earlier descriptors
 // would leave phantom route state behind for a flush that is then never
 // split — under a saturated socket those phantom samples can flip the
 // detour decision for unrelated traffic.
 func (t *Tenant) splitByHome(descs []dsa.Descriptor, flags dsa.Flags) [][]int {
-	if !t.policy.SplitBatches || !t.S.dataAware {
+	if !t.policy.SplitBatches || t.S.place == nil {
 		return nil
 	}
 	if (flags|t.policy.Flags)&dsa.FlagFence != 0 {
@@ -184,10 +184,6 @@ func (t *Tenant) splitByHome(descs []dsa.Descriptor, flags dsa.Flags) [][]int {
 		if descs[i].Flags&dsa.FlagFence != 0 || descs[i].Op == dsa.OpNop {
 			return nil
 		}
-	}
-	var lr loadRouter
-	if t.policy.LoadAware {
-		lr, _ = t.S.sched.(loadRouter)
 	}
 	var groups [][]int
 	bySocket := make(map[int]int, 2)
@@ -202,13 +198,13 @@ func (t *Tenant) splitByHome(descs []dsa.Descriptor, flags dsa.Flags) [][]int {
 		if !ok {
 			home = t.Core.Socket
 		}
-		if lr != nil {
+		if req.LoadAware {
 			if routed == nil {
 				routed = make(map[int]int, 2)
 			}
 			r, ok := routed[home]
 			if !ok {
-				r = lr.routeSocket(req, home)
+				r = t.S.place.route(req, home)
 				routed[home] = r
 			}
 			home = r

@@ -48,10 +48,60 @@ func TestCompletionPricedWithoutSync(t *testing.T) {
 		t.Fatalf("pick with no latency history = wq on socket %d, want the data's home", got.Dev.Cfg.Socket)
 	}
 	m.Completed(wq0, r.e.Now(), pasid, sim.Time(10*time.Millisecond))
-	if got, want := sv.Topology().QueueDelay(0), sim.Time(60*time.Millisecond); got != want {
+	topo := sv.Topology()
+	if got, want := topo.queueDelayOf(topo.Local(0)), sim.Time(60*time.Millisecond); got != want {
 		t.Errorf("socket 0 queue delay %v, want %v (6 queued × one 10ms completion)", got, want)
 	}
 	if got := pl.Pick(req, sv.WQs()); got != wq1 {
 		t.Errorf("pick after a 10ms completion behind 6 queued = wq on socket %d, want the idle socket", got.Dev.Cfg.Socket)
+	}
+
+	// Entries waiting in the plane ring that feeds wq0 queue ahead of a
+	// new arrival as surely as the descriptors the WQ holds, so the priced
+	// delay counts them (WQ.Load, not Occupancy).
+	for i := 0; i < 2; i++ {
+		if !r.pl.rings[0].TryPush(r.d, 0) {
+			t.Fatal("feeding ring full")
+		}
+	}
+	if got, want := topo.queueDelayOf(topo.Local(0)), sim.Time(80*time.Millisecond); got != want {
+		t.Errorf("socket 0 queue delay %v with 2 more in its feeding ring, want %v (8 queued × one 10ms completion)", got, want)
+	}
+}
+
+// Pipeline placement stays allocation-free: route, pricing a chain's
+// fixed legs on every submission, and the pinned-socket Pick the chains
+// are then submitted with must not allocate.
+func TestPipelinePlacementZeroAllocs(t *testing.T) {
+	r := newRingRig(t, 2, 8, 1)
+	topo, wqs := r.svc.Topology(), r.svc.WQs()
+	legs := []PipelineLeg{
+		{Node: r.svc.Sys.Node(0), Size: 4096},
+		{Node: r.svc.Sys.Node(1), Size: 4096, Write: true},
+	}
+	chain := func(legs []PipelineLeg) Request {
+		return Request{Socket: 0, LoadAware: true, Topo: topo, legs: legs}
+	}
+	if got := NewPlacement().route(chain(legs[:1]), 0); got != 0 {
+		t.Fatalf("single local leg placed on socket %d, want 0", got)
+	}
+	if got := NewPlacement().route(chain(legs[1:]), 0); got != 1 {
+		t.Fatalf("single remote write leg placed on socket %d, want 1", got)
+	}
+	sched := NewPlacement()
+	req := chain(legs)
+	pinned := Request{Socket: 1, Topo: topo, Size: 4096}
+	sched.route(req, 0) // warm: sizes the hysteresis tables
+	sched.Pick(pinned, wqs)
+	allocs := testing.AllocsPerRun(200, func() {
+		if sched.route(req, 0) < 0 {
+			t.Fatal("no socket")
+		}
+		if sched.Pick(pinned, wqs) == nil {
+			t.Fatal("nil WQ")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("pipeline placement allocated %.1f times per run, want 0", allocs)
 	}
 }

@@ -49,11 +49,12 @@
 // being re-derived per submission.
 //
 // Placement is load-aware on request (Policy.LoadAware): the WQ
-// occupancy/latency EWMAs roll up per socket through the Topology
-// (Service.SocketPressure, Topology.QueueDelay), and Pick blends the
-// data-home socket's queueing delay against remote candidates' plus the
-// UPI transfer penalty, detouring to an idle remote device exactly when
-// the paper's §3.3/§5 queueing-vs-crossing trade favors it.
+// load/latency EWMAs roll up per pool through the Topology, and one cost
+// model (Placement.route) blends the data-home socket's queueing delay
+// against remote candidates' plus the UPI transfer penalty, detouring to
+// an idle remote device exactly when the paper's §3.3/§5
+// queueing-vs-crossing trade favors it. Pick routes Futures, batch slices
+// and plane pushes through it, and a fused pipeline its home socket.
 //
 //	svc, _ := offload.NewService(e, sys, wqs, offload.WithScheduler(offload.NewNUMALocal()))
 //	tn, _ := svc.NewTenant(offload.OnSocket(0))
@@ -94,11 +95,11 @@ type Service struct {
 	// model, and adaptive coalescing read (metrics.go).
 	met *metrics
 
-	// dataAware caches whether sched routes on data homes, so the
+	// place is sched when it routes on data homes (nil otherwise), so the
 	// submission hot path only pays the per-descriptor NodeAt lookups
-	// (and the batch paths only consider splitting) when a scheduler will
-	// actually read them.
-	dataAware bool
+	// (and the batch paths only consider splitting, and a pipeline only
+	// prices its legs) when a scheduler will actually read them.
+	place *Placement
 
 	// maxBatch caches the smallest device batch limit among the WQs (an
 	// AutoBatcher flush bound); recomputed on AddWQs.
@@ -152,7 +153,7 @@ func NewService(e *sim.Engine, sys *mem.System, wqs []*dsa.WQ, opts ...ServiceOp
 	for _, o := range opts {
 		o(sv)
 	}
-	_, sv.dataAware = sv.sched.(loadRouter)
+	sv.place, _ = sv.sched.(*Placement)
 	sv.AddWQs(wqs...)
 	return sv, nil
 }

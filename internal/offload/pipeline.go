@@ -16,9 +16,9 @@
 // flushes the pending chain, runs the software stage on the tenant's core,
 // and resumes fusing. Placement is intermediate-buffer-aware: most of a
 // pipeline's operands are scratch intermediates that do not exist until the
-// pipeline picks a socket, so PipelineSocket scores candidates by queueing
-// delay plus the UPI penalty of the *fixed* legs only, and AllocScratch
-// then pins the intermediates (and with them every stage) to the winner.
+// pipeline picks a socket, so its request to the placement cost model
+// (Placement.route) carries the *fixed* legs only, and AllocScratch then
+// pins the intermediates (and with them every stage) to the winner.
 package offload
 
 import (
@@ -346,13 +346,17 @@ func (pl *Pipeline) resolve(r Ref) mem.Addr {
 	return r.addr
 }
 
-// homeSocket scores candidate sockets for this submission by the fixed data
-// legs only (see PipelineSocket) — scratch intermediates follow the choice.
+// homeSocket routes this submission through the placement cost model on
+// its fixed and bound data legs only — scratch intermediates follow the
+// choice. The tenant's socket is the home and keys the route's hysteresis,
+// and its class selects the QoS pool the pinned chains will use. The
+// request is load-aware whatever Policy.LoadAware says: the scratch home
+// holds for the whole run, so every chain of it pays a backlog found here.
+// Under a scheduler that ignores data homes the tenant's socket serves.
 func (pl *Pipeline) homeSocket() int {
 	t := pl.t
-	fallback := t.Core.Socket
-	if !t.S.dataAware || t.S.topo == nil {
-		return fallback
+	if t.S.place == nil {
+		return t.Core.Socket
 	}
 	pl.legs = pl.legs[:0]
 	for i := range pl.stages {
@@ -362,7 +366,8 @@ func (pl *Pipeline) homeSocket() int {
 		pl.addLeg(st.dst, st.d.Size, true)
 		pl.addLeg(st.dst2, st.d.Size, true)
 	}
-	return PipelineSocket(t.S.topo, pl.legs, fallback)
+	req := Request{Socket: t.Core.Socket, Class: t.class, LoadAware: true, Topo: t.S.topo, legs: pl.legs}
+	return t.S.place.route(req, t.Core.Socket)
 }
 
 // addLeg records one fixed or bound operand as a placement leg; scratch

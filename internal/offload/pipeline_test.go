@@ -391,41 +391,3 @@ func TestScratchPoolZeroAllocs(t *testing.T) {
 		t.Errorf("steady-state AllocScratch/FreeScratch allocated %.1f times per run, want 0", allocs)
 	}
 }
-
-// Pipeline placement requests stay allocation-free: PipelineSocket scoring
-// (per-submission, over the fixed legs) and the pinned-socket Pick the
-// chains are then submitted with must not allocate.
-func TestPipelinePlacementZeroAllocs(t *testing.T) {
-	r := newRig(t, 2)
-	svc := r.service(t, offload.WithScheduler(offload.NewPlacement()))
-	topo := svc.Topology()
-	wqs := svc.WQs()
-	node0, node1 := r.sys.Node(0), r.sys.Node(1)
-	legs := []offload.PipelineLeg{
-		{Node: node0, Size: 4096},
-		{Node: node1, Size: 4096, Write: true},
-	}
-	if got := offload.PipelineSocket(topo, legs[:1], 0); got != 0 {
-		t.Fatalf("single local leg placed on socket %d, want 0", got)
-	}
-	if got := offload.PipelineSocket(topo, legs[1:], 0); got != 1 {
-		t.Fatalf("single remote write leg placed on socket %d, want 1", got)
-	}
-	if got := offload.PipelineSocket(nil, legs, 7); got != 7 {
-		t.Fatalf("nil topology fallback = %d, want 7", got)
-	}
-	sched := offload.NewPlacement()
-	pinned := offload.Request{Socket: 1, Topo: topo, Size: 4096}
-	sched.Pick(pinned, wqs) // warm
-	allocs := testing.AllocsPerRun(200, func() {
-		if offload.PipelineSocket(topo, legs, 0) < 0 {
-			t.Fatal("no socket")
-		}
-		if sched.Pick(pinned, wqs) == nil {
-			t.Fatal("nil WQ")
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("pipeline placement allocated %.1f times per run, want 0", allocs)
-	}
-}

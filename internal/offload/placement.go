@@ -7,7 +7,8 @@
 // The Placement scheduler routes each descriptor to a WQ local to its
 // source/destination data; the batch paths (batch.go) shard a mixed-home
 // flush into per-socket sub-batches so one logical batch can ride multiple
-// devices, each adjacent to its slice's data.
+// devices, each adjacent to its slice's data; a fused pipeline takes its
+// whole chain's socket from the same cost model (Placement.route).
 package offload
 
 import (
@@ -41,8 +42,8 @@ type Placement struct {
 	// route moves. The pool-kind key keeps QoS classes from fighting:
 	// under express/rest composition an LS and a Bulk request are costed
 	// against different pools, so each class holds its own incumbent.
-	// Both tables are sized on first load-aware pick and reused, keeping
-	// Pick allocation-free.
+	// Both tables are sized on the first load-aware route and reused,
+	// keeping Pick allocation-free.
 	smoothed  []float64
 	lastRoute []int
 }
@@ -91,11 +92,10 @@ func (s *Placement) Name() string {
 // Pick implements Scheduler.
 func (s *Placement) Pick(req Request, wqs []*dsa.WQ) *dsa.WQ {
 	socket, ok := dataSocket(req.SrcNode, req.DstNode)
-	if !ok {
+	if ok {
+		socket = s.route(req, socket)
+	} else {
 		socket = req.Socket
-	}
-	if req.LoadAware && ok {
-		socket = s.loadAwareSocket(req, socket)
 	}
 	s.next = (s.next + 1) % len(wqs)
 	if s.qos {
@@ -104,47 +104,31 @@ func (s *Placement) Pick(req Request, wqs []*dsa.WQ) *dsa.WQ {
 	return leastLoadedOf(req.Topo.Local(socket), s.next)
 }
 
-// loadRouter marks the schedulers that route on the request's SrcNode/
-// DstNode data homes (Placement), whose load-aware cost model can re-price
-// a target socket. The service resolves data homes only under one, and
-// the batch paths consult it through splitByHome so a split flush groups
-// its descriptors by where they will actually run — detouring a saturated
-// socket's slice instead of dutifully submitting it into the backlog.
-type loadRouter interface {
-	// routeSocket resolves the socket a request homed on home would be
-	// served from once load is priced in; it returns home unchanged when
-	// the request is not load-aware.
-	routeSocket(req Request, home int) int
-}
-
-// routeSocket implements loadRouter.
-func (s *Placement) routeSocket(req Request, home int) int {
+// route is the one socket choice of every submission path: Pick routes
+// Futures, batch slices and plane pushes through it, splitByHome groups a
+// split flush by it, and a pipeline takes its home from it. It returns
+// home unchanged when the request is not load-aware. Otherwise it blends
+// the home socket's backlog against remote candidates (the paper's
+// §3.3/§5 point that queueing delay on a saturated WQ quickly dwarfs the
+// UPI penalty): serving the request from candidate socket c costs the
+// smoothed queueing delay of c's pool (latency EWMA × load, queueDelayOf,
+// folded through costEWMAAlpha) plus the UPI transfer penalty for every
+// data leg homed off c. The home wins ties, so an unloaded system routes
+// exactly like data-only placement; a deeply backlogged local device
+// loses to an idle remote one exactly when the model says the detour is
+// cheaper — and hysteresis (lastRoute + switchMargin) keeps a workload
+// hovering at that threshold from ping-ponging between sockets.
+func (s *Placement) route(req Request, home int) int {
 	if !req.LoadAware {
 		return home
 	}
-	return s.loadAwareSocket(req, home)
-}
-
-// loadAwareSocket blends the data-home socket's backlog against remote
-// candidates (the paper's §3.3/§5 point that queueing delay on a
-// saturated WQ quickly dwarfs the UPI penalty): serving the request from
-// candidate socket c costs the smoothed queueing delay of c's pool
-// (latency EWMA × occupancy, Topology.QueueDelay, folded through
-// costEWMAAlpha) plus the UPI transfer penalty for every data leg homed
-// off c. The data's home wins ties, so an unloaded system routes exactly
-// like data-only placement; a deeply backlogged local device loses to an
-// idle remote one exactly when the model says the detour is cheaper — and
-// hysteresis (lastRoute + switchMargin) keeps a workload hovering at that
-// threshold from ping-ponging between sockets. Requests without placement
-// information never take this path — their detour cannot be priced.
-func (s *Placement) loadAwareSocket(req Request, home int) int {
 	topo := req.Topo
 	s.ensure(topo.Sockets())
 	if home < 0 || home >= topo.Sockets() {
 		return home
 	}
-	route := home*poolKinds + s.reqKind(req)
-	incumbent := s.lastRoute[route]
+	key := home*poolKinds + s.reqKind(req)
+	incumbent := s.lastRoute[key]
 	if incumbent < 0 || incumbent >= topo.Sockets() || (incumbent != home && !topo.HasLocal(incumbent)) {
 		incumbent = home
 	}
@@ -162,7 +146,7 @@ func (s *Placement) loadAwareSocket(req Request, home int) int {
 	if best != incumbent && float64(bestCost) < switchMargin*float64(incCost) {
 		incumbent = best
 	}
-	s.lastRoute[route] = incumbent
+	s.lastRoute[key] = incumbent
 	return incumbent
 }
 
@@ -240,7 +224,16 @@ func (s *Placement) smooth(socket, kind int, raw sim.Time) sim.Time {
 // serialization slowdown when the shared link is narrower than the leg's
 // node pipe (priced from the mem.Node bandwidths — Fig 6a's roughly
 // halved cross-socket throughput falls out of the 62-vs-120 GB/s gap).
+// A pipeline's request prices its fixed legs; any other request its
+// descriptor's source and destination.
 func upiPenalty(req Request, devSocket int, topo *Topology) sim.Time {
+	if len(req.legs) > 0 {
+		var pen sim.Time
+		for _, l := range req.legs {
+			pen += legPenalty(l.Node, l.Size, devSocket, topo, l.Write)
+		}
+		return pen
+	}
 	return legPenalty(req.SrcNode, req.Size, devSocket, topo, false) +
 		legPenalty(req.DstNode, req.Size, devSocket, topo, true)
 }
@@ -273,43 +266,6 @@ type PipelineLeg struct {
 	Node  *mem.Node
 	Size  int64
 	Write bool
-}
-
-// PipelineSocket scores candidate sockets for a whole fused chain and
-// returns the cheapest. This inverts the per-descriptor placement rule: a
-// pipeline's stages mostly read and write *intermediate* buffers that do
-// not exist yet — they will be allocated on the chosen socket — so only the
-// fixed legs (original inputs, final outputs) can pull the chain anywhere.
-// Candidate c costs its pool's queueing delay (Topology.QueueDelay, the
-// same live backlog signal the load-aware detour reads) plus the UPI
-// penalty of every fixed leg homed off c; intermediates cost nothing by
-// construction, since AllocScratch places them on the winner. fallback
-// (the tenant's socket) is returned when the topology offers no candidates
-// and wins cost ties, keeping an unloaded single-socket system stable.
-func PipelineSocket(topo *Topology, legs []PipelineLeg, fallback int) int {
-	if topo == nil {
-		return fallback
-	}
-	best, bestCost := -1, sim.Time(0)
-	for c := 0; c < topo.Sockets(); c++ {
-		if !topo.HasLocal(c) {
-			continue
-		}
-		cost := topo.QueueDelay(c)
-		for _, l := range legs {
-			cost += legPenalty(l.Node, l.Size, c, topo, l.Write)
-		}
-		switch {
-		case best < 0 || cost < bestCost:
-			best, bestCost = c, cost
-		case cost == bestCost && c == fallback && best != fallback:
-			best = c
-		}
-	}
-	if best < 0 {
-		return fallback
-	}
-	return best
 }
 
 // dataSocket resolves the socket a (src, dst) data-home pair places a

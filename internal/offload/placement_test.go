@@ -731,6 +731,43 @@ func TestDetourHysteresisResistsFlapping(t *testing.T) {
 		}
 	}
 
+	// A pipeline holds its route through the same spikes: the same copy
+	// as a one-stage pipeline prices its fixed legs through the same
+	// smoothed cost and incumbent, so a descriptor queued at its submit
+	// instant leaves its scratch home, and every chain of the run, on the
+	// data's socket. A drained pick after each run zeroes the estimate, as
+	// in the loop above.
+	chain := tn.NewPipeline()
+	chain.Copy(offload.At(dst.Addr(0)), offload.At(src.Addr(0)), n)
+	for i := 0; i < 8; i++ {
+		r.run(func(p *sim.Proc) {
+			if _, err := homeWQ.Submit(dsa.Descriptor{
+				Op: dsa.OpMemmove, PASID: tn.AS.PASID,
+				Src: hsrc.Addr(0), Dst: hdst.Addr(0), Size: n,
+			}); err != nil {
+				t.Error(err)
+				return
+			}
+			f, err := chain.Submit(p)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := f.Wait(p, offload.Poll); err != nil {
+				t.Error(err)
+			}
+		})
+		if home := chain.Home(); home != 0 {
+			t.Fatalf("pipeline run %d placed on socket %d under a transient spike, want the data's home 0", i, home)
+		}
+		pick()
+	}
+	for i, s := range picks {
+		if s != 0 {
+			t.Fatalf("phase 1 pick %d detoured to socket %d after a pipeline run", i, s)
+		}
+	}
+
 	// Phase 2 — sustained backlog: a deep queue that never drains must
 	// flip routing to the idle socket exactly once, then hold it there.
 	p2 := len(picks)

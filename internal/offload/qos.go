@@ -372,7 +372,7 @@ func (t *Tenant) EffectiveThreshold() int64 {
 		return base
 	}
 	p := t.S.Pressure()
-	if !t.S.dataAware {
+	if t.S.place == nil {
 		p = t.S.SocketPressure(t.Core.Socket)
 	}
 	switch {

@@ -27,6 +27,12 @@ type Request struct {
 	// fills it from the submitting tenant's policy).
 	LoadAware bool
 
+	// legs are a fused pipeline's fixed data legs, priced in place of
+	// SrcNode/DstNode when the pipeline picks its home (Placement.route).
+	// The slice is the pipeline's reused buffer, so the request stays
+	// allocation-free.
+	legs []PipelineLeg
+
 	// Topo is the precomputed WQ placement index over the wqs Pick is
 	// handed. Required: the service and the submission plane fill it on
 	// every submission, and direct Pick callers pass Service.Topology.

@@ -281,7 +281,7 @@ func (t *Tenant) request(d *dsa.Descriptor) Request {
 		Topo:      t.S.topo,
 		LoadAware: t.policy.LoadAware,
 	}
-	if !t.S.dataAware {
+	if t.S.place == nil {
 		// No scheduler will read the data homes; skip the lookups.
 		return req
 	}

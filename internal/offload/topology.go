@@ -14,10 +14,10 @@ import (
 // re-derives or re-allocates these subsets per Pick.
 //
 // The index also carries the interconnect prices the load-aware cost
-// model reads (Placement.Pick with Request.LoadAware): the UPI hop
-// latency and link rate, captured from the memory system at build time.
-// Per-socket load signals (QueueDelay, and Service.SocketPressure above
-// it) roll the live WQ occupancy/latency EWMAs up through these subsets.
+// model reads (Placement.route): the UPI hop latency and link rate,
+// captured from the memory system at build time. Per-pool load signals
+// (queueDelayOf, and Service.SocketPressure above it) roll the live WQ
+// load/latency EWMAs up through these subsets.
 type Topology struct {
 	all []*dsa.WQ
 	// Indexed by socket id; a socket with no local device holds nil and
@@ -106,28 +106,20 @@ func (t *Topology) Split(socket int) (express, rest []*dsa.WQ) {
 	return t.express[socket], t.rest[socket]
 }
 
-// QueueDelay rolls the socket's live WQ state up into the estimated
-// virtual time a new submission would wait behind the backlog of the
-// socket's best (least-backlogged) WQ: the per-descriptor completion-
-// latency EWMA times the occupancy. A socket with no local device reports
-// the full set's best, matching where its submissions would fall back to.
-func (t *Topology) QueueDelay(socket int) sim.Time {
-	return t.queueDelayOf(t.Local(socket))
-}
-
-// queueDelayOf estimates the queueing delay of the best WQ in pool:
-// occupancy (descriptors accepted but not yet completed ahead of a new
-// arrival) times the smoothed per-descriptor completion latency, which
-// the telemetry plane records at each completion (metrics.latEWMA), so a
-// pick syncs nothing. A WQ with no latency history yet estimates zero —
-// the model needs at least one completion before a backlog is priced,
-// which the streams deliver within the first handful of descriptors.
+// queueDelayOf estimates the queueing delay of the best WQ in pool: its
+// load (WQ.Load: descriptors accepted but not yet completed ahead of a new
+// arrival, plus the entries waiting in a plane ring that feeds the WQ)
+// times the smoothed per-descriptor completion latency, which the
+// telemetry plane records at each completion (metrics.latEWMA), so a pick
+// syncs nothing. A WQ with no latency history yet estimates zero — the
+// model needs at least one completion before a backlog is priced, which
+// the streams deliver within the first handful of descriptors.
 func (t *Topology) queueDelayOf(pool []*dsa.WQ) sim.Time {
 	var best sim.Time
 	for i, wq := range pool {
 		var est sim.Time
 		if t.met != nil {
-			est = t.met.latEWMA(wq) * sim.Time(wq.Occupancy())
+			est = t.met.latEWMA(wq) * sim.Time(wq.Load())
 		}
 		if i == 0 || est < best {
 			best = est
