@@ -34,10 +34,11 @@ const (
 // Contention measures Submit/Wait scaling versus concurrent submitters
 // over one table (id "contention", y in Mops/s):
 //
-//   - sharded: the per-shard submission plane — lane-local admission,
-//     bounded per-WQ rings, occupancy routing. Each submitter pays its
-//     own portal write in parallel; the only serialization is the
-//     ring's slot-publish CAS (Timing.RingPush per push).
+//   - sharded: the per-shard submission plane — the tenant's one
+//     admission bucket (off here), bounded per-WQ rings, occupancy
+//     routing. Each submitter pays its own portal write in parallel; the
+//     only serialization is the ring's slot-publish CAS (Timing.RingPush
+//     per push).
 //   - global-lock: the same workload through the classic shared-state
 //     tenant path, with the shared mutable state (bucket, scheduler
 //     pick, telemetry sync) modeled as a single 75 ns critical section

@@ -43,7 +43,7 @@ func frontPolicy(sc Scenario) offload.Policy {
 	pol.CoalesceAdaptive = true
 	pol.AdmitRate = sc.AdmitCap
 	// Burst deep enough that Poisson clumping never sheds below the cap;
-	// only sustained over-rate does.
+	// only sustained over-rate does (TestPlaneShedsOnlyOverCap).
 	pol.AdmitBurst = 16 * sc.Shards
 	pol.AdmitWait = false
 	pol.MaxRetries = 2

@@ -1,13 +1,11 @@
 // The sharded submission plane: per-shard lanes feeding bounded per-WQ
 // rings, drained by an event-driven consumer instead of timers.
 //
-// The classic Tenant path serializes every submitter through shared
-// state: one admission bucket, one AutoBatcher and one coalescer rebuild
-// check. One submitter never notices; at 64 the shared state is the
-// queue. The plane shards the tenant-side state per submission lane —
-// each submitting process owns a lane and touches nothing shared on the
-// fast path — and funnels descriptors into each WQ's ENQCMD path through
-// a bounded ring (dsa.SubmitRing).
+// The classic Tenant path serializes every submitter through one
+// AutoBatcher and one coalescer rebuild check. One submitter never
+// notices; at 64 the shared state is the queue. The plane gives each
+// submitting process its own lane and funnels descriptors into each WQ's
+// ENQCMD path through a bounded ring (dsa.SubmitRing).
 //
 // The plane does not route. A lane push, a fault retry and a failover
 // re-queue each ask the service scheduler for a WQ (Scheduler.Pick, on
@@ -33,14 +31,17 @@
 // replace the shared-WQ ENQCMD retry loop of §3.2 on the same retry
 // instants; only the order of events that share an instant can differ.
 //
-// The per-lane admission buckets shard the tenant's Policy.AdmitRate
-// through its one admission loop, and completions flow through the
-// unchanged device completion path — including interrupt coalescing,
-// whose resolved count also paces the plane's wakeup moderation. A
-// faulted completion consults the tenant's one retry decision
-// (recover.go) and re-queues its remainder, the attempt count carried in
-// the ring tag; an entry the drain finds behind a dead WQ fails over by
-// the same re-queue (push).
+// Every lane admits through the tenant's one admission bucket
+// (Tenant.admit), the bucket Futures, batches and pipelines draw: the
+// simulation prices no contention on it, and a bucket split per lane
+// sheds each lane's Poisson clumps while the tenant is under its rate.
+// Completions flow through the unchanged device completion path —
+// including interrupt coalescing, whose resolved count also paces the
+// plane's wakeup moderation. A faulted completion consults the tenant's
+// one retry decision (recover.go) and re-queues its remainder, the
+// attempt count carried in the ring tag; an entry the drain finds behind
+// a dead WQ, and a lane whose ring's WQ died while it waited for space,
+// take the same re-queue (push).
 package offload
 
 import (
@@ -119,12 +120,12 @@ type Plane struct {
 	completedFn func(c *dsa.Completion, tag uint64)
 }
 
-// Lane is one submission shard: a lane-local admission bucket, shared
-// with nothing. A Lane belongs to exactly one submitting process.
+// Lane is one submitting process's way into the plane: its retry state
+// when its ring is full. A Lane belongs to exactly one submitting
+// process; admission and the scheduler's pick are the tenant's.
 type Lane struct {
-	pl     *Plane
-	id     int
-	bucket tokenBucket
+	pl *Plane
+	id int
 	// published is the instant SubmitStamped's slot publish ends; retry
 	// is the entry a ring-full SubmitStamped re-pushes to retryRing, and
 	// retryAt the instant of its last push attempt, or of the one a pop
@@ -134,9 +135,6 @@ type Lane struct {
 	retryRing int
 	retryAt   sim.Time
 	space     sim.Signal
-	// overShare is SubmitStamped's shed error, built on the lane's first
-	// shed, so shedding allocates nothing per operation.
-	overShare error
 }
 
 // NewPlane attaches a sharded submission plane with nlanes lanes to the
@@ -216,19 +214,6 @@ func (pl *Plane) Pending() int64 { return pl.pending }
 // Inflight returns WQ-accepted descriptors not yet completed.
 func (pl *Plane) Inflight() int64 { return pl.inflight }
 
-// laneShare returns this lane's shard of the tenant's admission policy:
-// the rate divides evenly across lanes, the burst divides with a floor
-// of one so every lane can issue at least one back-to-back submission.
-func (l *Lane) laneShare() (rate float64, burst int) {
-	pol := &l.pl.t.policy
-	n := len(l.pl.lanes)
-	burst = pol.AdmitBurst / n
-	if burst < 1 {
-		burst = 1
-	}
-	return pol.AdmitRate / float64(n), burst
-}
-
 // pick asks the service scheduler for d's WQ, on the request dispatch
 // builds for a Future but over the plane's own WQ set, and returns the
 // index of that WQ's ring; -1 when the scheduler picked a WQ the plane
@@ -263,7 +248,7 @@ func (pl *Plane) push(d dsa.Descriptor, tag uint64) bool {
 	return false
 }
 
-// Submit is the plane's way in: lane-local admission, a WQ from the
+// Submit is the plane's way in: the tenant's admission, a WQ from the
 // service scheduler, and the push onto that WQ's ring, charging virtual
 // time the way hardware does — the ENQCMD issue in the submitter's own
 // timeline (64 procs pay it in parallel, not in series) and the ring's
@@ -287,15 +272,8 @@ func (l *Lane) Submit(p *sim.Proc, d dsa.Descriptor) error {
 func (l *Lane) SubmitStamped(p *sim.Proc, d dsa.Descriptor, stamp sim.Time) error {
 	pl := l.pl
 	t := pl.t
-	if t.closed {
-		return fmt.Errorf("offload: lane %d: %w", l.id, ErrTenantClosed)
-	}
-	rate, burst := l.laneShare()
-	if !t.admitThrough(p, &l.bucket, rate, burst) {
-		if l.overShare == nil {
-			l.overShare = fmt.Errorf("offload: lane %d over admission share: %w", l.id, ErrAdmission)
-		}
-		return l.overShare
+	if err := t.admit(p); err != nil {
+		return err
 	}
 	d.PASID = t.AS.PASID
 	d.Flags |= t.policy.Flags
@@ -362,12 +340,26 @@ func ringSpace(p *sim.Proc, arg any) {
 }
 
 // ringRetry re-tries the push, and waits for another pop when a
-// submitter that never waited took the freed slot first.
+// submitter that never waited took the freed slot first. A lane whose
+// ring's WQ died while it waited takes the plane's one re-queue (push)
+// instead, and is shed when no ring takes its entry; either way it hands
+// the slot it was woken for to the next waiter, which meets the same dead
+// WQ. No lane entry reaches a dead WQ's refused Submit.
 func ringRetry(p *sim.Proc, arg any) {
 	l := arg.(*Lane)
-	if !l.pl.rings[l.retryRing].TryPush(l.retry.D, l.retry.Tag) {
-		ringWait(p, arg)
+	pl, i := l.pl, l.retryRing
+	if pl.wqs[i].Healthy() {
+		if !pl.rings[i].TryPush(l.retry.D, l.retry.Tag) {
+			ringWait(p, arg)
+		}
+		return
 	}
+	if pl.push(l.retry.D, l.retry.Tag) {
+		pl.ensureDrain()
+	} else {
+		pl.shed(l.retry.Tag)
+	}
+	pl.wakeLane(i)
 }
 
 // ensureDrain starts the drain if it is idle, and resumes it if it is
@@ -451,14 +443,8 @@ func (pl *Plane) drain() {
 					continue
 				}
 			}
-			// Refused, or failed over with no ring to take it: shed.
-			// Shedding the last outstanding entry wakes WaitInflight's
-			// barrier, as the last completion does.
-			pl.pending--
-			pl.end(held[i].Tag, false)
-			if pl.pending+pl.inflight == 0 {
-				pl.doneSig.Broadcast(pl.t.S.E)
-			}
+			// Refused, or failed over with no ring to take it.
+			pl.shed(held[i].Tag)
 		}
 	}
 	if pl.pending == 0 {
@@ -545,6 +531,17 @@ func (pl *Plane) end(tag uint64, ok bool) {
 	}
 	if pl.onLat != nil {
 		pl.onLat(lat, ok)
+	}
+}
+
+// shed ends a pending entry no WQ took as failed. Shedding the last
+// outstanding entry wakes WaitInflight's barrier, as the last completion
+// does.
+func (pl *Plane) shed(tag uint64) {
+	pl.pending--
+	pl.end(tag, false)
+	if pl.pending+pl.inflight == 0 {
+		pl.doneSig.Broadcast(pl.t.S.E)
 	}
 }
 

@@ -91,34 +91,36 @@ func TestPlaneQoSCandidates(t *testing.T) {
 	}
 }
 
-// TestPlaneAdmissionShards checks each lane's bucket is an independent
-// shard of the tenant rate: every lane admits its burst share, then
-// sheds, without any lane stealing a sibling's tokens.
-func TestPlaneAdmissionShards(t *testing.T) {
+// TestPlaneAdmissionIsTenantBucket checks every lane admits through the
+// tenant's one bucket, the one its Futures draw: a single lane spends the
+// whole burst, after which a sibling lane and a hardware Copy on the same
+// tenant are both shed, and each submission counts once in Stats.
+func TestPlaneAdmissionIsTenantBucket(t *testing.T) {
 	r, tn, pl := planeRig(t, offload.NewRoundRobin(), 1, 4, offload.Bulk)
 	pol := tn.Policy()
 	pol.AdmitRate = 1000 // ~1 token/ms: nothing re-accrues within the test
-	pol.AdmitBurst = 4   // one per lane
+	pol.AdmitBurst = 8   // twice the lane count
 	tn.SetPolicy(pol)
 	src, dst := tn.Alloc(4096), tn.Alloc(4096)
 	d := dsa.Descriptor{Op: dsa.OpMemmove, Src: src.Addr(0), Dst: dst.Addr(0), Size: 4096}
 	r.run(func(p *sim.Proc) {
-		for i := 0; i < pl.Lanes(); i++ {
-			if err := pl.Lane(i).Submit(p, d); err != nil {
-				t.Errorf("lane %d burst submission shed: %v", i, err)
+		lane := pl.Lane(0)
+		for i := 0; i < pol.AdmitBurst; i++ {
+			if err := lane.Submit(p, d); err != nil {
+				t.Errorf("lane 0 submission %d of the tenant burst shed: %v", i, err)
 				return
 			}
 		}
-		for i := 0; i < pl.Lanes(); i++ {
-			if err := pl.Lane(i).Submit(p, d); !errors.Is(err, offload.ErrAdmission) {
-				t.Errorf("lane %d over-burst submission err = %v, want ErrAdmission", i, err)
-				return
-			}
+		if err := pl.Lane(1).Submit(p, d); !errors.Is(err, offload.ErrAdmission) {
+			t.Errorf("sibling lane after the burst: err = %v, want ErrAdmission", err)
+		}
+		if _, err := tn.Copy(p, dst.Addr(0), src.Addr(0), 4096, offload.On(offload.Hardware)); !errors.Is(err, offload.ErrAdmission) {
+			t.Errorf("hardware Copy after the lane spent the burst: err = %v, want ErrAdmission", err)
 		}
 		pl.WaitInflight(p, 0)
 	})
-	if s := tn.Stats(); s.HWOps != 4 || s.Shed != 4 {
-		t.Errorf("stats = %d admitted / %d shed, want 4/4", s.HWOps, s.Shed)
+	if s := tn.Stats(); s.HWOps != int64(pol.AdmitBurst) || s.Shed != 2 {
+		t.Errorf("stats = %d admitted / %d shed, want %d/2", s.HWOps, s.Shed, pol.AdmitBurst)
 	}
 }
 

@@ -37,7 +37,8 @@ type Policy struct {
 	AdaptiveThreshold bool
 
 	// AdmitRate, when positive, rate-limits this tenant's hardware
-	// submissions with a token bucket: tokens accrue at AdmitRate per
+	// submissions with one token bucket that every path draws — Futures,
+	// batches, pipelines and plane lanes: tokens accrue at AdmitRate per
 	// second of virtual time, and each logical submission — a work
 	// descriptor, or one batch flush regardless of how many per-socket
 	// sub-batches placement shards it into — costs one. Zero (the

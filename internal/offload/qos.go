@@ -221,37 +221,6 @@ func (b *tokenBucket) take(now sim.Time, rate float64, burst int) (bool, sim.Tim
 	return false, wait
 }
 
-// admitThrough is the one admission loop, behind Tenant.admit and
-// Lane.SubmitStamped: it takes a token from b under (rate, burst) and,
-// over the limit, sheds (false) or — under Policy.AdmitWait — sleeps until
-// a token accrues. Each retry sleeps at least one interrupt-moderation
-// window when the tenant coalesces: waking the moment one token accrues
-// burns one wakeup per delayed submission, each delivering into a window
-// that was going to close later anyway. The bucket keeps accruing while
-// the submitter sleeps, so admitted throughput is unchanged.
-// Non-coalescing tenants keep the exact wait.
-func (t *Tenant) admitThrough(p *sim.Proc, b *tokenBucket, rate float64, burst int) bool {
-	ok, wait := b.take(p.Now(), rate, burst)
-	if ok {
-		return true
-	}
-	if !t.policy.AdmitWait {
-		t.stats.Shed++
-		return false
-	}
-	t.stats.Delayed++
-	var floor sim.Time
-	if count, window := t.coalesceParams(); count > 1 {
-		floor = window
-	}
-	for !ok {
-		p.Sleep(max(wait, floor))
-		t.stats.AdmitWakeups++
-		ok, wait = b.take(p.Now(), rate, burst)
-	}
-	return true
-}
-
 // Adaptive-threshold shape (G2 made dynamic). Pressure is the service-wide
 // device saturation estimate in [0,1]; the effective threshold is the
 // policy's base value scaled by where pressure sits between the idle and

@@ -384,27 +384,33 @@ func TestDrainParksOnFullWQ(t *testing.T) {
 }
 
 // A ring whose WQ dies fails its entries over one at a time, each by
-// the plane's one re-queue: Failovers counts every entry moved off the
-// dead WQ's ring, each lands on a live ring or is shed, and each ends
-// exactly once.
+// the plane's one re-queue: Failovers counts every entry the drain found
+// queued on the dead WQ's ring and moved off it — one per refused
+// WQ.Submit — each lands on a live ring or is shed, and each ends exactly
+// once. A lane waiting for space on that ring takes the same re-queue
+// when it wakes, before its entry reaches the dead ring, so it counts no
+// failover.
 func TestRingSpaceFailoverSweepConserves(t *testing.T) {
 	outage := func(at sim.Time) dsa.FaultConfig {
 		return dsa.FaultConfig{Outages: []dsa.Outage{{At: at, Dur: sim.Time(100 * time.Microsecond)}}}
 	}
-	// The drain's pops wake lanes waiting on the dead ring, and their
-	// pushes land in it and fail over in turn.
+	// The drain's pops wake lanes waiting on the dead ring; each re-queues
+	// its entry on the live ring and wakes the next waiter.
 	t.Run("waiting lanes", func(t *testing.T) {
 		const lanes = 12 // more than the ring holds: some re-wait
 		r := newRingRig(t, 2, 8, lanes, outage(sim.Time(500*time.Nanosecond)))
 		r.fill(t)
-		total := r.pl.rings[0].Len() + lanes
+		queued := r.pl.rings[0].Len()
+		total := queued + lanes
 		done, failed := countEnds(r)
+		returned := 0
 		for i := 0; i < lanes; i++ {
 			lane := r.pl.Lane(i)
 			r.e.Go("lane", func(p *sim.Proc) {
 				if err := lane.Submit(p, r.d); err != nil {
 					t.Error(err)
 				}
+				returned++
 			})
 		}
 		r.e.Go("drain starter", func(p *sim.Proc) {
@@ -418,8 +424,14 @@ func TestRingSpaceFailoverSweepConserves(t *testing.T) {
 		if *done+*failed != total {
 			t.Errorf("done %d + failed %d, want all %d entries ended once", *done, *failed, total)
 		}
-		if st := r.tn.Stats(); st.Failovers != int64(total) {
-			t.Errorf("failovers %d, want %d: every entry passed through the dead ring", st.Failovers, total)
+		if st := r.tn.Stats(); st.Failovers != int64(queued) {
+			t.Errorf("failovers %d, want %d: only the entries queued on the dead ring reach its refused Submit, no lane's", st.Failovers, queued)
+		}
+		if returned != lanes || len(r.pl.waiting[0]) != 0 {
+			t.Errorf("%d of %d lanes returned, %d still wait on the dead ring", returned, lanes, len(r.pl.waiting[0]))
+		}
+		if got := r.devs[1].Stats().Submitted; got != int64(*done) {
+			t.Errorf("socket 1 accepted %d, want the %d entries that completed", got, *done)
 		}
 		if r.pl.Pending() != 0 || r.pl.Inflight() != 0 {
 			t.Errorf("after run: pending %d inflight %d, want 0/0", r.pl.Pending(), r.pl.Inflight())

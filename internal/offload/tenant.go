@@ -247,20 +247,42 @@ func (t *Tenant) autoBatchable(c submitCfg, d *dsa.Descriptor) bool {
 		c.path == Auto && !c.noBatch && t.policy.AutoBatch > 0 && d.Size < t.EffectiveThreshold()
 }
 
-// admit applies the tenant's token bucket to one logical hardware
-// submission: admitted immediately, delayed until a token accrues
-// (Policy.AdmitWait), or shed with ErrAdmission. A tenant closed while the
-// submission waited for its token refuses it.
+// admit applies the tenant's one token bucket to one logical hardware
+// submission — a Future, a batch, a pipeline or a plane lane's entry:
+// admitted immediately, shed with ErrAdmission, or — under
+// Policy.AdmitWait — delayed until a token accrues. Each retry sleeps at
+// least one interrupt-moderation window when the tenant coalesces:
+// waking the moment one token accrues burns one wakeup per delayed
+// submission, each delivering into a window that was going to close
+// later anyway. The bucket keeps accruing while the submitter sleeps, so
+// admitted throughput is unchanged. Non-coalescing tenants keep the exact
+// wait. A tenant closed while the submission waited for its token
+// refuses it.
 func (t *Tenant) admit(p *sim.Proc) error {
 	if t.closed {
 		return fmt.Errorf("offload: %w", ErrTenantClosed)
 	}
-	if !t.admitThrough(p, &t.bucket, t.policy.AdmitRate, t.policy.AdmitBurst) {
+	rate, burst := t.policy.AdmitRate, t.policy.AdmitBurst
+	ok, wait := t.bucket.take(p.Now(), rate, burst)
+	if ok {
+		return nil
+	}
+	if !t.policy.AdmitWait {
+		t.stats.Shed++
 		if t.overRate == nil {
-			t.overRate = fmt.Errorf("offload: tenant over %.0f ops/s (burst %d): %w",
-				t.policy.AdmitRate, t.policy.AdmitBurst, ErrAdmission)
+			t.overRate = fmt.Errorf("offload: tenant over %.0f ops/s (burst %d): %w", rate, burst, ErrAdmission)
 		}
 		return t.overRate
+	}
+	t.stats.Delayed++
+	var floor sim.Time
+	if count, window := t.coalesceParams(); count > 1 {
+		floor = window
+	}
+	for !ok {
+		p.Sleep(max(wait, floor))
+		t.stats.AdmitWakeups++
+		ok, wait = t.bucket.take(p.Now(), rate, burst)
 	}
 	if t.closed {
 		return fmt.Errorf("offload: %w", ErrTenantClosed)
