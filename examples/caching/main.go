@@ -1,7 +1,7 @@
 // Caching: the CacheLib case study (Appendix B) as an application — an LRU
 // item cache under a get/set workload with the paper's bimodal size
-// distribution, with large copies transparently offloaded through the
-// DTO-style interposer over four shared work queues.
+// distribution, with large copies transparently offloaded by tenants under
+// the DTO policy over four shared work queues.
 package main
 
 import (

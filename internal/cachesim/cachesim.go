@@ -152,8 +152,9 @@ type Config struct {
 	GetRatio  float64 // fraction of ops that are gets
 	Seed      uint64
 
-	// UseDSA routes ≥8 KB copies through DTO over the given WQs (the
-	// paper's four shared WQs); nil WQs means CPU-only.
+	// WQs, when set, gives each thread a tenant over them with the DTO
+	// policy (dto.Policy): ≥8 KB copies are offloaded (the paper's four
+	// shared WQs) and the rest run on the core. Nil means CPU-only.
 	WQs []*dsa.WQ
 
 	// LookupCost and InsertCost are the cache bookkeeping CPU costs per
@@ -194,7 +195,7 @@ func Run(e *sim.Engine, sys *mem.System, node *mem.Node, model cpu.Model, cfg Co
 	cache := NewCache(as, node, cfg.CacheSize)
 
 	// One offload service fronts the shared WQs for every thread; each
-	// thread is a tenant sharing the process address space.
+	// thread is a DTO-policy tenant sharing the process address space.
 	var svc *offload.Service
 	if len(cfg.WQs) > 0 {
 		var err error
@@ -204,7 +205,8 @@ func Run(e *sim.Engine, sys *mem.System, node *mem.Node, model cpu.Model, cfg Co
 		}
 	}
 
-	// Oversubscription: s threads time-share h cores; CPU time inflates
+	// Oversubscription: s threads time-share h cores; CPU time — the
+	// bookkeeping and every copy a core runs, in either mode — inflates
 	// by s/h when s > h. DSA wait time does not (the device runs
 	// regardless of core scheduling).
 	inflate := 1.0
@@ -221,13 +223,13 @@ func Run(e *sim.Engine, sys *mem.System, node *mem.Node, model cpu.Model, cfg Co
 	for th := 0; th < cfg.Threads; th++ {
 		th := th
 		core := cpu.NewCore(th, 0, sys, as, model)
-		var inter *dto.Interposer
+		var tn *offload.Tenant
 		if svc != nil {
-			tn, err := svc.NewTenant(offload.SharedSpace(as), offload.OnCore(core))
+			var err error
+			tn, err = svc.NewTenant(offload.SharedSpace(as), offload.OnCore(core), offload.TenantPolicy(dto.Policy()))
 			if err != nil {
 				return Result{}, err
 			}
-			inter = dto.New(tn)
 		}
 		scratch := as.Alloc(144<<10, mem.OnNode(node))
 		sizes := NewSizeGen(cfg.Seed + uint64(th)*7919)
@@ -240,8 +242,19 @@ func Run(e *sim.Engine, sys *mem.System, node *mem.Node, model cpu.Model, cfg Co
 				core.ChargeBusy(d)
 			}
 			memcpy := func(dst, src mem.Addr, n int64) error {
-				if inter != nil {
-					return inter.Memcpy(p, dst, src, n)
+				if tn != nil {
+					f, err := tn.Copy(p, dst, src, n)
+					if err != nil {
+						return err
+					}
+					res, err := f.Wait(p, tn.Policy().Wait)
+					f.Release()
+					if err == nil && !res.Hardware {
+						// A copy the core ran time-shares it like any
+						// other CPU work: top its Duration up to s/h.
+						p.Sleep(time.Duration(float64(res.Duration)*inflate) - res.Duration)
+					}
+					return err
 				}
 				dur, err := core.Memcpy(dst, src, n)
 				if err != nil {

@@ -196,3 +196,38 @@ func TestOversubscriptionLowersPerThreadRate(t *testing.T) {
 		t.Fatalf("oversubscribed rate %.0f vs matched %.0f: time-sharing not modelled", o, m)
 	}
 }
+
+// With no item at or above the DTO threshold every DSA-mode copy runs on
+// the core, so DSA mode must be CPU mode to the nanosecond: oversubscribed
+// threads time-share the cores for those copies too.
+func TestCoreCopiesChargedAlikeInBothModes(t *testing.T) {
+	const ops, seed = 8, 89
+	for _, c := range []struct{ h, s int }{{1, 1}, {1, 4}, {2, 8}} {
+		// Precondition: no thread draws an offloadable size (each thread
+		// draws at most one size per operation).
+		for th := 0; th < c.s; th++ {
+			g := NewSizeGen(seed + uint64(th)*7919)
+			for i := 0; i < ops; i++ {
+				if g.Next() >= 8<<10 {
+					t.Fatalf("seed %d draws an offloadable size; pick another", uint64(seed))
+				}
+			}
+		}
+		run := func(useDSA bool) Result {
+			e := sim.New()
+			sys := testSystem(e)
+			cfg := Config{HWCores: c.h, Threads: c.s, OpsPerThd: ops, CacheSize: 32 << 20, KeySpace: 4, Seed: seed}
+			if useDSA {
+				cfg.WQs = fourSWQs(t, e, sys)
+			}
+			res, err := Run(e, sys, sys.Node(0), cpu.SPRModel(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		if cpuRes, dsaRes := run(false), run(true); dsaRes != cpuRes {
+			t.Errorf("%dh%ds: DSA mode %+v, CPU mode %+v", c.h, c.s, dsaRes, cpuRes)
+		}
+	}
+}

@@ -15,7 +15,7 @@ type rig struct {
 	e    *sim.Engine
 	as   *mem.AddressSpace
 	node *mem.Node
-	i    *Interposer
+	tn   *offload.Tenant
 }
 
 func newRig(t *testing.T) *rig {
@@ -39,11 +39,11 @@ func newRig(t *testing.T) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tn, err := svc.NewTenant()
+	tn, err := svc.NewTenant(offload.TenantPolicy(Policy()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &rig{e: e, as: tn.AS, node: sys.Node(0), i: New(tn)}
+	return &rig{e: e, as: tn.AS, node: sys.Node(0), tn: tn}
 }
 
 func (r *rig) run(t *testing.T, fn func(p *sim.Proc)) {
@@ -52,6 +52,22 @@ func (r *rig) run(t *testing.T, fn func(p *sim.Proc)) {
 	r.e.Run()
 }
 
+// memcpy copies n bytes through the tenant's Auto path and waits for it,
+// as an intercepted memcpy() call does.
+func (r *rig) memcpy(t *testing.T, p *sim.Proc, dst, src mem.Addr, n int64) {
+	t.Helper()
+	f, err := r.tn.Copy(p, dst, src, n)
+	if err == nil {
+		_, err = f.Wait(p, r.tn.Policy().Wait)
+	}
+	if err != nil {
+		t.Error(err)
+	}
+}
+
+// The 4 KB copy stays on the core only because the DTO policy raises the
+// threshold to 8 KB (the default policy offloads at 4 KB); the 64 KB copy
+// is offloaded.
 func TestThresholdRouting(t *testing.T) {
 	r := newRig(t)
 	small := r.as.Alloc(4096, mem.OnNode(r.node))
@@ -62,61 +78,15 @@ func TestThresholdRouting(t *testing.T) {
 	sim.NewRand(2).Bytes(big.Bytes())
 
 	r.run(t, func(p *sim.Proc) {
-		if err := r.i.Memcpy(p, dstS.Addr(0), small.Addr(0), 4096); err != nil {
-			t.Error(err)
-		}
-		if err := r.i.Memcpy(p, dstB.Addr(0), big.Addr(0), 64<<10); err != nil {
-			t.Error(err)
-		}
+		r.memcpy(t, p, dstS.Addr(0), small.Addr(0), 4096)
+		r.memcpy(t, p, dstB.Addr(0), big.Addr(0), 64<<10)
 	})
-	st := r.i.Stats()
-	if st.SmallFallback != 1 || st.Offloaded != 1 {
-		t.Fatalf("routing = %+v", st)
+	if st := r.tn.Stats(); st.SWOps != 1 || st.HWOps != 1 {
+		t.Fatalf("routing: %d core / %d offloaded copies, want 1 / 1", st.SWOps, st.HWOps)
 	}
 	if !bytes.Equal(dstS.Bytes(), small.Bytes()) || !bytes.Equal(dstB.Bytes(), big.Bytes()) {
 		t.Fatal("copies incomplete")
 	}
-}
-
-func TestMemsetByteExpansion(t *testing.T) {
-	r := newRig(t)
-	buf := r.as.Alloc(32<<10, mem.OnNode(r.node))
-	r.run(t, func(p *sim.Proc) {
-		if err := r.i.Memset(p, buf.Addr(0), 0xAB, buf.Size); err != nil {
-			t.Error(err)
-		}
-	})
-	for i, b := range buf.Bytes() {
-		if b != 0xAB {
-			t.Fatalf("byte %d = %#x", i, b)
-		}
-	}
-	if r.i.Stats().Offloaded != 1 {
-		t.Fatalf("32KB memset not offloaded: %+v", r.i.Stats())
-	}
-}
-
-func TestMemcmpBothPaths(t *testing.T) {
-	r := newRig(t)
-	a := r.as.Alloc(64<<10, mem.OnNode(r.node))
-	b := r.as.Alloc(64<<10, mem.OnNode(r.node))
-	sim.NewRand(3).Bytes(a.Bytes())
-	copy(b.Bytes(), a.Bytes())
-	r.run(t, func(p *sim.Proc) {
-		eq, err := r.i.Memcmp(p, a.Addr(0), b.Addr(0), 64<<10) // offloaded
-		if err != nil || !eq {
-			t.Errorf("big equal: %v %v", eq, err)
-		}
-		eq, err = r.i.Memcmp(p, a.Addr(0), b.Addr(0), 128) // CPU path
-		if err != nil || !eq {
-			t.Errorf("small equal: %v %v", eq, err)
-		}
-		b.Bytes()[40000] ^= 1
-		eq, err = r.i.Memcmp(p, a.Addr(0), b.Addr(0), 64<<10)
-		if err != nil || eq {
-			t.Errorf("mismatch not detected: %v %v", eq, err)
-		}
-	})
 }
 
 func TestPageFaultRedoneOnCPU(t *testing.T) {
@@ -127,30 +97,12 @@ func TestPageFaultRedoneOnCPU(t *testing.T) {
 	dst := r.as.Alloc(64<<10, mem.OnNode(r.node), mem.Lazy())
 	sim.NewRand(4).Bytes(src.Bytes())
 	r.run(t, func(p *sim.Proc) {
-		if err := r.i.Memcpy(p, dst.Addr(0), src.Addr(0), 64<<10); err != nil {
-			t.Error(err)
-		}
+		r.memcpy(t, p, dst.Addr(0), src.Addr(0), 64<<10)
 	})
-	st := r.i.Stats()
-	if st.ErrorFallback != 1 {
-		t.Fatalf("fault fallback = %+v", st)
+	if st := r.tn.Stats(); st.Faults != 1 || st.Fallbacks != 1 {
+		t.Fatalf("faults=%d fallbacks=%d, want the one fault redone on the core", st.Faults, st.Fallbacks)
 	}
 	if !bytes.Equal(dst.Bytes(), src.Bytes()) {
 		t.Fatal("fallback copy incomplete")
-	}
-}
-
-func TestCustomThreshold(t *testing.T) {
-	r := newRig(t)
-	r.i.MinSize = 1 << 20
-	buf := r.as.Alloc(512<<10, mem.OnNode(r.node))
-	dst := r.as.Alloc(512<<10, mem.OnNode(r.node))
-	r.run(t, func(p *sim.Proc) {
-		if err := r.i.Memcpy(p, dst.Addr(0), buf.Addr(0), 512<<10); err != nil {
-			t.Error(err)
-		}
-	})
-	if st := r.i.Stats(); st.Offloaded != 0 || st.SmallFallback != 1 {
-		t.Fatalf("custom threshold ignored: %+v", st)
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"dsasim/internal/dif"
 	"dsasim/internal/dsa"
 	"dsasim/internal/mem"
+	"dsasim/internal/offload"
 	"dsasim/internal/platform"
 	"dsasim/internal/report"
 	"dsasim/internal/sim"
@@ -296,9 +297,20 @@ func (v *env) runCopy(cfg copyCfg) copyResult {
 }
 
 // swTime measures the software counterpart of a DSA op at the given size on
-// this environment's core. Buffers are placed on srcNode/dstNode with the
-// given LLC residency.
+// this environment's core with offload.RunOnCore, the tenant's software
+// executor.
 func (v *env) swTime(op dsa.OpType, size int64, srcNode, dstNode *mem.Node, srcLLC, dstLLC bool) time.Duration {
+	d := v.swDesc(op, size, srcNode, dstNode, srcLLC, dstLLC)
+	_, dur, _, err := offload.RunOnCore(v.core, &d)
+	if err != nil {
+		panic(err)
+	}
+	return dur
+}
+
+// swDesc builds swTime's descriptor over fresh buffers placed on
+// srcNode/dstNode (nil: node 0) with the given LLC residency.
+func (v *env) swDesc(op dsa.OpType, size int64, srcNode, dstNode *mem.Node, srcLLC, dstLLC bool) dsa.Descriptor {
 	if srcNode == nil {
 		srcNode = v.node(0)
 	}
@@ -309,35 +321,6 @@ func (v *env) swTime(op dsa.OpType, size int64, srcNode, dstNode *mem.Node, srcL
 	src := v.buf(size*2+64, srcNode, srcLLC, 0)
 	dst := v.buf(size*2+64, dstNode, dstLLC, 0)
 	src2 := v.buf(size*2+64, srcNode, srcLLC, 0)
-
-	var d time.Duration
-	var err error
-	switch op {
-	case dsa.OpMemmove:
-		d, err = v.core.Memcpy(dst.Addr(0), src.Addr(0), size)
-	case dsa.OpFill:
-		d, err = v.core.Memset(dst.Addr(0), size, 0xA5A5A5A5A5A5A5A5)
-	case dsa.OpCompare:
-		_, _, d, err = v.core.Memcmp(src.Addr(0), src2.Addr(0), size)
-	case dsa.OpComparePattern:
-		_, _, d, err = v.core.ComparePattern(src.Addr(0), size, 0)
-	case dsa.OpCRCGen:
-		_, d, err = v.core.CRC32(src.Addr(0), size, 0)
-	case dsa.OpCopyCRC:
-		_, d, err = v.core.CopyCRC(dst.Addr(0), src.Addr(0), size, 0)
-	case dsa.OpDualcast:
-		d, err = v.core.Dualcast(dst.Addr(0), src2.Addr(0), src.Addr(0), size)
-	case dsa.OpDIFInsert:
-		blocks := size / 512
-		if blocks == 0 {
-			blocks = 1
-		}
-		d, err = v.core.DIFInsert(dst.Addr(0), src.Addr(0), blocks*512, dif.Block512, dif.Tags{})
-	default:
-		panic(fmt.Sprintf("exp: no software counterpart for %v", op))
-	}
-	if err != nil {
-		panic(err)
-	}
-	return d
+	// src2 stands in for the second destination too (Dualcast).
+	return descFor(copyCfg{op: op, size: size}, src, src2, dst, src2, 0)
 }

@@ -130,21 +130,6 @@ func (ep *Endpoint) Alloc(n int64) *mem.Buffer {
 	return b
 }
 
-// copySeg performs one SAR copy of n bytes on this endpoint's engine.
-// Returns the in-flight future in DSA mode (nil in CPU mode, where the
-// call blocks for the copy duration).
-func (ep *Endpoint) copySeg(p *sim.Proc, dst, src mem.Addr, n int64) (*offload.Future, error) {
-	if ep.Dom.Mode == DSACopy {
-		return ep.T.Copy(p, dst, src, n, offload.On(offload.Hardware))
-	}
-	dur, err := ep.Core.Memcpy(dst, src, n)
-	if err != nil {
-		return nil, err
-	}
-	p.Sleep(dur)
-	return nil, nil
-}
-
 // Send transfers n bytes from the local buffer src to the peer's dst using
 // SAR: per segment, copy src→bounce (sender side) and inbox→dst (receiver
 // side; SAR progress executes it on the initiating thread). In DSA mode the
@@ -199,7 +184,7 @@ func (ep *Endpoint) Send(p *sim.Proc, peer *Endpoint, src *mem.Buffer, srcOff in
 			continue
 		}
 		// Sender-side copy: application → bounce.
-		j1, err := ep.copySeg(p, ep.bounce[slot].Addr(0), src.Addr(srcOff+off), seg)
+		j1, err := ep.T.Copy(p, ep.bounce[slot].Addr(0), src.Addr(srcOff+off), seg, offload.On(offload.Hardware))
 		if err != nil {
 			return err
 		}
@@ -207,7 +192,7 @@ func (ep *Endpoint) Send(p *sim.Proc, peer *Endpoint, src *mem.Buffer, srcOff in
 		// inbox slot (functional payload flow).
 		copy(peer.inbox[slot].Bytes()[:seg], src.Slice(srcOff+off, seg))
 		// Receiver-side copy: inbox → application buffer.
-		j2, err := peer.copySeg(p, dst.Addr(dstOff+off), peer.inbox[slot].Addr(0), seg)
+		j2, err := peer.T.Copy(p, dst.Addr(dstOff+off), peer.inbox[slot].Addr(0), seg, offload.On(offload.Hardware))
 		if err != nil {
 			return err
 		}

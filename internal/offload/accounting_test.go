@@ -152,6 +152,22 @@ func TestRecoveryAccountingAcrossPaths(t *testing.T) {
 	}
 }
 
+// softCRC is a software pipeline stage: the CRC-32 of its source, run on
+// the tenant's core by the software executor.
+type softCRC struct{}
+
+func (softCRC) Engine() string { return "isal" }
+
+func (softCRC) Run(p *sim.Proc, t *offload.Tenant, io offload.StageIO) (uint64, error) {
+	d := dsa.Descriptor{Op: dsa.OpCRCGen, Src: io.Src, Size: io.Size}
+	rec, dur, _, err := offload.RunOnCore(t.Core, &d)
+	if err != nil {
+		return 0, err
+	}
+	p.Sleep(dur)
+	return rec.Result, nil
+}
+
 // A pipeline is one operation against the SLO budget, however many
 // chains it runs as: a device chain, a software stage and a second device
 // chain score once, when the pipeline Future resolves.
@@ -168,7 +184,7 @@ func TestPipelineScoredOnceAgainstSLO(t *testing.T) {
 	pl := tn.NewPipeline()
 	tmp := pl.Scratch(n)
 	s1 := pl.Copy(tmp, offload.At(src.Addr(0)), n)
-	s2 := pl.Exec(offload.SoftCRC32{}, offload.Ref{}, tmp, n, 0, offload.After(s1))
+	s2 := pl.Exec(softCRC{}, offload.Ref{}, tmp, n, 0, offload.After(s1))
 	pl.Copy(offload.At(dst.Addr(0)), tmp, n, offload.After(s2))
 	r.run(func(p *sim.Proc) {
 		f, err := pl.Submit(p)

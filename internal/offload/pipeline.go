@@ -83,23 +83,6 @@ func (Inflate) Run(p *sim.Proc, t *Tenant, io StageIO) (uint64, error) {
 	return uint64(n), nil
 }
 
-// SoftCRC32 is the ISA-L software CRC stage, for pipelines that keep the
-// digest on the core (e.g. when the device stages saturate the WQ).
-type SoftCRC32 struct{ Seed uint32 }
-
-// Engine implements StageExecutor.
-func (SoftCRC32) Engine() string { return "isal" }
-
-// Run implements StageExecutor.
-func (s SoftCRC32) Run(p *sim.Proc, t *Tenant, io StageIO) (uint64, error) {
-	crc, dur, err := t.Core.CRC32(io.Src, io.Size, s.Seed)
-	if err != nil {
-		return 0, err
-	}
-	p.Sleep(dur)
-	return uint64(crc), nil
-}
-
 // FabricSend streams the stage's source bytes into a fabric pipe (NIC,
 // inter-node link) — the terminal stage of a transform-then-transmit
 // pipeline. The driver blocks until the pipe drains the payload.

@@ -146,7 +146,8 @@ type Policy struct {
 	// production offload libraries degrade to memcpy. It engages within
 	// the RetryMax budget (a fallback is the terminal attempt), on the
 	// Future and pipeline paths (a lone-stage chain), for any op the
-	// software executor runs.
+	// software executor runs. DTO's redo-on-fault is FallbackAfter 1
+	// (dto.Policy).
 	FallbackAfter int
 
 	// SLOBudget, when positive, is the tenant's per-operation completion

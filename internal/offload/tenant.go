@@ -401,13 +401,30 @@ func (t *Tenant) do(p *sim.Proc, d dsa.Descriptor, opts []OpOption) (*Future, er
 	return t.completed(res, nil), nil
 }
 
-// execSW is the one software executor: it runs d on the tenant's core —
-// the CPU branch of every op and the fault fallback alike — charges the
-// core time and counts the execution. It writes the completion record the
-// device would have and decodes it the way a hardware result is decoded;
-// Duration spans from start.
+// execSW runs d on the tenant's core through RunOnCore — the CPU branch
+// of every op and the fault fallback alike — charges the core time and
+// counts the execution. It decodes the record the way a hardware result is
+// decoded; Duration spans from start.
 func (t *Tenant) execSW(p *sim.Proc, d *dsa.Descriptor, start sim.Time) (Result, error) {
-	c := t.Core
+	rec, dur, bytes, err := RunOnCore(t.Core, d)
+	if err != nil {
+		return Result{}, err
+	}
+	p.Sleep(dur)
+	t.stats.SWOps++
+	t.stats.SWBytes += bytes
+	res := decode(d.Op, rec)
+	res.Duration = p.Now() - start
+	return res, nil
+}
+
+// RunOnCore is the one software executor: it runs descriptor d with c's
+// kernels, sequentially and without advancing virtual time, and returns
+// the completion record the device would have written, the core time the
+// kernels cost and the bytes they touched. Every CPU counterpart of a
+// descriptor op — a tenant's software path, its fault fallback and the
+// figure baselines — runs here.
+func RunOnCore(c *cpu.Core, d *dsa.Descriptor) (dsa.CompletionRecord, sim.Time, int64, error) {
 	rec := dsa.CompletionRecord{Status: dsa.StatusSuccess}
 	var (
 		dur sim.Time
@@ -454,14 +471,9 @@ func (t *Tenant) execSW(p *sim.Proc, d *dsa.Descriptor, start sim.Time) (Result,
 		err = fmt.Errorf("offload: %v has no software path", d.Op)
 	}
 	if err != nil {
-		return Result{}, err
+		return dsa.CompletionRecord{}, 0, 0, err
 	}
-	p.Sleep(dur)
-	t.stats.SWOps++
-	t.stats.SWBytes += bytes
-	res := decode(d.Op, rec)
-	res.Duration = p.Now() - start
-	return res, nil
+	return rec, dur, bytes, nil
 }
 
 // Copy moves n bytes from src to dst.
