@@ -380,7 +380,8 @@ func Fig19() []*report.Table {
 		tail.SetNamed("CPU", name, x, 1)
 	}
 	rate.Note("offloading ≥8KB copies lifts get/set rates; gains shrink when threads far exceed the four WQs (paper Fig 19a)")
-	tail.Note("tail latency collapses because the rare huge copies leave the cores (paper Fig 19b)")
+	tail.Note("up to 8 threads DSA cuts the Find/Alloc tail to 0.19-0.75x CPU, but at 16 threads it rises above CPU " +
+		"(1.79x/1.95x at 16h16s, 1.53x/1.39x at 16h32s), which disagrees with paper Fig 19b, where the tail falls with DSA")
 	return []*report.Table{rate, tail}
 }
 

@@ -386,9 +386,16 @@ func (d *driver) enqueue(s int, it reapItem) {
 // reaper resolves one shard's outstanding futures in FIFO order,
 // recording each carried operation's open-loop latency (completion −
 // scheduled arrival) against its arrival's phase and class budget. Each
-// Future is released once waited, with its completion, so the next
+// Future is released once resolved, with its completion, so the next
 // arrival reuses both; a broker burst's Future is released before its
 // pipeline returns to the free list, whose next run may then reuse it.
+//
+// Completions are reaped in batches, as rte_dma_completed does: the
+// handler pass that ends one Interrupt wait also reads every record
+// written behind it, so each following future already Done is harvested
+// at that instant with no delivery of its own. The reaper waits by
+// Interrupt again only on the first record not yet written. A harvested
+// record that faulted still recovers, its retry waited for by Interrupt.
 //
 // An idle reaper waits for work as a chain (reapIdle): the step the
 // signal wakes pops the item and starts its future's wait in the same
@@ -397,8 +404,9 @@ func (d *driver) enqueue(s int, it reapItem) {
 func (d *driver) reaper(s int) func(p *sim.Proc) {
 	return func(p *sim.Proc) {
 		r := &reapWake{d: d, s: s}
+		q := &d.reapQ[s]
 		for {
-			it, ok := d.reapQ[s].Pop()
+			it, ok := q.Pop()
 			if !ok {
 				if d.subDone[s] {
 					return
@@ -410,22 +418,33 @@ func (d *driver) reaper(s int) func(p *sim.Proc) {
 				it, r.have = r.it, false
 			}
 			_, err := it.fut.Wait(p, offload.Interrupt)
-			end := p.Now()
-			budget := d.sc.FgSLO
-			if it.cls == BG {
-				budget = d.sc.BgSLO
+			d.reaped(s, it, err)
+			for it, ok = q.Peek(); ok && it.fut.Done(); it, ok = q.Peek() {
+				q.Pop()
+				_, err = it.fut.Harvest(p, offload.Interrupt)
+				d.reaped(s, it, err)
 			}
-			it.fut.Release()
-			if it.burst == nil {
-				d.record(it.arr, it.cls, end-it.arr, budget, err != nil)
-				continue
-			}
-			for _, arr := range it.burst.arrs {
-				d.record(arr, it.cls, end-arr, budget, err != nil)
-			}
-			d.release(s, it.burst)
 		}
 	}
+}
+
+// reaped records every operation a resolved item carried as ending now,
+// and releases the item's Future (and a burst's pipeline).
+func (d *driver) reaped(s int, it reapItem, err error) {
+	end := d.e.Now()
+	budget := d.sc.FgSLO
+	if it.cls == BG {
+		budget = d.sc.BgSLO
+	}
+	it.fut.Release()
+	if it.burst == nil {
+		d.record(it.arr, it.cls, end-it.arr, budget, err != nil)
+		return
+	}
+	for _, arr := range it.burst.arrs {
+		d.record(arr, it.cls, end-arr, budget, err != nil)
+	}
+	d.release(s, it.burst)
 }
 
 // reapWake is an idle reaper's chain state: its shard, and the item the

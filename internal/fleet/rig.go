@@ -32,9 +32,8 @@ func fleetRig() (*sim.Engine, *offload.Service, []*dsa.Device) {
 // shedding admission control at the scenario's cap — the production
 // knobs, not a benchmark special. It leaves Policy.LoadAware off. With
 // the lanes routed through the load-aware detour, the benchmark harness's
-// default-seed fg p99 reads the same 8.704 µs on chaos and 7.879 against
-// 7.936 µs on packetswitch: too small a gain to move every baseline on
-// one seed.
+// default-seed fg p99 reads the same 5.888 µs on packetswitch and
+// 7.879 µs on chaos: no gain to move every baseline for.
 func frontPolicy(sc Scenario) offload.Policy {
 	pol := offload.DefaultPolicy()
 	pol.Wait = offload.Interrupt

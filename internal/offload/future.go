@@ -142,6 +142,25 @@ func (f *Future) Done() bool {
 // so a dependent caller can never deadlock on an unflushed batch.
 func (f *Future) Wait(p *sim.Proc, mode WaitMode) (Result, error) {
 	f.live()
+	return f.wait(p, mode, false)
+}
+
+// Harvest resolves a Done future without waiting for it: its record was
+// written before the caller's current wake-up, so the handler pass that
+// woke the caller reads it too, the way rte_dma_completed reaps every
+// written record in one call. No delivery is paid and the core is charged
+// nothing. Fault recovery runs as under Wait, and a retry's completion is
+// waited for in mode. Harvest of a future that is not Done panics.
+func (f *Future) Harvest(p *sim.Proc, mode WaitMode) (Result, error) {
+	if !f.Done() {
+		panic("offload: Harvest of a pending Future")
+	}
+	return f.wait(p, mode, true)
+}
+
+// wait is Wait, and with harvest Harvest: a harvested record is read with
+// no wait of its own.
+func (f *Future) wait(p *sim.Proc, mode WaitMode, harvest bool) (Result, error) {
 	if f.done {
 		return f.res, f.err
 	}
@@ -157,7 +176,7 @@ func (f *Future) Wait(p *sim.Proc, mode WaitMode) (Result, error) {
 		return f.res, f.err
 	}
 	if f.parts != nil {
-		return f.waitParts(p, mode)
+		return f.waitParts(p, mode, harvest)
 	}
 	if f.ab != nil {
 		// Flush binds this future to its sub-batch parent, or resolves it
@@ -172,7 +191,7 @@ func (f *Future) Wait(p *sim.Proc, mode WaitMode) (Result, error) {
 	if f.armed {
 		f.armed = false
 		f.cl.EndWait(p, f.comp)
-	} else if f.sharedWait == nil || !f.sharedWait.paid || !f.comp.Done() {
+	} else if !harvest && (f.sharedWait == nil || !f.sharedWait.paid || !f.comp.Done()) {
 		f.cl.Wait(p, f.comp, mode)
 		if f.sharedWait != nil {
 			f.sharedWait.paid = true
@@ -218,12 +237,12 @@ func (f *Future) ArmWait(p *sim.Proc, mode WaitMode) bool {
 // (Record.Result), matching what the device reports for an unsplit batch.
 // The future is marked done only after the drain, so a concurrent waiter
 // (or Done poller) never observes a premature success.
-func (f *Future) waitParts(p *sim.Proc, mode WaitMode) (Result, error) {
+func (f *Future) waitParts(p *sim.Proc, mode WaitMode, harvest bool) (Result, error) {
 	res := Result{Hardware: true}
 	var firstErr error
 	var completed uint64
 	for _, part := range f.parts {
-		pres, err := part.Wait(p, mode)
+		pres, err := part.wait(p, mode, harvest)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err

@@ -222,3 +222,54 @@ func TestFutureCopyAllocBudget(t *testing.T) {
 		t.Errorf("Copy+Wait+Release allocated %.2f times per op, budget %d", allocs, budget)
 	}
 }
+
+// Harvest reads a record already written when the caller's wait ended:
+// two copies finish close together, the first is waited for by Interrupt,
+// and the second then resolves at that instant with no delivery and no
+// handler charged to the core. Harvest of a pending future panics.
+func TestHarvestReadsWrittenRecordWithoutWait(t *testing.T) {
+	r := newRig(t, 1)
+	tn, err := r.service(t).NewTenant()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := int64(4 << 10)
+	r.run(func(p *sim.Proc) {
+		copyOf := func(size int64) *offload.Future {
+			f, err := tn.Copy(p, tn.Alloc(size).Addr(0), tn.Alloc(size).Addr(0), size, offload.On(offload.Hardware))
+			if err != nil {
+				panic(err) // a refused submission on an idle rig is a bug
+			}
+			return f
+		}
+		a, b := copyOf(n), copyOf(n)
+		if _, err := a.Wait(p, offload.Interrupt); err != nil {
+			t.Error(err)
+			return
+		}
+		if !b.Done() {
+			t.Error("the second record was not written by the first delivery's end")
+			return
+		}
+		at, busy := p.Now(), tn.Core.BusyTime()
+		res, err := b.Harvest(p, offload.Interrupt)
+		if err != nil || !res.Hardware {
+			t.Errorf("Harvest: %+v, %v", res, err)
+		}
+		if p.Now() != at || tn.Core.BusyTime() != busy {
+			t.Errorf("Harvest took %v and charged the core %v, want neither", p.Now()-at, tn.Core.BusyTime()-busy)
+		}
+		pending := copyOf(1 << 20)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("Harvest of a pending future did not panic")
+				}
+			}()
+			pending.Harvest(p, offload.Interrupt)
+		}()
+		if _, err := pending.Wait(p, offload.Interrupt); err != nil {
+			t.Error(err)
+		}
+	})
+}
