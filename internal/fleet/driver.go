@@ -23,21 +23,18 @@ const (
 	crossCut = 3
 )
 
-// reapItem is one outstanding submission a shard's reaper must resolve:
-// the future, the scheduled arrival instant of every operation it
-// carries, and the class the latencies score against. A foreground op
-// carries its one arrival inline in arr; a broker burst carries its
-// arrivals in burst.arrs.
+// reapItem is one outstanding foreground op a shard's reaper must
+// resolve: its future and its scheduled arrival instant.
 type reapItem struct {
-	fut   *offload.Future
-	arr   sim.Time
-	burst *brokerBurst
-	cls   Class
+	fut *offload.Future
+	arr sim.Time
 }
 
 // brokerBurst is one compiled broker pipeline — per message a CopyCRC from
 // the bound producer slot into scratch, then a fenced copy to the bound
-// consumer slot — with the arrival instants of the burst it carries.
+// consumer slot — with the arrival instants of the burst it carries. The
+// pipeline's own driver process resolves each burst (newBurst's hook), so
+// no reaper waits on one.
 type brokerBurst struct {
 	pl       *offload.Pipeline
 	src, dst []offload.Ref
@@ -263,7 +260,7 @@ func (d *driver) fgOp(p *sim.Proc, s, pi int, at sim.Time, ci int) {
 		a.shed++
 		return
 	}
-	d.enqueue(s, reapItem{fut: f, arr: at, cls: FG})
+	d.enqueue(s, reapItem{fut: f, arr: at})
 }
 
 // route maps a connection to its source socket, destination socket, and
@@ -307,7 +304,8 @@ func (d *driver) bgOp(p *sim.Proc, s, pi int, at sim.Time, ci int, pending *[]pe
 // CRC→copy pipeline DAG and submits it for one admission token. A full
 // burst rebinds an idle compiled pipeline from the shard's free list; only
 // the end-of-schedule short burst builds a one-off. A shed DAG sheds every
-// message it carried, each against its own arrival's phase.
+// message it carried, each against its own arrival's phase. A submitted
+// burst is resolved by its pipeline's completion hook (newBurst).
 func (d *driver) flushBurst(p *sim.Proc, s int, pending *[]pendingMsg) {
 	msgs := *pending
 	if len(msgs) == 0 {
@@ -317,7 +315,7 @@ func (d *driver) flushBurst(p *sim.Proc, s int, pending *[]pendingMsg) {
 	if free := d.bursts[s]; len(msgs) == d.sc.Burst && len(free) > 0 {
 		bb, d.bursts[s] = free[len(free)-1], free[:len(free)-1]
 	} else {
-		bb = d.newBurst(len(msgs))
+		bb = d.newBurst(s, len(msgs))
 	}
 	b := &d.bufs[s]
 	bb.arrs = bb.arrs[:0]
@@ -328,21 +326,32 @@ func (d *driver) flushBurst(p *sim.Proc, s int, pending *[]pendingMsg) {
 		bb.pl.Bind(bb.dst[i], b.dst[dstSock].Addr(off))
 	}
 	*pending = msgs[:0]
-	fut, err := bb.pl.Submit(p)
-	if err != nil {
+	if _, err := bb.pl.Submit(p); err != nil {
 		for _, arr := range bb.arrs {
 			d.acc[d.phaseAt(arr)][BG].shed++
 		}
 		d.release(s, bb)
-		return
 	}
-	d.enqueue(s, reapItem{fut: fut, burst: bb, cls: BG})
 }
 
-// newBurst declares an n-message broker pipeline.
-func (d *driver) newBurst(n int) *brokerBurst {
+// newBurst declares an n-message broker pipeline for shard s. Its
+// completion hook resolves each burst in the pipeline's own driver
+// process, the instant the last chain's wait ends: it records every
+// message as ending then, releases the Future, and returns the idle
+// pipeline to the shard's free list. The reaper never parks on a burst,
+// so a foreground record written meanwhile is reaped on its own.
+func (d *driver) newBurst(s, n int) *brokerBurst {
 	pl := d.front.NewPipeline()
 	bb := &brokerBurst{pl: pl, src: make([]offload.Ref, n), dst: make([]offload.Ref, n), arrs: make([]sim.Time, 0, n)}
+	pl.Then(func(p *sim.Proc, f *offload.Future) {
+		_, err := f.Wait(p, offload.Interrupt) // already ran: no park
+		end := d.e.Now()
+		for _, arr := range bb.arrs {
+			d.record(arr, BG, end-arr, d.sc.BgSLO, err != nil)
+		}
+		f.Release()
+		d.release(s, bb)
+	})
 	for i := range bb.src {
 		staged := pl.Scratch(d.sc.BgSize)
 		bb.src[i], bb.dst[i] = pl.Arg(), pl.Arg()
@@ -377,18 +386,20 @@ func (d *driver) churnTenant(p *sim.Proc, rng *sim.Rand) {
 	p.Sleep(sim.Time(d.sc.BindCost))
 }
 
-// enqueue hands a submission to the shard's reaper.
+// enqueue hands a foreground op to the shard's reaper.
 func (d *driver) enqueue(s int, it reapItem) {
 	d.reapQ[s].Push(it)
 	d.reapSig[s].Broadcast(d.e)
 }
 
-// reaper resolves one shard's outstanding futures in FIFO order,
-// recording each carried operation's open-loop latency (completion −
-// scheduled arrival) against its arrival's phase and class budget. Each
+// reaper resolves one shard's outstanding foreground futures in FIFO
+// order, recording each op's open-loop latency (completion − scheduled
+// arrival) against its arrival's phase and the foreground budget. Each
 // Future is released once resolved, with its completion, so the next
-// arrival reuses both; a broker burst's Future is released before its
-// pipeline returns to the free list, whose next run may then reuse it.
+// arrival reuses both. The reaper holds foreground futures only: broker
+// bursts resolve in their pipelines' driver processes (newBurst), the way
+// the paper's DPDK Vhost path never makes a latency-critical completion
+// wait behind a bulk transfer.
 //
 // Completions are reaped in batches, as rte_dma_completed does: the
 // handler pass that ends one Interrupt wait also reads every record
@@ -418,33 +429,21 @@ func (d *driver) reaper(s int) func(p *sim.Proc) {
 				it, r.have = r.it, false
 			}
 			_, err := it.fut.Wait(p, offload.Interrupt)
-			d.reaped(s, it, err)
+			d.reaped(it, err)
 			for it, ok = q.Peek(); ok && it.fut.Done(); it, ok = q.Peek() {
 				q.Pop()
 				_, err = it.fut.Harvest(p, offload.Interrupt)
-				d.reaped(s, it, err)
+				d.reaped(it, err)
 			}
 		}
 	}
 }
 
-// reaped records every operation a resolved item carried as ending now,
-// and releases the item's Future (and a burst's pipeline).
-func (d *driver) reaped(s int, it reapItem, err error) {
-	end := d.e.Now()
-	budget := d.sc.FgSLO
-	if it.cls == BG {
-		budget = d.sc.BgSLO
-	}
+// reaped records a resolved foreground op as ending now and releases its
+// Future.
+func (d *driver) reaped(it reapItem, err error) {
 	it.fut.Release()
-	if it.burst == nil {
-		d.record(it.arr, it.cls, end-it.arr, budget, err != nil)
-		return
-	}
-	for _, arr := range it.burst.arrs {
-		d.record(arr, it.cls, end-arr, budget, err != nil)
-	}
-	d.release(s, it.burst)
+	d.record(it.arr, FG, d.e.Now()-it.arr, d.sc.FgSLO, err != nil)
 }
 
 // reapWake is an idle reaper's chain state: its shard, and the item the

@@ -248,11 +248,13 @@ func drainedTestRuns() []*driver {
 // still switches per arrival is the submitter's SleepUntil to the arrival
 // instant and one resume per dispatch or wait. A reaper harvests every
 // record already written when a wait ends, so a harvested future costs
-// no resume of its own.
+// no resume of its own, and a broker burst resolves in its pipeline's
+// driver process, which was resumed for the burst's last chain anyway,
+// so no reaper is resumed for it.
 func TestFleetResumeBudget(t *testing.T) {
 	budget := map[string]float64{
 		"packetswitch-fleet": 2.82, // measured 2.46
-		"msgbroker-fleet":    2.62, // measured 2.34
+		"msgbroker-fleet":    2.51, // measured 2.22
 		"chaos-fleet":        2.82, // measured 2.46
 	}
 	for _, d := range drainedTestRuns() {
@@ -272,7 +274,7 @@ func TestFleetResumeBudget(t *testing.T) {
 func TestFleetEventBudget(t *testing.T) {
 	budget := map[string]float64{
 		"packetswitch-fleet": 7.64, // measured 7.46
-		"msgbroker-fleet":    8.32, // measured 7.89
+		"msgbroker-fleet":    8.32, // measured 7.95
 		"chaos-fleet":        8.29, // measured 7.48
 	}
 	for _, d := range drainedTestRuns() {
@@ -287,18 +289,22 @@ func TestFleetEventBudget(t *testing.T) {
 // TestFleetResultGolden pins every virtual-time result of the three
 // scenarios at testScale, seed 0, as a digest of the printed Result. A
 // change that only cuts host cost must leave it alone; a change that
-// moves virtual time updates it and says why. All three last moved when
-// a shard's reaper began reading the records already written when one
-// Interrupt wait ends without paying another delivery for each: futures
-// queued behind the one it waited on now resolve at that wait's end, not
-// one IntrDeliver + IntrHandler apart, so foreground latencies fall
-// (full-scale packetswitch fg p99 per phase 6.91–11.78 → 5.38–8.70 µs).
-// Chaos also re-draws its faults, because fg retries reach the devices at
-// new instants.
+// moves virtual time updates it and says why. Packetswitch and chaos last
+// moved when a shard's reaper began reading the records already written
+// when one Interrupt wait ends without paying another delivery for each:
+// futures queued behind the one it waited on now resolve at that wait's
+// end, not one IntrDeliver + IntrHandler apart, so foreground latencies
+// fall (full-scale packetswitch fg p99 per phase 6.91–11.78 → 5.38–8.70
+// µs). Chaos also re-draws its faults, because fg retries reach the
+// devices at new instants. Msgbroker last moved when broker bursts began
+// resolving in their pipelines' driver processes instead of in the
+// shard's reaper FIFO: a foreground op is no longer reaped only after the
+// bursts queued ahead of it end (full-scale msgbroker fg p99 per phase
+// 15.87–25.60 → 8.70–25.60 µs).
 func TestFleetResultGolden(t *testing.T) {
 	golden := map[string]string{
 		"packetswitch-fleet": "60321e1c82ffd276",
-		"msgbroker-fleet":    "a9389ab7b2610979",
+		"msgbroker-fleet":    "ec50445e8222caf5",
 		"chaos-fleet":        "0015652e9ff33394",
 	}
 	for _, d := range drainedTestRuns() {

@@ -12,23 +12,24 @@ import (
 )
 
 // reapRun runs shard 0's reaper alone over the foreground futures submit
-// hands to enqueue, on sc's rig and tenants. Item i carries arrival
-// instant i ns and has a 1 ns phase of its own, so its phase cell's exact
-// maximum latency gives back the instant the reaper recorded it; reapRun
-// returns those instants and the foreground tenant the items ran on.
-func reapRun(t *testing.T, sc Scenario, n int, submit func(p *sim.Proc, tn *offload.Tenant, enqueue func(*offload.Future))) ([]sim.Time, *offload.Tenant) {
+// hands to enqueue, on sc's rig and tenants; submit runs on shard 0's
+// submitter process of driver d. Item i carries arrival instant i ns and
+// has a 1 ns phase of its own, so its phase cell's exact maximum latency
+// gives back the instant the reaper recorded it; reapRun returns those
+// instants and the drained driver, whose foreground tenant d.fg[0].tn the
+// items ran on.
+func reapRun(t *testing.T, sc Scenario, n int, submit func(p *sim.Proc, d *driver, enqueue func(*offload.Future))) ([]sim.Time, *driver) {
 	t.Helper()
 	sc.Phases = make([]Phase, n)
 	for i := range sc.Phases {
 		sc.Phases[i] = Phase{Name: fmt.Sprint(i), Kind: Steady, Mult: 1, Dur: time.Nanosecond}
 	}
 	d := newDriver(sc)
-	tn := d.fg[0].tn
 	d.e.Go("reap", d.reaper(0))
 	d.e.Go("submit", func(p *sim.Proc) {
 		next := 0
-		submit(p, tn, func(f *offload.Future) {
-			d.enqueue(0, reapItem{fut: f, arr: sim.Time(next), cls: FG})
+		submit(p, d, func(f *offload.Future) {
+			d.enqueue(0, reapItem{fut: f, arr: sim.Time(next)})
 			next++
 		})
 		d.subDone[0] = true
@@ -46,7 +47,7 @@ func reapRun(t *testing.T, sc Scenario, n int, submit func(p *sim.Proc, tn *offl
 	if n := d.reapQ[0].Len(); n != 0 {
 		t.Fatalf("the reaper left %d items queued", n)
 	}
-	return at, tn
+	return at, d
 }
 
 // copyOn submits one hardware copy of n bytes from src to dst. It runs on
@@ -76,13 +77,15 @@ func TestReaperHarvestsWrittenRecords(t *testing.T) {
 		const k = 4
 		const big = 1 << 20 // written long after the first delivery ends
 		var busy sim.Time
-		at, tn := reapRun(t, sc, k+1, func(p *sim.Proc, tn *offload.Tenant, enqueue func(*offload.Future)) {
+		at, d := reapRun(t, sc, k+1, func(p *sim.Proc, d *driver, enqueue func(*offload.Future)) {
+			tn := d.fg[0].tn
 			for i := 0; i < k; i++ {
 				enqueue(copyOn(p, tn, tn.Alloc(sc.FgSize), tn.Alloc(sc.FgSize), sc.FgSize))
 			}
 			enqueue(copyOn(p, tn, tn.Alloc(big), tn.Alloc(big), big))
 			busy = tn.Core.BusyTime()
 		})
+		tn := d.fg[0].tn
 		for i := 1; i < k; i++ {
 			if at[i] != at[0] {
 				t.Errorf("written record %d recorded at %v, the head at %v: want the same instant", i, at[i], at[0])
@@ -102,7 +105,8 @@ func TestReaperHarvestsWrittenRecords(t *testing.T) {
 		sc := sc
 		sc.Faults = &FaultPlan{} // arms recovery; the one fault is a cold page
 		var faultedAt sim.Time
-		at, tn := reapRun(t, sc, 2, func(p *sim.Proc, tn *offload.Tenant, enqueue func(*offload.Future)) {
+		at, d := reapRun(t, sc, 2, func(p *sim.Proc, d *driver, enqueue func(*offload.Future)) {
+			tn := d.fg[0].tn
 			enqueue(copyOn(p, tn, tn.Alloc(sc.FgSize), tn.Alloc(sc.FgSize), sc.FgSize))
 			cold := tn.Alloc(sc.FgSize, mem.Lazy())
 			f := copyOn(p, tn, cold, tn.Alloc(sc.FgSize), sc.FgSize)
@@ -118,7 +122,7 @@ func TestReaperHarvestsWrittenRecords(t *testing.T) {
 		if faultedAt >= at[0] {
 			t.Fatalf("the faulted record was written at %v, not before the head's delivery ended at %v", faultedAt, at[0])
 		}
-		st := tn.Stats()
+		st := d.fg[0].tn.Stats()
 		if st.Faults != 1 || st.Retries != 1 {
 			t.Fatalf("faults=%d retries=%d, want 1 and 1", st.Faults, st.Retries)
 		}
@@ -126,4 +130,54 @@ func TestReaperHarvestsWrittenRecords(t *testing.T) {
 			t.Errorf("the retry ended %v after the harvest, want at least one Interrupt delivery (%v): it was polled", gap, delivery)
 		}
 	})
+}
+
+// TestReaperDoesNotWaitBehindBursts pins that a broker burst never holds
+// up a foreground completion. One full msgbroker burst is submitted on
+// shard 0, then a 4 KB foreground op whose record is written long before
+// the burst ends. The burst never enters the reaper's queue; the
+// foreground op is recorded within one Interrupt delivery of its own
+// record, not at the burst's end; and the burst's messages are recorded
+// at the instant its pipeline resolved, which is the instant its pipeline
+// returns to the shard's free list.
+func TestReaperDoesNotWaitBehindBursts(t *testing.T) {
+	tm := dsa.DefaultTiming()
+	delivery := sim.Time(tm.IntrDeliver + tm.IntrHandler)
+	sc := Msgbroker()
+	queued := -1
+	var written, freed sim.Time
+	at, d := reapRun(t, sc, 1, func(p *sim.Proc, d *driver, enqueue func(*offload.Future)) {
+		pending := make([]pendingMsg, sc.Burst)
+		for i := range pending {
+			pending[i] = pendingMsg{conn: i} // every message arrives at 0
+		}
+		d.flushBurst(p, 0, &pending)
+		queued = d.reapQ[0].Len()
+		tn := d.fg[0].tn
+		f := copyOn(p, tn, tn.Alloc(sc.FgSize), tn.Alloc(sc.FgSize), sc.FgSize)
+		enqueue(f)
+		// Both polls run at 1 ns, so each instant reads back at most 1 ns
+		// late. The reaper releases f one delivery after its record is
+		// written, long after this poll has seen it Done.
+		p.SleepPoll(1, func(any) bool { return f.Done() }, nil)
+		written = p.Now()
+		p.SleepPoll(1, func(any) bool { return len(d.bursts[0]) == 1 }, nil)
+		freed = p.Now()
+	})
+	if queued != 0 {
+		t.Errorf("the reaper's queue held %d items after the burst was submitted, want 0", queued)
+	}
+	if written+delivery >= freed {
+		t.Fatalf("the foreground record was written at %v, not one delivery (%v) before the burst resolved at %v", written, delivery, freed)
+	}
+	if lag := at[0] - written; lag > delivery {
+		t.Errorf("the foreground op was recorded %v after its record was written, want at most one delivery (%v)", lag, delivery)
+	}
+	bg := &d.acc[0][BG]
+	if bg.done != int64(sc.Burst) || bg.failed != 0 {
+		t.Fatalf("burst: %d of %d messages recorded, %d failed", bg.done, sc.Burst, bg.failed)
+	}
+	if end := sim.Time(bg.lat.Max()); end > freed || end < freed-1 {
+		t.Errorf("the burst was recorded at %v, want the instant its pipeline resolved (%v, within the 1 ns poll)", end, freed)
+	}
 }

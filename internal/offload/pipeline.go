@@ -151,10 +151,13 @@ type Pipeline struct {
 	scratchBufs  []*mem.Buffer
 	args         []mem.Addr // bound Arg addresses; 0 = unbound
 
-	// driver is pl.drive, bound by the first Submit; non-nil marks the
+	// driver is pl.run, bound by the first Submit; non-nil marks the
 	// shape compiled. cur is the in-flight run's Future, nil when idle.
 	driver func(*sim.Proc)
 	cur    *Future
+
+	// then is the completion hook Then installs, or nil.
+	then func(p *sim.Proc, f *Future)
 
 	// Reused driver buffers.
 	order    []int
@@ -179,6 +182,15 @@ func (t *Tenant) NewPipeline() *Pipeline { return &Pipeline{t: t, home: -1, fail
 // fault ended the last submission, or -1 when it succeeded. Valid once
 // the submission's Future has resolved.
 func (pl *Pipeline) FailedStage() int { return pl.failed }
+
+// Then installs fn as the pipeline's completion hook: the driver process
+// calls it once per run, right after the run's Future resolves, whether
+// the run succeeded or failed, with the run's Future. The pipeline is
+// idle when fn runs, so fn may Wait on the Future without parking,
+// Release it if no other process waits on it, and Bind and Submit the
+// pipeline again. A caller that resolves every run here needs no process
+// of its own parked on the Future.
+func (pl *Pipeline) Then(fn func(p *sim.Proc, f *Future)) { pl.then = fn }
 
 // Scratch declares a size-byte intermediate buffer. It is allocated (from
 // the tenant's scratch pool) on the pipeline's chosen socket at Submit and
@@ -412,7 +424,7 @@ func (pl *Pipeline) Submit(p *sim.Proc) (*Future, error) {
 	}
 	if pl.driver == nil {
 		pl.buildOrder()
-		pl.driver = pl.drive
+		pl.driver = pl.run
 	}
 	if err := t.admit(p); err != nil {
 		return nil, err
@@ -434,6 +446,17 @@ func (pl *Pipeline) Submit(p *sim.Proc) (*Future, error) {
 	return f, nil
 }
 
+// run is one run's driver process: it walks the DAG, resolves the run's
+// Future with the outcome and then hands the Future to the completion
+// hook, if any.
+func (pl *Pipeline) run(p *sim.Proc) {
+	f := pl.cur
+	pl.finish(pl.drive(p))
+	if pl.then != nil {
+		pl.then(p, f)
+	}
+}
+
 // drive walks the DAG level by level: device stages accumulate into the
 // current fenced chain (a fence opens every new level, so the device's
 // issueReady barrier enforces the dependency order inside one batch), and a
@@ -441,8 +464,8 @@ func (pl *Pipeline) Submit(p *sim.Proc) (*Future, error) {
 // are inputs — then runs them inline. Chains are bounded by the device
 // batch limit; a chain cut mid-level flushes and the remainder continues
 // unfenced (the flush wait is a stronger barrier than the fence it
-// replaces).
-func (pl *Pipeline) drive(p *sim.Proc) {
+// replaces). It returns the first chain or software-stage error.
+func (pl *Pipeline) drive(p *sim.Proc) error {
 	maxChain := pl.t.S.maxBatch
 	if maxChain < 2 {
 		maxChain = 2
@@ -462,8 +485,7 @@ func (pl *Pipeline) drive(p *sim.Proc) {
 			// Software stages read the previous levels' outputs: the chain
 			// must land before they run.
 			if err := pl.flush(p); err != nil {
-				pl.finish(err)
-				return
+				return err
 			}
 			for _, si := range pl.order[i:j] {
 				st := &pl.stages[si]
@@ -481,8 +503,7 @@ func (pl *Pipeline) drive(p *sim.Proc) {
 				}
 				res, err := st.exec.Run(p, pl.t, io)
 				if err != nil {
-					pl.finish(err)
-					return
+					return err
 				}
 				st.result = res
 			}
@@ -495,8 +516,7 @@ func (pl *Pipeline) drive(p *sim.Proc) {
 			}
 			if len(pl.chain) >= maxChain {
 				if err := pl.flush(p); err != nil {
-					pl.finish(err)
-					return
+					return err
 				}
 			}
 			d := st.d
@@ -516,7 +536,7 @@ func (pl *Pipeline) drive(p *sim.Proc) {
 		}
 		i = j
 	}
-	pl.finish(pl.flush(p))
+	return pl.flush(p)
 }
 
 // flush submits the pending chain on the pipeline's socket, waits for it

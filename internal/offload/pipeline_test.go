@@ -2,9 +2,11 @@ package offload_test
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"time"
 
+	"dsasim/internal/dsa"
 	"dsasim/internal/isal"
 	"dsasim/internal/offload"
 	"dsasim/internal/sim"
@@ -389,5 +391,106 @@ func TestScratchPoolZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state AllocScratch/FreeScratch allocated %.1f times per run, want 0", allocs)
+	}
+}
+
+// The completion hook runs exactly once per run, in the run's driver
+// process, at the instant the run's Future resolves, whether the run
+// succeeded or its chain faulted past recovery; and the hook can submit
+// the idle pipeline again. The submitter submits once, the first hook
+// resubmits, and both runs' waiters wake at the instant their hook ran.
+func TestPipelineThenRunsOncePerRun(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		faults bool // every 4 KB page faults, past a one-retry budget
+	}{{"success", false}, {"chain fault", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(t, 1)
+			if tc.faults {
+				if _, err := r.devs[0].InjectFaults(dsa.FaultConfig{Seed: 31, PageFaultPer4K: 1}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			svc := r.service(t)
+			tn, err := svc.NewTenant(offload.TenantPolicy(recoveryPolicy(1, 0)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := int64(8 << 10)
+			src, dst := tn.Alloc(n), tn.Alloc(n)
+			sim.NewRand(5).Bytes(src.Bytes())
+			pl := tn.NewPipeline()
+			tmp := pl.Scratch(n)
+			s1 := pl.Copy(tmp, offload.At(src.Addr(0)), n)
+			pl.Copy(offload.At(dst.Addr(0)), tmp, n, offload.After(s1))
+
+			type call struct {
+				p    *sim.Proc
+				f    *offload.Future
+				at   sim.Time
+				done bool
+			}
+			var calls []call
+			var runs []*offload.Future
+			pl.Then(func(p *sim.Proc, f *offload.Future) {
+				calls = append(calls, call{p: p, f: f, at: p.Now(), done: f.Done()})
+				if len(calls) > 1 {
+					return
+				}
+				again, err := pl.Submit(p)
+				if err != nil {
+					t.Errorf("resubmit from the hook: %v", err)
+					return
+				}
+				runs = append(runs, again)
+			})
+			var submitter *sim.Proc
+			var resolved []sim.Time
+			r.run(func(p *sim.Proc) {
+				submitter = p
+				f, err := pl.Submit(p)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				runs = append(runs, f)
+				for i := 0; i < len(runs); i++ {
+					_, err := runs[i].Wait(p, offload.Poll)
+					resolved = append(resolved, p.Now())
+					if tc.faults != (err != nil) {
+						t.Errorf("run %d: Wait error %v, want one only under faults", i, err)
+					}
+					if tc.faults && !errors.Is(err, offload.ErrFaulted) {
+						t.Errorf("run %d: error %v does not wrap ErrFaulted", i, err)
+					}
+				}
+			})
+			if len(calls) != 2 || len(runs) != 2 {
+				t.Fatalf("%d runs, hook called %d times: want 2 and 2", len(runs), len(calls))
+			}
+			for i, c := range calls {
+				if c.f != runs[i] {
+					t.Errorf("call %d: the hook got another run's Future", i)
+				}
+				if !c.done {
+					t.Errorf("call %d: the Future was not resolved when the hook ran", i)
+				}
+				if c.p == submitter || c.p.Name() != "pipeline" {
+					t.Errorf("call %d: hook ran in process %q, want the run's driver", i, c.p.Name())
+				}
+				if c.at != resolved[i] {
+					t.Errorf("call %d: hook ran at %v, the Future resolved at %v", i, c.at, resolved[i])
+				}
+			}
+			if calls[0].p == calls[1].p {
+				t.Error("both runs' hooks ran in one process, want one driver per run")
+			}
+			if got := tn.Stats().Pipelines; got != 2 {
+				t.Errorf("Pipelines = %d, want 2", got)
+			}
+			if tc.faults != (pl.FailedStage() >= 0) {
+				t.Errorf("FailedStage() = %d with faults %v", pl.FailedStage(), tc.faults)
+			}
+		})
 	}
 }
