@@ -421,7 +421,8 @@ type batchState struct {
 // executeBatch models the batch processing unit: fetch the descriptor array
 // from memory in one read, then stream sub-descriptors to the group's
 // engines at BatchSubDesc intervals (cheaper than portal-submitted
-// descriptors, which is the Fig 3/9 batching win).
+// descriptors, which is the Fig 3/9 batching win). The children queue on
+// the WQ that accepted the batch and win engines at its priority.
 func (eng *Engine) executeBatch(wk *work) {
 	g := eng.group
 	d := g.Dev
@@ -451,11 +452,13 @@ func (bs *batchState) fetched() {
 	bs.eng.group.dispatch()
 }
 
-// issueReady queues children up to (and including) the next fence barrier.
+// issueReady queues children up to (and including) the next fence barrier
+// on the parent's WQ, ahead of that WQ's own queued entries (nextWork).
 // Children after a fence wait until everything issued so far completes; a
 // fence reached after a failure poisons the remainder of the batch.
 func (bs *batchState) issueReady() {
 	g := bs.eng.group
+	wq := bs.wk.wq
 	for bs.nextIssue < len(bs.children) {
 		child := bs.children[bs.nextIssue]
 		if child.Flags&FlagFence != 0 {
@@ -475,14 +478,14 @@ func (bs *batchState) issueReady() {
 		cw.own.dev = g.Dev
 		cw.own.SubmitTime = bs.wk.comp.SubmitTime
 		bs.nextIssue++
-		g.batchQ.Push(cw)
+		wq.children.Push(cw)
 		g.armReleases()
 	}
 }
 
 // childDone records a child completion and, when the batch is complete,
 // writes the batch-granular completion record. Children can finish out of
-// submission order (several engines drain the batch queue), so the record
+// submission order (several engines drain the children), so the record
 // lands at the child's own index.
 func (bs *batchState) childDone(idx int, rec CompletionRecord) {
 	bs.completed++

@@ -176,9 +176,10 @@ func (d *Device) Offline() bool { return d.offline }
 // failQueued completes every queued-but-undispatched descriptor with the
 // given terminal status and returns its work to the free list. Dispatched
 // work (on engines, or fetched into a batch) is unaffected and drains
-// normally; batch children never sit in a WQ, only in the group's batch
-// queue. It runs where the queue fails, so its one call of the ready
-// hook also reports that flip.
+// normally: batch children never sit in a WQ entry, only in the WQ's
+// children FIFO, which nextWork keeps serving while the queue is down.
+// It runs where the queue fails, so its one call of the ready hook also
+// reports that flip.
 func (w *WQ) failQueued(status Status, err error) {
 	for {
 		wk, ok := w.q.Pop()

@@ -25,10 +25,6 @@ type Group struct {
 	expressPipe *sim.Pipe
 	topPrio     int // highest WQ priority in the group (express lane key)
 
-	// batchQ holds sub-descriptors fetched by the batch processing unit,
-	// ready for any engine in the group.
-	batchQ sim.FIFO[*work]
-
 	// credits implement priority-weighted round-robin among WQs.
 	credits []int
 	rr      int
@@ -108,13 +104,13 @@ func (g *Group) refillCredits() {
 	}
 }
 
-// nextWork selects the next descriptor for dispatch: batch sub-descriptors
-// first (they were already arbitrated when their parent was picked), then
-// WQ heads by priority-weighted round-robin.
+// nextWork selects the next descriptor for dispatch: WQs take turns by
+// priority-weighted round-robin, and a WQ's turn serves its fetched batch
+// sub-descriptors before its own queued entries. Each pick spends one of
+// the WQ's credits, so a batch's children arbitrate at their parent WQ's
+// priority (§3.4 F3): a higher-priority WQ's head waits for the next
+// engine release, not for every queued child.
 func (g *Group) nextWork() (*work, bool) {
-	if wk, ok := g.batchQ.Pop(); ok {
-		return wk, true
-	}
 	n := len(g.WQs)
 	// Two passes: first honoring credits, then ignoring them (prevents
 	// starvation when only zero-credit WQs are non-empty).
@@ -122,16 +118,19 @@ func (g *Group) nextWork() (*work, bool) {
 		for i := 0; i < n; i++ {
 			idx := (g.rr + i) % n
 			wq := g.WQs[idx]
-			if wq.q.Len() == 0 {
+			if wq.pending() == 0 {
 				continue
 			}
 			if pass == 0 && g.credits[idx] <= 0 {
 				continue
 			}
-			wk, _ := wq.q.Pop()
-			wq.occupied--
-			wq.noteOcc()
-			wq.ready()
+			wk, ok := wq.children.Pop()
+			if !ok {
+				wk, _ = wq.q.Pop()
+				wq.occupied--
+				wq.noteOcc()
+				wq.ready()
+			}
 			g.credits[idx]--
 			g.rr = (idx + 1) % n
 			if g.allCreditsSpent() {
@@ -145,7 +144,7 @@ func (g *Group) nextWork() (*work, bool) {
 
 func (g *Group) allCreditsSpent() bool {
 	for i, wq := range g.WQs {
-		if wq.q.Len() > 0 && g.credits[i] > 0 {
+		if wq.pending() > 0 && g.credits[i] > 0 {
 			return false
 		}
 	}
@@ -177,9 +176,9 @@ func (g *Group) armReleases() {
 
 // pending reports descriptors waiting in the group's queues.
 func (g *Group) pending() int {
-	n := g.batchQ.Len()
+	n := 0
 	for _, wq := range g.WQs {
-		n += wq.q.Len()
+		n += wq.pending()
 	}
 	return n
 }

@@ -70,6 +70,10 @@ type WQ struct {
 
 	group *Group
 	q     sim.FIFO[*work]
+	// children holds the sub-descriptors of batches this WQ accepted,
+	// fetched by the batch processing unit and ready for any engine in
+	// the group. They hold no WQ entry.
+	children sim.FIFO[*work]
 	// occupied counts entries consumed (freed on dispatch to an engine).
 	occupied int
 
@@ -125,6 +129,10 @@ func (w *WQ) ready() {
 		w.onReady()
 	}
 }
+
+// pending returns the descriptors waiting for an engine on the queue's
+// behalf: fetched batch children and queued entries.
+func (w *WQ) pending() int { return w.children.Len() + w.q.Len() }
 
 // MaxOccupancy returns the high-water mark of entries held.
 func (w *WQ) MaxOccupancy() int { return w.maxOcc }
