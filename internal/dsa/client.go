@@ -346,11 +346,12 @@ func (c *Client) endWait(p *sim.Proc, r *call) sim.Time {
 }
 
 // awaitStep blocks until the completion record is written, then spends
-// r.after.
+// r.after. The record's signal is broadcast only when it is written, so
+// the wait and the spend are one event.
 func awaitStep(p *sim.Proc, arg any) {
 	r := arg.(*call)
 	if !r.comp.done {
-		p.ThenWait(&r.comp.sig, awaitStep)
+		p.ThenWaitAfter(&r.comp.sig, r.after, nil)
 		return
 	}
 	p.Then(r.after, nil)

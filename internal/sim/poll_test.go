@@ -7,10 +7,11 @@ import (
 )
 
 // pollWorld is one run of the chain equivalence model. Procs run plans of
-// links — a sleep, a sleep until an instant, a signal wait and a
-// re-arming poll — either as the straight-line Sleep, SleepUntil, Wait and
-// Sleep-loop code a chain replaces, or as chains: SleepPoll for a plan
-// that is one poll, Chain otherwise. Engine callbacks set and clear the
+// links — a sleep, a sleep until an instant, a signal wait, a re-arming
+// poll and a signal wait followed by a sleep — either as the
+// straight-line Sleep, SleepUntil, Wait and Sleep-loop code a chain
+// replaces, or as chains: SleepPoll for a plan that is one poll, Chain
+// otherwise. Engine callbacks set and clear the
 // poll flags and signal conditions, and broadcast the signals, on the
 // same instants the links land on.
 type pollWorld struct {
@@ -23,8 +24,10 @@ type pollWorld struct {
 	trace []pollEvent
 	procs []pollWaiter
 	hand  []pollWaiter // per proc, the argument its chain hands off to
-	// handoffs counts a chained run's Continue handoffs.
+	// handoffs counts a chained run's Continue handoffs, and folds its
+	// ThenWaitAfter links, each one event fewer than the straight line.
 	handoffs int
+	folds    int
 	stats    pollStats
 }
 
@@ -35,6 +38,7 @@ type pollStats struct {
 	readyWaits  int // signal waits that found the condition already true
 	rewaits     int // signal wake-ups that found it false and waited again
 	pastUntils  int // SleepUntil calls for an instant already passed
+	waitAfters  int // signal waits followed by a sleep
 }
 
 // pollEvent is one traced step: the instant and what ran.
@@ -47,10 +51,12 @@ type pollEvent struct {
 type linkKind int
 
 const (
-	linkSleep linkKind = iota // Sleep(d)
-	linkUntil                 // SleepUntil(d)
-	linkWait                  // wait on signal k until its condition holds
-	linkPoll                  // poll the proc's flag every d
+	linkSleep     linkKind = iota // Sleep(d)
+	linkUntil                     // SleepUntil(d)
+	linkWait                      // wait on signal k until its condition holds
+	linkPoll                      // poll the proc's flag every d
+	linkWaitAfter                 // Wait on signal k, then Sleep(d)
+	nLinkKinds
 )
 
 // link is one step of a proc's plan.
@@ -135,6 +141,10 @@ func (w *pollWorld) straight(p *Proc, pw *pollWaiter) {
 				}
 				w.stats.failedPolls++
 			}
+		case linkWaitAfter:
+			w.stats.waitAfters++
+			p.Wait(&w.sigs[l.k])
+			p.Sleep(l.d)
 		}
 		w.log("link %d.%d", pw.id, i)
 	}
@@ -179,6 +189,9 @@ func linkStart(p *Proc, arg any) {
 		linkSignal(p, arg)
 	case linkPoll:
 		p.Then(l.d, linkPolled)
+	case linkWaitAfter:
+		pw.w.folds++
+		p.ThenWaitAfter(&pw.w.sigs[l.k], l.d, linkEnd)
 	}
 }
 
@@ -215,7 +228,7 @@ func linkPolled(p *Proc, arg any) {
 // runPollWorld builds and runs one world from seed. Procs, plans, rounds
 // and the competing callbacks all come from the seed. With plans unset
 // every plan is a lone poll, the SleepPoll model; otherwise plans mix all
-// four links and every third proc stays straight-line even in a chained
+// five links and every third proc stays straight-line even in a chained
 // run, so chain steps and plain waiters share signals. A rescue callback
 // past the random horizon sets every flag and condition each few ticks
 // until the procs finish, so every run terminates.
@@ -248,12 +261,21 @@ func runPollWorld(seed uint64, chain, plans bool, nprocs, ncallbacks int) *pollW
 			// start and end included, or not at all.
 			cuts[r] = rng.Intn(len(roundPlans[r])+2) - 1
 			for i := range roundPlans[r] {
-				l := link{kind: linkKind(rng.Intn(4)), d: Time(rng.Intn(8))}
+				l := link{kind: linkKind(rng.Intn(int(nLinkKinds))), d: Time(rng.Intn(8))}
 				switch l.kind {
 				case linkUntil:
 					l.d = Time(rng.Intn(horizon / 2))
 				case linkWait:
 					l.k = rng.Intn(nsigs)
+				case linkWaitAfter:
+					// The delay is unique to the proc and longer than
+					// any other delay in the world, SleepUntil's
+					// included, so nothing else is scheduled for the
+					// instant the link lands on while its wake-up is
+					// pending: the one reorder the fold may make among
+					// events at one instant cannot happen.
+					l.k = rng.Intn(nsigs)
+					l.d = horizon/2 + Time(id+nprocs*rng.Intn(4))
 				case linkPoll:
 					l.d = gap
 				}
@@ -343,8 +365,9 @@ func runPollWorld(seed uint64, chain, plans bool, nprocs, ncallbacks int) *pollW
 }
 
 // checkChainEquivalence runs one seed straight-line and chained, and
-// fails unless the traces, final clocks and scheduled-event counts match.
-// It returns the straight-line run.
+// fails unless the traces and final clocks match and the chained run
+// scheduled one event fewer per folded wait (ThenWaitAfter). It returns
+// the straight-line run.
 func checkChainEquivalence(t *testing.T, seed uint64, plans bool, nprocs, ncallbacks int) *pollWorld {
 	t.Helper()
 	loop := runPollWorld(seed, false, plans, nprocs, ncallbacks)
@@ -352,8 +375,8 @@ func checkChainEquivalence(t *testing.T, seed uint64, plans bool, nprocs, ncallb
 	if loop.e.Now() != chain.e.Now() {
 		t.Fatalf("seed %d: final clock %v chained, %v straight-line", seed, chain.e.Now(), loop.e.Now())
 	}
-	if loop.e.seq != chain.e.seq {
-		t.Fatalf("seed %d: %d events scheduled chained, %d straight-line", seed, chain.e.seq, loop.e.seq)
+	if loop.e.seq != chain.e.seq+uint64(chain.folds) {
+		t.Fatalf("seed %d: %d events scheduled chained with %d folded waits, %d straight-line", seed, chain.e.seq, chain.folds, loop.e.seq)
 	}
 	if chain.e.Resumes() > loop.e.Resumes() {
 		t.Fatalf("seed %d: chained run resumed %d times, straight-line %d", seed, chain.e.Resumes(), loop.e.Resumes())
@@ -388,9 +411,10 @@ func TestSleepPollMatchesSleepLoop(t *testing.T) {
 // Sleep, SleepUntil and Wait code it replaces, event for event, with ties
 // at one instant, signal waits that find their condition already true or
 // wake to find it false, passed SleepUntil instants and re-arming polls
-// all reached, with chain steps and plain waiters on one signal, and
-// with chains that hand the rest of their plan to a new argument
-// (Continue) at a link boundary.
+// all reached, with chain steps and plain waiters on one signal, with
+// chains that hand the rest of their plan to a new argument (Continue)
+// at a link boundary, and with ThenWaitAfter links that fold a Wait and
+// the Sleep after it into one event.
 func TestChainMatchesStraightLine(t *testing.T) {
 	var seen pollStats
 	for seed := uint64(1); seed <= 200; seed++ {
@@ -399,8 +423,9 @@ func TestChainMatchesStraightLine(t *testing.T) {
 		seen.readyWaits += st.readyWaits
 		seen.rewaits += st.rewaits
 		seen.pastUntils += st.pastUntils
+		seen.waitAfters += st.waitAfters
 	}
-	if seen.failedPolls == 0 || seen.readyWaits == 0 || seen.rewaits == 0 || seen.pastUntils == 0 {
+	if seen.failedPolls == 0 || seen.readyWaits == 0 || seen.rewaits == 0 || seen.pastUntils == 0 || seen.waitAfters == 0 {
 		t.Fatalf("the model missed a corner case: %+v", seen)
 	}
 	// A chained run must save switches, or the chains never ran.
@@ -410,6 +435,46 @@ func TestChainMatchesStraightLine(t *testing.T) {
 	}
 	if chain.handoffs == 0 {
 		t.Fatal("no chain handed its plan off")
+	}
+	if chain.folds == 0 {
+		t.Fatal("no chain folded a wait and its sleep")
+	}
+}
+
+// TestThenWaitAfterClearsItsDelay checks that a ThenWaitAfter link's
+// delay applies to the one wake-up it was armed for: the next ThenWait
+// and Wait of the same process, and a ThenWait of the next process Go
+// starts on the same pooled Proc, wake in their Broadcast's instant.
+func TestThenWaitAfterClearsItsDelay(t *testing.T) {
+	e := New()
+	var s Signal
+	var woke []Time
+	waitAfter := func(p *Proc, _ any) { p.ThenWaitAfter(&s, 7, nil) }
+	wait := func(p *Proc, _ any) { p.ThenWait(&s, nil) }
+	first := e.Go("first", func(p *Proc) {
+		p.Chain(waitAfter, nil)
+		woke = append(woke, p.Now())
+		p.Chain(wait, nil)
+		woke = append(woke, p.Now())
+		p.Wait(&s)
+		woke = append(woke, p.Now())
+	})
+	var second *Proc
+	e.At(35, func() {
+		second = e.Go("second", func(p *Proc) {
+			p.Chain(wait, nil)
+			woke = append(woke, p.Now())
+		})
+	})
+	for _, at := range []Time{10, 20, 30, 40} {
+		e.At(at, func() { s.Broadcast(e) })
+	}
+	e.Run()
+	if want := []Time{17, 20, 30, 40}; fmt.Sprint(woke) != fmt.Sprint(want) {
+		t.Fatalf("woke at %v, want %v", woke, want)
+	}
+	if second != first {
+		t.Fatal("the second process did not reuse the first one's pooled Proc")
 	}
 }
 
@@ -425,9 +490,10 @@ func (w *pollWorld) count(prefix string) int {
 }
 
 // FuzzSleepPoll is TestChainMatchesStraightLine over fuzzed seeds, proc
-// counts and competing callback counts: chains of every link kind that
-// hand their plan to a new argument with Continue at any link boundary,
-// and SleepPoll as the chain of a lone poll.
+// counts and competing callback counts: chains of every link kind,
+// ThenWaitAfter's folded wait included, that hand their plan to a new
+// argument with Continue at any link boundary, and SleepPoll as the
+// chain of a lone poll.
 func FuzzSleepPoll(f *testing.F) {
 	f.Add(uint64(1), uint8(1), uint8(0))
 	f.Add(uint64(42), uint8(3), uint8(20))

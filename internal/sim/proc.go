@@ -50,6 +50,10 @@ type Proc struct {
 	stepArg any
 	armed   bool
 
+	// sigDelay is how long after the waking Broadcast the armed link
+	// runs (ThenWaitAfter); Broadcast clears it.
+	sigDelay Time
+
 	// The parked SleepPoll call's gap and condition.
 	pollGap  Time
 	pollCond func(arg any) bool
@@ -184,7 +188,8 @@ type Step func(p *Proc, arg any)
 // Then, ThenAt and ThenWait schedule the same event, from the same point,
 // as the Sleep, SleepUntil and Wait they stand for, so a chain replays the
 // straight-line code it replaces event for event, with one coroutine
-// switch instead of one per link. Every step gets arg: chain state lives
+// switch instead of one per link. ThenWaitAfter folds a Wait and the
+// Sleep after it into one event. Every step gets arg: chain state lives
 // there or on the caller, never in a per-call closure. Steps after the
 // first run on the engine, so a panic in one is no ProcPanic.
 func (p *Proc) Chain(first Step, arg any) {
@@ -241,6 +246,16 @@ func (p *Proc) ThenWait(s *Signal, next Step) {
 	s.add(p)
 }
 
+// ThenWaitAfter is ThenWait with next run d after the Broadcast that
+// wakes it, at the instant `Wait(s); Sleep(d)` would wake. The link is one
+// event, scheduled by the Broadcast, instead of a wake-up that schedules
+// the sleep, so among events at that instant it can run ahead of ones
+// scheduled between the Broadcast and the wake-up it folds away.
+func (p *Proc) ThenWaitAfter(s *Signal, d Time, next Step) {
+	p.ThenWait(s, next)
+	p.sigDelay = d
+}
+
 // runStep runs the armed step in its wake event, and resumes the process
 // when the step arms no further link.
 func (p *Proc) runStep() {
@@ -252,13 +267,16 @@ func (p *Proc) runStep() {
 	}
 }
 
-// onSignal is the callback a Broadcast schedules for waiter p: its
-// chain's armed step, or its wake-up.
-func (p *Proc) onSignal() func() {
+// signalled schedules what a Broadcast wakes in waiter p: its chain's
+// armed step, or its wake-up, sigDelay from now.
+func (p *Proc) signalled(e *Engine) {
+	d := p.sigDelay
+	p.sigDelay = 0
 	if p.stepFn != nil {
-		return p.step
+		e.After(d, p.step)
+		return
 	}
-	return p.wake
+	e.After(d, p.wake)
 }
 
 // SleepPoll suspends the process until cond(arg) holds, checking it after
@@ -308,18 +326,19 @@ func (s *Signal) add(p *Proc) {
 }
 
 // Broadcast wakes every process currently waiting on s. Wake-ups — or,
-// for a parked chain, its armed steps — are scheduled at the current
-// instant in wait order. A woken process runs only when its wake event
-// fires, so nothing joins s during the loop and the waiter slice is
-// cleared and reused by the next round of waits.
+// for a parked chain, its armed steps — are scheduled in wait order at
+// the current instant, or a ThenWaitAfter link's delay later. A woken
+// process runs only when its wake event fires, so nothing joins s during
+// the loop and the waiter slice is cleared and reused by the next round
+// of waits.
 func (s *Signal) Broadcast(e *Engine) {
 	if s.first == nil {
 		return
 	}
-	e.After(0, s.first.onSignal())
+	s.first.signalled(e)
 	s.first = nil
 	for i, p := range s.more {
-		e.After(0, p.onSignal())
+		p.signalled(e)
 		s.more[i] = nil
 	}
 	s.more = s.more[:0]
