@@ -77,6 +77,9 @@ type driver struct {
 	reapQ   []sim.FIFO[reapItem]
 	reapSig []sim.Signal
 	subDone []bool
+	// fgWait is the mode the reapers wait for foreground completions
+	// in: the foreground tenants' policy Wait.
+	fgWait offload.WaitMode
 
 	// bursts is each shard's free list of idle full-Burst broker
 	// pipelines, compiled once and rebound per burst.
@@ -110,7 +113,7 @@ func run(sc Scenario) *driver {
 
 func newDriver(sc Scenario) *driver {
 	e, svc, devs := fleetRig()
-	d := &driver{sc: sc, e: e, svc: svc}
+	d := &driver{sc: sc, e: e, svc: svc, fgWait: fgPolicy(sc).Wait}
 	if sc.Faults != nil {
 		d.win = newWinTrack()
 		for di, dev := range devs {
@@ -401,12 +404,13 @@ func (d *driver) enqueue(s int, it reapItem) {
 // the paper's DPDK Vhost path never makes a latency-critical completion
 // wait behind a bulk transfer.
 //
-// Completions are reaped in batches, as rte_dma_completed does: the
-// handler pass that ends one Interrupt wait also reads every record
-// written behind it, so each following future already Done is harvested
-// at that instant with no delivery of its own. The reaper waits by
-// Interrupt again only on the first record not yet written. A harvested
-// record that faulted still recovers, its retry waited for by Interrupt.
+// The reaper waits in the foreground tenants' policy mode (fgWait:
+// UMWAIT, see fgPolicy). Completions are reaped in batches, as
+// rte_dma_completed does: the wake-up that ends one wait also reads every
+// record written behind it, so each following future already Done is
+// harvested at that instant with no wait of its own. The reaper waits again only on the first
+// record not yet written. A harvested record that faulted still
+// recovers, its retry waited for in the same mode.
 //
 // An idle reaper waits for work as a chain (reapIdle): the step the
 // signal wakes pops the item and starts its future's wait in the same
@@ -428,11 +432,11 @@ func (d *driver) reaper(s int) func(p *sim.Proc) {
 				}
 				it, r.have = r.it, false
 			}
-			_, err := it.fut.Wait(p, offload.Interrupt)
+			_, err := it.fut.Wait(p, d.fgWait)
 			d.reaped(it, err)
 			for it, ok = q.Peek(); ok && it.fut.Done(); it, ok = q.Peek() {
 				q.Pop()
-				_, err = it.fut.Harvest(p, offload.Interrupt)
+				_, err = it.fut.Harvest(p, d.fgWait)
 				d.reaped(it, err)
 			}
 		}
@@ -462,9 +466,9 @@ func reapIdle(p *sim.Proc, arg any) {
 }
 
 // reapPop runs in the signal's wake event: it pops the next item and
-// starts its future's Interrupt wait in the running chain. With nothing
-// queued (the submitter finished), or a future ArmWait leaves to Wait,
-// the chain ends and the process takes over.
+// starts its future's wait, in the foreground mode, in the running
+// chain. With nothing queued (the submitter finished), or a future
+// ArmWait leaves to Wait, the chain ends and the process takes over.
 func reapPop(p *sim.Proc, arg any) {
 	r := arg.(*reapWake)
 	it, ok := r.d.reapQ[r.s].Pop()
@@ -472,7 +476,7 @@ func reapPop(p *sim.Proc, arg any) {
 		return
 	}
 	r.it, r.have = it, true
-	it.fut.ArmWait(p, offload.Interrupt)
+	it.fut.ArmWait(p, r.d.fgWait)
 }
 
 // result assembles the per-phase tables and the offload-layer SLO

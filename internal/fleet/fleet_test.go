@@ -105,16 +105,12 @@ func TestPlaneShedsOnlyOverCap(t *testing.T) {
 	}
 }
 
-// TestBrokerForegroundTail bounds msgbroker's foreground p99 in every
-// phase on several seeds. Each broker burst is one bulk batch of eight
-// children; they win engines at their WQ's priority, so a foreground op
-// on the express WQ waits at most for the next engine release, not for
-// every queued child (measured 4.35–5.89 µs; 6.91–43.01 µs while children
-// jumped ahead of every WQ).
-func TestBrokerForegroundTail(t *testing.T) {
-	const bound = 8 * time.Microsecond
+// foregroundTail fails t unless the scenario's foreground p99 stays
+// within bound in every phase on seeds 0–2 at testScale.
+func foregroundTail(t *testing.T, mk func() Scenario, bound time.Duration) {
+	t.Helper()
 	for seed := uint64(0); seed < 3; seed++ {
-		sc := Msgbroker().Scaled(testScale)
+		sc := mk().Scaled(testScale)
 		sc.Seed += seed
 		for _, ph := range Run(sc).Phases {
 			if p99 := ph.P99[FG]; p99 > bound {
@@ -122,6 +118,28 @@ func TestBrokerForegroundTail(t *testing.T) {
 			}
 		}
 	}
+}
+
+// The foreground tail tests bound each fleet scenario's foreground p99
+// at the measured worst phase plus one sketch bucket. A shard's reaper
+// waits for foreground records by UMWAIT and wakes cpu.UMWaitWake after
+// each write; an Interrupt wait paid IntrDeliver + IntrHandler (2.6 µs)
+// instead.
+
+// TestPacketswitchForegroundTail bounds packetswitch (measured
+// 2.94–6.91 µs; 5.38–9.73 µs with Interrupt waits).
+func TestPacketswitchForegroundTail(t *testing.T) {
+	foregroundTail(t, Packetswitch, 7424*time.Nanosecond)
+}
+
+// TestBrokerForegroundTail bounds msgbroker. Each broker burst is one
+// bulk batch of eight children; they win engines at their WQ's priority,
+// so a foreground op on the express WQ waits at most for the next engine
+// release, not for every queued child (measured 2.18–3.46 µs; 4.35–5.89
+// µs with Interrupt waits, 6.91–43.01 µs while children jumped ahead of
+// every WQ).
+func TestBrokerForegroundTail(t *testing.T) {
+	foregroundTail(t, Msgbroker, 3712*time.Nanosecond)
 }
 
 // TestChaosScenarioFaultRecovery pins the chaos phase run's contract at
@@ -272,12 +290,18 @@ func drainedTestRuns() []*driver {
 // so no reaper is resumed for it. Msgbroker rose from 2.224 to 2.260
 // when batch children began yielding to the express WQ: fewer foreground
 // records are already written when a wait ends, so harvests fell from
-// 680 to 554 and each op no longer harvested waits on its own.
+// 680 to 554 and each op no longer harvested waits on its own. All three
+// rose again when the reaper began waiting by UMWAIT (packetswitch 2.46
+// → 2.57, msgbroker 2.26 → 2.34, chaos 2.46 → 2.57), for the same
+// reason: a wait now ends cpu.UMWaitWake after its record is written, not
+// IntrDeliver + IntrHandler after, so fewer records are written behind it
+// by then. Harvests fell from 1151 to 173 on packetswitch, 554 to 28 on
+// msgbroker and 1089 to 178 on chaos.
 func TestFleetResumeBudget(t *testing.T) {
 	budget := map[string]float64{
-		"packetswitch-fleet": 2.82, // measured 2.46
-		"msgbroker-fleet":    2.51, // measured 2.26
-		"chaos-fleet":        2.82, // measured 2.46
+		"packetswitch-fleet": 2.82, // measured 2.57
+		"msgbroker-fleet":    2.51, // measured 2.34
+		"chaos-fleet":        2.82, // measured 2.57
 	}
 	for _, d := range drainedTestRuns() {
 		perOp := float64(d.e.Resumes()) / float64(d.arrivals())
@@ -292,12 +316,14 @@ func TestFleetResumeBudget(t *testing.T) {
 // end of a plane ring polls: a pop wakes one lane waiting for ring space,
 // and a drain blocked on a full WQ parks until the WQ frees a slot, so
 // both schedule events per pop or per freed slot, not per poll gap. An
-// engine release is scheduled only when work waits for the engine.
+// engine release is scheduled only when work waits for the engine, and a
+// completion wait on a record not yet written is one event from the
+// record's write to the wait's end (sim.Proc.ThenWaitAfter).
 func TestFleetEventBudget(t *testing.T) {
 	budget := map[string]float64{
-		"packetswitch-fleet": 7.64, // measured 7.46
-		"msgbroker-fleet":    8.00, // measured 7.63
-		"chaos-fleet":        8.29, // measured 7.48
+		"packetswitch-fleet": 7.15, // measured 7.144
+		"msgbroker-fleet":    7.35, // measured 7.349
+		"chaos-fleet":        7.16, // measured 7.153
 	}
 	for _, d := range drainedTestRuns() {
 		perOp := float64(d.e.Scheduled()) / float64(d.arrivals())
@@ -325,12 +351,18 @@ func TestFleetEventBudget(t *testing.T) {
 // 15.87–25.60 → 8.70–25.60 µs), and moved again when batch children began
 // arbitrating at their WQ's priority instead of ahead of every WQ: a
 // foreground descriptor no longer queues behind a burst's children
-// (8.70–25.60 → 4.86–5.38 µs).
+// (8.70–25.60 → 4.86–5.38 µs). All three last moved when the reapers
+// began waiting for foreground records by UMWAIT instead of Interrupt:
+// each op is recorded cpu.UMWaitWake after its record is written, not
+// IntrDeliver + IntrHandler after (full-scale fg p99 per phase
+// packetswitch 5.38–8.70 → 3.20–5.89 µs, msgbroker 4.86–5.38 →
+// 2.43–2.94 µs). Chaos also re-draws its faults, because fg retries reach
+// the devices at new instants.
 func TestFleetResultGolden(t *testing.T) {
 	golden := map[string]string{
-		"packetswitch-fleet": "60321e1c82ffd276",
-		"msgbroker-fleet":    "f077f9c03e64edee",
-		"chaos-fleet":        "0015652e9ff33394",
+		"packetswitch-fleet": "e7bd2de40c332049",
+		"msgbroker-fleet":    "30403dfaa273aae3",
+		"chaos-fleet":        "910a72711944a275",
 	}
 	for _, d := range drainedTestRuns() {
 		sum := sha256.Sum256(fmt.Appendf(nil, "%+v", d.result()))
