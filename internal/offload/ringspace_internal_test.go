@@ -237,9 +237,11 @@ func TestRingSpaceEarlierGridPointWins(t *testing.T) {
 	}
 }
 
-// A pop with N lanes waiting on its ring schedules two events, the
-// picked lane's wake and its grid-point push, where waking every waiter
-// would schedule 2N; the other lanes stay parked.
+// A pop with N lanes waiting on its ring schedules one event, the picked
+// lane's wake, where waking every waiter would schedule N wakes and N
+// pushes; the other lanes stay parked. The lane's grid-point push is
+// then the next event and runs in place in the wake (two events with
+// every link scheduled).
 func TestRingSpacePopWakesOneLane(t *testing.T) {
 	const lanes = 6
 	r := newRingRig(t, 1, 8, lanes)
@@ -266,7 +268,7 @@ func TestRingSpacePopWakesOneLane(t *testing.T) {
 	for i := range spins {
 		spins[i] = r.pl.Lane(i).retryAt
 	}
-	// Pop off every lane's grid, so the picked lane's push is an event of
+	// Pop off every lane's grid, so the picked lane's push is a wake of
 	// its own; it lands within one grid step of the pop.
 	at := r.e.Now() + 1
 	for onGrid(spins, gap, at) {
@@ -281,8 +283,8 @@ func TestRingSpacePopWakesOneLane(t *testing.T) {
 		r.pl.pending-- // the entry leaves the books as a drained one would
 	})
 	r.e.RunUntil(at + gap + 1)
-	if n := r.e.Scheduled() - before; n != 2 {
-		t.Errorf("a pop with %d waiting lanes scheduled %d events, want 2", lanes, n)
+	if n := r.e.Scheduled() - before; n != 1 {
+		t.Errorf("a pop with %d waiting lanes scheduled %d events, want 1", lanes, n)
 	}
 	if pushed != 1 || len(r.pl.waiting[0]) != lanes-1 {
 		t.Errorf("%d lanes pushed and %d still wait, want 1 and %d", pushed, len(r.pl.waiting[0]), lanes-1)

@@ -17,6 +17,17 @@
 // inside a process is re-raised on the goroutine that called Run. Finished
 // processes are pooled on their engine and reused by later Go calls, and
 // Run stops the pooled coroutines once the event queue drains.
+//
+// A timed wake that would be the next event to run is run ahead, in place:
+// when a process's Sleep or SleepUntil, or a chain link armed with Then or
+// ThenAt, would schedule a wake that no pending event sorts before, and
+// no Stop is pending and the wake is within RunUntil's bound, the engine
+// schedules nothing. It moves the clock to the wake's instant and sequence
+// number and the caller goes on as the wake, with no heap push or pop and,
+// for a process, no coroutine switch. Every instant, sequence number and
+// callback order is what scheduling the wake would have given; only
+// Scheduled and Resumes, which count the events pushed and the switches
+// made, read lower.
 package sim
 
 import (
@@ -113,7 +124,17 @@ type Engine struct {
 	idle    []*Proc // finished processes whose coroutines Go reuses
 	resumes int64   // coroutine switches into a process
 	stopped bool
+
+	// limit is the latest instant the running Run or RunUntil call may
+	// reach, ranAhead counts the wakes run in place, and noRunAhead
+	// schedules every wake instead (in-package tests set it to compare).
+	limit      Time
+	ranAhead   int64
+	noRunAhead bool
 }
+
+// forever is Run's limit: no instant is past it.
+const forever = Time(1<<63 - 1)
 
 // New returns an empty engine with the clock at zero.
 func New() *Engine {
@@ -126,11 +147,46 @@ func (e *Engine) Now() Time { return e.now }
 // At schedules fn to run at virtual instant t. Scheduling in the past panics:
 // it is always a bug in the simulation model.
 func (e *Engine) At(t Time, fn func()) {
+	e.checkAt(t)
+	e.seq++
+	e.push(event{at: t, seq: e.seq, fn: fn})
+}
+
+// checkAt panics if t is before now.
+func (e *Engine) checkAt(t Time) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
+}
+
+// wakeAt is At for a wake the caller can run in place: it reports true,
+// scheduling nothing, when runAhead has moved the clock to the wake.
+func (e *Engine) wakeAt(t Time, fn func()) bool {
+	e.checkAt(t)
 	e.seq++
+	if e.runAhead(t, e.seq) {
+		return true
+	}
 	e.push(event{at: t, seq: e.seq, fn: fn})
+	return false
+}
+
+// runAhead moves the clock to a wake at (t, seq) and reports true if the
+// wake would be the next event to run: no pending event sorts before it,
+// Stop has not been called and t is within the running call's limit. The
+// caller then runs the wake in place instead of scheduling it.
+func (e *Engine) runAhead(t Time, seq uint64) bool {
+	if e.noRunAhead || e.stopped || t > e.limit {
+		return false
+	}
+	if len(e.events) > 0 {
+		if h := e.events[0]; h.at < t || h.at == t && h.seq < seq {
+			return false
+		}
+	}
+	e.now, e.cur = t, seq
+	e.ranAhead++
+	return true
 }
 
 // Reserve takes the sequence number an event scheduled now would get,
@@ -162,11 +218,13 @@ func (e *Engine) Passed(t Time, seq uint64) bool {
 // After schedules fn to run d from now. Negative d panics.
 func (e *Engine) After(d Time, fn func()) { e.At(e.now+d, fn) }
 
-// Resumes counts the engine's coroutine switches into processes.
+// Resumes counts the engine's coroutine switches into processes. A wake
+// run in place makes none.
 func (e *Engine) Resumes() int64 { return e.resumes }
 
 // Scheduled counts the events scheduled so far, run or not. A reserved
-// sequence number counts only once AtSeq schedules its event.
+// sequence number counts only once AtSeq schedules its event, and a wake
+// run in place is never scheduled.
 func (e *Engine) Scheduled() int64 { return e.pushed }
 
 // Pending reports the number of scheduled events.
@@ -187,6 +245,7 @@ func (e *Engine) step() bool {
 // coroutines. It panics if processes are still parked when the event queue
 // drains — that is a deadlocked model.
 func (e *Engine) Run() {
+	e.limit = forever
 	for e.step() {
 		if e.stopped {
 			e.stopped = false
@@ -203,6 +262,7 @@ func (e *Engine) Run() {
 
 // RunUntil executes events with timestamps <= t, then sets the clock to t.
 func (e *Engine) RunUntil(t Time) {
+	e.limit = t
 	for len(e.events) > 0 && e.events[0].at <= t {
 		if !e.step() {
 			break

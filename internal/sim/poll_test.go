@@ -512,31 +512,50 @@ func countdown(arg any) bool {
 
 // A polling wait must not allocate per check or per wait (the step
 // callback is bound once per Proc and the argument is a pointer), and it
-// switches into the process once per wait, not once per check.
+// switches into the process once per wait at most, not once per check.
+// The poller is alone on its engine, so every check is the next event and
+// runs in place, on the process: the run resumes it once, to start it,
+// and schedules only that wake. With every wake scheduled, each wait adds
+// one resume, for its last check, and every check is an event.
 func TestSleepPollZeroAlloc(t *testing.T) {
-	e := New()
-	n := new(int)
-	var allocs float64
-	e.Go("poller", func(p *Proc) {
-		for i := 0; i < 64; i++ {
-			*n = 3
-			p.SleepPoll(1, countdown, n)
-		}
-		allocs = testing.AllocsPerRun(100, func() {
-			*n = 4
-			p.SleepPoll(1, countdown, n)
+	const waits, checks = 64 + 101, 64*3 + 101*4
+	run := func(noRunAhead bool) *Engine {
+		e := New()
+		e.noRunAhead = noRunAhead
+		n := new(int)
+		var allocs float64
+		e.Go("poller", func(p *Proc) {
+			for i := 0; i < 64; i++ {
+				*n = 3
+				p.SleepPoll(1, countdown, n)
+			}
+			allocs = testing.AllocsPerRun(100, func() {
+				*n = 4
+				p.SleepPoll(1, countdown, n)
+			})
 		})
-	})
-	e.Run()
-	if allocs != 0 {
-		t.Errorf("SleepPoll allocated %.1f times per wait, want 0", allocs)
+		e.Run()
+		if allocs != 0 {
+			t.Errorf("run-ahead off %v: SleepPoll allocated %.1f times per wait, want 0", noRunAhead, allocs)
+		}
+		if got := e.Now(); got != checks {
+			t.Errorf("run-ahead off %v: clock %v after the polls, want %v", noRunAhead, got, Time(checks))
+		}
+		return e
 	}
-	if got := e.Now(); got != 64*3+101*4 {
-		t.Errorf("clock %v after the polls, want %v", got, Time(64*3+101*4))
+	on, off := run(false), run(true)
+	if got := on.Resumes(); got != 1 {
+		t.Errorf("%d resumes, want 1", got)
 	}
-	// One resume starts the proc; each wait adds one, for its last check.
-	if got := e.Resumes(); got != 1+64+101 {
-		t.Errorf("%d resumes, want %d", got, 1+64+101)
+	if got := off.Resumes(); got != 1+waits {
+		t.Errorf("%d resumes with every wake scheduled, want %d", got, 1+waits)
+	}
+	if on.Scheduled() != 1 || on.ranAhead != checks {
+		t.Errorf("%d events scheduled and %d checks run in place, want 1 and %d", on.Scheduled(), on.ranAhead, checks)
+	}
+	if off.Scheduled() != on.Scheduled()+on.ranAhead {
+		t.Errorf("%d events scheduled with every wake scheduled, want %d run-ahead plus %d run in place",
+			off.Scheduled(), on.Scheduled(), on.ranAhead)
 	}
 }
 

@@ -13,7 +13,8 @@ import (
 // Each Proc runs on a runtime coroutine (iter.Pull). Waking a process is a
 // direct coroutine switch from the engine's event loop, and parking is the
 // switch back, so exactly one coroutine — the event loop or a single
-// process — runs at any moment. Models built from Procs are therefore
+// process — runs at any moment. A timed wake that would be the next event
+// needs neither: the process runs on in place (see the package doc). Models built from Procs are therefore
 // deterministic and data-race free without locking.
 //
 // A panic inside a process unwinds that process and is re-raised, as a
@@ -45,10 +46,18 @@ type Proc struct {
 	wake, step func()
 
 	// The parked chain's armed step (nil when the armed link resumes the
-	// process) and argument, and whether the running step armed a link.
-	stepFn  Step
-	stepArg any
-	armed   bool
+	// process) and argument, whether the running step armed a link, and
+	// whether a chain is running at all.
+	stepFn   Step
+	stepArg  any
+	armed    bool
+	chaining bool
+
+	// A timed link's instant and reserved sequence number, until the
+	// chain driver runs it in place or schedules it; linkSeq is 0 when
+	// no timed link is pending.
+	linkAt  Time
+	linkSeq uint64
 
 	// sigDelay is how long after the waking Broadcast the armed link
 	// runs (ThenWaitAfter); Broadcast clears it.
@@ -151,28 +160,25 @@ func (p *Proc) Now() Time { return p.e.now }
 // Name returns the process name given to Go.
 func (p *Proc) Name() string { return p.name }
 
-// Sleep suspends the process for virtual duration d.
+// Sleep suspends the process for virtual duration d. A wake that would
+// be the next event runs in place, without parking.
 func (p *Proc) Sleep(d Time) {
-	p.e.After(d, p.wake)
-	p.park()
+	if !p.e.wakeAt(p.e.now+d, p.wake) {
+		p.park()
+	}
 }
 
 // SleepUntil suspends the process until virtual instant t (no-op if t has
 // passed).
 func (p *Proc) SleepUntil(t Time) {
-	if t <= p.e.now {
-		return
+	if t > p.e.now {
+		p.Sleep(t - p.e.now)
 	}
-	p.e.At(t, p.wake)
-	p.park()
 }
 
 // Yield reschedules the process at the current instant, letting other events
 // with the same timestamp run first.
-func (p *Proc) Yield() {
-	p.e.After(0, p.wake)
-	p.park()
-}
+func (p *Proc) Yield() { p.Sleep(0) }
 
 // Step is one link of a chain (see Chain). It runs while its process is
 // parked and ends the chain unless it arms the next link with Then,
@@ -181,25 +187,57 @@ type Step func(p *Proc, arg any)
 
 // Chain runs a chain of steps for the process, which stays parked until
 // the chain ends: first(p, arg) runs at once, on the process, and each
-// later step runs as an engine callback in the wake event of the link
-// that armed it. The process is resumed once, in the event whose step
-// arms nothing; when first arms nothing, Chain returns without parking.
+// later step runs in the wake of the link that armed it. The process is
+// resumed at most once, in the wake whose step arms nothing; when every
+// link ran in place, Chain returns without a switch.
 //
-// Then, ThenAt and ThenWait schedule the same event, from the same point,
-// as the Sleep, SleepUntil and Wait they stand for, so a chain replays the
-// straight-line code it replaces event for event, with one coroutine
-// switch instead of one per link. ThenWaitAfter folds a Wait and the
-// Sleep after it into one event. Every step gets arg: chain state lives
-// there or on the caller, never in a per-call closure. Steps after the
-// first run on the engine, so a panic in one is no ProcPanic.
+// Then, ThenAt and ThenWait wake at the same instant and sequence number,
+// from the same point, as the Sleep, SleepUntil and Wait they stand for,
+// so a chain replays the straight-line code it replaces wake for wake,
+// with one coroutine switch at most instead of one per link. A timed
+// link that would be the next event runs in place, as Sleep's wake does,
+// and is not scheduled. ThenWaitAfter folds a Wait and the Sleep after it
+// into one event. Every step gets arg: chain state lives there or on the
+// caller, never in a per-call closure. A step run in place from Chain
+// runs on the process; one run by a scheduled wake, and every step after
+// it, runs on the engine, so a panic there is no ProcPanic.
 func (p *Proc) Chain(first Step, arg any) {
-	p.stepArg = arg
+	p.stepArg, p.chaining = arg, true
 	first(p, arg)
-	if p.armed {
+	if !p.drive() {
 		p.park()
 		p.armed = false
 	}
-	p.stepArg = nil
+	p.stepArg, p.chaining = nil, false
+}
+
+// drive runs the chain on from the step that just returned. While the
+// step armed a timed link that would be the next event, the link runs in
+// place; a timed link that would not is scheduled at the place Then
+// reserved for it, and a signal link is left to Broadcast. It reports
+// whether the chain ended.
+func (p *Proc) drive() bool {
+	for p.armed {
+		if p.linkSeq == 0 {
+			return false
+		}
+		t, seq, next := p.linkAt, p.linkSeq, p.stepFn
+		p.linkSeq = 0
+		if !p.e.runAhead(t, seq) {
+			fn := p.step
+			if next == nil {
+				fn = p.wake
+			}
+			p.e.AtSeq(t, seq, fn)
+			return false
+		}
+		p.stepFn, p.armed = nil, false
+		if next == nil {
+			return true
+		}
+		next(p, p.stepArg)
+	}
+	return true
 }
 
 // Continue hands the running chain a new step and argument: first(p,
@@ -213,15 +251,24 @@ func (p *Proc) Continue(first Step, arg any) {
 }
 
 // Then arms the chain's next link: next runs after virtual duration d, as
-// Sleep(d) would wake. A nil next resumes the process instead.
+// Sleep(d) would wake. A nil next resumes the process instead. The link
+// takes its sequence number now and is scheduled, or run in place, once
+// the step returns, so it keeps the place Sleep(d) would have given it.
+// Then outside a running chain panics.
 func (p *Proc) Then(d Time, next Step) {
+	t := p.e.now + d
+	p.e.checkAt(t)
+	p.arm(next)
+	p.linkAt, p.linkSeq = t, p.e.Reserve()
+}
+
+// arm marks next as the running step's armed link.
+func (p *Proc) arm(next Step) {
+	if !p.chaining {
+		panic(fmt.Sprintf("sim: process %q armed a link outside a chain", p.name))
+	}
 	p.armed = true
 	p.stepFn = next
-	if next == nil {
-		p.e.After(d, p.wake)
-		return
-	}
-	p.e.After(d, p.step)
 }
 
 // ThenAt is Then at virtual instant t. Like SleepUntil it does not wait
@@ -241,8 +288,7 @@ func (p *Proc) ThenAt(t Time, next Step) {
 // event of s's next Broadcast, as Wait(s) would wake. A nil next resumes
 // the process instead.
 func (p *Proc) ThenWait(s *Signal, next Step) {
-	p.armed = true
-	p.stepFn = next
+	p.arm(next)
 	s.add(p)
 }
 
@@ -256,13 +302,13 @@ func (p *Proc) ThenWaitAfter(s *Signal, d Time, next Step) {
 	p.sigDelay = d
 }
 
-// runStep runs the armed step in its wake event, and resumes the process
-// when the step arms no further link.
+// runStep runs the armed step in its wake event, drives the chain on, and
+// resumes the process when the chain ends.
 func (p *Proc) runStep() {
 	fn := p.stepFn
 	p.stepFn, p.armed = nil, false
 	fn(p, p.stepArg)
-	if !p.armed {
+	if p.drive() {
 		p.resume()
 	}
 }
@@ -282,8 +328,9 @@ func (p *Proc) signalled(e *Engine) {
 // SleepPoll suspends the process until cond(arg) holds, checking it after
 // every gap of virtual time. It is the chain of the loop
 // `for { p.Sleep(gap); if cond(arg) { break } }`: each check runs in its
-// wake event, so only the check that holds switches into the process.
-// cond runs on the engine: a panic in it is no ProcPanic.
+// wake, so only the check that holds switches into the process, and not
+// even that one when every check ran in place. cond runs on the engine
+// once a check was scheduled: a panic in it need not be a ProcPanic.
 func (p *Proc) SleepPoll(gap Time, cond func(arg any) bool, arg any) {
 	p.pollGap, p.pollCond = gap, cond
 	p.Chain(pollArm, arg)
